@@ -8,7 +8,6 @@ depend on evaluation order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,12 +90,3 @@ def cancel_known(y: Samples, gain: float, known: Samples) -> Samples:
         raise LengthMismatch(f"cancel shapes {y.shape} vs {known.shape}")
     return y - gain * known
 
-
-def dump_trace_csv(path: str, blocks: Sequence[Samples], slot: int = 0) -> None:
-    """Debug dump of signal blocks; one row per (slot, t, index, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot", "t", "index", "value"])
-        for idx, block in enumerate(blocks, start=1):
-            for t, v in enumerate(np.asarray(block, dtype=float)):
-                writer.writerow([slot, t, idx, f"{v:.12g}"])

@@ -29,7 +29,7 @@ from .model import (
     validate_config,
 )
 from .schemes import cache_placement_soft, delivery_schedule_soft, verify_schedule
-from .tradeoff import ACHIEVABLE, UPPER_BOUND, curve
+from .tradeoff import ACHIEVABLE, curve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -213,21 +213,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
-    from .tradeoff import TradeoffCurve, achievable
-
     variant = Variant.SOFT_HANDOFF if args.model == "soft" else Variant.FULL
     ach = curve(variant, ACHIEVABLE, args.points, args.x_max)
     if args.out:
-        # the exported CSV carries both curves, so sample both sets of corners
-        ub = curve(variant, UPPER_BOUND, args.points, args.x_max)
-        xs = sorted({x for x, _ in ach.samples} | {x for x, _ in ub.samples})
-        merged = TradeoffCurve(
-            variant,
-            ach.kind,
-            ach.breakpoints,
-            tuple((x, float(achievable(variant, x))) for x in xs),
-        )
-        export_csv(merged, args.out)
+        export_csv(ach, args.out)
         if args.plot_script:
             emit_plot_script(args.out, args.plot_script)
     else:

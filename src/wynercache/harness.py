@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .model import (
     SimError,
     Variant,
     config_to_json,
+    derive_seed,
     random_library,
     validate_config,
 )
@@ -43,7 +45,15 @@ from .schemes import (
     time_share,
 )
 from .schemes.parts import DATA_PARTS_SOFT, PARTS_FULL
-from .tradeoff import TradeoffCurve, empirical_mg
+from .tradeoff import (
+    ACHIEVABLE,
+    UPPER_BOUND,
+    TradeoffCurve,
+    achievable,
+    breakpoints,
+    empirical_mg,
+    upper_bound,
+)
 
 WORKERS_ENV = "WCS_WORKERS"
 EXHAUSTIVE_LIMIT = 10**6
@@ -177,10 +187,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return 1
 
 
-def _derive_int(*entropy: int) -> int:
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
 def _demands_for_trial(spec: ExperimentSpec, trial: int) -> DemandVector:
     k, d = spec.config.k, spec.num_files
     policy = spec.demand_policy
@@ -206,7 +212,7 @@ def _run_single(
     if spec.backend == "ideal":
         backend = Ideal()
     else:
-        backend = MonteCarlo(spec.n, _derive_int(spec.master_seed, trial, _TAG_BACKEND))
+        backend = MonteCarlo(spec.n, derive_seed(spec.master_seed, trial, _TAG_BACKEND))
     try:
         if spec.config.variant is Variant.FULL:
             return run_full(spec.config, library, demands, backend)
@@ -247,7 +253,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     library = random_library(
         spec.num_files,
         spec.payload_bits(),
-        _derive_int(spec.master_seed, _TAG_LIBRARY),
+        derive_seed(spec.master_seed, _TAG_LIBRARY),
         allow_small_d=spec.allow_small_d,
     )
 
@@ -374,9 +380,15 @@ def export_csv(obj: "ExperimentReport | SweepResult | TradeoffCurve", path: str)
                 )
         elif isinstance(obj, TradeoffCurve):
             writer.writerow(["x", "s_ach", "s_ub", "gap"])
-            from .tradeoff import achievable, upper_bound
-
-            for x, _ in obj.samples:
+            # both columns are exported, so the corners of both curves are sampled
+            x_max = Fraction(obj.samples[-1][0])
+            corners = {
+                float(x)
+                for kind in (ACHIEVABLE, UPPER_BOUND)
+                for x, _ in breakpoints(obj.variant, kind)
+                if x <= x_max
+            }
+            for x in sorted({x for x, _ in obj.samples} | corners):
                 ach = float(achievable(obj.variant, x))
                 ub = float(upper_bound(obj.variant, x))
                 writer.writerow([_fmt(x), _fmt(ach), _fmt(ub), _fmt(ub - ach)])

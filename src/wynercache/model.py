@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -248,6 +248,11 @@ class MessageLibrary:
         return iter(self.payloads)
 
 
+def derive_seed(*entropy: int) -> int:
+    """64-bit seed of the stream keyed by ``entropy``; distinct tuples give independent streams."""
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
 def random_library(
     num_files: int, payload_bits: int, seed: int, *, allow_small_d: bool = False
 ) -> MessageLibrary:
@@ -300,16 +305,25 @@ class CachePlacement:
     """Per-receiver stored (file, part) contents with exact bit accounting."""
 
     per_receiver: Mapping[int, tuple[CacheEntry, ...]]
+    # rx -> file -> part -> bits, built once from ``per_receiver``
+    _index: dict[int, dict[int, dict[int, Bitstring]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        index: dict[int, dict[int, dict[int, Bitstring]]] = {}
         totals = set()
         for rx, entries in self.per_receiver.items():
-            keys = [(e.file, e.part) for e in entries]
-            if len(keys) != len(set(keys)):
-                raise SimError(f"duplicate (file, part) cache entry at receiver {rx}")
+            by_file = index[rx] = {}
+            for e in entries:
+                parts = by_file.setdefault(e.file, {})
+                if e.part in parts:
+                    raise SimError(f"duplicate (file, part) cache entry at receiver {rx}")
+                parts[e.part] = e.bits
             totals.add(sum(e.bits.length for e in entries))
         if len(totals) > 1:
             raise SimError(f"asymmetric cache memory across receivers: {sorted(totals)}")
+        object.__setattr__(self, "_index", index)
 
     @property
     def bits_per_receiver(self) -> int:
@@ -319,14 +333,17 @@ class CachePlacement:
         return sum(e.bits.length for e in first)
 
     def lookup(self, rx: int, file: int, part: int) -> Bitstring | None:
-        for e in self.per_receiver.get(rx, ()):
-            if e.file == file and e.part == part:
-                return e.bits
-        return None
+        try:
+            return self._index[rx][file].get(part)
+        except KeyError:
+            return None
 
     def parts_of(self, rx: int, file: int) -> dict[int, Bitstring]:
         """All cached parts of ``file`` at receiver ``rx``, keyed by part index."""
-        return {e.part: e.bits for e in self.per_receiver.get(rx, ()) if e.file == file}
+        try:
+            return dict(self._index[rx][file])
+        except KeyError:
+            return {}
 
 
 # --- JSON serialization for harness logging -------------------------------
@@ -339,54 +356,3 @@ def config_to_json(cfg: NetworkConfig) -> dict:
         "power": cfg.power,
         "epsilon": cfg.epsilon,
     }
-
-
-def config_from_json(obj: Mapping) -> NetworkConfig:
-    return NetworkConfig(
-        Variant(obj["variant"]),
-        int(obj["k"]),
-        tuple(float(g) for g in obj["gains"]),
-        float(obj["power"]),
-        float(obj["epsilon"]),
-    )
-
-
-def library_to_json(lib: MessageLibrary) -> dict:
-    return {
-        "payload_bits": lib.payload_bits,
-        "payloads": [p.to_hex() for p in lib.payloads],
-    }
-
-
-def library_from_json(obj: Mapping) -> MessageLibrary:
-    bits = int(obj["payload_bits"])
-    return MessageLibrary(tuple(Bitstring.from_hex(h, bits) for h in obj["payloads"]))
-
-
-def demands_to_json(demands: DemandVector) -> dict:
-    return {"demands": list(demands.entries)}
-
-
-def demands_from_json(obj: Mapping) -> DemandVector:
-    return DemandVector(tuple(int(e) for e in obj["demands"]))
-
-
-def placement_to_json(placement: CachePlacement) -> dict:
-    return {
-        "total_bits_per_receiver": placement.bits_per_receiver,
-        "cache_entries": [
-            {"rx": rx, "file": e.file, "part": e.part, "bits": e.bits.to_hex(), "length": e.bits.length}
-            for rx, entries in sorted(placement.per_receiver.items())
-            for e in entries
-        ],
-    }
-
-
-def placement_from_json(obj: Mapping) -> CachePlacement:
-    per_rx: dict[int, list[CacheEntry]] = {}
-    for row in obj["cache_entries"]:
-        entry = CacheEntry(
-            int(row["file"]), int(row["part"]), Bitstring.from_hex(row["bits"], int(row["length"]))
-        )
-        per_rx.setdefault(int(row["rx"]), []).append(entry)
-    return CachePlacement({rx: tuple(v) for rx, v in per_rx.items()})

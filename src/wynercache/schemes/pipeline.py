@@ -1,4 +1,16 @@
-"""End-to-end scheme execution.
+"""End-to-end scheme execution in the paper's two phases.
+
+* Placement, once per (config, library): ``_scheme`` splits every file, builds
+  the demand-independent ``CachePlacement`` and fixes the rate, the number of
+  parts a receiver needs, the guaranteed receivers, the schedule builder and
+  the combine rule. Round robin places its K rotated schemes over the
+  MDS-coded sub-libraries (``_rotations``); prop-1 places the base scheme over
+  the main payloads and keeps every file's cached tail (``_prop1``). Each of
+  these records is memoised on its hashable frozen inputs and never mutated,
+  so all trials of one experiment share it.
+* Delivery, per demand vector: ``_deliver`` builds the schedule, runs it on a
+  backend with ``_execute`` and assembles the ``SimResult`` with ``_result``,
+  which every runner shares.
 
 Two interchangeable backends drive the same schedules:
 
@@ -18,8 +30,9 @@ message so that any K-2 of its K coded parts suffice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,18 +40,18 @@ from ..channel import cancel_known, check_power, transmit_full, transmit_soft
 from ..codec import LinkBudget, draw_codebook, ideal_link, nn_decode
 from ..model import (
     Bitstring,
-    CacheEntry,
     CachePlacement,
     DemandVector,
     MessageLibrary,
     NetworkConfig,
     SimError,
     Variant,
+    derive_seed,
     validate_config,
 )
 from .mds import mds_decode, mds_encode
 from .parts import DATA_PARTS_SOFT, PARTS_FULL, reconstruct_five, split_full, split_soft
-from .placement import cache_placement_full, cache_placement_soft, cached_parts_soft
+from .placement import cache_placement_full, cache_placement_soft
 from .points import rate_full, rate_soft
 from .schedule import (
     DeliverySchedule,
@@ -48,10 +61,6 @@ from .schedule import (
     delivery_schedule_full,
     delivery_schedule_soft,
 )
-
-# Part label for the extra submessage cached at every receiver by the
-# prop1 augmentation (labels 1..6 belong to the base scheme).
-EXTRA_PART = 7
 
 _SEED_CODEBOOK = 0xC0DE
 _SEED_NOISE = 0x401E
@@ -98,29 +107,75 @@ class SimResult:
         return all(self.success[rx] for rx in self.guaranteed)
 
 
-def _derive_seed(*entropy: int) -> int:
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+@dataclass(frozen=True)
+class _Scheme:
+    """Placement-phase record of one scheme on one (config, library)."""
+
+    cfg: NetworkConfig
+    library: MessageLibrary
+    part_bits: dict[int, tuple[Bitstring, ...]]  # file -> its split parts
+    placement: CachePlacement
+    rate: float  # per-user rate on the Ideal backend
+    needed: int  # labelled parts a receiver combines into its file
+    guaranteed: tuple[int, ...]
+    schedule: Callable[[int, DemandVector], DeliverySchedule]
+    combine: Callable[[dict[int, Bitstring]], Bitstring]
 
 
-def _check_inputs(
-    cfg: NetworkConfig,
-    library: MessageLibrary,
-    demands: DemandVector,
-    variant: Variant,
-    parts: int,
-) -> None:
+def _concat(parts: dict[int, Bitstring]) -> Bitstring:
+    return Bitstring.concat_all(parts.values())
+
+
+def _checked(cfg: NetworkConfig, variant: Variant) -> NetworkConfig:
     validate_config(cfg)
     if cfg.variant is not variant:
         raise ConfigMismatch(f"config is {cfg.variant.value}, scheme needs {variant.value}")
+    return cfg
+
+
+def _check_demands(cfg: NetworkConfig, library: MessageLibrary, demands: DemandVector) -> None:
     if len(demands) != cfg.k:
         raise ConfigMismatch(f"demand vector length {len(demands)} != K={cfg.k}")
     for d in demands:
         if not 1 <= d <= library.num_files:
             raise ConfigMismatch(f"demand {d} outside library 1..{library.num_files}")
-    if library.payload_bits % parts != 0:
+
+
+@functools.lru_cache(maxsize=1)
+def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
+    """Placement phase: everything about a run of ``cfg`` that the demands do not change."""
+    soft = cfg.variant is Variant.SOFT_HANDOFF
+    needed = DATA_PARTS_SOFT if soft else PARTS_FULL
+    if library.payload_bits % needed != 0:
         raise ConfigMismatch(
-            f"payload of {library.payload_bits} bits is not divisible by {parts}"
+            f"payload of {library.payload_bits} bits is not divisible by {needed}"
         )
+    files = range(1, library.num_files + 1)
+    # The lambdas look the schedule builders and reconstruct_five up at call
+    # time, so wrapping those module globals also reaches cached records.
+    if soft:
+        return _Scheme(
+            cfg,
+            library,
+            {f: split_soft(library.payload(f), f).parts for f in files},
+            cache_placement_soft(cfg.k, library),
+            rate_soft(cfg),
+            needed,
+            tuple(range(2, cfg.k)),
+            lambda k, demands: delivery_schedule_soft(k, demands),
+            lambda parts: reconstruct_five(parts),
+        )
+    return _Scheme(
+        cfg,
+        library,
+        {f: split_full(library.payload(f), f).parts for f in files},
+        cache_placement_full(cfg.k, library),
+        rate_full(cfg),
+        needed,
+        tuple(range(1, cfg.k + 1)),
+        lambda k, demands: delivery_schedule_full(k, demands),
+        _concat,
+    )
 
 
 def _true_index(action, part_bits: dict[int, tuple[Bitstring, ...]]) -> int:
@@ -168,7 +223,7 @@ def _execute(
                     n_slot,
                     bits_per_part,
                     cfg.power - cfg.epsilon,
-                    _derive_seed(backend.seed, _SEED_CODEBOOK, per.index, tx),
+                    derive_seed(backend.seed, _SEED_CODEBOOK, per.index, tx),
                 )
                 codebooks[tx] = cb
                 blocks.append(cb.words[_true_index(action, part_bits)])
@@ -178,7 +233,7 @@ def _execute(
                     raise PowerViolation(
                         f"Tx {tx} block power {pc.measured:.6g} exceeds P={cfg.power}"
                     )
-            noise_seed = _derive_seed(backend.seed, _SEED_NOISE, per.index)
+            noise_seed = derive_seed(backend.seed, _SEED_NOISE, per.index)
             if cfg.variant is Variant.SOFT_HANDOFF:
                 received = transmit_soft(blocks, cfg.gains, noise_seed)
             else:
@@ -226,30 +281,59 @@ def _execute(
     return decoded, failures, links
 
 
-def _finish_soft(
-    cfg: NetworkConfig,
+def _result(
     library: MessageLibrary,
     demands: DemandVector,
-    placement: CachePlacement,
-    decoded: dict[int, dict[tuple[int, int], Bitstring]],
-) -> tuple[dict[int, Bitstring | None], dict[int, bool]]:
-    payloads: dict[int, Bitstring | None] = {}
-    success: dict[int, bool] = {}
-    for rx in range(1, cfg.k + 1):
+    have: dict[int, dict[int, Bitstring]],
+    needed: int,
+    combine: Callable[[dict[int, Bitstring]], Bitstring],
+    **fields,
+) -> SimResult:
+    """Combine each receiver's ``needed`` lowest-labelled parts and check its demanded file."""
+    decoded = {
+        rx: combine(dict(sorted(parts.items())[:needed])) if len(parts) >= needed else None
+        for rx, parts in have.items()
+    }
+    success = {rx: guess == library.payload(demands.for_rx(rx)) for rx, guess in decoded.items()}
+    return SimResult(decoded=decoded, success=success, **fields)
+
+
+def _deliver(scheme: _Scheme, demands: DemandVector, backend: Backend) -> SimResult:
+    """Delivery phase: serve one demand vector with a placed scheme."""
+    cfg, library = scheme.cfg, scheme.library
+    _check_demands(cfg, library, demands)
+    schedule = scheme.schedule(cfg.k, demands)
+    periods = len(schedule.periods)
+    bits_per_part = library.payload_bits // scheme.needed
+    if isinstance(backend, Ideal):
+        # each period carries one part over 1/periods of the block
+        link_rate = periods * scheme.rate / scheme.needed
+        rate = scheme.rate
+    else:
+        n_slot = max(backend.n // periods, 1)
+        link_rate = bits_per_part / n_slot
+        rate = library.payload_bits / (periods * n_slot)
+
+    decoded, failures, links = _execute(
+        cfg, schedule, scheme.placement, scheme.part_bits, backend, link_rate, bits_per_part
+    )
+    have = {}
+    for rx, got in decoded.items():
         want = demands.for_rx(rx)
-        available = {p: bits for (f, p), bits in decoded[rx].items() if f == want}
-        for p in cached_parts_soft(rx):
-            cached = placement.lookup(rx, want, p)
-            if cached is not None:
-                available.setdefault(p, cached)
-        if len(available) < DATA_PARTS_SOFT:
-            payloads[rx] = None
-            success[rx] = False
-            continue
-        chosen = dict(sorted(available.items())[:DATA_PARTS_SOFT])
-        payloads[rx] = reconstruct_five(chosen)
-        success[rx] = payloads[rx] == library.payload(want)
-    return payloads, success
+        delivered = {p: bits for (f, p), bits in got.items() if f == want}
+        have[rx] = {**scheme.placement.parts_of(rx, want), **delivered}
+    return _result(
+        library,
+        demands,
+        have,
+        scheme.needed,
+        scheme.combine,
+        guaranteed=scheme.guaranteed,
+        links_total=links,
+        link_failures=failures,
+        rate_per_user=rate,
+        memory_bits_per_receiver=scheme.placement.bits_per_receiver,
+    )
 
 
 def run_soft(
@@ -259,37 +343,7 @@ def run_soft(
     backend: Backend = Ideal(),
 ) -> SimResult:
     """One delivery round of the soft-handoff scheme (interior receivers guaranteed)."""
-    _check_inputs(cfg, library, demands, Variant.SOFT_HANDOFF, DATA_PARTS_SOFT)
-    bits_per_part = library.payload_bits // DATA_PARTS_SOFT
-    part_bits = {
-        f: split_soft(library.payload(f), f).parts
-        for f in range(1, library.num_files + 1)
-    }
-    placement = cache_placement_soft(cfg.k, library)
-    schedule = delivery_schedule_soft(cfg.k, demands)
-
-    rate = rate_soft(cfg)
-    if isinstance(backend, Ideal):
-        link_rate = 3.0 * rate / 5.0  # one part over a third of the block
-        reported_rate = rate
-    else:
-        n_slot = backend.n // 3
-        link_rate = bits_per_part / max(n_slot, 1)
-        reported_rate = library.payload_bits / (3.0 * max(n_slot, 1))
-
-    decoded, failures, links = _execute(
-        cfg, schedule, placement, part_bits, backend, link_rate, bits_per_part
-    )
-    payloads, success = _finish_soft(cfg, library, demands, placement, decoded)
-    return SimResult(
-        decoded=payloads,
-        success=success,
-        guaranteed=tuple(range(2, cfg.k)),
-        links_total=links,
-        link_failures=failures,
-        rate_per_user=reported_rate,
-        memory_bits_per_receiver=placement.bits_per_receiver,
-    )
+    return _deliver(_scheme(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend)
 
 
 def run_full(
@@ -299,48 +353,19 @@ def run_full(
     backend: Backend = Ideal(),
 ) -> SimResult:
     """One delivery round of the full-model scheme (all K receivers guaranteed)."""
-    _check_inputs(cfg, library, demands, Variant.FULL, PARTS_FULL)
-    bits_per_part = library.payload_bits // PARTS_FULL
-    part_bits = {
-        f: split_full(library.payload(f), f).parts for f in range(1, library.num_files + 1)
-    }
-    placement = cache_placement_full(cfg.k, library)
-    schedule = delivery_schedule_full(cfg.k, demands)
+    return _deliver(_scheme(_checked(cfg, Variant.FULL), library), demands, backend)
 
-    rate = rate_full(cfg)
-    if isinstance(backend, Ideal):
-        link_rate = rate / 2.0
-        reported_rate = rate
-    else:
-        link_rate = bits_per_part / backend.n
-        reported_rate = library.payload_bits / backend.n
 
-    decoded, failures, links = _execute(
-        cfg, schedule, placement, part_bits, backend, link_rate, bits_per_part
-    )
-    payloads: dict[int, Bitstring | None] = {}
-    success: dict[int, bool] = {}
-    for rx in range(1, cfg.k + 1):
-        want = demands.for_rx(rx)
-        parts = {p: bits for (f, p), bits in decoded[rx].items() if f == want}
-        parts.update(
-            {p: b for p, b in placement.parts_of(rx, want).items() if p not in parts}
-        )
-        if set(parts) != {1, 2}:
-            payloads[rx] = None
-            success[rx] = False
-            continue
-        payloads[rx] = parts[1].concat(parts[2])
-        success[rx] = payloads[rx] == library.payload(want)
-    return SimResult(
-        decoded=payloads,
-        success=success,
-        guaranteed=tuple(range(1, cfg.k + 1)),
-        links_total=links,
-        link_failures=failures,
-        rate_per_user=reported_rate,
-        memory_bits_per_receiver=placement.bits_per_receiver,
-    )
+@functools.lru_cache(maxsize=1)
+def _prop1(
+    cfg: NetworkConfig, library: MessageLibrary, extra_bits: int
+) -> tuple[_Scheme, tuple[Bitstring, ...]]:
+    """Placement phase of prop-1: the base scheme over the main payloads, and every file's tail."""
+    main_bits = library.payload_bits - extra_bits
+    mains = tuple(Bitstring(main_bits, p.value >> extra_bits) for p in library)
+    mask = (1 << extra_bits) - 1
+    tails = tuple(Bitstring(extra_bits, p.value & mask) for p in library)
+    return _scheme(cfg, MessageLibrary(mains)), tails
 
 
 def run_soft_prop1(
@@ -365,49 +390,24 @@ def run_soft_prop1(
         raise ConfigMismatch(
             f"main payload of {main_bits} bits is not divisible by {DATA_PARTS_SOFT}"
         )
-    mains = tuple(Bitstring(main_bits, p.value >> extra_bits) for p in library)
-    base = run_soft(cfg, MessageLibrary(mains), demands, backend)
-    augmented = prop1_placement(cfg.k, library, extra_bits)
-
-    decoded: dict[int, Bitstring | None] = {}
-    success: dict[int, bool] = {}
-    for rx in range(1, cfg.k + 1):
-        want = demands.for_rx(rx)
-        main_guess = base.decoded[rx]
-        extra = augmented.lookup(rx, want, EXTRA_PART)
-        if main_guess is None or extra is None:
-            decoded[rx] = None
-            success[rx] = False
-            continue
-        decoded[rx] = main_guess.concat(extra)
-        success[rx] = decoded[rx] == library.payload(want)
-    scale = library.payload_bits / main_bits
-    return SimResult(
-        decoded=decoded,
-        success=success,
-        guaranteed=base.guaranteed,
-        links_total=base.links_total,
-        link_failures=base.link_failures,
-        rate_per_user=base.rate_per_user * scale,
-        memory_bits_per_receiver=augmented.bits_per_receiver,
-    )
-
-
-def prop1_placement(k: int, library: MessageLibrary, extra_bits: int) -> CachePlacement:
-    """Base soft placement on the main payloads plus the universal extra part."""
-    main_bits = library.payload_bits - extra_bits
-    mains = tuple(Bitstring(main_bits, p.value >> extra_bits) for p in library)
-    base = cache_placement_soft(k, MessageLibrary(mains))
-    mask = (1 << extra_bits) - 1
-    per_rx = {
-        rx: entries
-        + tuple(
-            CacheEntry(f, EXTRA_PART, Bitstring(extra_bits, library.payload(f).value & mask))
-            for f in range(1, library.num_files + 1)
-        )
-        for rx, entries in base.per_receiver.items()
+    base, tails = _prop1(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits)
+    main = _deliver(base, demands, backend)
+    have = {
+        rx: {} if guess is None else {1: guess, 2: tails[demands.for_rx(rx) - 1]}
+        for rx, guess in main.decoded.items()
     }
-    return CachePlacement(per_rx)
+    return _result(
+        library,
+        demands,
+        have,
+        2,
+        _concat,
+        guaranteed=main.guaranteed,
+        links_total=main.links_total,
+        link_failures=main.link_failures,
+        rate_per_user=main.rate_per_user * (library.payload_bits / main_bits),
+        memory_bits_per_receiver=main.memory_bits_per_receiver + library.num_files * extra_bits,
+    )
 
 
 def role_of(physical: int, super_period: int, k: int) -> int:
@@ -417,6 +417,35 @@ def role_of(physical: int, super_period: int, k: int) -> int:
 
 def physical_of(role: int, super_period: int, k: int) -> int:
     return (role + super_period - 1) % k + 1
+
+
+@functools.lru_cache(maxsize=1)
+def _rotations(cfg: NetworkConfig, library: MessageLibrary) -> tuple[_Scheme, ...]:
+    """Placement phase of round robin: the placed soft scheme of super-periods 1..K.
+
+    Super-period l carries coded part l of every file, with the cross gains of
+    the physical nodes that play each role in that super-period.
+    """
+    k = cfg.k
+    chunk = library.payload_bits // (k - 2)
+    if library.payload_bits % (k - 2) != 0 or chunk % 8 != 0 or chunk % DATA_PARTS_SOFT != 0:
+        raise ConfigMismatch(
+            f"round-robin needs the payload divisible into K-2={k - 2} byte-aligned "
+            f"parts each divisible by {DATA_PARTS_SOFT}; got {library.payload_bits} bits"
+        )
+    coded = [mds_encode(list(p.split(k - 2))) for p in library]
+    return tuple(
+        _scheme(
+            NetworkConfig.soft_handoff(
+                k,
+                tuple(cfg.gain_at(physical_of(r, ell, k)) for r in range(1, k + 1)),
+                cfg.power,
+                cfg.epsilon,
+            ),
+            MessageLibrary(tuple(parts[ell - 1] for parts in coded)),
+        )
+        for ell in range(1, k + 1)
+    )
 
 
 def round_robin_soft(
@@ -432,64 +461,38 @@ def round_robin_soft(
     receiver plays a bad edge role exactly twice and still collects K-2 parts.
     The per-user rate shrinks by the factor (K-2)/K.
     """
-    _check_inputs(cfg, library, demands, Variant.SOFT_HANDOFF, 1)
+    _checked(cfg, Variant.SOFT_HANDOFF)
+    _check_demands(cfg, library, demands)
     k = cfg.k
-    chunk = library.payload_bits // (k - 2)
-    if library.payload_bits % (k - 2) != 0 or chunk % 8 != 0 or chunk % DATA_PARTS_SOFT != 0:
-        raise ConfigMismatch(
-            f"round-robin needs the payload divisible into K-2={k - 2} byte-aligned "
-            f"parts each divisible by {DATA_PARTS_SOFT}; got {library.payload_bits} bits"
-        )
-
-    coded = {
-        f: mds_encode(list(library.payload(f).split(k - 2)))
-        for f in range(1, library.num_files + 1)
-    }
+    rotations = _rotations(cfg, library)
 
     collected: dict[int, dict[int, Bitstring]] = {rx: {} for rx in range(1, k + 1)}
     failures = 0
     links = 0
-    base_rate = 0.0
-    memory_bits = 0
-    for ell in range(1, k + 1):
-        role_gains = tuple(cfg.gain_at(physical_of(r, ell, k)) for r in range(1, k + 1))
-        sub_cfg = NetworkConfig.soft_handoff(k, role_gains, cfg.power, cfg.epsilon)
-        sub_lib = MessageLibrary(tuple(coded[f][ell - 1] for f in range(1, library.num_files + 1)))
+    for ell, scheme in enumerate(rotations, start=1):
         sub_demands = DemandVector(
             tuple(demands.for_rx(physical_of(r, ell, k)) for r in range(1, k + 1))
         )
         sub_backend = backend
         if isinstance(backend, MonteCarlo):
-            sub_backend = MonteCarlo(backend.n, _derive_seed(backend.seed, _SEED_SUPER, ell))
-        sub = run_soft(sub_cfg, sub_lib, sub_demands, sub_backend)
+            sub_backend = MonteCarlo(backend.n, derive_seed(backend.seed, _SEED_SUPER, ell))
+        sub = _deliver(scheme, sub_demands, sub_backend)
         failures += sub.link_failures
         links += sub.links_total
-        base_rate = sub.rate_per_user
-        memory_bits += sub.memory_bits_per_receiver
         for rx in range(1, k + 1):
             role = role_of(rx, ell, k)
             if role in sub.guaranteed and sub.decoded[role] is not None:
                 collected[rx][ell] = sub.decoded[role]
 
-    decoded: dict[int, Bitstring | None] = {}
-    success: dict[int, bool] = {}
-    for rx in range(1, k + 1):
-        want = demands.for_rx(rx)
-        have = collected[rx]
-        if len(have) < k - 2:
-            decoded[rx] = None
-            success[rx] = False
-            continue
-        take = dict(sorted(have.items())[: k - 2])
-        data = mds_decode(take, k)
-        decoded[rx] = Bitstring.concat_all(data)
-        success[rx] = decoded[rx] == library.payload(want)
-    return SimResult(
-        decoded=decoded,
-        success=success,
+    return _result(
+        library,
+        demands,
+        collected,
+        k - 2,
+        lambda coded: Bitstring.concat_all(mds_decode(coded, k)),
         guaranteed=tuple(range(1, k + 1)),
         links_total=links,
         link_failures=failures,
-        rate_per_user=base_rate * (k - 2) / k,
-        memory_bits_per_receiver=memory_bits,
+        rate_per_user=sub.rate_per_user * (k - 2) / k,
+        memory_bits_per_receiver=sum(s.placement.bits_per_receiver for s in rotations),
     )

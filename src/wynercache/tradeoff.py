@@ -36,11 +36,6 @@ def _ratio(x: Ratio) -> Fraction:
     return f
 
 
-def normalized_ratio(mu: Ratio, num_files: int) -> Fraction:
-    """Convert a raw normalized memory mu and library size D into x = mu/D."""
-    return _ratio(mu) / num_files
-
-
 def s_soft_ach(x: Ratio) -> Fraction:
     r = _ratio(x)
     if r <= Fraction(2, 3):
@@ -71,12 +66,6 @@ def achievable(variant: Variant, x: Ratio) -> Fraction:
 
 def upper_bound(variant: Variant, x: Ratio) -> Fraction:
     return s_soft_ub(x) if variant is Variant.SOFT_HANDOFF else s_full_ub(x)
-
-
-def tightness_region(variant: Variant) -> tuple[Fraction, float]:
-    """The interval [x0, inf) on which the bounds coincide and equal 1 + x."""
-    x0 = Fraction(2, 3) if variant is Variant.SOFT_HANDOFF else Fraction(1)
-    return (x0, math.inf)
 
 
 def empirical_mg(rate: float, power: float) -> float:

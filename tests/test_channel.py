@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from wynercache.channel import (
     block_power,
     cancel_known,
     check_power,
-    dump_trace_csv,
     transmit_full,
     transmit_soft,
 )
@@ -148,12 +145,3 @@ class TestCancelKnown:
             cleaned = cancel_known(y[i], gains[i], x[(i - 1) % k])
             assert np.max(np.abs(cleaned - (x[i] + z[i]))) <= 1e-9
 
-
-def test_dump_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    dump_trace_csv(str(path), [np.array([1.0, 2.0]), np.array([3.0, 4.0])], slot=2)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["slot", "t", "index", "value"]
-    assert rows[1] == ["2", "0", "1", "1"]
-    assert rows[4] == ["2", "1", "2", "4"]

@@ -1,0 +1,105 @@
+"""Golden replay: fixed-seed outputs compared byte for byte with tests/golden/.
+
+Each case runs ``run_experiment`` on a fixed spec and compares
+``ExperimentReport.to_json()`` without ``wall_clock_s`` (as indented JSON) and
+the ``export_csv`` bytes of the report with the stored files. The CSV written
+by ``wynercache tradeoff --points 200 --out`` is compared the same way. A
+refactor must leave every byte unchanged.
+
+The expected files were written from a trusted revision with
+``PYTHONPATH=src python tests/test_golden.py``; rerun it only when an output
+is meant to change, and say so in the change log.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from wynercache.cli import main
+from wynercache.harness import DemandPolicy, ExperimentSpec, export_csv, run_experiment
+from wynercache.model import NetworkConfig
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _soft(k=6, alpha=1.0, power=1e4, **kw) -> ExperimentSpec:
+    return ExperimentSpec(config=NetworkConfig.soft_handoff(k, alpha, power), **kw)
+
+
+def _full(k=6, alpha=0.5, power=1e4, **kw) -> ExperimentSpec:
+    return ExperimentSpec(config=NetworkConfig.full(k, alpha, power), **kw)
+
+
+CASES: dict[str, ExperimentSpec] = {
+    "ideal-soft-k6": _soft(trials=8, master_seed=11),
+    "ideal-soft-k7-gains": _soft(
+        k=7, alpha=(1.0, 0.5, 2.0, 0.8, 1.5, 0.3, 1.2), num_files=7, trials=8, master_seed=12
+    ),
+    "ideal-full": _full(trials=8, master_seed=13),
+    "mc-soft-p100": _soft(power=100.0, backend="mc", trials=4, master_seed=14),
+    "mc-soft-p0.3": _soft(power=0.3, backend="mc", trials=4, master_seed=15),
+    "mc-full": _full(power=100.0, backend="mc", trials=3, master_seed=16),
+    "rr-ideal": _soft(k=5, round_robin=True, trials=6, master_seed=17),
+    "rr-mc": _soft(k=5, power=100.0, backend="mc", round_robin=True, trials=2, master_seed=18),
+    "prop1-ideal": _soft(prop1_extra_bits=10, trials=6, master_seed=19),
+    "prop1-mc": _soft(power=100.0, backend="mc", prop1_extra_bits=10, trials=3, master_seed=20),
+    "exhaustive-d2": _soft(
+        k=5,
+        num_files=2,
+        allow_small_d=True,
+        demand_policy=DemandPolicy.EXHAUSTIVE,
+        master_seed=21,
+    ),
+    "timeshare": _soft(timeshare_lambda=0.5, trials=4, master_seed=22),
+}
+TRADEOFF_MODELS = ("soft", "full")
+
+
+def _report_outputs(spec: ExperimentSpec, workdir: Path) -> dict[str, bytes]:
+    report = run_experiment(spec)
+    doc = report.to_json()
+    del doc["wall_clock_s"]
+    csv_path = workdir / "report.csv"
+    export_csv(report, str(csv_path))
+    return {
+        ".json": (json.dumps(doc, indent=2) + "\n").encode(),
+        ".csv": csv_path.read_bytes(),
+    }
+
+
+def _tradeoff_csv(model: str, workdir: Path) -> bytes:
+    path = workdir / "curve.csv"
+    assert main(["tradeoff", "--model", model, "--points", "200", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_replay(name, tmp_path):
+    for suffix, got in _report_outputs(CASES[name], tmp_path).items():
+        assert got == (GOLDEN / f"{name}{suffix}").read_bytes(), f"{name}{suffix} changed"
+
+
+@pytest.mark.parametrize("model", TRADEOFF_MODELS)
+def test_tradeoff_replay(model, tmp_path):
+    assert _tradeoff_csv(model, tmp_path) == (GOLDEN / f"tradeoff-{model}.csv").read_bytes()
+
+
+def _write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, spec in CASES.items():
+            for suffix, data in _report_outputs(spec, workdir).items():
+                (GOLDEN / f"{name}{suffix}").write_bytes(data)
+        for model in TRADEOFF_MODELS:
+            (GOLDEN / f"tradeoff-{model}.csv").write_bytes(_tradeoff_csv(model, workdir))
+    print(f"wrote {len(CASES) * 2 + len(TRADEOFF_MODELS)} files to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _write_golden()

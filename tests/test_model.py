@@ -17,14 +17,6 @@ from wynercache.model import (
     SimError,
     Variant,
     ZeroCrossGain,
-    config_from_json,
-    config_to_json,
-    demands_from_json,
-    demands_to_json,
-    library_from_json,
-    library_to_json,
-    placement_from_json,
-    placement_to_json,
     random_library,
     validate_config,
     xor,
@@ -189,28 +181,3 @@ class TestCachePlacement:
         assert placement.lookup(1, 3, 1) is None
         assert placement.parts_of(1, 3) == {2: Bitstring(8, 5)}
 
-
-class TestJson:
-    def test_config_roundtrip(self):
-        cfg = NetworkConfig.soft_handoff(6, [1, 2, 3, 4, 5, 6], 100.0, 0.05)
-        doc = config_to_json(cfg)
-        assert set(doc) == {"variant", "k", "gains", "power", "epsilon"}
-        assert config_from_json(doc) == cfg
-
-    def test_library_roundtrip(self):
-        lib = random_library(6, 40, seed=3)
-        assert library_from_json(library_to_json(lib)) == lib
-
-    def test_demands_roundtrip(self):
-        d = DemandVector((3, 1, 4, 1, 5, 2))
-        assert demands_from_json(demands_to_json(d)) == d
-
-    def test_placement_roundtrip(self):
-        placement = CachePlacement(
-            {1: (CacheEntry(1, 2, Bitstring(8, 0xAB)),), 2: (CacheEntry(2, 1, Bitstring(8, 1)),)}
-        )
-        doc = placement_to_json(placement)
-        assert doc["total_bits_per_receiver"] == 8
-        restored = placement_from_json(doc)
-        assert restored.lookup(1, 1, 2) == Bitstring(8, 0xAB)
-        assert restored.lookup(2, 2, 1) == Bitstring(8, 1)

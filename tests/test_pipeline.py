@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wynercache.schemes.pipeline as pipeline
+from wynercache.harness import ExperimentSpec, run_experiment
 from wynercache.model import (
     DemandVector,
     NetworkConfig,
@@ -242,3 +243,40 @@ class TestInputValidation:
         lib = random_library(6, 40, seed=1)
         with pytest.raises(ConfigMismatch):
             run_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 7)))
+
+
+class TestPlaceOnce:
+    """Placement runs once per (config, library), not once per trial."""
+
+    @staticmethod
+    def _count_placements(monkeypatch):
+        calls = []
+        for name in ("cache_placement_soft", "cache_placement_full"):
+            real = getattr(pipeline, name)
+
+            def counted(*args, _real=real):
+                calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(config=_soft_cfg()),
+            dict(config=NetworkConfig.full(6, 0.5, 1e4)),
+            dict(config=_soft_cfg(power=100.0), backend="mc"),
+            dict(config=_soft_cfg(), prop1_extra_bits=10),
+        ],
+    )
+    def test_one_placement_per_experiment(self, monkeypatch, kwargs):
+        calls = self._count_placements(monkeypatch)
+        assert run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=90210)).trials == 5
+        assert len(calls) == 1
+
+    def test_round_robin_places_each_rotation_once(self, monkeypatch):
+        calls = self._count_placements(monkeypatch)
+        spec = ExperimentSpec(config=_soft_cfg(k=7), round_robin=True, trials=5, master_seed=90211)
+        assert run_experiment(spec).trials == 5
+        assert len(calls) == 7

@@ -13,12 +13,10 @@ from wynercache.tradeoff import (
     breakpoints,
     curve,
     empirical_mg,
-    normalized_ratio,
     s_full_ach,
     s_full_ub,
     s_soft_ach,
     s_soft_ub,
-    tightness_region,
     upper_bound,
 )
 
@@ -87,12 +85,6 @@ class TestBoundOrdering:
             else:
                 assert gap > 1e-12
 
-    def test_tightness_region(self):
-        lo, hi = tightness_region(Variant.SOFT_HANDOFF)
-        assert lo == Fraction(2, 3) and hi == math.inf
-        lo, hi = tightness_region(Variant.FULL)
-        assert lo == Fraction(1)
-
     def test_slopes_concave(self):
         # achievable curves are concave piecewise linear with the stated slopes
         for fn, slopes in ((s_soft_ach, (Fraction(3, 2), 1)), (s_full_ach, (Fraction(4, 3), 1))):
@@ -154,6 +146,3 @@ class TestCurveSampling:
     def test_too_few_points(self):
         with pytest.raises(Exception):
             curve(Variant.SOFT_HANDOFF, ACHIEVABLE, 1, 2)
-
-    def test_normalized_ratio(self):
-        assert normalized_ratio(4, 6) == Fraction(2, 3)
