@@ -15,20 +15,26 @@ import sys
 from .harness import (
     DemandPolicy,
     ExperimentSpec,
+    _demands_for_trial,
     emit_plot_script,
     export_csv,
     run_experiment,
     sweep_snr,
 )
 from .model import (
-    DemandVector,
     NetworkConfig,
     SimError,
     Variant,
     random_library,
     validate_config,
 )
-from .schemes import cache_placement_soft, delivery_schedule_soft, verify_schedule
+from .schemes import (
+    cache_placement_full,
+    cache_placement_soft,
+    delivery_schedule_full,
+    delivery_schedule_soft,
+    verify_schedule,
+)
 from .tradeoff import ACHIEVABLE, curve
 
 EXIT_OK = 0
@@ -99,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     trade.add_argument("--plot-script", default=None)
 
     ver = subs.add_parser("verify-schedule", help="build and check the canonical schedule")
-    ver.add_argument("--model", choices=["soft"], default="soft")
+    ver.add_argument("--model", choices=["soft", "full"], default="soft")
     ver.add_argument("--k", type=int, required=True)
     ver.add_argument("--d", type=int, default=6)
     ver.add_argument("--demands", default="distinct")
@@ -227,20 +233,26 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 def _cmd_verify_schedule(args: argparse.Namespace) -> int:
     policy, explicit = _parse_demands(args.demands)
-    if policy is DemandPolicy.EXPLICIT:
-        demands = DemandVector.checked(explicit, args.k, args.d)
-    elif policy is DemandPolicy.ALL_EQUAL:
-        demands = DemandVector((1,) * args.k)
-    elif policy is DemandPolicy.DISTINCT:
-        if args.d < args.k:
-            raise SimError("distinct demands need at least K files")
-        demands = DemandVector(tuple(range(1, args.k + 1)))
+    # Schedules and placements depend on K and the demands only, so any
+    # valid gains and power will do; demands resolve as in trial 0 at seed 0.
+    if args.model == "full":
+        cfg = NetworkConfig.full(args.k, 1.0, 1e4)
+        build, place = delivery_schedule_full, cache_placement_full
     else:
-        raise SimError("verify-schedule needs distinct, equal, or explicit demands")
-    library = random_library(args.d, 5 * 8, seed=0, allow_small_d=args.allow_small_d)
-    schedule = delivery_schedule_soft(args.k, demands)
-    placement = cache_placement_soft(args.k, library)
-    violations = verify_schedule(schedule, placement, demands)
+        cfg = NetworkConfig.soft_handoff(args.k, 1.0, 1e4)
+        build, place = delivery_schedule_soft, cache_placement_soft
+    spec = ExperimentSpec(
+        config=cfg,
+        num_files=args.d,
+        demand_policy=policy,
+        explicit_demands=explicit,
+        allow_small_d=args.allow_small_d,
+    )
+    spec.validate()
+    demands = _demands_for_trial(spec, 0)
+    library = random_library(args.d, spec.payload_bits(), seed=0, allow_small_d=args.allow_small_d)
+    schedule = build(args.k, demands)
+    violations = verify_schedule(schedule, place(args.k, library), demands)
     doc = schedule.to_json()
     doc["violations"] = [
         {"kind": v.kind, "period": v.period, "actor": v.actor, "detail": v.detail}

@@ -37,6 +37,8 @@ from .schemes import (
     SimResult,
     baseline_point,
     full_point,
+    rate_full,
+    rate_soft,
     round_robin_soft,
     run_full,
     run_soft,
@@ -45,6 +47,7 @@ from .schemes import (
     time_share,
 )
 from .schemes.parts import DATA_PARTS_SOFT, PARTS_FULL
+from .schemes.schedule import MIN_SOFT_K, KTooSmall
 from .tradeoff import (
     ACHIEVABLE,
     UPPER_BOUND,
@@ -61,6 +64,10 @@ EXHAUSTIVE_LIMIT = 10**6
 _TAG_LIBRARY = 0x11B
 _TAG_DEMANDS = 0xDE3
 _TAG_BACKEND = 0xBAC
+
+
+class InfeasibleRate(SimError):
+    """The scheme's per-user rate is negative at this power and epsilon."""
 
 
 class DemandPolicy(Enum):
@@ -90,9 +97,20 @@ class ExperimentSpec:
     allow_small_d: bool = False
 
     def validate(self) -> None:
-        validate_config(self.config)
+        cfg = self.config
+        validate_config(cfg)
+        soft = cfg.variant is Variant.SOFT_HANDOFF
+        if soft and cfg.k < MIN_SOFT_K:
+            raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
+        if self.backend == "ideal":
+            rate = rate_soft(cfg) if soft else rate_full(cfg)
+            if rate < 0:
+                raise InfeasibleRate(
+                    f"{cfg.variant.value} scheme rate {rate:.6g} is negative at "
+                    f"P={cfg.power:g}, eps={cfg.epsilon:g}; raise the power or lower epsilon"
+                )
         if self.trials < 1:
             raise SimError("trials must be at least 1")
         if self.bits < 1:

@@ -82,7 +82,13 @@ class Ideal:
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Real-codeword simulation over ``n`` channel uses split evenly across periods."""
+    """Real-codeword simulation over ``n`` channel uses split evenly across periods.
+
+    Codebook lifetime: each (trial, period, active transmitter) draws a fresh
+    shell codebook from ``seed``, which the harness derives per trial. Success
+    rates are therefore averages over the random-coding ensemble, as in the
+    paper's achievability argument, not the error rate of one fixed code.
+    """
 
     n: int
     seed: int = 0

@@ -125,6 +125,13 @@ class TestSimulate:
         on_disk = json.loads(out.read_text())
         assert on_disk == json.loads(capsys.readouterr().out)
 
+    def test_negative_ideal_rate_fails_validation(self, capsys):
+        code = main(["simulate", "--model", "soft", "--k", "6", "--snr-db", "-10"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "InfeasibleRate" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_bad_alpha_list(self, capsys):
         code = main(
             ["simulate", "--model", "soft", "--k", "6", "--alpha", "1,2,3"]
@@ -183,3 +190,15 @@ class TestVerifyScheduleCommand:
         code = main(["verify-schedule", "--k", "4", "--d", "6", "--demands", "equal"])
         assert code == EXIT_VALIDATION
         assert "KTooSmall" in capsys.readouterr().err
+
+    def test_full_model_ok(self, capsys):
+        code = main(["verify-schedule", "--model", "full", "--k", "8", "--d", "8"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == []
+        assert doc["k"] == 8
+
+    def test_full_model_odd_k_fails(self, capsys):
+        code = main(["verify-schedule", "--model", "full", "--k", "7", "--d", "8"])
+        assert code == EXIT_VALIDATION
+        assert "OddKForFullModel" in capsys.readouterr().err

@@ -35,6 +35,22 @@ class TestDrawCodebook:
         with pytest.raises(TooManyWords):
             draw_codebook(8, 21, 1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_uses, bits",
+        [(n, b) for n in (1, 2, 7, 200) for b in (1, 2, 8, 9, 12)]
+        + [(1000, b) for b in (1, 2, 8, 9)],
+    )
+    def test_matches_whole_matrix_rescale(self, n_uses, bits):
+        # The blocked in-place rescale must reproduce the whole-matrix formula bit for bit,
+        # also when the word count is not a multiple of the block size.
+        power, seed = 7.3, 100 * bits + n_uses
+        directions = np.random.default_rng(seed).standard_normal((1 << bits, n_uses))
+        expected = directions * (
+            math.sqrt(power * n_uses) / np.linalg.norm(directions, axis=1, keepdims=True)
+        )
+        cb = draw_codebook(n_uses, bits, power, seed)
+        assert cb.words.tobytes() == expected.tobytes()
+
 
 class TestNnDecode:
     def test_exact_codeword(self):
@@ -53,6 +69,63 @@ class TestNnDecode:
         words = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         cb = Codebook(words=words, power=0.5)
         assert nn_decode(np.array([1.0, 0.0]), cb, 1.0) == 0
+
+    def test_sq_norms_cached_per_codebook(self):
+        cb = draw_codebook(16, 5, 2.0, seed=6)
+        nn_decode(cb.words[3], cb, 1.0)
+        norms = cb.sq_norms
+        nn_decode(cb.words[4], cb, 1.0)
+        assert cb.sq_norms is norms
+        assert np.allclose(norms, np.sum(cb.words**2, axis=1), rtol=1e-14, atol=0)
+
+    def test_matches_brute_force_argmin(self):
+        # Screened decoding must make the same decision as scoring every word with
+        # the exact distance, lowest-index tie-break included.
+        rng = np.random.default_rng(2024)
+        for case in range(1200):
+            n = int(rng.integers(1, 48))
+            if case % 3 == 0:
+                # hand-built: rows off power, and exact duplicate rows
+                words = rng.standard_normal((int(rng.integers(2, 40)), n))
+                words *= rng.uniform(0.2, 3.0, size=(len(words), 1))
+                dup = rng.integers(0, len(words), size=int(rng.integers(1, 6)))
+                words = np.concatenate([words, words[dup]])
+                rng.shuffle(words)
+                cb = Codebook(words=words, power=1.0)
+            else:
+                cb = draw_codebook(n, int(rng.integers(1, 8)), float(rng.uniform(0.1, 50)), case)
+            gain = float(rng.uniform(0.3, 3.0)) * (1 if rng.random() < 0.5 else -1)
+            noise = float(rng.uniform(0.1, 30.0))
+            sent = int(rng.integers(0, cb.num_words))
+            y = gain * cb.words[sent]
+            if case % 5 != 4:  # every fifth case decodes a noiseless codeword
+                y = y + noise * rng.standard_normal(n)
+            brute = np.sum((y[None, :] - gain * cb.words) ** 2, axis=1)
+            assert nn_decode(y, cb, gain) == int(np.argmin(brute)), case
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("magnitude", [1e-158, 1e160])
+    def test_extreme_magnitudes_match_brute_force(self, magnitude):
+        # Near-duplicate words whose squares underflow, or whose screen scores
+        # overflow, leave the relative error bound; the decision must stay exact.
+        rng = np.random.default_rng(17)
+        for case in range(300):
+            spread = 10.0 ** rng.uniform(-8, 0)
+            words = (rng.standard_normal(4) + spread * rng.standard_normal((12, 4))) * magnitude
+            cb = Codebook(words=words, power=1.0)
+            y = 1.5 * words[int(rng.integers(0, 12))]
+            if case % 2:
+                y = y + spread * magnitude * rng.standard_normal(4)
+            brute = np.sum((y[None, :] - 1.5 * words) ** 2, axis=1)
+            assert nn_decode(y, cb, 1.5) == int(np.argmin(brute)), case
+
+    def test_equal_norm_ties_break_to_lowest_index(self):
+        # sign flips of one vector all lie at the same distance from the origin
+        base = np.array([0.5, -1.25, 2.0, 0.75])
+        words = np.array([base * s for s in ([1, 1, 1, 1], [-1, 1, 1, 1], [1, -1, -1, 1])])
+        cb = Codebook(words=words, power=1.0)
+        assert nn_decode(np.zeros(4), cb, 1.3) == 0
+        assert nn_decode(np.array([0.0, 0.0, 0.0, 1.0]), cb, -0.7) == 0
 
     def test_gain_scale_consistency(self):
         cb = draw_codebook(24, 5, 3.0, seed=4)

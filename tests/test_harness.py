@@ -6,6 +6,7 @@ import pytest
 from wynercache.harness import (
     DemandPolicy,
     ExperimentSpec,
+    InfeasibleRate,
     emit_plot_script,
     export_csv,
     resolve_workers,
@@ -13,6 +14,7 @@ from wynercache.harness import (
     sweep_snr,
 )
 from wynercache.model import NetworkConfig, SimError, Variant
+from wynercache.schemes import KTooSmall
 from wynercache.tradeoff import curve, ACHIEVABLE
 
 
@@ -145,6 +147,30 @@ class TestSpecValidation:
         spec = _soft_spec(backend="quantum")
         with pytest.raises(SimError):
             spec.validate()
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_soft_small_k_rejected_before_any_trial(self, k):
+        spec = _soft_spec(config=NetworkConfig.soft_handoff(k, 1.0, 1e4), num_files=k)
+        with pytest.raises(KTooSmall):
+            spec.validate()
+        # the full model has no K >= 5 rule
+        _soft_spec(config=NetworkConfig.full(4, 0.7, 1e4), num_files=4).validate()
+
+    @pytest.mark.parametrize(
+        "config",
+        [NetworkConfig.soft_handoff(6, 1.0, 0.1), NetworkConfig.full(6, 0.7, 0.1, epsilon=0.09)],
+    )
+    def test_negative_ideal_rate_rejected(self, config):
+        for extra in ({}, {"round_robin": config.variant is Variant.SOFT_HANDOFF}):
+            with pytest.raises(InfeasibleRate):
+                _soft_spec(config=config, **extra).validate()
+        # Monte-Carlo runs at a positive block rate 5L/n whatever the power
+        _soft_spec(config=config, backend="mc").validate()
+
+    def test_sweep_rejects_infeasible_point(self):
+        spec = _soft_spec(trials=1, demand_policy=DemandPolicy.DISTINCT)
+        with pytest.raises(InfeasibleRate):
+            sweep_snr(spec, [-10, 40])
 
 
 class TestSweep:
