@@ -26,6 +26,7 @@ from .model import (
     SimError,
     Variant,
     random_library,
+    to_json,
     validate_config,
 )
 from .schemes import (
@@ -181,15 +182,19 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
+def _print_json(doc: dict, out: str | None) -> None:
+    """Print ``doc`` as indented JSON and, given ``out``, write the same text there."""
+    text = json.dumps(doc, indent=2)
+    print(text)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     report = run_experiment(spec, workers=args.workers)
-    payload = report.to_json()
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _print_json(report.to_json(), args.out)
     if args.assert_mode == "interior-success" and report.interior_success < 1.0:
         print(f"assertion failed: interior success {report.interior_success}", file=sys.stderr)
         return EXIT_ASSERTION
@@ -253,16 +258,7 @@ def _cmd_verify_schedule(args: argparse.Namespace) -> int:
     library = random_library(args.d, spec.payload_bits(), seed=0, allow_small_d=args.allow_small_d)
     schedule = build(args.k, demands)
     violations = verify_schedule(schedule, place(args.k, library), demands)
-    doc = schedule.to_json()
-    doc["violations"] = [
-        {"kind": v.kind, "period": v.period, "actor": v.actor, "detail": v.detail}
-        for v in violations
-    ]
-    text = json.dumps(doc, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _print_json(schedule.to_json() | {"violations": to_json(violations)}, args.out)
     if violations:
         print(f"{len(violations)} violation(s) found", file=sys.stderr)
         return EXIT_VALIDATION

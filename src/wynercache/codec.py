@@ -123,7 +123,6 @@ class LinkBudget:
     gain: float
     rate: float  # bits per channel use attempted on the link
     power: float
-    noise_var: float = 1.0
 
     def __post_init__(self) -> None:
         if self.rate < 0:

@@ -20,18 +20,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .codec import MAX_CODEBOOK_BITS, TooManyWords
 from .model import (
     DemandVector,
     MessageLibrary,
     NetworkConfig,
     SimError,
     Variant,
-    config_to_json,
     derive_seed,
     random_library,
+    to_json,
     validate_config,
 )
 from .schemes import (
+    ConfigMismatch,
     Ideal,
     MonteCarlo,
     SimResult,
@@ -47,7 +49,7 @@ from .schemes import (
     time_share,
 )
 from .schemes.parts import DATA_PARTS_SOFT, PARTS_FULL
-from .schemes.schedule import MIN_SOFT_K, KTooSmall
+from .schemes.schedule import MIN_SOFT_K, SOFT_PERIODS, KTooSmall
 from .tradeoff import (
     ACHIEVABLE,
     UPPER_BOUND,
@@ -104,7 +106,8 @@ class ExperimentSpec:
             raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
-        if self.backend == "ideal":
+        if self.backend == "ideal" or self.timeshare_lambda is not None:
+            # an Ideal run sends at this rate, and time sharing anchors on it
             rate = rate_soft(cfg) if soft else rate_full(cfg)
             if rate < 0:
                 raise InfeasibleRate(
@@ -115,6 +118,15 @@ class ExperimentSpec:
             raise SimError("trials must be at least 1")
         if self.bits < 1:
             raise SimError("bits per submessage must be at least 1")
+        if self.backend == "mc":
+            # every codebook has 2^bits words, and every period gets n // periods uses
+            if self.bits > MAX_CODEBOOK_BITS:
+                raise TooManyWords(
+                    f"codebook of 2^{self.bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap"
+                )
+            periods = SOFT_PERIODS if soft else 1
+            if self.n < periods:
+                raise ConfigMismatch(f"block length {self.n} too short for {periods} period(s)")
         if self.demand_policy is DemandPolicy.EXPLICIT and self.explicit_demands is None:
             raise SimError("explicit demand policy needs a demand vector")
         if self.demand_policy is DemandPolicy.DISTINCT and self.num_files < self.config.k:
@@ -129,6 +141,8 @@ class ExperimentSpec:
             raise SimError("round robin applies to the soft-handoff scheme only")
         if self.prop1_extra_bits and self.config.variant is not Variant.SOFT_HANDOFF:
             raise SimError("the augmented placement is wired for the soft-handoff scheme")
+        if self.round_robin and self.prop1_extra_bits:
+            raise SimError("round_robin runs no prop-1 placement; unset prop1_extra_bits")
         if self.timeshare_lambda is not None and not 0 <= self.timeshare_lambda <= 1:
             raise SimError(f"timeshare lambda {self.timeshare_lambda} outside [0, 1]")
 
@@ -142,21 +156,7 @@ class ExperimentSpec:
         return base + self.prop1_extra_bits
 
     def to_json(self) -> dict:
-        return {
-            "config": config_to_json(self.config),
-            "backend": self.backend,
-            "num_files": self.num_files,
-            "bits": self.bits,
-            "n": self.n,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "demand_policy": self.demand_policy.value,
-            "explicit_demands": list(self.explicit_demands) if self.explicit_demands else None,
-            "round_robin": self.round_robin,
-            "prop1_extra_bits": self.prop1_extra_bits,
-            "timeshare_lambda": self.timeshare_lambda,
-            "allow_small_d": self.allow_small_d,
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -176,21 +176,7 @@ class ExperimentReport:
     wall_clock_s: float
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "trials": self.trials,
-            "per_receiver_success": {str(rx): v for rx, v in sorted(self.per_receiver_success.items())},
-            "guaranteed": list(self.guaranteed),
-            "guaranteed_success": self.guaranteed_success,
-            "interior_success": self.interior_success,
-            "edge_success": self.edge_success,
-            "link_error_rate": self.link_error_rate,
-            "rate_per_user": self.rate_per_user,
-            "memory_bits_per_receiver": self.memory_bits_per_receiver,
-            "empirical_mg": self.empirical_mg,
-            "timeshare_point": self.timeshare_point,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return to_json(self)
 
 
 def resolve_workers(requested: int | None = None) -> int:

@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -167,10 +167,6 @@ class Bitstring:
     def from_bytes(cls, data: bytes) -> "Bitstring":
         return cls(8 * len(data), int.from_bytes(data, "big"))
 
-    @classmethod
-    def from_hex(cls, hexstr: str, length: int) -> "Bitstring":
-        return cls(length, int(hexstr, 16) if hexstr else 0)
-
     def bits(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
 
@@ -178,10 +174,6 @@ class Bitstring:
         if self.length % 8 != 0:
             raise LengthMismatch(f"length {self.length} is not byte aligned")
         return self.value.to_bytes(self.length // 8, "big")
-
-    def to_hex(self) -> str:
-        nibbles = (self.length + 3) // 4
-        return format(self.value, f"0{nibbles}x") if nibbles else ""
 
     def xor(self, other: "Bitstring") -> "Bitstring":
         if self.length != other.length:
@@ -346,13 +338,28 @@ class CachePlacement:
             return {}
 
 
-# --- JSON serialization for harness logging -------------------------------
+# --- JSON serialization ------------------------------------------------------
 
-def config_to_json(cfg: NetworkConfig) -> dict:
-    return {
-        "variant": cfg.variant.value,
-        "k": cfg.k,
-        "gains": list(cfg.gains),
-        "power": cfg.power,
-        "epsilon": cfg.epsilon,
-    }
+def to_json(obj):
+    """JSON-ready data of a record: the dataclass fields are the schema.
+
+    Dataclasses become dicts of their fields in declaration order, preceded by
+    a class-level ``kind`` tag where the class defines one; enums become their
+    values and tuples lists; int-keyed dicts get str keys in ascending order,
+    other dicts keep their own order. Anything else is returned as is.
+    """
+    if is_dataclass(obj):
+        kind = getattr(type(obj), "kind", None)
+        out = {"kind": kind} if isinstance(kind, str) else {}
+        out.update((f.name, to_json(getattr(obj, f.name))) for f in fields(obj))
+        return out
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, Mapping):
+        items = obj.items()
+        if all(isinstance(key, int) for key in obj):
+            items = sorted(items)
+        return {str(key): to_json(v) for key, v in items}
+    return obj

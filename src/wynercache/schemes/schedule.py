@@ -22,18 +22,20 @@ receiver is missing, and each receiver cancels both neighbours from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 from ..model import (
     CachePlacement,
     DemandVector,
     SimError,
     Variant,
+    to_json,
 )
 from .parts import TOTAL_PARTS_SOFT
 from .placement import cached_part_full, cached_parts_soft
 
 MIN_SOFT_K = 5
+SOFT_PERIODS = 3
 
 
 class KTooSmall(SimError):
@@ -42,12 +44,15 @@ class KTooSmall(SimError):
 
 @dataclass(frozen=True)
 class Silent:
+    kind: ClassVar[str] = "silent"
+
     def files(self) -> tuple[int, ...]:
         return ()
 
 
 @dataclass(frozen=True)
 class Direct:
+    kind: ClassVar[str] = "direct"
     file: int
     part: int
 
@@ -57,6 +62,7 @@ class Direct:
 
 @dataclass(frozen=True)
 class XorPair:
+    kind: ClassVar[str] = "xor"
     file_a: int
     part_a: int
     file_b: int
@@ -105,43 +111,7 @@ class DeliverySchedule:
     periods: tuple[PeriodSchedule, ...]
 
     def to_json(self) -> dict:
-        def action_json(a: TxAction) -> dict:
-            if isinstance(a, Silent):
-                return {"kind": "silent"}
-            if isinstance(a, Direct):
-                return {"kind": "direct", "file": a.file, "part": a.part}
-            return {
-                "kind": "xor",
-                "file_a": a.file_a,
-                "part_a": a.part_a,
-                "file_b": a.file_b,
-                "part_b": a.part_b,
-            }
-
-        def plan_json(p: DecodePlan | None) -> dict | None:
-            if p is None:
-                return None
-            return {
-                "source": p.source,
-                "cancel": [list(c) for c in p.cancel],
-                "strip": list(p.strip) if p.strip else None,
-                "target": list(p.target),
-            }
-
-        return {
-            "variant": self.variant.value,
-            "k": self.k,
-            "demands": list(self.demands.entries),
-            "periods": [
-                {
-                    "index": per.index,
-                    "silent_class": per.silent_class,
-                    "tx_actions": {str(tx): action_json(a) for tx, a in sorted(per.tx_actions.items())},
-                    "rx_plans": {str(rx): plan_json(p) for rx, p in sorted(per.rx_plans.items())},
-                }
-                for per in self.periods
-            ],
-        }
+        return to_json(self) | {"demands": list(self.demands)}
 
 
 # Part assignments per period (see module docstring).
@@ -159,7 +129,7 @@ def delivery_schedule_soft(k: int, demands: DemandVector) -> DeliverySchedule:
     d = demands.for_rx
 
     periods = []
-    for p in (1, 2, 3):
+    for p in range(1, SOFT_PERIODS + 1):
         silent = p - 1
         first = (silent + 1) % 3  # sends a direct part, decoded interference-free
         actions: dict[int, TxAction] = {}

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from wynercache import cli
 from wynercache.cli import EXIT_ASSERTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from wynercache.schemes import Violation
 
 
 class TestParser:
@@ -202,3 +204,13 @@ class TestVerifyScheduleCommand:
         code = main(["verify-schedule", "--model", "full", "--k", "7", "--d", "8"])
         assert code == EXIT_VALIDATION
         assert "OddKForFullModel" in capsys.readouterr().err
+
+    def test_violations_serialized_in_field_order(self, capsys, monkeypatch):
+        found = Violation("cancel_key", 2, 4, "Rx 4 lacks cached (3, 1) needed to cancel Tx 3")
+        monkeypatch.setattr(cli, "verify_schedule", lambda *args: [found])
+        code = main(["verify-schedule", "--k", "6"])
+        assert code == EXIT_VALIDATION
+        doc = json.loads(capsys.readouterr().out)
+        assert [list(v.items()) for v in doc["violations"]] == [
+            [("kind", "cancel_key"), ("period", 2), ("actor", 4), ("detail", found.detail)]
+        ]

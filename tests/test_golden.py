@@ -3,8 +3,9 @@
 Each case runs ``run_experiment`` on a fixed spec and compares
 ``ExperimentReport.to_json()`` without ``wall_clock_s`` (as indented JSON) and
 the ``export_csv`` bytes of the report with the stored files. The CSV written
-by ``wynercache tradeoff --points 200 --out`` is compared the same way. A
-refactor must leave every byte unchanged.
+by ``wynercache tradeoff --points 200 --out`` and the schedule JSON written by
+``wynercache verify-schedule --out`` are compared the same way. A refactor must
+leave every byte unchanged.
 
 The expected files were written from a trusted revision with
 ``PYTHONPATH=src python tests/test_golden.py``; rerun it only when an output
@@ -13,6 +14,8 @@ is meant to change, and say so in the change log.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -58,6 +61,11 @@ CASES: dict[str, ExperimentSpec] = {
     "timeshare": _soft(timeshare_lambda=0.5, trials=4, master_seed=22),
 }
 TRADEOFF_MODELS = ("soft", "full")
+SCHEDULE_CASES: dict[str, list[str]] = {
+    "schedule-soft-k8": ["--model", "soft", "--k", "8", "--d", "8"],
+    "schedule-full-k8": ["--model", "full", "--k", "8", "--d", "8"],
+    "schedule-soft-k7-random": ["--model", "soft", "--k", "7", "--d", "7", "--demands", "random"],
+}
 
 
 def _report_outputs(spec: ExperimentSpec, workdir: Path) -> dict[str, bytes]:
@@ -78,6 +86,12 @@ def _tradeoff_csv(model: str, workdir: Path) -> bytes:
     return path.read_bytes()
 
 
+def _schedule_json(args: list[str], workdir: Path) -> bytes:
+    path = workdir / "schedule.json"
+    assert main(["verify-schedule", *args, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_replay(name, tmp_path):
     for suffix, got in _report_outputs(CASES[name], tmp_path).items():
@@ -89,6 +103,12 @@ def test_tradeoff_replay(model, tmp_path):
     assert _tradeoff_csv(model, tmp_path) == (GOLDEN / f"tradeoff-{model}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(SCHEDULE_CASES))
+def test_schedule_replay(name, tmp_path):
+    got = _schedule_json(SCHEDULE_CASES[name], tmp_path)
+    assert got == (GOLDEN / f"{name}.json").read_bytes(), f"{name}.json changed"
+
+
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -98,7 +118,11 @@ def _write_golden() -> None:
                 (GOLDEN / f"{name}{suffix}").write_bytes(data)
         for model in TRADEOFF_MODELS:
             (GOLDEN / f"tradeoff-{model}.csv").write_bytes(_tradeoff_csv(model, workdir))
-    print(f"wrote {len(CASES) * 2 + len(TRADEOFF_MODELS)} files to {GOLDEN}", file=sys.stderr)
+        for name, args in SCHEDULE_CASES.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                (GOLDEN / f"{name}.json").write_bytes(_schedule_json(args, workdir))
+    written = len(CASES) * 2 + len(TRADEOFF_MODELS) + len(SCHEDULE_CASES)
+    print(f"wrote {written} files to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,10 @@ from wynercache.harness import (
     run_experiment,
     sweep_snr,
 )
-from wynercache.model import NetworkConfig, SimError, Variant
-from wynercache.schemes import KTooSmall
+from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
+from wynercache.model import DemandVector, NetworkConfig, SimError, Variant
+from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft
+from wynercache.schemes.schedule import SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE
 
 
@@ -171,6 +173,54 @@ class TestSpecValidation:
         spec = _soft_spec(trials=1, demand_policy=DemandPolicy.DISTINCT)
         with pytest.raises(InfeasibleRate):
             sweep_snr(spec, [-10, 40])
+
+
+def _rejected_before_any_trial(spec, error, match=None):
+    with pytest.raises(error, match=match):
+        spec.validate()
+    with pytest.raises(error) as exc:
+        run_experiment(spec)
+    assert "trial" not in str(exc.value)
+
+
+class TestLateFailuresRejected:
+    def test_mc_codebook_bits_capped(self):
+        _rejected_before_any_trial(
+            _soft_spec(backend="mc", bits=MAX_CODEBOOK_BITS + 1), TooManyWords
+        )
+        _soft_spec(backend="mc", bits=MAX_CODEBOOK_BITS).validate()
+        # the Ideal backend draws no codebook
+        _soft_spec(bits=MAX_CODEBOOK_BITS + 1).validate()
+
+    def test_soft_period_constant_matches_schedule(self):
+        schedule = delivery_schedule_soft(6, DemandVector((1, 2, 3, 4, 5, 6)))
+        assert len(schedule.periods) == SOFT_PERIODS
+
+    @pytest.mark.parametrize(
+        "config, periods",
+        [(NetworkConfig.soft_handoff(6, 1.0, 1e4), SOFT_PERIODS), (NetworkConfig.full(6, 0.7, 1e4), 1)],
+    )
+    def test_mc_block_covers_every_period(self, config, periods):
+        _rejected_before_any_trial(
+            _soft_spec(config=config, backend="mc", n=periods - 1), ConfigMismatch
+        )
+        report = run_experiment(_soft_spec(config=config, backend="mc", n=periods, trials=1))
+        assert report.trials == 1
+        # the Ideal backend has no block length
+        _soft_spec(config=config, n=0).validate()
+
+    def test_timeshare_needs_a_nonnegative_scheme_rate(self):
+        low = NetworkConfig.soft_handoff(6, 1.0, 0.1)
+        _rejected_before_any_trial(
+            _soft_spec(config=low, backend="mc", timeshare_lambda=0.5), InfeasibleRate
+        )
+        _soft_spec(config=low, backend="mc").validate()
+
+    def test_round_robin_with_prop1_rejected(self):
+        spec = _soft_spec(
+            config=NetworkConfig.soft_handoff(7, 1.0, 1e4), round_robin=True, prop1_extra_bits=10
+        )
+        _rejected_before_any_trial(spec, SimError, match="round_robin.*prop1_extra_bits")
 
 
 class TestSweep:

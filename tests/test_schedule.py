@@ -4,12 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from wynercache.model import DemandVector, random_library
+from wynercache.model import DemandVector, random_library, to_json
 from wynercache.schemes import (
     Direct,
     KTooSmall,
     SILENT,
     Silent,
+    Violation,
     XorPair,
     cache_placement_full,
     cache_placement_soft,
@@ -142,6 +143,15 @@ class TestVerifySchedule:
         )
         kinds = {v.kind for v in verify_schedule(mutated, placement, demands)}
         assert "cancel_key" in kinds
+
+    def test_violation_json(self):
+        v = Violation("part_count", 0, 3, "Rx 3 decodes parts [1] against cached [2, 4]")
+        assert list(to_json(v).items()) == [
+            ("kind", "part_count"),
+            ("period", 0),
+            ("actor", 3),
+            ("detail", v.detail),
+        ]
 
 
 class TestFullSchedule:
