@@ -8,7 +8,6 @@ and upper-bound per-user multiplexing-gain/memory tradeoff curves.
 from .model import (
     BadEpsilon,
     Bitstring,
-    CacheEntry,
     CachePlacement,
     ConfigError,
     DemandVector,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadEpsilon",
     "Bitstring",
-    "CacheEntry",
     "CachePlacement",
     "ConfigError",
     "DemandVector",

@@ -139,10 +139,18 @@ class ExperimentSpec:
                 )
         if self.round_robin and self.config.variant is not Variant.SOFT_HANDOFF:
             raise SimError("round robin applies to the soft-handoff scheme only")
+        if self.prop1_extra_bits < 0:
+            raise ConfigMismatch(f"negative prop1_extra_bits {self.prop1_extra_bits}")
         if self.prop1_extra_bits and self.config.variant is not Variant.SOFT_HANDOFF:
             raise SimError("the augmented placement is wired for the soft-handoff scheme")
         if self.round_robin and self.prop1_extra_bits:
             raise SimError("round_robin runs no prop-1 placement; unset prop1_extra_bits")
+        if self.round_robin and self.payload_bits() // (cfg.k - 2) % 8 != 0:
+            # the MDS code works byte-wise on each of the K-2 data parts
+            raise ConfigMismatch(
+                f"round robin needs whole-byte MDS parts, got {self.payload_bits() // (cfg.k - 2)} "
+                f"bits each; use a multiple of 8 for bits"
+            )
         if self.timeshare_lambda is not None and not 0 <= self.timeshare_lambda <= 1:
             raise SimError(f"timeshare lambda {self.timeshare_lambda} outside [0, 1]")
 

@@ -10,8 +10,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -286,56 +287,43 @@ class DemandVector:
 
 
 @dataclass(frozen=True)
-class CacheEntry:
-    file: int
-    part: int
-    bits: Bitstring
-
-
-@dataclass(frozen=True)
 class CachePlacement:
-    """Per-receiver stored (file, part) contents with exact bit accounting."""
+    """Demand-free cache contents: each receiver stores the same part labels of every file.
 
-    per_receiver: Mapping[int, tuple[CacheEntry, ...]]
-    # rx -> file -> part -> bits, built once from ``per_receiver``
-    _index: dict[int, dict[int, dict[int, Bitstring]]] = field(
-        init=False, repr=False, compare=False
-    )
+    ``parts[f]`` holds the parts of file f, part label p at index p - 1, and
+    ``labels[rx]`` the labels that receiver rx caches of every file.
+    """
+
+    parts: Mapping[int, tuple[Bitstring, ...]]
+    labels: Mapping[int, tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        index: dict[int, dict[int, dict[int, Bitstring]]] = {}
-        totals = set()
-        for rx, entries in self.per_receiver.items():
-            by_file = index[rx] = {}
-            for e in entries:
-                parts = by_file.setdefault(e.file, {})
-                if e.part in parts:
-                    raise SimError(f"duplicate (file, part) cache entry at receiver {rx}")
-                parts[e.part] = e.bits
-            totals.add(sum(e.bits.length for e in entries))
+        for rx, labels in self.labels.items():
+            if len(set(labels)) != len(labels):
+                raise SimError(f"duplicate part label in the cache of receiver {rx}")
+            if any(not 1 <= p <= len(parts) for parts in self.parts.values() for p in labels):
+                raise SimError(f"receiver {rx} caches labels {labels} that some file lacks")
+        totals = {self._bits(labels) for labels in self.labels.values()}
         if len(totals) > 1:
             raise SimError(f"asymmetric cache memory across receivers: {sorted(totals)}")
-        object.__setattr__(self, "_index", index)
 
-    @property
+    def _bits(self, labels: tuple[int, ...]) -> int:
+        return sum(parts[p - 1].length for parts in self.parts.values() for p in labels)
+
+    @cached_property
     def bits_per_receiver(self) -> int:
-        if not self.per_receiver:
-            return 0
-        first = next(iter(self.per_receiver.values()))
-        return sum(e.bits.length for e in first)
+        return self._bits(next(iter(self.labels.values()), ()))
 
     def lookup(self, rx: int, file: int, part: int) -> Bitstring | None:
-        try:
-            return self._index[rx][file].get(part)
-        except KeyError:
+        if file not in self.parts or part not in self.labels.get(rx, ()):
             return None
+        return self.parts[file][part - 1]
 
     def parts_of(self, rx: int, file: int) -> dict[int, Bitstring]:
         """All cached parts of ``file`` at receiver ``rx``, keyed by part index."""
-        try:
-            return dict(self._index[rx][file])
-        except KeyError:
+        if file not in self.parts:
             return {}
+        return {p: self.parts[file][p - 1] for p in self.labels.get(rx, ())}
 
 
 # --- JSON serialization ------------------------------------------------------

@@ -32,10 +32,6 @@ class PartitionedMessage:
     file: int
     parts: tuple[Bitstring, ...]
 
-    @property
-    def part_bits(self) -> int:
-        return self.parts[0].length
-
     def part(self, index: int) -> Bitstring:
         """Part ``index`` (1-based)."""
         return self.parts[index - 1]

@@ -1,16 +1,18 @@
 """End-to-end scheme execution in the paper's two phases.
 
 * Placement, once per (config, library): ``_scheme`` splits every file, builds
-  the demand-independent ``CachePlacement`` and fixes the rate, the number of
-  parts a receiver needs, the guaranteed receivers, the schedule builder and
-  the combine rule. Round robin places its K rotated schemes over the
-  MDS-coded sub-libraries (``_rotations``); prop-1 places the base scheme over
-  the main payloads and keeps every file's cached tail (``_prop1``). Each of
-  these records is memoised on its hashable frozen inputs and never mutated,
-  so all trials of one experiment share it.
-* Delivery, per demand vector: ``_deliver`` builds the schedule, runs it on a
-  backend with ``_execute`` and assembles the ``SimResult`` with ``_result``,
-  which every runner shares.
+  the demand-free ``CachePlacement`` and fixes the rate, the number of parts a
+  receiver needs, the guaranteed receivers, the combine rule and the delivery
+  schedule for the demand vector (1, ..., K). In that schedule file j stands
+  for "the file receiver j demands". Round robin places its K rotated schemes
+  over the MDS-coded sub-libraries (``_rotations``); prop-1 places the base
+  scheme over the main payloads and keeps every file's cached tail
+  (``_prop1``). Each of these records is memoised on its hashable frozen inputs
+  and never mutated, so all trials of one experiment share it.
+* Delivery, per demand vector: ``_deliver`` runs the placed schedule on a
+  backend with ``_execute``, which maps every file reference j to the demand
+  of receiver j, and assembles the ``SimResult`` with ``_result``, which every
+  runner shares.
 
 Two interchangeable backends drive the same schedules:
 
@@ -124,7 +126,7 @@ class _Scheme:
     rate: float  # per-user rate on the Ideal backend
     needed: int  # labelled parts a receiver combines into its file
     guaranteed: tuple[int, ...]
-    schedule: Callable[[int, DemandVector], DeliverySchedule]
+    schedule: DeliverySchedule  # file j in it is the file receiver j demands
     combine: Callable[[dict[int, Bitstring]], Bitstring]
 
 
@@ -157,8 +159,7 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
             f"payload of {library.payload_bits} bits is not divisible by {needed}"
         )
     files = range(1, library.num_files + 1)
-    # The lambdas look the schedule builders and reconstruct_five up at call
-    # time, so wrapping those module globals also reaches cached records.
+    receivers = DemandVector(tuple(range(1, cfg.k + 1)))
     if soft:
         return _Scheme(
             cfg,
@@ -168,8 +169,8 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
             rate_soft(cfg),
             needed,
             tuple(range(2, cfg.k)),
-            lambda k, demands: delivery_schedule_soft(k, demands),
-            lambda parts: reconstruct_five(parts),
+            delivery_schedule_soft(cfg.k, receivers),
+            lambda parts: reconstruct_five(parts),  # looked up per call, so tracers see it
         )
     return _Scheme(
         cfg,
@@ -179,43 +180,40 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
         rate_full(cfg),
         needed,
         tuple(range(1, cfg.k + 1)),
-        lambda k, demands: delivery_schedule_full(k, demands),
+        delivery_schedule_full(cfg.k, receivers),
         _concat,
     )
 
 
-def _true_index(action, part_bits: dict[int, tuple[Bitstring, ...]]) -> int:
-    if isinstance(action, Direct):
-        return part_bits[action.file][action.part - 1].value
-    assert isinstance(action, XorPair)
-    return (
-        part_bits[action.file_a][action.part_a - 1].value
-        ^ part_bits[action.file_b][action.part_b - 1].value
-    )
-
-
 def _execute(
-    cfg: NetworkConfig,
-    schedule: DeliverySchedule,
-    placement: CachePlacement,
-    part_bits: dict[int, tuple[Bitstring, ...]],
+    scheme: _Scheme,
+    demands: DemandVector,
     backend: Backend,
     link_rate: float,
     bits_per_part: int,
+    n_slot: int,
 ) -> tuple[dict[int, dict[tuple[int, int], Bitstring]], int, int]:
-    """Run all periods; returns (per-rx decoded (file, part) -> bits, failures, links)."""
+    """Run the placed schedule for ``demands`` on ``n_slot`` channel uses per period.
+
+    Returns (per-rx decoded (file, part) -> bits, failures, links).
+    """
+    cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
     decoded: dict[int, dict[tuple[int, int], Bitstring]] = {
         rx: {} for rx in range(1, cfg.k + 1)
     }
     failures = 0
     links = 0
 
-    if isinstance(backend, MonteCarlo):
-        n_slot = backend.n // len(schedule.periods)
-        if n_slot < 1:
-            raise ConfigMismatch(f"block length {backend.n} too short for the period count")
+    def sent(action) -> int:
+        if isinstance(action, Direct):
+            return scheme.part_bits[d(action.file)][action.part - 1].value
+        assert isinstance(action, XorPair)
+        return (
+            scheme.part_bits[d(action.file_a)][action.part_a - 1].value
+            ^ scheme.part_bits[d(action.file_b)][action.part_b - 1].value
+        )
 
-    for per in schedule.periods:
+    for per in scheme.schedule.periods:
         codebooks = {}
         received = None
         if isinstance(backend, MonteCarlo):
@@ -232,7 +230,7 @@ def _execute(
                     derive_seed(backend.seed, _SEED_CODEBOOK, per.index, tx),
                 )
                 codebooks[tx] = cb
-                blocks.append(cb.words[_true_index(action, part_bits)])
+                blocks.append(cb.words[sent(action)])
             for tx, block in enumerate(blocks, start=1):
                 pc = check_power(block, cfg.power)
                 if not pc.ok:
@@ -250,8 +248,8 @@ def _execute(
             if plan is None:
                 continue
             links += 1
-            cached_keys = [placement.lookup(rx, f, p) for _, f, p in plan.cancel]
-            strip_bits = placement.lookup(rx, *plan.strip) if plan.strip else None
+            cached_keys = [placement.lookup(rx, d(f), p) for _, f, p in plan.cancel]
+            strip_bits = plan.strip and placement.lookup(rx, d(plan.strip[0]), plan.strip[1])
             if any(c is None for c in cached_keys) or (plan.strip and strip_bits is None):
                 failures += 1
                 continue
@@ -260,8 +258,7 @@ def _execute(
                 failures += 1
                 continue
 
-            source_action = per.tx_actions[plan.source]
-            true_value = _true_index(source_action, part_bits)
+            true_value = sent(per.tx_actions[plan.source])
             gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
 
             if isinstance(backend, Ideal):
@@ -283,7 +280,7 @@ def _execute(
             value = Bitstring(bits_per_part, guess)
             if strip_bits is not None:
                 value = value ^ strip_bits
-            decoded[rx][plan.target] = value
+            decoded[rx][(d(plan.target[0]), plan.target[1])] = value
     return decoded, failures, links
 
 
@@ -308,21 +305,21 @@ def _deliver(scheme: _Scheme, demands: DemandVector, backend: Backend) -> SimRes
     """Delivery phase: serve one demand vector with a placed scheme."""
     cfg, library = scheme.cfg, scheme.library
     _check_demands(cfg, library, demands)
-    schedule = scheme.schedule(cfg.k, demands)
-    periods = len(schedule.periods)
+    periods = len(scheme.schedule.periods)
     bits_per_part = library.payload_bits // scheme.needed
+    n_slot = 0
     if isinstance(backend, Ideal):
         # each period carries one part over 1/periods of the block
         link_rate = periods * scheme.rate / scheme.needed
         rate = scheme.rate
     else:
-        n_slot = max(backend.n // periods, 1)
+        n_slot = backend.n // periods
+        if n_slot < 1:
+            raise ConfigMismatch(f"block length {backend.n} too short for the period count")
         link_rate = bits_per_part / n_slot
         rate = library.payload_bits / (periods * n_slot)
 
-    decoded, failures, links = _execute(
-        cfg, schedule, scheme.placement, scheme.part_bits, backend, link_rate, bits_per_part
-    )
+    decoded, failures, links = _execute(scheme, demands, backend, link_rate, bits_per_part, n_slot)
     have = {}
     for rx, got in decoded.items():
         want = demands.for_rx(rx)

@@ -8,7 +8,7 @@ even receivers part 2, for D*L bits.
 
 from __future__ import annotations
 
-from ..model import CacheEntry, CachePlacement, MessageLibrary, OddKForFullModel
+from ..model import CachePlacement, MessageLibrary, OddKForFullModel
 from .parts import split_full, split_soft
 
 SOFT_CACHE_PARTS: dict[int, tuple[int, int]] = {1: (1, 2), 2: (3, 4), 0: (5, 6)}
@@ -23,16 +23,11 @@ def cached_part_full(rx: int) -> int:
 
 
 def cache_placement_soft(k: int, library: MessageLibrary) -> CachePlacement:
-    split = {f: split_soft(library.payload(f), f) for f in range(1, library.num_files + 1)}
-    per_rx = {
-        rx: tuple(
-            CacheEntry(f, p, split[f].part(p))
-            for f in range(1, library.num_files + 1)
-            for p in cached_parts_soft(rx)
-        )
-        for rx in range(1, k + 1)
-    }
-    return CachePlacement(per_rx)
+    files = range(1, library.num_files + 1)
+    return CachePlacement(
+        {f: split_soft(library.payload(f), f).parts for f in files},
+        {rx: cached_parts_soft(rx) for rx in range(1, k + 1)},
+    )
 
 
 def cache_placement_full(k: int, library: MessageLibrary) -> CachePlacement:
@@ -40,12 +35,8 @@ def cache_placement_full(k: int, library: MessageLibrary) -> CachePlacement:
         raise OddKForFullModel(
             f"odd/even placement wraps inconsistently on a circle of K={k}"
         )
-    split = {f: split_full(library.payload(f), f) for f in range(1, library.num_files + 1)}
-    per_rx = {
-        rx: tuple(
-            CacheEntry(f, cached_part_full(rx), split[f].part(cached_part_full(rx)))
-            for f in range(1, library.num_files + 1)
-        )
-        for rx in range(1, k + 1)
-    }
-    return CachePlacement(per_rx)
+    files = range(1, library.num_files + 1)
+    return CachePlacement(
+        {f: split_full(library.payload(f), f).parts for f in files},
+        {rx: (cached_part_full(rx),) for rx in range(1, k + 1)},
+    )

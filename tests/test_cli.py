@@ -134,6 +134,17 @@ class TestSimulate:
         assert "InfeasibleRate" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "6", "--prop1-delta-bits", "-3"], ["--k", "7", "--round-robin", "--bits", "7"]],
+    )
+    def test_late_failures_fail_validation(self, capsys, flags):
+        code = main(["simulate", "--model", "soft", *flags])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigMismatch: ")
+        assert "trial" not in err
+
     def test_bad_alpha_list(self, capsys):
         code = main(
             ["simulate", "--model", "soft", "--k", "6", "--alpha", "1,2,3"]

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import wynercache.harness as harness
 from wynercache.harness import (
     DemandPolicy,
     ExperimentSpec,
@@ -110,15 +111,13 @@ class TestRunExperiment:
             lam * memory_rate_soft(spec.config, 6)
         )
 
-    def test_trial_errors_carry_index(self):
-        spec = _soft_spec(
-            config=NetworkConfig.soft_handoff(7, 1.0, 1e4),
-            round_robin=True,
-            bits=7,  # 5*7*(K-2) bits per MDS part is not byte aligned
-            trials=1,
-        )
+    def test_trial_errors_carry_index(self, monkeypatch):
+        def failing_run_soft(*args):
+            raise SimError("stubbed scheme failure")
+
+        monkeypatch.setattr(harness, "run_soft", failing_run_soft)
         with pytest.raises(SimError, match="trial 0"):
-            run_experiment(spec)
+            run_experiment(_soft_spec(trials=1))
 
 
 class TestSpecValidation:
@@ -215,6 +214,17 @@ class TestLateFailuresRejected:
             _soft_spec(config=low, backend="mc", timeshare_lambda=0.5), InfeasibleRate
         )
         _soft_spec(config=low, backend="mc").validate()
+
+    def test_negative_prop1_extra_bits(self):
+        _rejected_before_any_trial(_soft_spec(prop1_extra_bits=-3), ConfigMismatch)
+        _soft_spec(prop1_extra_bits=0).validate()
+
+    def test_round_robin_mds_parts_are_whole_bytes(self):
+        k7 = NetworkConfig.soft_handoff(7, 1.0, 1e4)
+        # 5 * 7 = 35 bits per MDS part
+        _rejected_before_any_trial(_soft_spec(config=k7, round_robin=True, bits=7), ConfigMismatch)
+        report = run_experiment(_soft_spec(config=k7, round_robin=True, bits=8, trials=1))
+        assert report.guaranteed_success == 1.0
 
     def test_round_robin_with_prop1_rejected(self):
         spec = _soft_spec(

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from wynercache.model import (
     BadEpsilon,
     Bitstring,
-    CacheEntry,
     CachePlacement,
     ConfigError,
     DemandVector,
@@ -158,25 +157,27 @@ class TestDemandVector:
 
 
 class TestCachePlacement:
-    def _entry(self, f, p, bits=8, value=0):
-        return CacheEntry(f, p, Bitstring(bits, value))
+    PARTS = {1: (Bitstring(8, 0), Bitstring(8, 0)), 3: (Bitstring(8, 0), Bitstring(8, 5))}
 
     def test_total_bits(self):
-        placement = CachePlacement(
-            {1: (self._entry(1, 1), self._entry(1, 2)), 2: (self._entry(2, 1), self._entry(2, 2))}
-        )
+        placement = CachePlacement(self.PARTS, {1: (1,), 2: (2,)})
         assert placement.bits_per_receiver == 16
 
     def test_duplicate_entry_rejected(self):
         with pytest.raises(SimError):
-            CachePlacement({1: (self._entry(1, 1), self._entry(1, 1))})
+            CachePlacement(self.PARTS, {1: (1, 1)})
 
     def test_asymmetric_memory_rejected(self):
         with pytest.raises(SimError):
-            CachePlacement({1: (self._entry(1, 1),), 2: (self._entry(1, 1), self._entry(1, 2))})
+            CachePlacement(self.PARTS, {1: (1,), 2: (1, 2)})
+
+    @pytest.mark.parametrize("label", [0, 3])
+    def test_label_outside_parts_rejected(self, label):
+        with pytest.raises(SimError):
+            CachePlacement(self.PARTS, {1: (1,), 2: (label,)})
 
     def test_lookup(self):
-        placement = CachePlacement({1: (self._entry(3, 2, value=5),)})
+        placement = CachePlacement(self.PARTS, {1: (2,)})
         assert placement.lookup(1, 3, 2) == Bitstring(8, 5)
         assert placement.lookup(1, 3, 1) is None
         assert placement.parts_of(1, 3) == {2: Bitstring(8, 5)}
@@ -194,8 +195,11 @@ class TestToJson:
         ]
 
     def test_nested_records_tuples_and_none(self):
-        entry = CacheEntry(2, 1, Bitstring(3, 5))
-        assert to_json(entry) == {"file": 2, "part": 1, "bits": {"length": 3, "value": 5}}
+        placement = CachePlacement({2: (Bitstring(3, 5),)}, {1: (1,)})
+        assert to_json(placement) == {
+            "parts": {"2": [{"length": 3, "value": 5}]},
+            "labels": {"1": [1]},
+        }
         assert to_json(((1, 2), None, [Variant.FULL])) == [[1, 2], None, ["full"]]
 
     def test_int_keys_sorted_as_str(self):

@@ -21,6 +21,15 @@ from wynercache.schemes import (
     run_soft,
 )
 from wynercache.codec import Codebook, capacity
+from wynercache.schemes.schedule import (
+    DecodePlan,
+    DeliverySchedule,
+    Direct,
+    PeriodSchedule,
+    XorPair,
+    delivery_schedule_full,
+    delivery_schedule_soft,
+)
 
 
 def _soft_cfg(k=6, alpha=1.0, power=1e4, eps=0.05):
@@ -193,28 +202,25 @@ class TestMonteCarlo:
         # silencing a transmitter outside a receiver's subnet must not change
         # that receiver's decoded parts (same codebook and noise streams)
         import copy
+        import dataclasses
 
-        from wynercache.schemes.pipeline import _execute
-        from wynercache.schemes import cache_placement_soft, delivery_schedule_soft
-        from wynercache.schemes.parts import split_soft
+        from wynercache.schemes.pipeline import _execute, _scheme
         from wynercache.schemes.schedule import SILENT
 
         cfg = _soft_cfg(power=100.0)
         lib = random_library(6, 40, seed=8)
         d = DemandVector((1, 2, 3, 4, 5, 6))
-        placement = cache_placement_soft(6, lib)
-        parts = {f: split_soft(lib.payload(f), f).parts for f in range(1, 7)}
-        sched = delivery_schedule_soft(6, d)
+        scheme = _scheme(cfg, lib)
         backend = MonteCarlo(n=288, seed=3)
 
-        base, _, _ = _execute(cfg, sched, placement, parts, backend, 8 / 96, 8)
-        muted = copy.deepcopy(sched)
+        base, _, _ = _execute(scheme, d, backend, 8 / 96, 8, 96)
+        muted = copy.deepcopy(scheme.schedule)
         # silence the whole second subnet of period 1 (tx 4 and 5 serve rx 4..6)
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
         for rx in (4, 5, 6):
             muted.periods[0].rx_plans[rx] = None
-        alt, _, _ = _execute(cfg, muted, placement, parts, backend, 8 / 96, 8)
+        alt, _, _ = _execute(dataclasses.replace(scheme, schedule=muted), d, backend, 8 / 96, 8, 96)
         for rx in (1, 2, 3):
             assert base[rx] == alt[rx]
 
@@ -245,13 +251,17 @@ class TestInputValidation:
             run_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 7)))
 
 
+PLACEMENTS = ("cache_placement_soft", "cache_placement_full")
+SCHEDULES = ("delivery_schedule_soft", "delivery_schedule_full")
+
+
 class TestPlaceOnce:
-    """Placement runs once per (config, library), not once per trial."""
+    """Placement and the schedule build run once per (config, library), not once per trial."""
 
     @staticmethod
-    def _count_placements(monkeypatch):
+    def _count(monkeypatch, *names):
         calls = []
-        for name in ("cache_placement_soft", "cache_placement_full"):
+        for name in names:
             real = getattr(pipeline, name)
 
             def counted(*args, _real=real):
@@ -271,12 +281,72 @@ class TestPlaceOnce:
         ],
     )
     def test_one_placement_per_experiment(self, monkeypatch, kwargs):
-        calls = self._count_placements(monkeypatch)
+        placements = self._count(monkeypatch, *PLACEMENTS)
+        schedules = self._count(monkeypatch, *SCHEDULES)
         assert run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=90210)).trials == 5
-        assert len(calls) == 1
+        assert len(placements) == 1
+        assert len(schedules) == 1
 
     def test_round_robin_places_each_rotation_once(self, monkeypatch):
-        calls = self._count_placements(monkeypatch)
+        placements = self._count(monkeypatch, *PLACEMENTS)
+        schedules = self._count(monkeypatch, *SCHEDULES)
         spec = ExperimentSpec(config=_soft_cfg(k=7), round_robin=True, trials=5, master_seed=90211)
         assert run_experiment(spec).trials == 5
-        assert len(calls) == 7
+        assert len(placements) == 7
+        assert len(schedules) == 7
+
+
+def _resolve(template, demands):
+    """``template`` with every file reference j replaced by the demand of receiver j."""
+    d = demands.for_rx
+
+    def action(a):
+        if isinstance(a, Direct):
+            return Direct(d(a.file), a.part)
+        if isinstance(a, XorPair):
+            return XorPair(d(a.file_a), a.part_a, d(a.file_b), a.part_b)
+        return a
+
+    def plan(p):
+        if p is None:
+            return None
+        return DecodePlan(
+            p.source,
+            tuple((tx, d(f), part) for tx, f, part in p.cancel),
+            None if p.strip is None else (d(p.strip[0]), p.strip[1]),
+            (d(p.target[0]), p.target[1]),
+        )
+
+    periods = tuple(
+        PeriodSchedule(
+            per.index,
+            per.silent_class,
+            {tx: action(a) for tx, a in per.tx_actions.items()},
+            {rx: plan(p) for rx, p in per.rx_plans.items()},
+        )
+        for per in template.periods
+    )
+    return DeliverySchedule(template.variant, template.k, demands, periods)
+
+
+class TestPlacedSchedule:
+    """The placed schedule, with file j read as receiver j's demand, is the per-demand schedule."""
+
+    @pytest.mark.parametrize(
+        "variant, k", [("soft", k) for k in range(5, 13)] + [("full", k) for k in (4, 6, 8, 10)]
+    )
+    def test_template_maps_to_builder(self, variant, k):
+        if variant == "soft":
+            cfg, payload_bits, build = _soft_cfg(k=k), 40, delivery_schedule_soft
+        else:
+            cfg, payload_bits, build = NetworkConfig.full(k, 0.5, 1e4), 16, delivery_schedule_full
+        num_files = k + 3  # random demands reach file ids above K
+        lib = random_library(num_files, payload_bits, seed=k, allow_small_d=True)
+        template = pipeline._scheme(cfg, lib).schedule
+        rng = np.random.default_rng(k)
+        vectors = [tuple(range(1, k + 1)), (num_files,) * k] + [
+            tuple(int(x) for x in rng.integers(1, num_files + 1, size=k)) for _ in range(20)
+        ]
+        for entries in vectors:
+            demands = DemandVector(entries)
+            assert _resolve(template, demands) == build(k, demands)

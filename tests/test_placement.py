@@ -6,16 +6,20 @@ from wynercache.schemes.parts import split_full, split_soft
 from wynercache.schemes.placement import cached_part_full, cached_parts_soft
 
 
+def _cached(placement, rx):
+    """(file, part) pairs that ``rx`` caches, over files 1..6 and part labels 1..6."""
+    pairs = ((f, p) for f in range(1, 7) for p in range(1, 7))
+    return {(f, p) for f, p in pairs if placement.lookup(rx, f, p) is not None}
+
+
 class TestSoftPlacement:
     def test_mod3_part_classes(self):
         lib = random_library(6, 40, seed=0)
         placement = cache_placement_soft(6, lib)
         # rx 4 (4 mod 3 = 1) stores parts {1, 2} of every file
-        assert {(e.file, e.part) for e in placement.per_receiver[4]} == {
-            (f, p) for f in range(1, 7) for p in (1, 2)
-        }
+        assert _cached(placement, 4) == {(f, p) for f in range(1, 7) for p in (1, 2)}
         # rx 3 (3 mod 3 = 0) stores parts {5, 6}
-        assert {e.part for e in placement.per_receiver[3]} == {5, 6}
+        assert set(placement.labels[3]) == {5, 6}
         assert cached_parts_soft(5) == (3, 4)
 
     def test_memory_is_two_parts_per_file(self):
@@ -27,9 +31,9 @@ class TestSoftPlacement:
         lib = random_library(6, 40, seed=1)
         placement = cache_placement_soft(6, lib)
         for rx in range(1, 7):
-            for entry in placement.per_receiver[rx]:
-                expected = split_soft(lib.payload(entry.file)).part(entry.part)
-                assert entry.bits == expected
+            for f, p in _cached(placement, rx):
+                expected = split_soft(lib.payload(f)).part(p)
+                assert placement.lookup(rx, f, p) == expected
 
 
 class TestFullPlacement:
@@ -37,9 +41,7 @@ class TestFullPlacement:
         lib = random_library(6, 16, seed=2)
         placement = cache_placement_full(6, lib)
         # rx 5 is odd: part 1 of every file
-        assert {(e.file, e.part) for e in placement.per_receiver[5]} == {
-            (f, 1) for f in range(1, 7)
-        }
+        assert _cached(placement, 5) == {(f, 1) for f in range(1, 7)}
         assert cached_part_full(4) == 2
 
     def test_memory_is_one_part_per_file(self):
@@ -51,8 +53,8 @@ class TestFullPlacement:
         lib = random_library(6, 16, seed=3)
         placement = cache_placement_full(6, lib)
         for rx in (1, 2, 6):
-            for entry in placement.per_receiver[rx]:
-                assert entry.bits == split_full(lib.payload(entry.file)).part(entry.part)
+            for f, p in _cached(placement, rx):
+                assert placement.lookup(rx, f, p) == split_full(lib.payload(f)).part(p)
 
     def test_odd_k_rejected(self):
         lib = random_library(6, 16, seed=2)
