@@ -21,7 +21,6 @@ from .model import (
     ZeroCrossGain,
     random_library,
     validate_config,
-    xor,
 )
 from .schemes import (
     Ideal,
@@ -76,5 +75,4 @@ __all__ = [
     "time_share",
     "validate_config",
     "verify_schedule",
-    "xor",
 ]

@@ -48,6 +48,7 @@ from .schemes import (
     soft_point,
     time_share,
 )
+from .schemes.mds import MAX_K
 from .schemes.parts import DATA_PARTS_SOFT, PARTS_FULL
 from .schemes.schedule import MIN_SOFT_K, SOFT_PERIODS, KTooSmall
 from .tradeoff import (
@@ -145,6 +146,8 @@ class ExperimentSpec:
             raise SimError("the augmented placement is wired for the soft-handoff scheme")
         if self.round_robin and self.prop1_extra_bits:
             raise SimError("round_robin runs no prop-1 placement; unset prop1_extra_bits")
+        if self.round_robin and cfg.k > MAX_K:
+            raise ConfigMismatch(f"round robin's GF(256) MDS code allows K <= {MAX_K}, got K={cfg.k}")
         if self.round_robin and self.payload_bits() // (cfg.k - 2) % 8 != 0:
             # the MDS code works byte-wise on each of the K-2 data parts
             raise ConfigMismatch(

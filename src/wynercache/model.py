@@ -205,11 +205,6 @@ class Bitstring:
         )
 
 
-def xor(a: Bitstring, b: Bitstring) -> Bitstring:
-    """Bitwise exclusive-or of two equal-length bitstrings."""
-    return a.xor(b)
-
-
 @dataclass(frozen=True)
 class MessageLibrary:
     """The D file payloads, all of identical bit length."""

@@ -4,7 +4,6 @@ the sixth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping
 
@@ -27,29 +26,19 @@ class DuplicateLabel(SimError):
     pass
 
 
-@dataclass(frozen=True)
-class PartitionedMessage:
-    file: int
-    parts: tuple[Bitstring, ...]
-
-    def part(self, index: int) -> Bitstring:
-        """Part ``index`` (1-based)."""
-        return self.parts[index - 1]
-
-
-def split_soft(msg: Bitstring, file: int = 0) -> PartitionedMessage:
+def split_soft(msg: Bitstring) -> tuple[Bitstring, ...]:
     """Five equal data parts plus the XOR parity part; parts 1..5 concatenate to ``msg``."""
     if msg.length % DATA_PARTS_SOFT != 0:
         raise BadLength(f"payload of {msg.length} bits is not divisible by {DATA_PARTS_SOFT}")
     data = msg.split(DATA_PARTS_SOFT)
     parity = reduce(Bitstring.xor, data)
-    return PartitionedMessage(file, data + (parity,))
+    return data + (parity,)
 
 
-def split_full(msg: Bitstring, file: int = 0) -> PartitionedMessage:
+def split_full(msg: Bitstring) -> tuple[Bitstring, ...]:
     if msg.length % PARTS_FULL != 0:
         raise BadLength(f"payload of {msg.length} bits is not divisible by {PARTS_FULL}")
-    return PartitionedMessage(file, msg.split(PARTS_FULL))
+    return msg.split(PARTS_FULL)
 
 
 def reconstruct_five(

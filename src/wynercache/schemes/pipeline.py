@@ -4,15 +4,19 @@
   the demand-free ``CachePlacement`` and fixes the rate, the number of parts a
   receiver needs, the guaranteed receivers, the combine rule and the delivery
   schedule for the demand vector (1, ..., K). In that schedule file j stands
-  for "the file receiver j demands". Round robin places its K rotated schemes
-  over the MDS-coded sub-libraries (``_rotations``); prop-1 places the base
-  scheme over the main payloads and keeps every file's cached tail
-  (``_prop1``). Each of these records is memoised on its hashable frozen inputs
-  and never mutated, so all trials of one experiment share it.
+  for "the file receiver j demands". ``verify_schedule`` checks the schedule
+  against the placement here, once: validity depends on the cached part labels
+  only, never on the demands, and a broken schedule raises ``InvalidSchedule``.
+  Round robin places its K rotated schemes over the MDS-coded sub-libraries
+  (``_rotations``); prop-1 places the base scheme over the main payloads and
+  keeps every file's cached tail (``_prop1``). Each of these records is
+  memoised on its hashable frozen inputs and never mutated, so all trials of
+  one experiment share it.
 * Delivery, per demand vector: ``_deliver`` runs the placed schedule on a
   backend with ``_execute``, which maps every file reference j to the demand
-  of receiver j, and assembles the ``SimResult`` with ``_result``, which every
-  runner shares.
+  of receiver j and keys each receiver's decoded parts by part label, and
+  assembles the ``SimResult`` with ``_result``, which every runner shares.
+  Only links fail here: the schedule needs no re-check.
 
 Two interchangeable backends drive the same schedules:
 
@@ -62,6 +66,7 @@ from .schedule import (
     XorPair,
     delivery_schedule_full,
     delivery_schedule_soft,
+    verify_schedule,
 )
 
 _SEED_CODEBOOK = 0xC0DE
@@ -74,6 +79,10 @@ class PowerViolation(SimError):
 
 
 class ConfigMismatch(SimError):
+    pass
+
+
+class InvalidSchedule(SimError):
     pass
 
 
@@ -158,31 +167,24 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
         raise ConfigMismatch(
             f"payload of {library.payload_bits} bits is not divisible by {needed}"
         )
-    files = range(1, library.num_files + 1)
     receivers = DemandVector(tuple(range(1, cfg.k + 1)))
-    if soft:
-        return _Scheme(
-            cfg,
-            library,
-            {f: split_soft(library.payload(f), f).parts for f in files},
-            cache_placement_soft(cfg.k, library),
-            rate_soft(cfg),
-            needed,
-            tuple(range(2, cfg.k)),
-            delivery_schedule_soft(cfg.k, receivers),
-            lambda parts: reconstruct_five(parts),  # looked up per call, so tracers see it
-        )
-    return _Scheme(
+    # every builder is looked up by name per call, so tracers see it
+    scheme = _Scheme(
         cfg,
         library,
-        {f: split_full(library.payload(f), f).parts for f in files},
-        cache_placement_full(cfg.k, library),
-        rate_full(cfg),
+        {f: (split_soft if soft else split_full)(p) for f, p in enumerate(library, start=1)},
+        (cache_placement_soft if soft else cache_placement_full)(cfg.k, library),
+        rate_soft(cfg) if soft else rate_full(cfg),
         needed,
-        tuple(range(1, cfg.k + 1)),
-        delivery_schedule_full(cfg.k, receivers),
-        _concat,
+        tuple(range(2, cfg.k)) if soft else receivers.entries,
+        (delivery_schedule_soft if soft else delivery_schedule_full)(cfg.k, receivers),
+        (lambda parts: reconstruct_five(parts)) if soft else _concat,
     )
+    violations = verify_schedule(scheme.schedule, scheme.placement, receivers)
+    if violations:
+        first = violations[0]
+        raise InvalidSchedule(f"{len(violations)} violation(s), first {first.kind}: {first.detail}")
+    return scheme
 
 
 def _execute(
@@ -192,13 +194,17 @@ def _execute(
     link_rate: float,
     bits_per_part: int,
     n_slot: int,
-) -> tuple[dict[int, dict[tuple[int, int], Bitstring]], int, int]:
+) -> tuple[dict[int, dict[int, Bitstring]], int, int]:
     """Run the placed schedule for ``demands`` on ``n_slot`` channel uses per period.
 
-    Returns (per-rx decoded (file, part) -> bits, failures, links).
+    ``_scheme`` verified the schedule at placement: every key a plan names is
+    cached and every transmitter a receiver hears is covered by its plan, so
+    only a link can fail here. Every plan targets a part of its receiver's own
+    demand, so a part label alone names what it decodes.
+    Returns (per-rx decoded part label -> bits, failures, links).
     """
     cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
-    decoded: dict[int, dict[tuple[int, int], Bitstring]] = {
+    decoded: dict[int, dict[int, Bitstring]] = {
         rx: {} for rx in range(1, cfg.k + 1)
     }
     failures = 0
@@ -248,16 +254,6 @@ def _execute(
             if plan is None:
                 continue
             links += 1
-            cached_keys = [placement.lookup(rx, d(f), p) for _, f, p in plan.cancel]
-            strip_bits = plan.strip and placement.lookup(rx, d(plan.strip[0]), plan.strip[1])
-            if any(c is None for c in cached_keys) or (plan.strip and strip_bits is None):
-                failures += 1
-                continue
-            referenced = [plan.source] + [tx for tx, _, _ in plan.cancel]
-            if any(isinstance(per.tx_actions[tx], Silent) for tx in referenced):
-                failures += 1
-                continue
-
             true_value = sent(per.tx_actions[plan.source])
             gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
 
@@ -271,16 +267,15 @@ def _execute(
                 guess = true_value
             else:
                 y = received[rx - 1]
-                for (tx, _, _), cached in zip(plan.cancel, cached_keys):
-                    y = cancel_known(y, cfg.gain_at(rx), codebooks[tx].words[cached.value])
+                for tx, f, p in plan.cancel:
+                    key = placement.lookup(rx, d(f), p).value
+                    y = cancel_known(y, cfg.gain_at(rx), codebooks[tx].words[key])
                 guess = nn_decode(y, codebooks[plan.source], gain)
                 if guess != true_value:
                     failures += 1
-
-            value = Bitstring(bits_per_part, guess)
-            if strip_bits is not None:
-                value = value ^ strip_bits
-            decoded[rx][(d(plan.target[0]), plan.target[1])] = value
+            if plan.strip:
+                guess ^= placement.lookup(rx, d(plan.strip[0]), plan.strip[1]).value
+            decoded[rx][plan.target[1]] = Bitstring(bits_per_part, guess)
     return decoded, failures, links
 
 
@@ -320,11 +315,10 @@ def _deliver(scheme: _Scheme, demands: DemandVector, backend: Backend) -> SimRes
         rate = library.payload_bits / (periods * n_slot)
 
     decoded, failures, links = _execute(scheme, demands, backend, link_rate, bits_per_part, n_slot)
-    have = {}
-    for rx, got in decoded.items():
-        want = demands.for_rx(rx)
-        delivered = {p: bits for (f, p), bits in got.items() if f == want}
-        have[rx] = {**scheme.placement.parts_of(rx, want), **delivered}
+    have = {
+        rx: {**scheme.placement.parts_of(rx, demands.for_rx(rx)), **got}
+        for rx, got in decoded.items()
+    }
     return _result(
         library,
         demands,

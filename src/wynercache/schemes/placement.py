@@ -25,7 +25,7 @@ def cached_part_full(rx: int) -> int:
 def cache_placement_soft(k: int, library: MessageLibrary) -> CachePlacement:
     files = range(1, library.num_files + 1)
     return CachePlacement(
-        {f: split_soft(library.payload(f), f).parts for f in files},
+        {f: split_soft(library.payload(f)) for f in files},
         {rx: cached_parts_soft(rx) for rx in range(1, k + 1)},
     )
 
@@ -37,6 +37,6 @@ def cache_placement_full(k: int, library: MessageLibrary) -> CachePlacement:
         )
     files = range(1, library.num_files + 1)
     return CachePlacement(
-        {f: split_full(library.payload(f), f).parts for f in files},
+        {f: split_full(library.payload(f)) for f in files},
         {rx: (cached_part_full(rx),) for rx in range(1, k + 1)},
     )

@@ -269,7 +269,7 @@ def verify_schedule(
         for rx, plan in per.rx_plans.items():
             if plan is None:
                 continue
-            # (b) every cancellation key is cached and matches the interferer's action
+            # (b) every cancellation key's label is cached and matches the interferer's action
             for tx, f, p in plan.cancel:
                 action = per.tx_actions.get(tx)
                 if not (isinstance(action, Direct) and (action.file, action.part) == (f, p)):
@@ -281,7 +281,7 @@ def verify_schedule(
                             f"Rx {rx} cancels ({f}, {p}) from Tx {tx}, which sends {action}",
                         )
                     )
-                if placement.lookup(rx, f, p) is None:
+                if p not in placement.labels.get(rx, ()):
                     violations.append(
                         Violation(
                             "cancel_key",
@@ -319,7 +319,7 @@ def verify_schedule(
                             f"which sends {source_action}",
                         )
                     )
-                if placement.lookup(rx, *plan.strip) is None:
+                if plan.strip[1] not in placement.labels.get(rx, ()):
                     violations.append(
                         Violation(
                             "extraction_key",

@@ -17,6 +17,7 @@ from wynercache.harness import (
 from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
 from wynercache.model import DemandVector, NetworkConfig, SimError, Variant
 from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft
+from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE
 
@@ -225,6 +226,11 @@ class TestLateFailuresRejected:
         _rejected_before_any_trial(_soft_spec(config=k7, round_robin=True, bits=7), ConfigMismatch)
         report = run_experiment(_soft_spec(config=k7, round_robin=True, bits=8, trials=1))
         assert report.guaranteed_success == 1.0
+
+    def test_round_robin_k_within_mds_field(self):
+        big = _soft_spec(config=NetworkConfig.soft_handoff(MAX_K + 1, 1.0, 1e4), round_robin=True)
+        _rejected_before_any_trial(big, ConfigMismatch, match=f"K <= {MAX_K}, got K={MAX_K + 1}")
+        _soft_spec(config=NetworkConfig.soft_handoff(MAX_K, 1.0, 1e4), round_robin=True).validate()
 
     def test_round_robin_with_prop1_rejected(self):
         spec = _soft_spec(

@@ -19,7 +19,6 @@ from wynercache.model import (
     random_library,
     to_json,
     validate_config,
-    xor,
 )
 
 
@@ -97,24 +96,24 @@ class TestRandomLibrary:
 class TestBitstring:
     def test_xor_self_inverse(self):
         s = Bitstring.from_bits("10110010")
-        assert xor(s, s) == Bitstring.zeros(8)
+        assert s ^ s == Bitstring.zeros(8)
 
     def test_xor_identity(self):
         s = Bitstring.from_bits("10110010")
-        assert xor(s, Bitstring.zeros(8)) == s
+        assert s ^ Bitstring.zeros(8) == s
 
     def test_xor_definition(self):
-        assert xor(Bitstring.from_bits("1010"), Bitstring.from_bits("0110")).bits() == "1100"
+        assert (Bitstring.from_bits("1010") ^ Bitstring.from_bits("0110")).bits() == "1100"
 
     def test_xor_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            xor(Bitstring.zeros(4), Bitstring.zeros(5))
+            Bitstring.zeros(4) ^ Bitstring.zeros(5)
 
     @given(st.integers(1, 64), st.data())
     def test_xor_involution(self, length, data):
         a = Bitstring(length, data.draw(st.integers(0, 2**length - 1)))
         b = Bitstring(length, data.draw(st.integers(0, 2**length - 1)))
-        assert xor(xor(a, b), b) == a
+        assert a ^ b ^ b == a
 
     def test_split_concat_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -15,21 +15,21 @@ from wynercache.schemes import (
 class TestSplitSoft:
     def test_all_zero(self):
         pm = split_soft(Bitstring.zeros(20))
-        assert len(pm.parts) == 6
-        assert all(p == Bitstring.zeros(4) for p in pm.parts)
+        assert len(pm) == 6
+        assert all(p == Bitstring.zeros(4) for p in pm)
 
     def test_parity_is_xor_of_data(self):
         # part 1 = 1010, parts 2..5 zero => parity = 1010
         msg = Bitstring.from_bits("1010" + "0000" * 4)
         pm = split_soft(msg)
-        assert pm.part(1).bits() == "1010"
-        assert pm.part(6).bits() == "1010"
+        assert pm[0].bits() == "1010"
+        assert pm[5].bits() == "1010"
 
     def test_concat_recovers_message(self):
         rng = np.random.default_rng(0)
         msg = Bitstring.random(40, rng)
         pm = split_soft(msg)
-        assert Bitstring.concat_all(pm.parts[:5]) == msg
+        assert Bitstring.concat_all(pm[:5]) == msg
 
     def test_bad_length(self):
         with pytest.raises(BadLength):
@@ -42,7 +42,7 @@ class TestReconstructFive:
         for trial in range(10):
             msg = Bitstring.random(30, rng)
             pm = split_soft(msg)
-            labelled = {i: pm.part(i) for i in range(1, 7)}
+            labelled = {i: pm[i - 1] for i in range(1, 7)}
             for dropped in range(1, 7):
                 subset = {i: b for i, b in labelled.items() if i != dropped}
                 assert reconstruct_five(subset) == msg
@@ -52,11 +52,11 @@ class TestReconstructFive:
         rng = np.random.default_rng(2)
         msg = Bitstring.random(30, rng)
         pm = split_soft(msg)
-        present = {i: pm.part(i) for i in (1, 3, 4, 5, 6)}
+        present = {i: pm[i - 1] for i in (1, 3, 4, 5, 6)}
         expected_part2 = (
-            pm.part(1) ^ pm.part(3) ^ pm.part(4) ^ pm.part(5) ^ pm.part(6)
+            pm[0] ^ pm[2] ^ pm[3] ^ pm[4] ^ pm[5]
         )
-        assert expected_part2 == pm.part(2)
+        assert expected_part2 == pm[1]
         assert reconstruct_five(present) == msg
 
     def test_all_zero_parts(self):
@@ -89,9 +89,9 @@ class TestSplitFull:
     def test_two_halves(self):
         msg = Bitstring.from_bits("11110000")
         pm = split_full(msg)
-        assert pm.part(1).bits() == "1111"
-        assert pm.part(2).bits() == "0000"
-        assert pm.part(1).concat(pm.part(2)) == msg
+        assert pm[0].bits() == "1111"
+        assert pm[1].bits() == "0000"
+        assert pm[0].concat(pm[1]) == msg
 
     def test_bad_length(self):
         with pytest.raises(BadLength):

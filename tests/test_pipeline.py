@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import math
 
@@ -15,6 +17,7 @@ from wynercache.model import (
 from wynercache.schemes import (
     ConfigMismatch,
     Ideal,
+    InvalidSchedule,
     MonteCarlo,
     PowerViolation,
     run_full,
@@ -283,17 +286,40 @@ class TestPlaceOnce:
     def test_one_placement_per_experiment(self, monkeypatch, kwargs):
         placements = self._count(monkeypatch, *PLACEMENTS)
         schedules = self._count(monkeypatch, *SCHEDULES)
+        checks = self._count(monkeypatch, "verify_schedule")
         assert run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=90210)).trials == 5
         assert len(placements) == 1
         assert len(schedules) == 1
+        assert len(checks) == 1
 
     def test_round_robin_places_each_rotation_once(self, monkeypatch):
         placements = self._count(monkeypatch, *PLACEMENTS)
         schedules = self._count(monkeypatch, *SCHEDULES)
+        checks = self._count(monkeypatch, "verify_schedule")
         spec = ExperimentSpec(config=_soft_cfg(k=7), round_robin=True, trials=5, master_seed=90211)
         assert run_experiment(spec).trials == 5
         assert len(placements) == 7
         assert len(schedules) == 7
+        assert len(checks) == 7
+
+    def test_invalid_schedule_rejected_at_placement(self, monkeypatch):
+        # a template whose rx-2 plan cancels part 5, which rx 2 (class 2: parts 3, 4)
+        # does not cache; Tx 1 and rx 1 are changed to match, so that is the only violation
+        real = pipeline.delivery_schedule_soft
+
+        def broken(k, demands):
+            schedule = copy.deepcopy(real(k, demands))
+            per = schedule.periods[0]
+            per.tx_actions[1] = Direct(1, 5)
+            per.rx_plans[1] = DecodePlan(1, (), None, (1, 5))
+            per.rx_plans[2] = dataclasses.replace(per.rx_plans[2], cancel=((1, 1, 5),))
+            return schedule
+
+        monkeypatch.setattr(pipeline, "delivery_schedule_soft", broken)
+        pipeline._scheme.cache_clear()
+        lib = random_library(6, 40, seed=5)
+        with pytest.raises(InvalidSchedule, match=r"^1 violation\(s\), first cancel_key: Rx 2 lacks"):
+            run_soft(_soft_cfg(), lib, DemandVector((1, 2, 3, 4, 5, 6)))
 
 
 def _resolve(template, demands):

@@ -32,7 +32,7 @@ class TestSoftPlacement:
         placement = cache_placement_soft(6, lib)
         for rx in range(1, 7):
             for f, p in _cached(placement, rx):
-                expected = split_soft(lib.payload(f)).part(p)
+                expected = split_soft(lib.payload(f))[p - 1]
                 assert placement.lookup(rx, f, p) == expected
 
 
@@ -54,7 +54,7 @@ class TestFullPlacement:
         placement = cache_placement_full(6, lib)
         for rx in (1, 2, 6):
             for f, p in _cached(placement, rx):
-                assert placement.lookup(rx, f, p) == split_full(lib.payload(f)).part(p)
+                assert placement.lookup(rx, f, p) == split_full(lib.payload(f))[p - 1]
 
     def test_odd_k_rejected(self):
         lib = random_library(6, 16, seed=2)

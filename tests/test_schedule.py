@@ -95,6 +95,21 @@ class TestVerifySchedule:
             schedule = delivery_schedule_soft(k, demands)
             assert verify_schedule(schedule, placement, demands) == []
 
+    @pytest.mark.parametrize("variant, k", [("soft", 12), ("full", 10)])
+    def test_placed_template_passes_with_fewer_files_than_receivers(self, variant, k):
+        # the template names file j for receiver j, so its file ids run up to K > D;
+        # the cache checks test part labels, which every file shares
+        receivers = DemandVector(tuple(range(1, k + 1)))
+        if variant == "soft":
+            lib = random_library(6, 30, seed=k)
+            placement = cache_placement_soft(k, lib)
+            schedule = delivery_schedule_soft(k, receivers)
+        else:
+            lib = random_library(6, 16, seed=k)
+            placement = cache_placement_full(k, lib)
+            schedule = delivery_schedule_full(k, receivers)
+        assert verify_schedule(schedule, placement, receivers) == []
+
     def test_exhaustive_small(self):
         lib = random_library(2, 30, seed=1, allow_small_d=True)
         placement = cache_placement_soft(6, lib)
