@@ -79,12 +79,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--allow-small-d", action="store_true")
     sub.add_argument("--workers", type=int, default=None, help="override WCS_WORKERS")
     sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument(
-        "--assert",
-        dest="assert_mode",
-        choices=["interior-success", "all-success"],
-        default=None,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,6 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run one scheme and report per-receiver success")
     _add_config_flags(sim)
+    sim.add_argument(
+        "--assert",
+        dest="assert_mode",
+        choices=["interior-success", "all-success"],
+        default=None,
+    )
 
     sweep = subs.add_parser("sweep", help="rerun across an SNR grid and export a CSV table")
     _add_config_flags(sweep)
@@ -115,8 +115,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
+    """The comma-separated values of ``flag``, or a SimError naming the flag."""
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise SimError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise SimError(f"{flag} needs at least one value")
+    return values
+
+
 def _parse_gains(text: str, k: int, variant: Variant) -> tuple[float, ...] | float:
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
+    values = _parse_list(text, "--alpha")
     if variant is Variant.FULL:
         if len(values) != 1:
             raise SimError("the full model takes a single --alpha value")
@@ -128,14 +139,9 @@ def _parse_gains(text: str, k: int, variant: Variant) -> tuple[float, ...] | flo
     return tuple(values)
 
 
-def _parse_snr_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
 def _build_config(args: argparse.Namespace) -> NetworkConfig:
     variant = Variant.SOFT_HANDOFF if args.model == "soft" else Variant.FULL
-    snrs = _parse_snr_list(args.snr_db)
-    power = 10.0 ** (snrs[0] / 10.0)
+    power = 10.0 ** (_parse_list(args.snr_db, "--snr-db")[0] / 10.0)
     gains = _parse_gains(args.alpha, args.k, variant)
     if variant is Variant.FULL:
         cfg = NetworkConfig.full(args.k, gains, power, args.epsilon)
@@ -147,8 +153,8 @@ def _build_config(args: argparse.Namespace) -> NetworkConfig:
 
 def _parse_demands(text: str) -> tuple[DemandPolicy, tuple[int, ...] | None]:
     if text.startswith("explicit:"):
-        entries = tuple(int(v) for v in text.removeprefix("explicit:").split(","))
-        return DemandPolicy.EXPLICIT, entries
+        entries = _parse_list(text.removeprefix("explicit:"), "--demands explicit:", int)
+        return DemandPolicy.EXPLICIT, tuple(entries)
     aliases = {
         "random": DemandPolicy.RANDOM,
         "distinct": DemandPolicy.DISTINCT,
@@ -192,6 +198,8 @@ def _print_json(doc: dict, out: str | None) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if len(_parse_list(args.snr_db, "--snr-db")) != 1:
+        raise SimError("simulate takes one --snr-db value; sweep takes a grid")
     spec = _build_spec(args)
     report = run_experiment(spec, workers=args.workers)
     _print_json(report.to_json(), args.out)
@@ -206,8 +214,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.plot_script and not args.out:
+        raise SimError("--plot-script needs --out, the CSV it plots")
     spec = _build_spec(args)
-    snrs = _parse_snr_list(args.snr_db)
+    snrs = _parse_list(args.snr_db, "--snr-db")
     result = sweep_snr(spec, snrs, workers=args.workers)
     print(json.dumps({"spec": spec.to_json(), "snr_db": snrs}, indent=2))
     if args.out:
@@ -224,6 +234,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
+    if args.plot_script and not args.out:
+        raise SimError("--plot-script needs --out, the CSV it plots")
     variant = Variant.SOFT_HANDOFF if args.model == "soft" else Variant.FULL
     ach = curve(variant, ACHIEVABLE, args.points, args.x_max)
     if args.out:

@@ -35,12 +35,12 @@ from .model import (
 from .schemes import (
     ConfigMismatch,
     Ideal,
+    InfeasibleRate,  # re-exported: callers of run_experiment catch it from here
     MonteCarlo,
     SimResult,
     baseline_point,
+    check_ideal_rate,
     full_point,
-    rate_full,
-    rate_soft,
     round_robin_soft,
     run_full,
     run_soft,
@@ -67,10 +67,6 @@ EXHAUSTIVE_LIMIT = 10**6
 _TAG_LIBRARY = 0x11B
 _TAG_DEMANDS = 0xDE3
 _TAG_BACKEND = 0xBAC
-
-
-class InfeasibleRate(SimError):
-    """The scheme's per-user rate is negative at this power and epsilon."""
 
 
 class DemandPolicy(Enum):
@@ -108,13 +104,8 @@ class ExperimentSpec:
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
         if self.backend == "ideal" or self.timeshare_lambda is not None:
-            # an Ideal run sends at this rate, and time sharing anchors on it
-            rate = rate_soft(cfg) if soft else rate_full(cfg)
-            if rate < 0:
-                raise InfeasibleRate(
-                    f"{cfg.variant.value} scheme rate {rate:.6g} is negative at "
-                    f"P={cfg.power:g}, eps={cfg.epsilon:g}; raise the power or lower epsilon"
-                )
+            # an Ideal run sends at the scheme rate, and time sharing anchors on it
+            check_ideal_rate(cfg)
         if self.trials < 1:
             raise SimError("trials must be at least 1")
         if self.bits < 1:

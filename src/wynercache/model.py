@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -122,8 +123,12 @@ def validate_config(cfg: NetworkConfig) -> None:
             f"{cfg.variant.value} variant needs {expected} cross gain(s), got {len(cfg.gains)}"
         )
     for i, g in enumerate(cfg.gains, start=1):
+        if not math.isfinite(g):
+            raise ConfigError(f"cross gain alpha_{i} must be finite, got {g}")
         if g == 0:
             raise ZeroCrossGain(f"cross gain alpha_{i} must be nonzero")
+    if not math.isfinite(cfg.power):
+        raise ConfigError(f"power must be finite, got {cfg.power}")
     if cfg.power <= 0:
         raise NonPositivePower(f"power must be positive, got {cfg.power}")
     if not (0 < cfg.epsilon < cfg.power and cfg.epsilon < 1):

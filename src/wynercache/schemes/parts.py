@@ -5,7 +5,7 @@ the sixth."""
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..model import Bitstring, SimError
 
@@ -19,10 +19,6 @@ class BadLength(SimError):
 
 
 class WrongPartCount(SimError):
-    pass
-
-
-class DuplicateLabel(SimError):
     pass
 
 
@@ -41,24 +37,17 @@ def split_full(msg: Bitstring) -> tuple[Bitstring, ...]:
     return msg.split(PARTS_FULL)
 
 
-def reconstruct_five(
-    parts: Mapping[int, Bitstring] | Iterable[tuple[int, Bitstring]],
-) -> Bitstring:
-    """Rebuild a message from any five distinctly-labelled parts of its six.
+def reconstruct_five(parts: Mapping[int, Bitstring]) -> Bitstring:
+    """Rebuild a message from any five of its six parts, keyed by part label.
 
     The missing part equals the XOR of the five present ones; the result is the
     concatenation of parts 1..5.
     """
-    labelled: dict[int, Bitstring] = {}
-    items = parts.items() if isinstance(parts, Mapping) else parts
-    for label, bits in items:
-        if label in labelled:
-            raise DuplicateLabel(f"part label {label} appears twice")
+    for label in parts:
         if not 1 <= label <= TOTAL_PARTS_SOFT:
             raise WrongPartCount(f"part label {label} outside 1..{TOTAL_PARTS_SOFT}")
-        labelled[label] = bits
-    if len(labelled) != DATA_PARTS_SOFT:
-        raise WrongPartCount(f"need exactly {DATA_PARTS_SOFT} parts, got {len(labelled)}")
-    missing = next(p for p in range(1, TOTAL_PARTS_SOFT + 1) if p not in labelled)
-    labelled[missing] = reduce(Bitstring.xor, labelled.values())
+    if len(parts) != DATA_PARTS_SOFT:
+        raise WrongPartCount(f"need exactly {DATA_PARTS_SOFT} parts, got {len(parts)}")
+    missing = next(p for p in range(1, TOTAL_PARTS_SOFT + 1) if p not in parts)
+    labelled = {**parts, missing: reduce(Bitstring.xor, parts.values())}
     return Bitstring.concat_all(labelled[p] for p in range(1, DATA_PARTS_SOFT + 1))

@@ -1,8 +1,8 @@
 """End-to-end scheme execution in the paper's two phases.
 
 * Placement, once per (config, library): ``_scheme`` splits every file, builds
-  the demand-free ``CachePlacement`` and fixes the rate, the number of parts a
-  receiver needs, the guaranteed receivers, the combine rule and the delivery
+  the demand-free ``CachePlacement`` and fixes the number of parts a receiver
+  needs, the guaranteed receivers, the combine rule and the delivery
   schedule for the demand vector (1, ..., K). In that schedule file j stands
   for "the file receiver j demands". ``verify_schedule`` checks the schedule
   against the placement here, once: validity depends on the cached part labels
@@ -16,14 +16,13 @@
   backend with ``_execute``, which maps every file reference j to the demand
   of receiver j and keys each receiver's decoded parts by part label, and
   assembles the ``SimResult`` with ``_result``, which every runner shares.
-  Only links fail here: the schedule needs no re-check.
+  Only MC links fail here: an Ideal delivery starts with ``check_ideal_rate``.
 
 Two interchangeable backends drive the same schedules:
 
 * ``Ideal`` treats every point-to-point hop as an erasure link that succeeds
-  iff its attempted rate is strictly below the interference-free capacity;
-  on success the submessage bits are delivered exactly and all XOR and
-  cancellation algebra is carried out bit-exactly.
+  iff its attempted rate is strictly below the interference-free capacity.
+  At the scheme rates every link succeeds; XOR and cancellation are bit-exact.
 * ``MonteCarlo`` draws fresh shell codebooks per (transmitter, period), runs
   the actual noisy channel, cancels known interferers from cache, and decodes
   by nearest neighbor.
@@ -43,7 +42,7 @@ from typing import Callable, Union
 import numpy as np
 
 from ..channel import cancel_known, check_power, transmit_full, transmit_soft
-from ..codec import LinkBudget, draw_codebook, ideal_link, nn_decode
+from ..codec import draw_codebook, nn_decode
 from ..model import (
     Bitstring,
     CachePlacement,
@@ -58,7 +57,7 @@ from ..model import (
 from .mds import mds_decode, mds_encode
 from .parts import DATA_PARTS_SOFT, PARTS_FULL, reconstruct_five, split_full, split_soft
 from .placement import cache_placement_full, cache_placement_soft
-from .points import rate_full, rate_soft
+from .points import check_ideal_rate
 from .schedule import (
     DeliverySchedule,
     Direct,
@@ -88,7 +87,7 @@ class InvalidSchedule(SimError):
 
 @dataclass(frozen=True)
 class Ideal:
-    """Capacity-threshold link abstraction; no block length involved."""
+    """Capacity-threshold links whose rate ``_deliver`` checks once; no block length involved."""
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ class _Scheme:
     library: MessageLibrary
     part_bits: dict[int, tuple[Bitstring, ...]]  # file -> its split parts
     placement: CachePlacement
-    rate: float  # per-user rate on the Ideal backend
     needed: int  # labelled parts a receiver combines into its file
     guaranteed: tuple[int, ...]
     schedule: DeliverySchedule  # file j in it is the file receiver j demands
@@ -174,7 +172,6 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
         library,
         {f: (split_soft if soft else split_full)(p) for f, p in enumerate(library, start=1)},
         (cache_placement_soft if soft else cache_placement_full)(cfg.k, library),
-        rate_soft(cfg) if soft else rate_full(cfg),
         needed,
         tuple(range(2, cfg.k)) if soft else receivers.entries,
         (delivery_schedule_soft if soft else delivery_schedule_full)(cfg.k, receivers),
@@ -191,16 +188,14 @@ def _execute(
     scheme: _Scheme,
     demands: DemandVector,
     backend: Backend,
-    link_rate: float,
     bits_per_part: int,
     n_slot: int,
 ) -> tuple[dict[int, dict[int, Bitstring]], int, int]:
     """Run the placed schedule for ``demands`` on ``n_slot`` channel uses per period.
 
-    ``_scheme`` verified the schedule at placement: every key a plan names is
-    cached and every transmitter a receiver hears is covered by its plan, so
-    only a link can fail here. Every plan targets a part of its receiver's own
-    demand, so a part label alone names what it decodes.
+    ``_scheme`` verified the schedule at placement and ``_deliver`` the Ideal
+    rate, so only an MC link can fail here. Every plan targets a part of its
+    receiver's own demand, so a part label alone names what it decodes.
     Returns (per-rx decoded part label -> bits, failures, links).
     """
     cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
@@ -254,25 +249,16 @@ def _execute(
             if plan is None:
                 continue
             links += 1
-            true_value = sent(per.tx_actions[plan.source])
-            gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
-
             if isinstance(backend, Ideal):
-                ok = ideal_link(
-                    LinkBudget(gain=gain, rate=link_rate, power=cfg.power - cfg.epsilon)
-                )
-                if not ok:
-                    failures += 1
-                    continue
-                guess = true_value
+                guess = sent(per.tx_actions[plan.source])
             else:
                 y = received[rx - 1]
                 for tx, f, p in plan.cancel:
                     key = placement.lookup(rx, d(f), p).value
                     y = cancel_known(y, cfg.gain_at(rx), codebooks[tx].words[key])
+                gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
                 guess = nn_decode(y, codebooks[plan.source], gain)
-                if guess != true_value:
-                    failures += 1
+                failures += guess != sent(per.tx_actions[plan.source])
             if plan.strip:
                 guess ^= placement.lookup(rx, d(plan.strip[0]), plan.strip[1]).value
             decoded[rx][plan.target[1]] = Bitstring(bits_per_part, guess)
@@ -302,19 +288,15 @@ def _deliver(scheme: _Scheme, demands: DemandVector, backend: Backend) -> SimRes
     _check_demands(cfg, library, demands)
     periods = len(scheme.schedule.periods)
     bits_per_part = library.payload_bits // scheme.needed
-    n_slot = 0
     if isinstance(backend, Ideal):
-        # each period carries one part over 1/periods of the block
-        link_rate = periods * scheme.rate / scheme.needed
-        rate = scheme.rate
+        rate, n_slot = check_ideal_rate(cfg), 0
     else:
         n_slot = backend.n // periods
         if n_slot < 1:
             raise ConfigMismatch(f"block length {backend.n} too short for the period count")
-        link_rate = bits_per_part / n_slot
         rate = library.payload_bits / (periods * n_slot)
 
-    decoded, failures, links = _execute(scheme, demands, backend, link_rate, bits_per_part, n_slot)
+    decoded, failures, links = _execute(scheme, demands, backend, bits_per_part, n_slot)
     have = {
         rx: {**scheme.placement.parts_of(rx, demands.for_rx(rx)), **got}
         for rx, got in decoded.items()

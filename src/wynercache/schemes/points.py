@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..model import NetworkConfig, SimError
+from ..codec import LinkBudget, ideal_link
+from ..model import NetworkConfig, SimError, Variant
+from .parts import DATA_PARTS_SOFT, PARTS_FULL
+from .schedule import SOFT_PERIODS
 
 # Baseline per-user multiplexing gain with no caches, entering time-sharing
 # curves as an analytic anchor only (that scheme is not simulated here).
@@ -28,6 +31,26 @@ def rate_soft(cfg: NetworkConfig) -> float:
 def rate_full(cfg: NetworkConfig) -> float:
     """Per-user message rate of the full-model scheme: 2*(0.5*log2(1+P-eps) - eps)."""
     return 2.0 * (0.5 * math.log2(1.0 + cfg.power - cfg.epsilon) - cfg.epsilon)
+
+
+class InfeasibleRate(SimError):
+    """Some Ideal link of the scheme fails at this power and epsilon."""
+
+
+def check_ideal_rate(cfg: NetworkConfig) -> float:
+    """Return the scheme's rate, or raise ``InfeasibleRate`` if an Ideal link would fail.
+    Every link runs at periods * rate / needed, and the weakest has gain alpha_min
+    (soft: each link has gain 1 or a cross gain alpha_rx) or 1 (full)."""
+    soft = cfg.variant is Variant.SOFT_HANDOFF
+    rate = rate_soft(cfg) if soft else rate_full(cfg)
+    at = f"{cfg.variant.value} scheme rate {rate:.6g} at P={cfg.power:g}, eps={cfg.epsilon:g}"
+    if rate < 0:
+        raise InfeasibleRate(f"{at} is negative; raise the power or lower epsilon")
+    link_rate = SOFT_PERIODS * rate / DATA_PARTS_SOFT if soft else rate / PARTS_FULL
+    weakest = LinkBudget(cfg.alpha_min if soft else 1.0, link_rate, cfg.power - cfg.epsilon)
+    if not ideal_link(weakest):
+        raise InfeasibleRate(f"{at} puts its weakest link at capacity: eps is lost to rounding")
+    return rate
 
 
 def memory_rate_soft(cfg: NetworkConfig, num_files: int) -> float:

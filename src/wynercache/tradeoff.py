@@ -30,7 +30,10 @@ class NegativeRatio(SimError):
 
 
 def _ratio(x: Ratio) -> Fraction:
-    f = Fraction(x)
+    try:
+        f = Fraction(x)
+    except (OverflowError, ValueError):  # inf and NaN have no ratio
+        raise SimError(f"normalized cache size must be finite, got {x}") from None
     if f < 0:
         raise NegativeRatio(f"normalized cache size must be nonnegative, got {x}")
     return f

@@ -152,6 +152,55 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "soft", "--k", "6", "--demands", "explicit:"],
+        ["simulate", "--model", "soft", "--k", "6", "--demands", "explicit:1,x,3,4,5,6"],
+        ["simulate", "--model", "soft", "--k", "6", "--alpha", "abc"],
+        ["simulate", "--model", "soft", "--k", "6", "--snr-db", "abc"],
+        ["simulate", "--model", "soft", "--k", "6", "--snr-db", ""],
+        ["simulate", "--model", "soft", "--k", "6", "--alpha", "1,nan,1,1,1,1"],
+        ["simulate", "--model", "soft", "--k", "6", "--snr-db", "inf"],
+        ["simulate", "--model", "soft", "--k", "6", "--epsilon", "nan"],
+        ["simulate", "--model", "full", "--k", "6", "--alpha", "inf"],
+        ["simulate", "--model", "soft", "--k", "6", "--epsilon", "1e-16"],
+        ["tradeoff", "--model", "soft", "--x-max", "inf"],
+        ["tradeoff", "--model", "soft", "--x-max", "nan"],
+    ],
+)
+def test_bad_input_gets_one_named_line(capsys, argv):
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    name, _, detail = captured.err.partition(": ")
+    assert name.isidentifier() and detail and captured.err.count("\n") == 1
+
+
+class TestNoIgnoredFlag:
+    def test_sweep_has_no_assert(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--model", "soft", "--k", "6", "--assert", "all-success"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--assert" in capsys.readouterr().err
+
+    def test_simulate_takes_one_snr(self, capsys):
+        code = main(["simulate", "--model", "soft", "--k", "6", "--snr-db", "20,40"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--model", "soft", "--k", "6", "--snr-db", "20,40"], ["tradeoff", "--model", "soft"]],
+    )
+    def test_plot_script_needs_out(self, tmp_path, capsys, argv):
+        script = tmp_path / "plot.py"
+        assert main([*argv, "--plot-script", str(script)]) == EXIT_VALIDATION
+        assert "--plot-script needs --out" in capsys.readouterr().err
+        assert not script.exists()
+
+
 class TestTradeoffCommand:
     def test_breakpoint_rows(self, tmp_path):
         out = tmp_path / "curve.csv"

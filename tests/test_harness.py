@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,7 +17,7 @@ from wynercache.harness import (
 )
 from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
 from wynercache.model import DemandVector, NetworkConfig, SimError, Variant
-from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft
+from wynercache.schemes import ConfigMismatch, KTooSmall, PowerViolation, delivery_schedule_soft
 from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE
@@ -215,6 +216,36 @@ class TestLateFailuresRejected:
             _soft_spec(config=low, backend="mc", timeshare_lambda=0.5), InfeasibleRate
         )
         _soft_spec(config=low, backend="mc").validate()
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            (NetworkConfig.soft_handoff(6, 1.0, 1e4, 1e-16), {}),
+            (NetworkConfig.soft_handoff(6, 1.0, 1e4, 1e-16), {"round_robin": True}),
+            (NetworkConfig.full(6, 1.0, 1e4, 1e-16), {}),
+        ],
+    )
+    def test_ideal_back_off_lost_to_rounding(self, config, extra):
+        # eps=1e-16 vanishes from P - eps at P=1e4, so the weakest link would
+        # run at capacity, so it is rejected instead of reported as link failures
+        _rejected_before_any_trial(
+            _soft_spec(config=config, **extra), InfeasibleRate, match="lost to rounding"
+        )
+        _soft_spec(config=config, backend="mc", **extra).validate()
+        report = run_experiment(
+            _soft_spec(config=dataclasses.replace(config, epsilon=1e-15), trials=5, **extra)
+        )
+        assert report.link_error_rate == 0.0
+        assert report.guaranteed_success == 1.0
+
+    @pytest.mark.xfail(
+        raises=PowerViolation,
+        strict=True,
+        reason="codewords drawn at P - eps round above P, so the MC run fails in trial 0",
+    )
+    def test_mc_runs_where_the_back_off_is_lost_to_rounding(self):
+        config = NetworkConfig.soft_handoff(6, 1.0, 1e4, 1e-16)
+        run_experiment(_soft_spec(config=config, backend="mc", trials=1))
 
     def test_negative_prop1_extra_bits(self):
         _rejected_before_any_trial(_soft_spec(prop1_extra_bits=-3), ConfigMismatch)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +52,18 @@ class TestValidateConfig:
             validate_config(NetworkConfig.soft_handoff(6, 1.0, 0.04, 0.05))
         with pytest.raises(BadEpsilon):
             validate_config(NetworkConfig.soft_handoff(6, 1.0, 100.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_named(self, bad):
+        cases = [
+            (NetworkConfig.soft_handoff(6, [1, bad, 1, 1, 1, 1], 100.0), ConfigError, "alpha_2"),
+            (NetworkConfig.full(6, bad, 100.0), ConfigError, "alpha_1"),
+            (NetworkConfig.soft_handoff(6, 1.0, bad), ConfigError, "power"),
+            (NetworkConfig.soft_handoff(6, 1.0, 100.0, bad), BadEpsilon, "eps"),
+        ]
+        for cfg, error, field in cases:
+            with pytest.raises(error, match=field):
+                validate_config(cfg)
 
     def test_k_too_small(self):
         with pytest.raises(ConfigError):

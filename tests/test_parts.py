@@ -4,7 +4,6 @@ import pytest
 from wynercache.model import Bitstring
 from wynercache.schemes import (
     BadLength,
-    DuplicateLabel,
     WrongPartCount,
     reconstruct_five,
     split_full,
@@ -69,15 +68,6 @@ class TestReconstructFive:
             reconstruct_five(parts)
         with pytest.raises(WrongPartCount):
             reconstruct_five({i: Bitstring.zeros(4) for i in range(1, 7)})
-
-    def test_duplicate_label(self):
-        pairs = [(1, Bitstring.zeros(4))] * 2 + [
-            (2, Bitstring.zeros(4)),
-            (3, Bitstring.zeros(4)),
-            (4, Bitstring.zeros(4)),
-        ]
-        with pytest.raises(DuplicateLabel):
-            reconstruct_five(pairs)
 
     def test_label_out_of_range(self):
         parts = {i: Bitstring.zeros(4) for i in (1, 2, 3, 4, 7)}

@@ -5,25 +5,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import wynercache.schemes.pipeline as pipeline
+import wynercache.schemes.points as points
 from wynercache.harness import ExperimentSpec, run_experiment
 from wynercache.model import (
     DemandVector,
     NetworkConfig,
     OddKForFullModel,
+    Variant,
     random_library,
 )
 from wynercache.schemes import (
     ConfigMismatch,
     Ideal,
+    InfeasibleRate,
     InvalidSchedule,
     MonteCarlo,
     PowerViolation,
+    check_ideal_rate,
+    rate_full,
+    rate_soft,
+    round_robin_soft,
     run_full,
     run_soft,
 )
-from wynercache.codec import Codebook, capacity
+from wynercache.codec import Codebook, LinkBudget, capacity, ideal_link
 from wynercache.schemes.schedule import (
     DecodePlan,
     DeliverySchedule,
@@ -216,14 +224,14 @@ class TestMonteCarlo:
         scheme = _scheme(cfg, lib)
         backend = MonteCarlo(n=288, seed=3)
 
-        base, _, _ = _execute(scheme, d, backend, 8 / 96, 8, 96)
+        base, _, _ = _execute(scheme, d, backend, 8, 96)
         muted = copy.deepcopy(scheme.schedule)
         # silence the whole second subnet of period 1 (tx 4 and 5 serve rx 4..6)
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
         for rx in (4, 5, 6):
             muted.periods[0].rx_plans[rx] = None
-        alt, _, _ = _execute(dataclasses.replace(scheme, schedule=muted), d, backend, 8 / 96, 8, 96)
+        alt, _, _ = _execute(dataclasses.replace(scheme, schedule=muted), d, backend, 8, 96)
         for rx in (1, 2, 3):
             assert base[rx] == alt[rx]
 
@@ -376,3 +384,76 @@ class TestPlacedSchedule:
         for entries in vectors:
             demands = DemandVector(entries)
             assert _resolve(template, demands) == build(k, demands)
+
+
+_GAIN = st.builds(lambda sign, g: sign * g, st.sampled_from([-1.0, 1.0]), st.floats(0.05, 4.0))
+
+
+@st.composite
+def _ideal_configs(draw):
+    power = 10.0 ** draw(st.floats(-1.0, 10.0))
+    eps = draw(st.floats(1e-9, 0.5, exclude_max=True))
+    assume(eps < power)
+    if draw(st.booleans()):
+        k = draw(st.integers(5, 12))
+        return NetworkConfig.soft_handoff(k, draw(st.lists(_GAIN, min_size=k, max_size=k)), power, eps)
+    return NetworkConfig.full(2 * draw(st.integers(2, 6)), draw(_GAIN), power, eps)
+
+
+class TestIdealRateCheck:
+    """One check of the scheme rate against the weakest link replaces a test on every link."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ideal_configs())
+    def test_check_passes_iff_every_link_does(self, cfg):
+        soft = cfg.variant is Variant.SOFT_HANDOFF
+        rate = rate_soft(cfg) if soft else rate_full(cfg)
+        try:
+            assert check_ideal_rate(cfg) == rate
+        except InfeasibleRate:
+            assert rate < 0
+            return
+        assert rate >= 0
+        # the per-link rule the delivery loop used to apply, as the reference
+        scheme = pipeline._scheme(cfg, random_library(6, 40, seed=1))
+        link_rate = len(scheme.schedule.periods) * rate / scheme.needed
+        for per in scheme.schedule.periods:
+            for rx, plan in per.rx_plans.items():
+                if plan is not None:
+                    gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
+                    assert ideal_link(LinkBudget(gain, link_rate, cfg.power - cfg.epsilon))
+
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (run_soft, _soft_cfg(eps=1e-16)),
+            (run_soft, _soft_cfg(alpha=(1, 0.5, 1, 1, 1, 1), eps=1e-16)),
+            (round_robin_soft, _soft_cfg(eps=1e-16)),
+            (run_full, NetworkConfig.full(6, 1.0, 1e4, 1e-16)),
+        ],
+    )
+    def test_back_off_lost_to_rounding_rejected_by_direct_runs(self, run, cfg):
+        lib = random_library(6, 160, seed=2)
+        with pytest.raises(InfeasibleRate, match="lost to rounding"):
+            run(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6)))
+
+    @pytest.mark.parametrize(
+        "kwargs, delivers",
+        [
+            (dict(config=_soft_cfg(k=60), num_files=60), 5),
+            (dict(config=NetworkConfig.full(6, 0.5, 1e4)), 5),
+            (dict(config=_soft_cfg(k=7), round_robin=True), 5 * 7),
+        ],
+    )
+    def test_one_link_check_per_delivery(self, monkeypatch, kwargs, delivers):
+        checks = []
+        real = points.ideal_link
+
+        def counted(link):
+            checks.append(link)
+            return real(link)
+
+        monkeypatch.setattr(points, "ideal_link", counted)
+        report = run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=7))
+        assert report.link_error_rate == 0.0
+        assert len(checks) == delivers + 1  # one per _deliver, one in validate
