@@ -18,6 +18,7 @@ from .harness import (
     _demands_for_trial,
     emit_plot_script,
     export_csv,
+    power_from_db,
     run_experiment,
     sweep_snr,
 )
@@ -77,7 +78,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prop1-delta-bits", type=int, default=0)
     sub.add_argument("--timeshare-lambda", type=float, default=None)
     sub.add_argument("--allow-small-d", action="store_true")
-    sub.add_argument("--workers", type=int, default=None, help="override WCS_WORKERS")
     sub.add_argument("--out", default=None, help="output file path")
 
 
@@ -141,7 +141,7 @@ def _parse_gains(text: str, k: int, variant: Variant) -> tuple[float, ...] | flo
 
 def _build_config(args: argparse.Namespace) -> NetworkConfig:
     variant = Variant.SOFT_HANDOFF if args.model == "soft" else Variant.FULL
-    power = 10.0 ** (_parse_list(args.snr_db, "--snr-db")[0] / 10.0)
+    power = power_from_db(_parse_list(args.snr_db, "--snr-db")[0])
     gains = _parse_gains(args.alpha, args.k, variant)
     if variant is Variant.FULL:
         cfg = NetworkConfig.full(args.k, gains, power, args.epsilon)
@@ -201,7 +201,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if len(_parse_list(args.snr_db, "--snr-db")) != 1:
         raise SimError("simulate takes one --snr-db value; sweep takes a grid")
     spec = _build_spec(args)
-    report = run_experiment(spec, workers=args.workers)
+    report = run_experiment(spec)
     _print_json(report.to_json(), args.out)
     if args.assert_mode == "interior-success" and report.interior_success < 1.0:
         print(f"assertion failed: interior success {report.interior_success}", file=sys.stderr)
@@ -218,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SimError("--plot-script needs --out, the CSV it plots")
     spec = _build_spec(args)
     snrs = _parse_list(args.snr_db, "--snr-db")
-    result = sweep_snr(spec, snrs, workers=args.workers)
+    result = sweep_snr(spec, snrs)
     print(json.dumps({"spec": spec.to_json(), "snr_db": snrs}, indent=2))
     if args.out:
         export_csv(result, args.out)

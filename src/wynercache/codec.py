@@ -1,44 +1,39 @@
 """Random Gaussian shell codebooks with nearest-neighbor decoding, plus the
 ideal capacity-threshold link abstraction.
 
-Shell codewords are rescaled to exact empirical power, so the block-power
-constraint holds deterministically rather than just almost surely. The
-rescale runs in place over blocks of rows, so its temporaries stay in cache;
-it does the same arithmetic as ``np.linalg.norm``, and codewords are
-bit-identical to a whole-matrix rescale.
+A shell codebook holds 2^L words drawn independently and uniformly on the
+sphere of radius sqrt(n P'). Only the sent word is an explicit n-vector: the
+channel carries it and receivers cancel it from cache. Every other word is
+independent of all that is received, and a nearest-neighbor decoder sees it
+only through its inner products with the vectors y_r of the one or two
+receivers that decode the codebook. In an orthonormal frame whose first
+vectors span those y_r, such a word's first two coordinates are exactly
+sqrt(n P') (a, b) / sqrt(a^2 + b^2 + chi^2) with a, b ~ N(0, 1) and
+chi^2 ~ chi^2(n - 2) independent (sqrt(P') sign(a) for n = 1): three random
+numbers per word instead of n, and the same joint law for every decision.
+Each word keeps its index, so a wrong decision decodes a real index's bits.
 
-Nearest-neighbor decoding screens, then rescores. Since
-``||y - g c||^2 = ||y||^2 + g^2 ||c||^2 - 2g <c, y>``, one mat-vec against the
-codebook's cached squared row norms scores every word up to the common
-``||y||^2``. Every word whose score lies within a rigorous floating-point error
-bound of the best score is a candidate, and only the candidates are rescored
-with the exact distance expression. The bound covers the rounding of both the
-screen and the exact expression, so the word that wins the exact comparison
-over the whole codebook is always a candidate, and the decision, lowest-index
-tie-break included, is the same as scoring every word exactly.
+``nn_decode`` takes the frame from a QR factorisation of (y_1, y_2): the
+coordinates of y_r are column r of R. Every index is scored with the same
+distance ||y||^2 + g^2 ||c||^2 - 2g <c, y>, the sent word with its explicit
+inner product and norm; ties break to the lowest index.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .channel import check_power
 from .model import SimError
 
-# Exhaustive nearest-neighbor decoding stays tractable at desk scale.
-MAX_CODEBOOK_BITS = 20
-
-# Rows normalised per step of draw_codebook: 256 rows of a few hundred uses
-# keep the squared-row temporary within the L2 cache.
-_NORM_BLOCK = 256
-
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-_TINY = np.finfo(float).smallest_normal
-# Screening is only used while every intermediate stays far from overflow.
-_SCREEN_MAX = 2.0**1000
+# Drawing a codebook holds 3 * 2^L float64 values, 24 B per word (decoding
+# adds two arrays of 2^L); a budget of 128 MiB per codebook allows
+# 2^L <= 2^27 / 24, so L <= 22 (96 MiB).
+MAX_CODEBOOK_BITS = 22
 
 
 class TooManyWords(SimError):
@@ -47,68 +42,77 @@ class TooManyWords(SimError):
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """2^L codewords indexed by L-bit integers, each with exact empirical power."""
+    """2^L shell codewords: the sent one explicit, every other one by its frame coordinates."""
 
-    words: np.ndarray  # shape (num_words, n_uses)
-    power: float
+    sent: int
+    word: np.ndarray  # the sent codeword, shape (n_uses,)
+    coords: np.ndarray  # shape (num_words, min(n_uses, 2)); row ``sent`` is not used
+    sq_norm: float  # n_uses * power, the squared norm of every word not sent
 
     @property
     def n_uses(self) -> int:
-        return self.words.shape[1]
+        return self.word.shape[0]
 
     @property
     def num_words(self) -> int:
-        return self.words.shape[0]
-
-    @functools.cached_property
-    def sq_norms(self) -> np.ndarray:
-        """Squared Euclidean norm of every codeword, computed once per codebook."""
-        return np.einsum("ij,ij->i", self.words, self.words)
+        return self.coords.shape[0]
 
 
-def draw_codebook(n_uses: int, bits: int, power: float, seed: int) -> Codebook:
-    """Draw 2^bits Gaussian-direction vectors, each rescaled to empirical power ``power``."""
+def draw_codebook(
+    n_uses: int, bits: int, power: float, seed: int, sent: int, cap: float
+) -> Codebook:
+    """Draw 2^bits shell codewords of power ``power``, of which word ``sent`` is explicit.
+
+    The sent word's measured block power stays at most ``cap``: where rounding
+    puts it above, its radius steps down one float at a time.
+    """
     if bits > MAX_CODEBOOK_BITS:
         raise TooManyWords(f"codebook of 2^{bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap")
-    if n_uses < 1 or bits < 1:
-        raise SimError(f"need n_uses >= 1 and bits >= 1, got {n_uses}, {bits}")
-    if power < 0:
-        raise SimError(f"negative codeword power {power}")
+    if n_uses < 1 or bits < 1 or not 0 <= sent < 1 << bits:
+        raise SimError(f"need n_uses, bits >= 1 and sent < 2^bits, got {n_uses}, {bits}, {sent}")
+    if not 0 <= power <= cap:
+        raise SimError(f"codeword power {power} outside [0, {cap}]")
     rng = np.random.default_rng(seed)
-    words = rng.standard_normal((1 << bits, n_uses))
-    radius = math.sqrt(power * n_uses)
-    for start in range(0, words.shape[0], _NORM_BLOCK):
-        rows = words[start : start + _NORM_BLOCK]
-        rows *= (radius / np.sqrt(np.add.reduce(rows * rows, axis=1)))[:, None]
-    return Codebook(words=words, power=power)
+    direction = rng.standard_normal(n_uses)
+    direction /= math.sqrt(direction @ direction)
+    radius = step = math.sqrt(n_uses * power)
+    word = step * direction
+    while not check_power(word, cap).ok:
+        step = np.nextafter(step, 0.0)
+        word = step * direction
+    g = rng.standard_normal((1 << bits, min(n_uses, 2)))
+    if n_uses == 1:
+        coords = np.copysign(radius, g)
+    else:
+        chi2 = 2.0 * rng.standard_gamma((n_uses - 2) / 2, size=1 << bits)
+        coords = g * (radius / np.sqrt(np.einsum("ij,ij->i", g, g) + chi2))[:, None]
+    return Codebook(sent, word, coords, radius * radius)
 
 
-def _distances(y: np.ndarray, words: np.ndarray, gain: float) -> np.ndarray:
-    return np.sum((y[None, :] - gain * words) ** 2, axis=1)
+def frame_inner(cb: Codebook, ys: np.ndarray) -> np.ndarray:
+    """<c_j, y_r> for every word j (row ``sent`` aside) and every column y_r of ``ys``."""
+    if ys.shape[0] != cb.n_uses or not 1 <= ys.shape[1] <= 2:
+        raise SimError(f"received blocks of shape {ys.shape}, codebook expects ({cb.n_uses}, 1|2)")
+    r = np.linalg.qr(ys, mode="r")
+    return cb.coords[:, : r.shape[0]] @ r
 
 
-def nn_decode(y: np.ndarray, cb: Codebook, gain: float) -> int:
-    """argmin over codewords c of ||y - gain*c||^2; ties break to the lowest index."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cb.n_uses,):
-        raise SimError(f"received block of shape {y.shape}, codebook expects ({cb.n_uses},)")
-    g = float(gain)
-    max_sq_norm = float(cb.sq_norms.max())
-    scale = float(y @ y) + g * g * max_sq_norm
-    if not scale < _SCREEN_MAX:  # also catches NaN and inf
-        return int(np.argmin(_distances(y, cb.words, gain)))
-    scores = (g * g) * cb.sq_norms - (2.0 * g) * (cb.words @ y)
-    # Each n-term sum, dot product and norm is off by at most gamma * (sum of
-    # the magnitudes of its terms), whatever the summation order; both the
-    # screen score and the exact distance of a word are then within
-    # 4 * gamma * (||y||^2 + g^2 ||c||^2) of the true value. The factor 8
-    # absorbs the rounding of the norms used here, and the _TINY term bounds
-    # the absolute error of products that underflow.
-    n = cb.n_uses
-    gamma = (n + 8) * _UNIT_ROUNDOFF / (1.0 - (n + 8) * _UNIT_ROUNDOFF)
-    slack = 8.0 * gamma * scale + (n + 8) * _TINY * (1.0 + abs(g)) ** 2 * (1.0 + max_sq_norm)
-    candidates = np.flatnonzero(scores <= scores.min() + 2.0 * slack)
-    return int(candidates[np.argmin(_distances(y, cb.words[candidates], gain))])
+def nn_decode(cb: Codebook, received: Sequence[np.ndarray], gains: Sequence[float]) -> list[int]:
+    """Per receiver, argmin over codewords c of ||y - gain*c||^2; ties break to the lowest index.
+
+    ``received`` holds the vector of every receiver that decodes ``cb``, in rx
+    order, and ``gains`` their gains on it; together they fix the frame.
+    """
+    ys = np.stack([np.asarray(y, dtype=float) for y in received], axis=1)
+    inner = frame_inner(cb, ys)
+    guesses = []
+    for col, g in enumerate(gains):
+        y = ys[:, col]
+        yy = float(y @ y)
+        dist = (yy + g * g * cb.sq_norm) - (2.0 * g) * inner[:, col]
+        dist[cb.sent] = yy + g * g * float(cb.word @ cb.word) - 2.0 * g * float(cb.word @ y)
+        guesses.append(int(np.argmin(dist)))
+    return guesses
 
 
 def capacity(gain: float, power: float) -> float:

@@ -2,17 +2,15 @@
 
 Per-trial randomness (demand draws, codebooks, noise) is derived from
 (master_seed, trial_index, role) streams, so reports are reproducible and
-independent of worker count and evaluation order. Wall-clock time appears in
-JSON reports only; CSV exports are byte-stable for replay comparison.
+independent of evaluation order. Wall-clock time appears in JSON reports
+only; CSV exports are byte-stable for replay comparison.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -61,7 +59,6 @@ from .tradeoff import (
     upper_bound,
 )
 
-WORKERS_ENV = "WCS_WORKERS"
 EXHAUSTIVE_LIMIT = 10**6
 
 _TAG_LIBRARY = 0x11B
@@ -181,18 +178,6 @@ class ExperimentReport:
         return to_json(self)
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SimError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return 1
-
-
 def _demands_for_trial(spec: ExperimentSpec, trial: int) -> DemandVector:
     k, d = spec.config.k, spec.num_files
     policy = spec.demand_policy
@@ -250,7 +235,7 @@ def _timeshare_point(spec: ExperimentSpec) -> dict | None:
     }
 
 
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentReport:
+def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Aggregate SimResults over trials (or the exhaustive demand enumeration)."""
     spec.validate()
     started = time.perf_counter()
@@ -271,17 +256,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     else:
         all_demands = [_demands_for_trial(spec, t) for t in range(spec.trials)]
 
-    def job(indexed: tuple[int, DemandVector]) -> SimResult:
-        trial, demands = indexed
-        return _run_single(spec, library, demands, trial)
-
-    n_workers = resolve_workers(workers)
-    tasks = list(enumerate(all_demands))
-    if n_workers == 1:
-        results = [job(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(job, tasks))
+    results = [_run_single(spec, library, d, trial) for trial, d in enumerate(all_demands)]
 
     trials = len(results)
     success_counts = {rx: 0 for rx in range(1, k + 1)}
@@ -313,6 +288,14 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
     )
 
 
+def power_from_db(p_db: float) -> float:
+    """10^(p_db / 10), or a SimError where that overflows a float."""
+    try:
+        return 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        raise SimError(f"power of {p_db:g} dB overflows a float") from None
+
+
 @dataclass(frozen=True)
 class SweepRow:
     p_db: float
@@ -328,18 +311,18 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def sweep_snr(spec: ExperimentSpec, p_db_list: Sequence[float], workers: int | None = None) -> SweepResult:
+def sweep_snr(spec: ExperimentSpec, p_db_list: Sequence[float]) -> SweepResult:
     """Rerun the experiment across an increasing SNR grid."""
     if any(b <= a for a, b in zip(p_db_list, p_db_list[1:])):
         raise SimError("SNR grid must be strictly increasing")
     x = 1.0 if spec.config.variant is Variant.FULL else 2.0 / 3.0
     rows = []
     for p_db in p_db_list:
-        power = 10.0 ** (p_db / 10.0)
+        power = power_from_db(p_db)
         if power <= spec.config.epsilon:
             raise SimError(f"power {power} at {p_db} dB does not exceed epsilon")
         sub = dataclasses.replace(spec, config=spec.config.with_power(power))
-        report = run_experiment(sub, workers)
+        report = run_experiment(sub)
         rows.append(
             SweepRow(
                 p_db=p_db,

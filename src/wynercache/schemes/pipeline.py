@@ -23,9 +23,10 @@ Two interchangeable backends drive the same schedules:
 * ``Ideal`` treats every point-to-point hop as an erasure link that succeeds
   iff its attempted rate is strictly below the interference-free capacity.
   At the scheme rates every link succeeds; XOR and cancellation are bit-exact.
-* ``MonteCarlo`` draws fresh shell codebooks per (transmitter, period), runs
-  the actual noisy channel, cancels known interferers from cache, and decodes
-  by nearest neighbor.
+* ``MonteCarlo`` draws a fresh shell codebook per (transmitter, period), runs
+  the actual noisy channel on the sent codewords, cancels known interferers
+  from cache, and decodes each codebook by nearest neighbor at all its
+  receivers at once, with every word not sent projected onto their frame.
 
 Receivers 2..K-1 are the soft-handoff scheme's guarantee; Rx 1 and Rx K only
 collect one or two submessages each and are repaired by the round-robin
@@ -92,12 +93,14 @@ class Ideal:
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Real-codeword simulation over ``n`` channel uses split evenly across periods.
+    """Shell-codebook simulation over ``n`` channel uses split evenly across periods.
 
-    Codebook lifetime: each (trial, period, active transmitter) draws a fresh
-    shell codebook from ``seed``, which the harness derives per trial. Success
-    rates are therefore averages over the random-coding ensemble, as in the
-    paper's achievability argument, not the error rate of one fixed code.
+    Each (trial, period, active transmitter) draws a fresh codebook from
+    ``seed``, which the harness derives per trial. Its sent word is an explicit
+    n-vector; every other word is three numbers, its exact projection onto the
+    frame of the received vectors that decode it (``codec``). Success rates are
+    averages over the random-coding ensemble, as in the paper's achievability
+    argument, not the error rate of one fixed code.
     """
 
     n: int
@@ -199,11 +202,8 @@ def _execute(
     Returns (per-rx decoded part label -> bits, failures, links).
     """
     cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
-    decoded: dict[int, dict[int, Bitstring]] = {
-        rx: {} for rx in range(1, cfg.k + 1)
-    }
-    failures = 0
-    links = 0
+    decoded: dict[int, dict[int, Bitstring]] = {rx: {} for rx in range(1, cfg.k + 1)}
+    failures = links = 0
 
     def sent(action) -> int:
         if isinstance(action, Direct):
@@ -215,23 +215,23 @@ def _execute(
         )
 
     for per in scheme.schedule.periods:
-        codebooks = {}
-        received = None
         if isinstance(backend, MonteCarlo):
+            codebooks = {}
             blocks = []
             for tx in range(1, cfg.k + 1):
                 action = per.tx_actions[tx]
                 if isinstance(action, Silent):
                     blocks.append(np.zeros(n_slot))
                     continue
-                cb = draw_codebook(
+                codebooks[tx] = cb = draw_codebook(
                     n_slot,
                     bits_per_part,
                     cfg.power - cfg.epsilon,
                     derive_seed(backend.seed, _SEED_CODEBOOK, per.index, tx),
+                    sent(action),
+                    cfg.power,
                 )
-                codebooks[tx] = cb
-                blocks.append(cb.words[sent(action)])
+                blocks.append(cb.word)
             for tx, block in enumerate(blocks, start=1):
                 pc = check_power(block, cfg.power)
                 if not pc.ok:
@@ -243,6 +243,22 @@ def _execute(
                 received = transmit_soft(blocks, cfg.gains, noise_seed)
             else:
                 received = transmit_full(blocks, cfg.alpha, noise_seed)
+            # every cancel key is the interferer's sent word (verify_schedule), and
+            # each codebook is decoded jointly by its receivers, in rx order
+            decoders: dict[int, list[tuple[int, np.ndarray, float]]] = {}
+            for rx in range(1, cfg.k + 1):
+                plan = per.rx_plans[rx]
+                if plan is None:
+                    continue
+                y = received[rx - 1]
+                for tx, _, _ in plan.cancel:
+                    y = cancel_known(y, cfg.gain_at(rx), codebooks[tx].word)
+                gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
+                decoders.setdefault(plan.source, []).append((rx, y, gain))
+            guesses: dict[int, int] = {}
+            for tx, group in decoders.items():
+                rxs, ys, gains = zip(*group)
+                guesses.update(zip(rxs, nn_decode(codebooks[tx], ys, gains)))
 
         for rx in range(1, cfg.k + 1):
             plan = per.rx_plans[rx]
@@ -252,13 +268,8 @@ def _execute(
             if isinstance(backend, Ideal):
                 guess = sent(per.tx_actions[plan.source])
             else:
-                y = received[rx - 1]
-                for tx, f, p in plan.cancel:
-                    key = placement.lookup(rx, d(f), p).value
-                    y = cancel_known(y, cfg.gain_at(rx), codebooks[tx].words[key])
-                gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
-                guess = nn_decode(y, codebooks[plan.source], gain)
-                failures += guess != sent(per.tx_actions[plan.source])
+                guess = guesses[rx]
+                failures += guess != codebooks[plan.source].sent
             if plan.strip:
                 guess ^= placement.lookup(rx, d(plan.strip[0]), plan.strip[1]).value
             decoded[rx][plan.target[1]] = Bitstring(bits_per_part, guess)

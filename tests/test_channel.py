@@ -99,9 +99,10 @@ class TestPower:
         from wynercache.codec import draw_codebook
 
         p, eps = 10.0, 0.05
-        cb = draw_codebook(64, 4, p - eps, seed=1)
-        for word in cb.words:
+        for sent in range(16):
+            word = draw_codebook(64, 4, p - eps, seed=sent, sent=sent, cap=p).word
             assert check_power(word, p).ok
+            assert block_power(word) == pytest.approx(p - eps, rel=1e-12)
 
     def test_empty_block_rejected(self):
         with pytest.raises(Exception):

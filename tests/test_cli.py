@@ -167,6 +167,8 @@ class TestSimulate:
         ["simulate", "--model", "soft", "--k", "6", "--epsilon", "1e-16"],
         ["tradeoff", "--model", "soft", "--x-max", "inf"],
         ["tradeoff", "--model", "soft", "--x-max", "nan"],
+        ["simulate", "--model", "soft", "--k", "6", "--snr-db", "4000"],
+        ["sweep", "--model", "soft", "--k", "6", "--snr-db", "20,4000"],
     ],
 )
 def test_bad_input_gets_one_named_line(capsys, argv):

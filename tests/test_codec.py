@@ -1,39 +1,111 @@
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from wynercache.channel import block_power, check_power
 from wynercache.codec import (
-    Codebook,
+    MAX_CODEBOOK_BITS,
     LinkBudget,
     TooManyWords,
     capacity,
     draw_codebook,
+    frame_inner,
     ideal_link,
     nn_decode,
 )
+from wynercache.model import SimError
+
+# --- oracle: the explicit codec ---------------------------------------------
+#
+# Every codeword is an explicit n-vector, and nearest-neighbor decoding screens
+# every word with one mat-vec, then rescores exactly the words within a rigorous
+# rounding bound of the best score. The projected codec in wynercache.codec must
+# make decisions with the same law (TestProjectedMatchesExplicit).
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).smallest_normal
+_SCREEN_MAX = 2.0**1000
+_NORM_BLOCK = 256
+
+
+@dataclass(frozen=True, eq=False)
+class ExplicitCodebook:
+    words: np.ndarray  # shape (num_words, n_uses)
+    power: float
+
+    @property
+    def n_uses(self) -> int:
+        return self.words.shape[1]
+
+    @property
+    def num_words(self) -> int:
+        return self.words.shape[0]
+
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.words, self.words)
+
+
+def draw_explicit(n_uses: int, bits: int, power: float, seed: int) -> ExplicitCodebook:
+    """2^bits Gaussian-direction vectors, each rescaled in place to empirical power ``power``."""
+    rng = np.random.default_rng(seed)
+    words = rng.standard_normal((1 << bits, n_uses))
+    radius = math.sqrt(power * n_uses)
+    for start in range(0, words.shape[0], _NORM_BLOCK):
+        rows = words[start : start + _NORM_BLOCK]
+        rows *= (radius / np.sqrt(np.add.reduce(rows * rows, axis=1)))[:, None]
+    return ExplicitCodebook(words=words, power=power)
+
+
+def _distances(y, words, gain):
+    return np.sum((y[None, :] - gain * words) ** 2, axis=1)
+
+
+def decode_explicit(y: np.ndarray, cb: ExplicitCodebook, gain: float) -> int:
+    """argmin over codewords c of ||y - gain*c||^2; ties break to the lowest index."""
+    y = np.asarray(y, dtype=float)
+    g = float(gain)
+    max_sq_norm = float(cb.sq_norms.max())
+    scale = float(y @ y) + g * g * max_sq_norm
+    if not scale < _SCREEN_MAX:  # also catches NaN and inf
+        return int(np.argmin(_distances(y, cb.words, gain)))
+    scores = (g * g) * cb.sq_norms - (2.0 * g) * (cb.words @ y)
+    # Each n-term sum, dot product and norm is off by at most gamma * (sum of
+    # the magnitudes of its terms), whatever the summation order; both the
+    # screen score and the exact distance of a word are then within
+    # 4 * gamma * (||y||^2 + g^2 ||c||^2) of the true value. The factor 8
+    # absorbs the rounding of the norms used here, and the _TINY term bounds
+    # the absolute error of products that underflow.
+    n = cb.n_uses
+    gamma = (n + 8) * _UNIT_ROUNDOFF / (1.0 - (n + 8) * _UNIT_ROUNDOFF)
+    slack = 8.0 * gamma * scale + (n + 8) * _TINY * (1.0 + abs(g)) ** 2 * (1.0 + max_sq_norm)
+    candidates = np.flatnonzero(scores <= scores.min() + 2.0 * slack)
+    return int(candidates[np.argmin(_distances(y, cb.words[candidates], gain))])
 
 
 class TestDrawCodebook:
     def test_shell_power_exact(self):
-        cb = draw_codebook(96, 8, power=9.95, seed=3)
+        cb = draw_explicit(96, 8, power=9.95, seed=3)
         assert cb.num_words == 256
         powers = np.mean(cb.words**2, axis=1)
         assert np.max(np.abs(powers - 9.95)) <= 1e-12 * 9.95
 
     def test_deterministic(self):
-        a = draw_codebook(96, 8, 9.95, seed=3)
-        b = draw_codebook(96, 8, 9.95, seed=3)
+        a = draw_explicit(96, 8, 9.95, seed=3)
+        b = draw_explicit(96, 8, 9.95, seed=3)
         assert np.array_equal(a.words, b.words)
 
     def test_single_sample_shell(self):
-        cb = draw_codebook(1, 1, power=4.0, seed=11)
+        cb = draw_explicit(1, 1, power=4.0, seed=11)
         assert sorted(np.round(cb.words.ravel(), 12).tolist()) in ([-2.0, 2.0], [-2.0, -2.0], [2.0, 2.0])
         assert all(abs(abs(w[0]) - 2.0) <= 1e-12 for w in cb.words)
 
     def test_too_many_words(self):
         with pytest.raises(TooManyWords):
-            draw_codebook(8, 21, 1.0, seed=0)
+            draw_codebook(8, MAX_CODEBOOK_BITS + 1, 1.0, 0, 0, 1.0)
 
     @pytest.mark.parametrize(
         "n_uses, bits",
@@ -48,33 +120,33 @@ class TestDrawCodebook:
         expected = directions * (
             math.sqrt(power * n_uses) / np.linalg.norm(directions, axis=1, keepdims=True)
         )
-        cb = draw_codebook(n_uses, bits, power, seed)
+        cb = draw_explicit(n_uses, bits, power, seed)
         assert cb.words.tobytes() == expected.tobytes()
 
 
 class TestNnDecode:
     def test_exact_codeword(self):
-        cb = draw_codebook(32, 4, 5.0, seed=2)
+        cb = draw_explicit(32, 4, 5.0, seed=2)
         for i in (0, 7, 15):
-            assert nn_decode(0.7 * cb.words[i], cb, 0.7) == i
+            assert decode_explicit(0.7 * cb.words[i], cb, 0.7) == i
 
     def test_tiny_perturbation(self):
-        cb = draw_codebook(32, 4, 5.0, seed=2)
+        cb = draw_explicit(32, 4, 5.0, seed=2)
         diffs = cb.words[None, :, :] - cb.words[:, None, :]
         dmin = np.min(np.linalg.norm(diffs, axis=2)[np.triu_indices(16, k=1)])
         noise = np.full(32, dmin / (4 * math.sqrt(32)))
-        assert nn_decode(cb.words[9] + noise, cb, 1.0) == 9
+        assert decode_explicit(cb.words[9] + noise, cb, 1.0) == 9
 
     def test_tie_breaks_to_lowest_index(self):
         words = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        cb = Codebook(words=words, power=0.5)
-        assert nn_decode(np.array([1.0, 0.0]), cb, 1.0) == 0
+        cb = ExplicitCodebook(words=words, power=0.5)
+        assert decode_explicit(np.array([1.0, 0.0]), cb, 1.0) == 0
 
     def test_sq_norms_cached_per_codebook(self):
-        cb = draw_codebook(16, 5, 2.0, seed=6)
-        nn_decode(cb.words[3], cb, 1.0)
+        cb = draw_explicit(16, 5, 2.0, seed=6)
+        decode_explicit(cb.words[3], cb, 1.0)
         norms = cb.sq_norms
-        nn_decode(cb.words[4], cb, 1.0)
+        decode_explicit(cb.words[4], cb, 1.0)
         assert cb.sq_norms is norms
         assert np.allclose(norms, np.sum(cb.words**2, axis=1), rtol=1e-14, atol=0)
 
@@ -91,9 +163,9 @@ class TestNnDecode:
                 dup = rng.integers(0, len(words), size=int(rng.integers(1, 6)))
                 words = np.concatenate([words, words[dup]])
                 rng.shuffle(words)
-                cb = Codebook(words=words, power=1.0)
+                cb = ExplicitCodebook(words=words, power=1.0)
             else:
-                cb = draw_codebook(n, int(rng.integers(1, 8)), float(rng.uniform(0.1, 50)), case)
+                cb = draw_explicit(n, int(rng.integers(1, 8)), float(rng.uniform(0.1, 50)), case)
             gain = float(rng.uniform(0.3, 3.0)) * (1 if rng.random() < 0.5 else -1)
             noise = float(rng.uniform(0.1, 30.0))
             sent = int(rng.integers(0, cb.num_words))
@@ -101,7 +173,7 @@ class TestNnDecode:
             if case % 5 != 4:  # every fifth case decodes a noiseless codeword
                 y = y + noise * rng.standard_normal(n)
             brute = np.sum((y[None, :] - gain * cb.words) ** 2, axis=1)
-            assert nn_decode(y, cb, gain) == int(np.argmin(brute)), case
+            assert decode_explicit(y, cb, gain) == int(np.argmin(brute)), case
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("magnitude", [1e-158, 1e160])
@@ -112,28 +184,28 @@ class TestNnDecode:
         for case in range(300):
             spread = 10.0 ** rng.uniform(-8, 0)
             words = (rng.standard_normal(4) + spread * rng.standard_normal((12, 4))) * magnitude
-            cb = Codebook(words=words, power=1.0)
+            cb = ExplicitCodebook(words=words, power=1.0)
             y = 1.5 * words[int(rng.integers(0, 12))]
             if case % 2:
                 y = y + spread * magnitude * rng.standard_normal(4)
             brute = np.sum((y[None, :] - 1.5 * words) ** 2, axis=1)
-            assert nn_decode(y, cb, 1.5) == int(np.argmin(brute)), case
+            assert decode_explicit(y, cb, 1.5) == int(np.argmin(brute)), case
 
     def test_equal_norm_ties_break_to_lowest_index(self):
         # sign flips of one vector all lie at the same distance from the origin
         base = np.array([0.5, -1.25, 2.0, 0.75])
         words = np.array([base * s for s in ([1, 1, 1, 1], [-1, 1, 1, 1], [1, -1, -1, 1])])
-        cb = Codebook(words=words, power=1.0)
-        assert nn_decode(np.zeros(4), cb, 1.3) == 0
-        assert nn_decode(np.array([0.0, 0.0, 0.0, 1.0]), cb, -0.7) == 0
+        cb = ExplicitCodebook(words=words, power=1.0)
+        assert decode_explicit(np.zeros(4), cb, 1.3) == 0
+        assert decode_explicit(np.array([0.0, 0.0, 0.0, 1.0]), cb, -0.7) == 0
 
     def test_gain_scale_consistency(self):
-        cb = draw_codebook(24, 5, 3.0, seed=4)
+        cb = draw_explicit(24, 5, 3.0, seed=4)
         rng = np.random.default_rng(9)
         for _ in range(10):
             y = rng.standard_normal(24) * 2.0
             g = float(rng.uniform(0.1, 3.0))
-            assert nn_decode(y, cb, g) == nn_decode(y / g, cb, 1.0)
+            assert decode_explicit(y, cb, g) == decode_explicit(y / g, cb, 1.0)
 
     def test_error_rate_above_capacity(self):
         # at 1.5x capacity the random-coding error is bounded away from zero
@@ -144,11 +216,11 @@ class TestNnDecode:
         errors = 0
         trials = 200
         for t in range(trials):
-            cb = draw_codebook(n, bits, power, seed=1000 + t)
             rng = np.random.default_rng(5000 + t)
             msg = int(rng.integers(0, 2**bits))
-            y = cb.words[msg] + rng.standard_normal(n)
-            errors += nn_decode(y, cb, 1.0) != msg
+            cb = draw_codebook(n, bits, power, 1000 + t, msg, power)
+            y = cb.word + rng.standard_normal(n)
+            errors += nn_decode(cb, [y], [1.0])[0] != msg
         assert errors / trials >= 0.3
 
     def test_error_count_monotone_in_power(self):
@@ -157,15 +229,121 @@ class TestNnDecode:
         def count_errors(power):
             errs = 0
             for t in range(200):
-                cb = draw_codebook(n, bits, power, seed=2000 + t)
                 rng = np.random.default_rng(7000 + t)
                 msg = int(rng.integers(0, 2**bits))
-                y = cb.words[msg] + rng.standard_normal(n)
-                errs += nn_decode(y, cb, 1.0) != msg
+                cb = draw_codebook(n, bits, power, 2000 + t, msg, power)
+                y = cb.word + rng.standard_normal(n)
+                errs += nn_decode(cb, [y], [1.0])[0] != msg
             return errs
 
         low, high = count_errors(0.12), count_errors(0.48)
         assert high <= low + 2
+
+
+class TestProjectedCodebook:
+    def test_sent_word_on_the_shell(self):
+        cb = draw_codebook(96, 8, 9.95, seed=3, sent=17, cap=10.0)
+        assert (cb.num_words, cb.n_uses, cb.sent) == (256, 96, 17)
+        assert block_power(cb.word) == pytest.approx(9.95, rel=1e-12)
+        assert cb.sq_norm == pytest.approx(96 * 9.95, rel=1e-15)
+        # two frame coordinates of a word on the sphere never leave it
+        assert np.all(np.einsum("ij,ij->i", cb.coords, cb.coords) <= cb.sq_norm * (1 + 1e-12))
+
+    def test_deterministic(self):
+        a = draw_codebook(96, 8, 9.95, 3, 5, 10.0)
+        b = draw_codebook(96, 8, 9.95, 3, 5, 10.0)
+        assert np.array_equal(a.word, b.word) and np.array_equal(a.coords, b.coords)
+
+    def test_back_off_lost_to_rounding_keeps_the_power_cap(self):
+        # P - eps rounds to P at eps = 1e-16, P = 1e4: the sent word still passes
+        power = 1e4
+        assert power - 1e-16 == power
+        for seed in range(40):
+            cb = draw_codebook(200, 4, power - 1e-16, seed, seed % 16, power)
+            assert check_power(cb.word, power).ok
+            assert block_power(cb.word) == pytest.approx(power, rel=1e-14)
+
+    def test_rejects_bad_arguments(self):
+        for args in [(0, 4, 1.0, 0, 0, 1.0), (8, 4, 1.0, 0, 16, 1.0), (8, 4, 2.0, 0, 0, 1.0)]:
+            with pytest.raises(SimError):
+                draw_codebook(*args)
+
+    def test_noiseless_sent_word_decodes(self):
+        for seed in range(20):
+            cb = draw_codebook(32, 6, 5.0, seed, seed, 5.0)
+            assert nn_decode(cb, [0.7 * cb.word, cb.word], [0.7, 1.0]) == [seed, seed]
+
+    def test_frame_covariance_is_power_times_gram(self):
+        # For any fixed y1, y2 the pair (<w, y1>, <w, y2>) of a word w uniform on the
+        # sphere of radius sqrt(n P') has covariance P' Gram(y1, y2). Over 2^16 words
+        # each entry's standard error is at most sqrt(2 / 2^16) P' ||y_i|| ||y_j||,
+        # so 0.03 P' ||y_i|| ||y_j|| is about five standard errors.
+        n, power = 50, 2.5
+        rng = np.random.default_rng(31)
+        y1 = 3.0 * rng.standard_normal(n)
+        y2 = 0.6 * y1 + rng.standard_normal(n)
+        ys = np.stack([y1, y2], axis=1)
+        cb = draw_codebook(n, 16, power, seed=32, sent=0, cap=power)
+        inner = np.delete(frame_inner(cb, ys), cb.sent, axis=0)
+        cov = inner.T @ inner / len(inner)
+        gram = ys.T @ ys
+        norms = np.sqrt(np.diag(gram))
+        assert np.all(np.abs(cov - power * gram) <= 0.03 * power * np.outer(norms, norms))
+        assert np.all(np.abs(inner.mean(axis=0)) <= 0.03 * math.sqrt(power) * norms)
+
+    @pytest.mark.parametrize("gains", [[1.0], [1.0, 0.8]])
+    def test_single_use_runs_and_ties_break_to_lowest_index(self, gains):
+        # at n = 1 every word is +-sqrt(P'), so all words of the sent sign tie
+        power = 4.0
+        for seed in range(12):
+            cb = draw_codebook(1, 4, power, seed, seed, power)
+            assert abs(cb.word[0]) == 2.0 and np.all(np.abs(cb.coords) == 2.0)
+            values = cb.coords[:, 0].copy()
+            values[cb.sent] = cb.word[0]
+            expected = int(np.flatnonzero(values == cb.word[0])[0])
+            ys = [g * cb.word + 0.1 * np.sign(cb.word) for g in gains]
+            assert nn_decode(cb, ys, gains) == [expected] * len(gains)
+
+
+def _z(errors_a: int, errors_b: int, trials: int) -> float:
+    """Two-proportion z statistic for equal sample sizes."""
+    pooled = (errors_a + errors_b) / (2 * trials)
+    if pooled in (0.0, 1.0):
+        return 0.0
+    return (errors_a - errors_b) / trials / math.sqrt(pooled * (1 - pooled) * 2 / trials)
+
+
+class TestProjectedMatchesExplicit:
+    TRIALS = 3000
+
+    @pytest.mark.parametrize(
+        "n, bits, power, gains",
+        [
+            (12, 6, 1.2, (1.0,)),  # rate 0.5 against capacity 0.57
+            (24, 8, 0.8, (1.0,)),  # rate 1/3 against capacity 0.42
+            (24, 8, 1.0, (1.0, 0.8)),  # one codebook decoded at two receivers
+        ],
+    )
+    def test_link_error_rates_agree(self, n, bits, power, gains):
+        m, trials = len(gains), self.TRIALS
+        explicit = np.zeros(m + 1, dtype=int)  # errors per receiver, then at all of them
+        projected = np.zeros(m + 1, dtype=int)
+        for t in range(trials):
+            rng = np.random.default_rng((n, bits, t))
+            sent = int(rng.integers(0, 1 << bits))
+            noise = rng.standard_normal((m, n))
+
+            cb = draw_explicit(n, bits, power, seed=10_000 + t)
+            wrong = [decode_explicit(g * cb.words[sent] + z, cb, g) != sent for g, z in zip(gains, noise)]
+            explicit += [*wrong, all(wrong)]
+
+            pcb = draw_codebook(n, bits, power, 20_000 + t, sent, power)
+            ys = [g * pcb.word + z for g, z in zip(gains, noise)]
+            wrong = [guess != sent for guess in nn_decode(pcb, ys, gains)]
+            projected += [*wrong, all(wrong)]
+        assert explicit[0] > 0.02 * trials  # near capacity, errors are frequent enough to compare
+        for a, b in zip(explicit, projected):
+            assert abs(_z(int(a), int(b), trials)) <= 4, (explicit, projected)
 
 
 class TestCapacity:

@@ -11,13 +11,12 @@ from wynercache.harness import (
     InfeasibleRate,
     emit_plot_script,
     export_csv,
-    resolve_workers,
     run_experiment,
     sweep_snr,
 )
 from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
 from wynercache.model import DemandVector, NetworkConfig, SimError, Variant
-from wynercache.schemes import ConfigMismatch, KTooSmall, PowerViolation, delivery_schedule_soft
+from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft
 from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE
@@ -78,15 +77,6 @@ class TestRunExperiment:
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         export_csv(a, str(pa))
         export_csv(b, str(pb))
-        assert pa.read_bytes() == pb.read_bytes()
-
-    def test_workers_do_not_change_results(self, tmp_path):
-        spec = _soft_spec(backend="mc", n=288, trials=8, config=NetworkConfig.soft_handoff(6, 1.0, 100.0))
-        seq = run_experiment(spec, workers=1)
-        par = run_experiment(spec, workers=4)
-        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_csv(seq, str(pa))
-        export_csv(par, str(pb))
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_explicit_demands(self):
@@ -238,14 +228,10 @@ class TestLateFailuresRejected:
         assert report.link_error_rate == 0.0
         assert report.guaranteed_success == 1.0
 
-    @pytest.mark.xfail(
-        raises=PowerViolation,
-        strict=True,
-        reason="codewords drawn at P - eps round above P, so the MC run fails in trial 0",
-    )
     def test_mc_runs_where_the_back_off_is_lost_to_rounding(self):
         config = NetworkConfig.soft_handoff(6, 1.0, 1e4, 1e-16)
-        run_experiment(_soft_spec(config=config, backend="mc", trials=1))
+        report = run_experiment(_soft_spec(config=config, backend="mc", trials=1))
+        assert report.guaranteed_success == 1.0
 
     def test_negative_prop1_extra_bits(self):
         _rejected_before_any_trial(_soft_spec(prop1_extra_bits=-3), ConfigMismatch)
@@ -330,21 +316,3 @@ class TestExport:
         path = tmp_path / "x.csv"
         export_csv(run_experiment(_soft_spec(trials=1)), str(path))
         assert path.read_text().splitlines()[0].startswith("receiver")
-
-
-class TestWorkers:
-    def test_explicit_wins(self):
-        assert resolve_workers(3) == 3
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("WCS_WORKERS", "5")
-        assert resolve_workers() == 5
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("WCS_WORKERS", raising=False)
-        assert resolve_workers() == 1
-
-    def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv("WCS_WORKERS", "lots")
-        with pytest.raises(SimError):
-            resolve_workers()

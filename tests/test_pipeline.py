@@ -31,7 +31,7 @@ from wynercache.schemes import (
     run_full,
     run_soft,
 )
-from wynercache.codec import Codebook, LinkBudget, capacity, ideal_link
+from wynercache.codec import LinkBudget, capacity, ideal_link
 from wynercache.schemes.schedule import (
     DecodePlan,
     DeliverySchedule,
@@ -199,9 +199,9 @@ class TestMonteCarlo:
         # force an over-power codebook through the pipeline's hard power assert
         real_draw = pipeline.draw_codebook
 
-        def hot_draw(n_uses, bits, power, seed):
-            cb = real_draw(n_uses, bits, power, seed)
-            return Codebook(words=cb.words * 10.0, power=power * 100.0)
+        def hot_draw(*args):
+            cb = real_draw(*args)
+            return dataclasses.replace(cb, word=cb.word * 10.0)
 
         monkeypatch.setattr(pipeline, "draw_codebook", hot_draw)
         cfg = _soft_cfg(power=100.0)
