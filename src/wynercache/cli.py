@@ -76,7 +76,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--round-robin", action="store_true")
     sub.add_argument("--prop1-delta-bits", type=int, default=0)
-    sub.add_argument("--timeshare-lambda", type=float, default=None)
     sub.add_argument("--allow-small-d", action="store_true")
     sub.add_argument("--out", default=None, help="output file path")
 
@@ -181,7 +180,6 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
         explicit_demands=explicit,
         round_robin=args.round_robin,
         prop1_extra_bits=args.prop1_delta_bits,
-        timeshare_lambda=args.timeshare_lambda,
         allow_small_d=args.allow_small_d,
     )
     spec.validate()

@@ -36,15 +36,11 @@ from .schemes import (
     InfeasibleRate,  # re-exported: callers of run_experiment catch it from here
     MonteCarlo,
     SimResult,
-    baseline_point,
     check_ideal_rate,
-    full_point,
     round_robin_soft,
     run_full,
     run_soft,
     run_soft_prop1,
-    soft_point,
-    time_share,
 )
 from .schemes.mds import MAX_K
 from .schemes.parts import DATA_PARTS_SOFT, PARTS_FULL
@@ -89,7 +85,6 @@ class ExperimentSpec:
     explicit_demands: tuple[int, ...] | None = None
     round_robin: bool = False
     prop1_extra_bits: int = 0
-    timeshare_lambda: float | None = None
     allow_small_d: bool = False
 
     def validate(self) -> None:
@@ -100,8 +95,8 @@ class ExperimentSpec:
             raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
-        if self.backend == "ideal" or self.timeshare_lambda is not None:
-            # an Ideal run sends at the scheme rate, and time sharing anchors on it
+        if self.backend == "ideal":
+            # an Ideal run sends at the scheme rate
             check_ideal_rate(cfg)
         if self.trials < 1:
             raise SimError("trials must be at least 1")
@@ -116,8 +111,10 @@ class ExperimentSpec:
             periods = SOFT_PERIODS if soft else 1
             if self.n < periods:
                 raise ConfigMismatch(f"block length {self.n} too short for {periods} period(s)")
-        if self.demand_policy is DemandPolicy.EXPLICIT and self.explicit_demands is None:
-            raise SimError("explicit demand policy needs a demand vector")
+        if self.demand_policy is DemandPolicy.EXPLICIT:
+            if self.explicit_demands is None:
+                raise SimError("explicit demand policy needs a demand vector")
+            DemandVector.checked(self.explicit_demands, cfg.k, self.num_files)
         if self.demand_policy is DemandPolicy.DISTINCT and self.num_files < self.config.k:
             raise SimError("distinct demands need at least K files")
         if self.demand_policy is DemandPolicy.EXHAUSTIVE:
@@ -142,8 +139,6 @@ class ExperimentSpec:
                 f"round robin needs whole-byte MDS parts, got {self.payload_bits() // (cfg.k - 2)} "
                 f"bits each; use a multiple of 8 for bits"
             )
-        if self.timeshare_lambda is not None and not 0 <= self.timeshare_lambda <= 1:
-            raise SimError(f"timeshare lambda {self.timeshare_lambda} outside [0, 1]")
 
     def payload_bits(self) -> int:
         if self.config.variant is Variant.FULL:
@@ -171,7 +166,6 @@ class ExperimentReport:
     rate_per_user: float
     memory_bits_per_receiver: int
     empirical_mg: float
-    timeshare_point: dict | None
     wall_clock_s: float
 
     def to_json(self) -> dict:
@@ -214,25 +208,6 @@ def _run_single(
         return run_soft(spec.config, library, demands, backend)
     except SimError as exc:
         raise type(exc)(f"trial {trial}: {exc}") from exc
-
-
-def _timeshare_point(spec: ExperimentSpec) -> dict | None:
-    lam = spec.timeshare_lambda
-    if lam is None:
-        return None
-    cfg = spec.config
-    scheme = (
-        full_point(cfg, spec.num_files)
-        if cfg.variant is Variant.FULL
-        else soft_point(cfg, spec.num_files)
-    )
-    combined = time_share(scheme, baseline_point(cfg.power), lam)
-    return {
-        "lambda": lam,
-        "rate_per_user": combined.rate,
-        "memory_per_user": combined.memory,
-        "empirical_mg": empirical_mg(combined.rate, cfg.power),
-    }
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -283,7 +258,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         rate_per_user=results[0].rate_per_user,
         memory_bits_per_receiver=results[0].memory_bits_per_receiver,
         empirical_mg=empirical_mg(results[0].rate_per_user, spec.config.power),
-        timeshare_point=_timeshare_point(spec),
         wall_clock_s=time.perf_counter() - started,
     )
 
@@ -300,7 +274,7 @@ def power_from_db(p_db: float) -> float:
 class SweepRow:
     p_db: float
     p_linear: float
-    x: float  # normalized cache size mu/D of the scheme
+    x: float  # mu/D: the run's cache bits per channel use over 0.5*log2(1+P), per file
     rate_per_user: float
     empirical_mg: float
     guaranteed_success: float
@@ -315,7 +289,6 @@ def sweep_snr(spec: ExperimentSpec, p_db_list: Sequence[float]) -> SweepResult:
     """Rerun the experiment across an increasing SNR grid."""
     if any(b <= a for a, b in zip(p_db_list, p_db_list[1:])):
         raise SimError("SNR grid must be strictly increasing")
-    x = 1.0 if spec.config.variant is Variant.FULL else 2.0 / 3.0
     rows = []
     for p_db in p_db_list:
         power = power_from_db(p_db)
@@ -323,11 +296,12 @@ def sweep_snr(spec: ExperimentSpec, p_db_list: Sequence[float]) -> SweepResult:
             raise SimError(f"power {power} at {p_db} dB does not exceed epsilon")
         sub = dataclasses.replace(spec, config=spec.config.with_power(power))
         report = run_experiment(sub)
+        cache_rate = report.memory_bits_per_receiver * report.rate_per_user / sub.payload_bits()
         rows.append(
             SweepRow(
                 p_db=p_db,
                 p_linear=power,
-                x=x,
+                x=empirical_mg(cache_rate, power) / spec.num_files,
                 rate_per_user=report.rate_per_user,
                 empirical_mg=report.empirical_mg,
                 guaranteed_success=report.guaranteed_success,

@@ -1,12 +1,13 @@
 """End-to-end scheme execution in the paper's two phases.
 
-* Placement, once per (config, library): ``_scheme`` splits every file, builds
-  the demand-free ``CachePlacement`` and fixes the number of parts a receiver
-  needs, the guaranteed receivers, the combine rule and the delivery
-  schedule for the demand vector (1, ..., K). In that schedule file j stands
-  for "the file receiver j demands". ``verify_schedule`` checks the schedule
-  against the placement here, once: validity depends on the cached part labels
-  only, never on the demands, and a broken schedule raises ``InvalidSchedule``.
+* Placement, once per (config, library): ``_scheme`` builds the demand-free
+  ``CachePlacement``, which splits every file once, and fixes the number of
+  parts a receiver needs, the guaranteed receivers, the combine rule and the
+  delivery schedule for the demand vector (1, ..., K). In that schedule file j
+  stands for "the file receiver j demands". ``verify_schedule`` checks the
+  schedule against the placement here, once: validity depends on the cached
+  part labels only, never on the demands, and a broken schedule raises
+  ``InvalidSchedule``.
   Round robin places its K rotated schemes over the MDS-coded sub-libraries
   (``_rotations``); prop-1 places the base scheme over the main payloads and
   keeps every file's cached tail (``_prop1``). Each of these records is
@@ -56,7 +57,8 @@ from ..model import (
     validate_config,
 )
 from .mds import mds_decode, mds_encode
-from .parts import DATA_PARTS_SOFT, PARTS_FULL, reconstruct_five, split_full, split_soft
+from .parts import DATA_PARTS_SOFT, PARTS_FULL, reconstruct_five
+from .parts import split_full, split_soft  # unused here; perfbench/tracing.py wraps these names
 from .placement import cache_placement_full, cache_placement_soft
 from .points import check_ideal_rate
 from .schedule import (
@@ -132,7 +134,6 @@ class _Scheme:
 
     cfg: NetworkConfig
     library: MessageLibrary
-    part_bits: dict[int, tuple[Bitstring, ...]]  # file -> its split parts
     placement: CachePlacement
     needed: int  # labelled parts a receiver combines into its file
     guaranteed: tuple[int, ...]
@@ -173,7 +174,6 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
     scheme = _Scheme(
         cfg,
         library,
-        {f: (split_soft if soft else split_full)(p) for f, p in enumerate(library, start=1)},
         (cache_placement_soft if soft else cache_placement_full)(cfg.k, library),
         needed,
         tuple(range(2, cfg.k)) if soft else receivers.entries,
@@ -207,11 +207,11 @@ def _execute(
 
     def sent(action) -> int:
         if isinstance(action, Direct):
-            return scheme.part_bits[d(action.file)][action.part - 1].value
+            return placement.parts[d(action.file)][action.part - 1].value
         assert isinstance(action, XorPair)
         return (
-            scheme.part_bits[d(action.file_a)][action.part_a - 1].value
-            ^ scheme.part_bits[d(action.file_b)][action.part_b - 1].value
+            placement.parts[d(action.file_a)][action.part_a - 1].value
+            ^ placement.parts[d(action.file_b)][action.part_b - 1].value
         )
 
     for per in scheme.schedule.periods:

@@ -1,6 +1,6 @@
-"""Closed-form rate/memory operating points of the schemes, and the two
-combinators (universal extra caching and time sharing) that trace out the
-achievable tradeoff curves.
+"""Closed-form scheme rates, the Ideal rate check, and the paper's two
+combinators on (rate, memory) points: universal extra caching (prop-1) and
+time sharing.
 
 All rates are per user in bits per channel use; memory is normalized the same
 way (cache bits divided by the block length).
@@ -15,10 +15,6 @@ from ..codec import LinkBudget, ideal_link
 from ..model import NetworkConfig, SimError, Variant
 from .parts import DATA_PARTS_SOFT, PARTS_FULL
 from .schedule import SOFT_PERIODS
-
-# Baseline per-user multiplexing gain with no caches, entering time-sharing
-# curves as an analytic anchor only (that scheme is not simulated here).
-NO_CACHE_MG = 2.0 / 3.0
 
 
 def rate_soft(cfg: NetworkConfig) -> float:
@@ -53,16 +49,6 @@ def check_ideal_rate(cfg: NetworkConfig) -> float:
     return rate
 
 
-def memory_rate_soft(cfg: NetworkConfig, num_files: int) -> float:
-    """Normalized cache size of the soft placement: two of five data parts of each file."""
-    return 2.0 * num_files * rate_soft(cfg) / 5.0
-
-
-def memory_rate_full(cfg: NetworkConfig, num_files: int) -> float:
-    """Normalized cache size of the full placement: one of two parts of each file."""
-    return num_files * rate_full(cfg) / 2.0
-
-
 @dataclass(frozen=True)
 class SchemePoint:
     """An achievable (rate, memory) operating point, both per user."""
@@ -74,19 +60,6 @@ class SchemePoint:
     def __post_init__(self) -> None:
         if self.rate < 0 or self.memory < 0:
             raise SimError(f"scheme point must be nonnegative, got ({self.rate}, {self.memory})")
-
-
-def soft_point(cfg: NetworkConfig, num_files: int) -> SchemePoint:
-    return SchemePoint(rate_soft(cfg), memory_rate_soft(cfg, num_files), "soft")
-
-
-def full_point(cfg: NetworkConfig, num_files: int) -> SchemePoint:
-    return SchemePoint(rate_full(cfg), memory_rate_full(cfg, num_files), "full")
-
-
-def baseline_point(power: float) -> SchemePoint:
-    """The cache-free anchor: per-user MG 2/3 at zero memory."""
-    return SchemePoint(NO_CACHE_MG * 0.5 * math.log2(1.0 + power), 0.0, "no-cache")
 
 
 def augment_prop1(base: SchemePoint, delta: float, num_files: int) -> SchemePoint:

@@ -58,14 +58,23 @@ CASES: dict[str, ExperimentSpec] = {
         demand_policy=DemandPolicy.EXHAUSTIVE,
         master_seed=21,
     ),
-    "timeshare": _soft(timeshare_lambda=0.5, trials=4, master_seed=22),
 }
+REPORT_SUFFIXES = (".json", ".csv")  # the keys of _report_outputs
 TRADEOFF_MODELS = ("soft", "full")
 SCHEDULE_CASES: dict[str, list[str]] = {
     "schedule-soft-k8": ["--model", "soft", "--k", "8", "--d", "8"],
     "schedule-full-k8": ["--model", "full", "--k", "8", "--d", "8"],
     "schedule-soft-k7-random": ["--model", "soft", "--k", "7", "--d", "7", "--demands", "random"],
 }
+
+
+def _golden_names() -> set[str]:
+    """Every file name ``_write_golden`` writes."""
+    return (
+        {f"{name}{suffix}" for name in CASES for suffix in REPORT_SUFFIXES}
+        | {f"tradeoff-{model}.csv" for model in TRADEOFF_MODELS}
+        | {f"{name}.json" for name in SCHEDULE_CASES}
+    )
 
 
 def _report_outputs(spec: ExperimentSpec, workdir: Path) -> dict[str, bytes]:
@@ -109,6 +118,10 @@ def test_schedule_replay(name, tmp_path):
     assert got == (GOLDEN / f"{name}.json").read_bytes(), f"{name}.json changed"
 
 
+def test_no_orphan_golden_files():
+    assert {path.name for path in GOLDEN.iterdir()} == _golden_names()
+
+
 def _write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,8 +134,7 @@ def _write_golden() -> None:
         for name, args in SCHEDULE_CASES.items():
             with contextlib.redirect_stdout(io.StringIO()):
                 (GOLDEN / f"{name}.json").write_bytes(_schedule_json(args, workdir))
-    written = len(CASES) * 2 + len(TRADEOFF_MODELS) + len(SCHEDULE_CASES)
-    print(f"wrote {written} files to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(_golden_names())} files to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from wynercache.model import DemandVector, NetworkConfig, SimError, Variant
 from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft
 from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
-from wynercache.tradeoff import curve, ACHIEVABLE
+from wynercache.tradeoff import curve, ACHIEVABLE, upper_bound
 
 
 def _soft_spec(**overrides):
@@ -87,21 +87,6 @@ class TestRunExperiment:
         )
         report = run_experiment(spec)
         assert report.interior_success == 1.0
-
-    def test_timeshare_point_on_line(self):
-        lam = 0.5
-        spec = _soft_spec(timeshare_lambda=lam, trials=1)
-        report = run_experiment(spec)
-        point = report.timeshare_point
-        assert point is not None
-        # MG of the combined point sits between the anchors
-        assert (2 / 3) <= point["empirical_mg"] <= 5 / 3
-        # memory is the lambda fraction of the scheme's
-        from wynercache.schemes import memory_rate_soft
-
-        assert point["memory_per_user"] == pytest.approx(
-            lam * memory_rate_soft(spec.config, 6)
-        )
 
     def test_trial_errors_carry_index(self, monkeypatch):
         def failing_run_soft(*args):
@@ -200,13 +185,6 @@ class TestLateFailuresRejected:
         # the Ideal backend has no block length
         _soft_spec(config=config, n=0).validate()
 
-    def test_timeshare_needs_a_nonnegative_scheme_rate(self):
-        low = NetworkConfig.soft_handoff(6, 1.0, 0.1)
-        _rejected_before_any_trial(
-            _soft_spec(config=low, backend="mc", timeshare_lambda=0.5), InfeasibleRate
-        )
-        _soft_spec(config=low, backend="mc").validate()
-
     @pytest.mark.parametrize(
         "config, extra",
         [
@@ -232,6 +210,14 @@ class TestLateFailuresRejected:
         config = NetworkConfig.soft_handoff(6, 1.0, 1e4, 1e-16)
         report = run_experiment(_soft_spec(config=config, backend="mc", trials=1))
         assert report.guaranteed_success == 1.0
+
+    @pytest.mark.parametrize(
+        "demands, match",
+        [((1, 2, 3), "3 entries, expected K=6"), ((1, 2, 3, 4, 5, 9), "demand 9 outside 1..6")],
+    )
+    def test_explicit_demands_checked(self, demands, match):
+        spec = _soft_spec(demand_policy=DemandPolicy.EXPLICIT, explicit_demands=demands)
+        _rejected_before_any_trial(spec, SimError, match=match)
 
     def test_negative_prop1_extra_bits(self):
         _rejected_before_any_trial(_soft_spec(prop1_extra_bits=-3), ConfigMismatch)
@@ -277,6 +263,24 @@ class TestSweep:
     def test_grid_must_increase(self):
         with pytest.raises(SimError):
             sweep_snr(_soft_spec(), [40, 20])
+
+    @pytest.mark.parametrize(
+        "overrides, x_limit",
+        [
+            (dict(), 2 / 3),
+            (dict(prop1_extra_bits=40), None),
+            (dict(config=NetworkConfig.soft_handoff(7, 1.0, 1e4), round_robin=True), 2 / 3),
+            (dict(config=NetworkConfig.full(6, 0.7, 1e4)), 1.0),
+        ],
+    )
+    def test_x_is_the_runs_own_memory_point(self, overrides, x_limit):
+        spec = _soft_spec(trials=1, **overrides)
+        rows = sweep_snr(spec, [20, 40, 80]).rows
+        for row in rows:
+            if row.guaranteed_success == 1.0:
+                assert row.empirical_mg <= float(upper_bound(spec.config.variant, row.x))
+        if x_limit is not None:
+            assert rows[-1].x == pytest.approx(x_limit, abs=0.01)
 
 
 class TestExport:

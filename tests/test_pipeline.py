@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wynercache.schemes.pipeline as pipeline
+import wynercache.schemes.placement as placement
 import wynercache.schemes.points as points
 from wynercache.harness import ExperimentSpec, run_experiment
 from wynercache.model import (
@@ -270,16 +271,16 @@ class TestPlaceOnce:
     """Placement and the schedule build run once per (config, library), not once per trial."""
 
     @staticmethod
-    def _count(monkeypatch, *names):
+    def _count(monkeypatch, *names, module=pipeline):
         calls = []
         for name in names:
-            real = getattr(pipeline, name)
+            real = getattr(module, name)
 
             def counted(*args, _real=real):
                 calls.append(args)
                 return _real(*args)
 
-            monkeypatch.setattr(pipeline, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize(
@@ -299,6 +300,15 @@ class TestPlaceOnce:
         assert len(placements) == 1
         assert len(schedules) == 1
         assert len(checks) == 1
+
+    def test_each_file_split_once(self, monkeypatch):
+        splits = [
+            self._count(monkeypatch, "split_soft", "split_full", module=module)
+            for module in (pipeline, placement)
+        ]
+        spec = ExperimentSpec(config=_soft_cfg(), trials=5, master_seed=90212)
+        assert run_experiment(spec).trials == 5
+        assert sum(map(len, splits)) == 6  # D=6 files
 
     def test_round_robin_places_each_rotation_once(self, monkeypatch):
         placements = self._count(monkeypatch, *PLACEMENTS)

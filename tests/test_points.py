@@ -7,14 +7,9 @@ from wynercache.model import DemandVector, NetworkConfig, SimError, random_libra
 from wynercache.schemes import (
     SchemePoint,
     augment_prop1,
-    baseline_point,
-    full_point,
-    memory_rate_full,
-    memory_rate_soft,
     rate_full,
     rate_soft,
     run_soft_prop1,
-    soft_point,
     time_share,
 )
 
@@ -38,12 +33,6 @@ class TestRateFormulas:
         strong = NetworkConfig.soft_handoff(6, 3.0, 1e4, 0.05)
         unit = NetworkConfig.soft_handoff(6, 1.0, 1e4, 0.05)
         assert rate_soft(strong) == rate_soft(unit)
-
-    def test_memory_rates(self):
-        cfg = NetworkConfig.soft_handoff(6, 1.0, 1e4, 0.05)
-        assert memory_rate_soft(cfg, 6) == pytest.approx(2 * 6 * rate_soft(cfg) / 5)
-        cfgf = NetworkConfig.full(6, 0.7, 1e4, 0.05)
-        assert memory_rate_full(cfgf, 6) == pytest.approx(6 * rate_full(cfgf) / 2)
 
 
 class TestAugmentProp1:
@@ -121,20 +110,6 @@ class TestTimeShare:
 
 
 class TestPointConstructors:
-    def test_scheme_points(self):
-        cfg = NetworkConfig.soft_handoff(6, 1.0, 1e4)
-        p = soft_point(cfg, 6)
-        assert p.rate == rate_soft(cfg)
-        assert p.memory == memory_rate_soft(cfg, 6)
-        cfgf = NetworkConfig.full(6, 0.7, 1e4)
-        pf = full_point(cfgf, 6)
-        assert pf.memory == memory_rate_full(cfgf, 6)
-
-    def test_baseline(self):
-        p = baseline_point(1e4)
-        assert p.memory == 0.0
-        assert p.rate == pytest.approx((2 / 3) * 0.5 * math.log2(1 + 1e4))
-
     def test_negative_point_rejected(self):
         with pytest.raises(SimError):
             SchemePoint(-1.0, 0.0)
