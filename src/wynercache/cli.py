@@ -72,7 +72,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--demands",
         default="random",
-        help="random | distinct | equal | worst | exhaustive | explicit:3,1,4,...",
+        help="random | distinct | equal | exhaustive | explicit:3,1,4,...",
     )
     sub.add_argument("--round-robin", action="store_true")
     sub.add_argument("--prop1-delta-bits", type=int, default=0)
@@ -158,7 +158,6 @@ def _parse_demands(text: str) -> tuple[DemandPolicy, tuple[int, ...] | None]:
         "random": DemandPolicy.RANDOM,
         "distinct": DemandPolicy.DISTINCT,
         "equal": DemandPolicy.ALL_EQUAL,
-        "worst": DemandPolicy.ALL_EQUAL,  # all-equal demands stress the repeated-file path
         "exhaustive": DemandPolicy.EXHAUSTIVE,
     }
     if text not in aliases:

@@ -24,10 +24,10 @@ Two interchangeable backends drive the same schedules:
 * ``Ideal`` treats every point-to-point hop as an erasure link that succeeds
   iff its attempted rate is strictly below the interference-free capacity.
   At the scheme rates every link succeeds; XOR and cancellation are bit-exact.
-* ``MonteCarlo`` draws a fresh shell codebook per (transmitter, period), runs
-  the actual noisy channel on the sent codewords, cancels known interferers
-  from cache, and decodes each codebook by nearest neighbor at all its
-  receivers at once, with every word not sent projected onto their frame.
+* ``MonteCarlo`` draws per period a fresh shell codebook for every transmitter
+  and the noise of every receiver, each from one generator, runs the noisy
+  channel, cancels known interferers from cache, and decodes each codebook by
+  nearest neighbor at all its receivers at once, one batch per receiver count.
 
 Receivers 2..K-1 are the soft-handoff scheme's guarantee; Rx 1 and Rx K only
 collect one or two submessages each and are repaired by the round-robin
@@ -97,8 +97,8 @@ class Ideal:
 class MonteCarlo:
     """Shell-codebook simulation over ``n`` channel uses split evenly across periods.
 
-    Each (trial, period, active transmitter) draws a fresh codebook from
-    ``seed``, which the harness derives per trial. Its sent word is an explicit
+    Each (trial, period) draws a fresh codebook per transmitter, and the noise,
+    from ``seed``, which the harness derives per trial. A sent word is an explicit
     n-vector; every other word is three numbers, its exact projection onto the
     frame of the received vectors that decode it (``codec``). Success rates are
     averages over the random-coding ensemble, as in the paper's achievability
@@ -216,60 +216,46 @@ def _execute(
 
     for per in scheme.schedule.periods:
         if isinstance(backend, MonteCarlo):
-            codebooks = {}
-            blocks = []
-            for tx in range(1, cfg.k + 1):
-                action = per.tx_actions[tx]
-                if isinstance(action, Silent):
-                    blocks.append(np.zeros(n_slot))
-                    continue
-                codebooks[tx] = cb = draw_codebook(
-                    n_slot,
-                    bits_per_part,
-                    cfg.power - cfg.epsilon,
-                    derive_seed(backend.seed, _SEED_CODEBOOK, per.index, tx),
-                    sent(action),
-                    cfg.power,
-                )
-                blocks.append(cb.word)
-            for tx, block in enumerate(blocks, start=1):
-                pc = check_power(block, cfg.power)
-                if not pc.ok:
-                    raise PowerViolation(
-                        f"Tx {tx} block power {pc.measured:.6g} exceeds P={cfg.power}"
-                    )
+            plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
+            gain = np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
+            cb = draw_codebook(  # row tx - 1 is Tx tx's codebook; a silent Tx sends zeros
+                n_slot,
+                bits_per_part,
+                cfg.power - cfg.epsilon,
+                derive_seed(backend.seed, _SEED_CODEBOOK, per.index),
+                [-1 if isinstance(a, Silent) else sent(a) for a in per.tx_actions.values()],
+                cfg.power,
+            )
+            if not (pc := check_power(cb.word, cfg.power)).ok.all():
+                i = int(np.argmin(pc.ok))
+                raise PowerViolation(f"Tx {i + 1} block power {pc.measured[i]:.6g} exceeds P={cfg.power}")
             noise_seed = derive_seed(backend.seed, _SEED_NOISE, per.index)
             if cfg.variant is Variant.SOFT_HANDOFF:
-                received = transmit_soft(blocks, cfg.gains, noise_seed)
+                y = transmit_soft(cb.word, cfg.gains, noise_seed)
             else:
-                received = transmit_full(blocks, cfg.alpha, noise_seed)
-            # every cancel key is the interferer's sent word (verify_schedule), and
-            # each codebook is decoded jointly by its receivers, in rx order
-            decoders: dict[int, list[tuple[int, np.ndarray, float]]] = {}
-            for rx in range(1, cfg.k + 1):
-                plan = per.rx_plans[rx]
-                if plan is None:
-                    continue
-                y = received[rx - 1]
-                for tx, _, _ in plan.cancel:
-                    y = cancel_known(y, cfg.gain_at(rx), codebooks[tx].word)
-                gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
-                decoders.setdefault(plan.source, []).append((rx, y, gain))
-            guesses: dict[int, int] = {}
-            for tx, group in decoders.items():
-                rxs, ys, gains = zip(*group)
-                guesses.update(zip(rxs, nn_decode(codebooks[tx], ys, gains)))
+                y = transmit_full(cb.word, cfg.alpha, noise_seed)
+            # cancel keys are sent words (verify_schedule); one nn_decode per receiver count
+            known = np.zeros((cfg.k, cfg.k))
+            decoders: dict[int, list[int]] = {}
+            for rx, plan in plans.items():
+                known[rx - 1, [tx - 1 for tx, _, _ in plan.cancel]] = 1.0
+                decoders.setdefault(plan.source, []).append(rx)
+            y = cancel_known(y, gain[:, None], known @ cb.word)
+            guesses = np.zeros(cfg.k, dtype=np.int64)
+            for size in sorted({len(rxs) for rxs in decoders.values()}):
+                src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
+                at = np.array([decoders[tx + 1] for tx in src]) - 1
+                guesses[at] = nn_decode(cb, src, y[at], np.where(at == src[:, None], 1.0, gain[at]))
 
-        for rx in range(1, cfg.k + 1):
-            plan = per.rx_plans[rx]
+        for rx, plan in per.rx_plans.items():
             if plan is None:
                 continue
             links += 1
             if isinstance(backend, Ideal):
                 guess = sent(per.tx_actions[plan.source])
             else:
-                guess = guesses[rx]
-                failures += guess != codebooks[plan.source].sent
+                guess = int(guesses[rx - 1])
+                failures += guess != int(cb.sent[plan.source - 1])
             if plan.strip:
                 guess ^= placement.lookup(rx, d(plan.strip[0]), plan.strip[1]).value
             decoded[rx][plan.target[1]] = Bitstring(bits_per_part, guess)

@@ -100,7 +100,7 @@ class TestPower:
 
         p, eps = 10.0, 0.05
         for sent in range(16):
-            word = draw_codebook(64, 4, p - eps, seed=sent, sent=sent, cap=p).word
+            word = draw_codebook(64, 4, p - eps, seed=sent, sent=[sent], cap=p).word
             assert check_power(word, p).ok
             assert block_power(word) == pytest.approx(p - eps, rel=1e-12)
 

@@ -112,12 +112,6 @@ class TestSimulate:
         )
         assert code == EXIT_OK
 
-    def test_worst_demand_alias(self, capsys):
-        code = main(["simulate", "--model", "soft", "--k", "6", "--demands", "worst"])
-        assert code == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["spec"]["demand_policy"] == "equal"
-
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(

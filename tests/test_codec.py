@@ -1,10 +1,13 @@
+import dataclasses
 import functools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import wynercache.codec as codec
 from wynercache.channel import block_power, check_power
 from wynercache.codec import (
     MAX_CODEBOOK_BITS,
@@ -12,11 +15,16 @@ from wynercache.codec import (
     TooManyWords,
     capacity,
     draw_codebook,
-    frame_inner,
     ideal_link,
     nn_decode,
 )
 from wynercache.model import SimError
+
+
+def _decode_one(cb, ys, gains) -> list[int]:
+    """nn_decode of the single row of ``cb`` at every receiver of ``ys``."""
+    return nn_decode(cb, [0], [ys], [gains])[0].tolist()
+
 
 # --- oracle: the explicit codec ---------------------------------------------
 #
@@ -218,9 +226,9 @@ class TestNnDecode:
         for t in range(trials):
             rng = np.random.default_rng(5000 + t)
             msg = int(rng.integers(0, 2**bits))
-            cb = draw_codebook(n, bits, power, 1000 + t, msg, power)
-            y = cb.word + rng.standard_normal(n)
-            errors += nn_decode(cb, [y], [1.0])[0] != msg
+            cb = draw_codebook(n, bits, power, 1000 + t, [msg], power)
+            y = cb.word[0] + rng.standard_normal(n)
+            errors += _decode_one(cb, [y], [1.0])[0] != msg
         assert errors / trials >= 0.3
 
     def test_error_count_monotone_in_power(self):
@@ -231,9 +239,9 @@ class TestNnDecode:
             for t in range(200):
                 rng = np.random.default_rng(7000 + t)
                 msg = int(rng.integers(0, 2**bits))
-                cb = draw_codebook(n, bits, power, 2000 + t, msg, power)
-                y = cb.word + rng.standard_normal(n)
-                errs += nn_decode(cb, [y], [1.0])[0] != msg
+                cb = draw_codebook(n, bits, power, 2000 + t, [msg], power)
+                y = cb.word[0] + rng.standard_normal(n)
+                errs += _decode_one(cb, [y], [1.0])[0] != msg
             return errs
 
         low, high = count_errors(0.12), count_errors(0.48)
@@ -242,36 +250,51 @@ class TestNnDecode:
 
 class TestProjectedCodebook:
     def test_sent_word_on_the_shell(self):
-        cb = draw_codebook(96, 8, 9.95, seed=3, sent=17, cap=10.0)
-        assert (cb.num_words, cb.n_uses, cb.sent) == (256, 96, 17)
+        cb = draw_codebook(96, 8, 9.95, seed=3, sent=[17, 4], cap=10.0)
+        assert (cb.num_words, cb.n_uses, cb.sent.tolist()) == (512, 96, [17, 4])
         assert block_power(cb.word) == pytest.approx(9.95, rel=1e-12)
-        assert cb.sq_norm == pytest.approx(96 * 9.95, rel=1e-15)
+        assert cb.radius**2 == pytest.approx(96 * 9.95, rel=1e-15)
         # two frame coordinates of a word on the sphere never leave it
-        assert np.all(np.einsum("ij,ij->i", cb.coords, cb.coords) <= cb.sq_norm * (1 + 1e-12))
+        coords = codec._coords(cb, 2)
+        assert coords.shape == (2, 256, 2)
+        assert np.all(np.einsum("...i,...i->...", coords, coords) <= cb.radius**2 * (1 + 1e-12))
+
+    def test_silent_row_sends_zeros(self):
+        cb = draw_codebook(16, 4, 2.0, 1, [3, -1, 5], 2.0)
+        assert not cb.word[1].any() and cb.num_words == 2 * 16
+        assert block_power(cb.word[[0, 2]]) == pytest.approx(2.0, rel=1e-12)
 
     def test_deterministic(self):
-        a = draw_codebook(96, 8, 9.95, 3, 5, 10.0)
-        b = draw_codebook(96, 8, 9.95, 3, 5, 10.0)
-        assert np.array_equal(a.word, b.word) and np.array_equal(a.coords, b.coords)
+        a = draw_codebook(96, 8, 9.95, 3, [5, 9], 10.0)
+        b = draw_codebook(96, 8, 9.95, 3, [5, 9], 10.0)
+        assert np.array_equal(a.word, b.word)
+        assert np.array_equal(codec._coords(a, 2), codec._coords(b, 2))
 
     def test_back_off_lost_to_rounding_keeps_the_power_cap(self):
         # P - eps rounds to P at eps = 1e-16, P = 1e4: the sent word still passes
         power = 1e4
         assert power - 1e-16 == power
         for seed in range(40):
-            cb = draw_codebook(200, 4, power - 1e-16, seed, seed % 16, power)
-            assert check_power(cb.word, power).ok
+            cb = draw_codebook(200, 4, power - 1e-16, seed, [seed % 16, 3], power)
+            assert check_power(cb.word, power).ok.all()
             assert block_power(cb.word) == pytest.approx(power, rel=1e-14)
 
     def test_rejects_bad_arguments(self):
-        for args in [(0, 4, 1.0, 0, 0, 1.0), (8, 4, 1.0, 0, 16, 1.0), (8, 4, 2.0, 0, 0, 1.0)]:
+        for args in [
+            (0, 4, 1.0, 0, [0], 1.0),
+            (8, 4, 1.0, 0, [0, 16], 1.0),
+            (8, 4, 1.0, 0, [-2], 1.0),
+            (8, 4, 2.0, 0, [0], 1.0),
+        ]:
             with pytest.raises(SimError):
                 draw_codebook(*args)
 
     def test_noiseless_sent_word_decodes(self):
         for seed in range(20):
-            cb = draw_codebook(32, 6, 5.0, seed, seed, 5.0)
-            assert nn_decode(cb, [0.7 * cb.word, cb.word], [0.7, 1.0]) == [seed, seed]
+            cb = draw_codebook(32, 6, 5.0, seed, [seed, 63 - seed], 5.0)
+            ys = [[0.7 * word, word] for word in cb.word]
+            guesses = nn_decode(cb, [1, 0], ys[::-1], [[0.7, 1.0]] * 2)
+            assert guesses.tolist() == [[63 - seed] * 2, [seed] * 2]
 
     def test_frame_covariance_is_power_times_gram(self):
         # For any fixed y1, y2 the pair (<w, y1>, <w, y2>) of a word w uniform on the
@@ -283,8 +306,8 @@ class TestProjectedCodebook:
         y1 = 3.0 * rng.standard_normal(n)
         y2 = 0.6 * y1 + rng.standard_normal(n)
         ys = np.stack([y1, y2], axis=1)
-        cb = draw_codebook(n, 16, power, seed=32, sent=0, cap=power)
-        inner = np.delete(frame_inner(cb, ys), cb.sent, axis=0)
+        cb = draw_codebook(n, 16, power, seed=32, sent=[0], cap=power)
+        inner = np.delete(codec._coords(cb, 1)[0] @ np.linalg.qr(ys, mode="r"), 0, axis=0)
         cov = inner.T @ inner / len(inner)
         gram = ys.T @ ys
         norms = np.sqrt(np.diag(gram))
@@ -296,13 +319,71 @@ class TestProjectedCodebook:
         # at n = 1 every word is +-sqrt(P'), so all words of the sent sign tie
         power = 4.0
         for seed in range(12):
-            cb = draw_codebook(1, 4, power, seed, seed, power)
-            assert abs(cb.word[0]) == 2.0 and np.all(np.abs(cb.coords) == 2.0)
-            values = cb.coords[:, 0].copy()
-            values[cb.sent] = cb.word[0]
-            expected = int(np.flatnonzero(values == cb.word[0])[0])
-            ys = [g * cb.word + 0.1 * np.sign(cb.word) for g in gains]
-            assert nn_decode(cb, ys, gains) == [expected] * len(gains)
+            # a second draw from the same seed shows the coordinates nn_decode will draw
+            cb, twin = (draw_codebook(1, 4, power, seed, [seed], power) for _ in range(2))
+            values = codec._coords(twin, 1)[0, :, 0]
+            assert abs(cb.word[0, 0]) == 2.0 and np.all(np.abs(values) == 2.0)
+            values[seed] = cb.word[0, 0]
+            expected = int(np.flatnonzero(values == cb.word[0, 0])[0])
+            ys = [g * cb.word[0] + 0.1 * np.sign(cb.word[0]) for g in gains]
+            assert _decode_one(cb, ys, gains) == [expected] * len(gains)
+
+
+class TestBatchedDecode:
+    def test_batch_decides_as_rows_one_at_a_time(self, monkeypatch):
+        # with the coordinates of the words not sent fixed (drawn in the order of the
+        # rows decoded), decoding six codebooks at two receivers each in one batch
+        # makes every row's decisions that a batch of one makes
+        m, n, bits = 6, 20, 5
+        rng = np.random.default_rng(41)
+        cb = draw_codebook(n, bits, 0.5, 42, rng.integers(0, 1 << bits, size=m), 0.5)
+        order = [4, 0, 5, 2, 1, 3]
+        fixed = {id(cb): codec._coords(cb, m)}
+        rows = [
+            dataclasses.replace(cb, sent=cb.sent[i : i + 1], word=cb.word[i : i + 1]) for i in range(m)
+        ]
+        fixed |= {id(rows[i]): fixed[id(cb)][at : at + 1] for at, i in enumerate(order)}
+        monkeypatch.setattr(codec, "_coords", lambda c, count: fixed[id(c)][:count])
+        ys = [[g * word + 0.9 * rng.standard_normal(n) for g in (1.0, 0.7)] for word in cb.word]
+        gains = [[1.0, 0.7]] * m
+        batch = nn_decode(cb, order, [ys[i] for i in order], gains)
+        for i, guesses in zip(order, batch.tolist()):
+            assert guesses == _decode_one(rows[i], ys[i], gains[i]), i
+        # noisy enough that some decisions are wrong
+        assert sum(b != cb.sent[i] for i, got in zip(order, batch) for b in got) > 0
+
+    def test_decode_memory_stays_within_the_chunk_budget(self, monkeypatch):
+        # a budget of 2^16 words (2 MiB) per chunk and codebooks of 2^14 words: ten
+        # codebooks are drawn and scored four at a time, and the decode holds at most
+        # 32 B per word of a chunk
+        monkeypatch.setattr(codec, "MAX_CODEBOOK_BITS", 16)
+        counts = []
+        real = codec._coords
+        monkeypatch.setattr(codec, "_coords", lambda c, count: counts.append(count) or real(c, count))
+        sent = list(range(10))
+        cb = draw_codebook(8, 14, 2.0, 5, sent, 2.0)
+        ys = [[word, 0.5 * word] for word in cb.word]
+        tracemalloc.start()
+        try:
+            guesses = nn_decode(cb, range(10), ys, [[1.0, 0.5]] * 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [4, 4, 2]
+        assert guesses.tolist() == [[s, s] for s in sent]
+        assert peak <= 1.05 * 32 * 2**16
+
+    def test_rejects_mismatched_shapes(self):
+        cb = draw_codebook(8, 4, 1.0, 0, [1, 2], 1.0)
+        y = cb.word[0]
+        for received, gains in [
+            ([[y]], [[1.0]]),  # one block for two rows
+            ([[y], [y]], [[1.0, 1.0]] * 2),  # gains for two receivers
+            ([[y[:4]], [y[:4]]], [[1.0]] * 2),  # blocks too short
+            ([[y, y, y]] * 2, [[1.0] * 3] * 2),  # three receivers
+        ]:
+            with pytest.raises(SimError):
+                nn_decode(cb, [0, 1], received, gains)
 
 
 def _z(errors_a: int, errors_b: int, trials: int) -> float:
@@ -337,9 +418,9 @@ class TestProjectedMatchesExplicit:
             wrong = [decode_explicit(g * cb.words[sent] + z, cb, g) != sent for g, z in zip(gains, noise)]
             explicit += [*wrong, all(wrong)]
 
-            pcb = draw_codebook(n, bits, power, 20_000 + t, sent, power)
-            ys = [g * pcb.word + z for g, z in zip(gains, noise)]
-            wrong = [guess != sent for guess in nn_decode(pcb, ys, gains)]
+            pcb = draw_codebook(n, bits, power, 20_000 + t, [sent], power)
+            ys = [g * pcb.word[0] + z for g, z in zip(gains, noise)]
+            wrong = [guess != sent for guess in _decode_one(pcb, ys, gains)]
             projected += [*wrong, all(wrong)]
         assert explicit[0] > 0.02 * trials  # near capacity, errors are frequent enough to compare
         for a, b in zip(explicit, projected):

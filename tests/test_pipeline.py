@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,12 +11,17 @@ from hypothesis import assume, given, settings, strategies as st
 import wynercache.schemes.pipeline as pipeline
 import wynercache.schemes.placement as placement
 import wynercache.schemes.points as points
+from test_codec import _z
+from wynercache.channel import cancel_known, transmit_full, transmit_soft
+from wynercache.codec import LinkBudget, capacity, draw_codebook, ideal_link, nn_decode
 from wynercache.harness import ExperimentSpec, run_experiment
 from wynercache.model import (
+    Bitstring,
     DemandVector,
     NetworkConfig,
     OddKForFullModel,
     Variant,
+    derive_seed,
     random_library,
 )
 from wynercache.schemes import (
@@ -31,8 +37,8 @@ from wynercache.schemes import (
     round_robin_soft,
     run_full,
     run_soft,
+    run_soft_prop1,
 )
-from wynercache.codec import LinkBudget, capacity, ideal_link
 from wynercache.schemes.schedule import (
     DecodePlan,
     DeliverySchedule,
@@ -42,6 +48,73 @@ from wynercache.schemes.schedule import (
     delivery_schedule_full,
     delivery_schedule_soft,
 )
+
+
+# --- oracle: per-transmitter Monte-Carlo streams -----------------------------
+#
+# The MC delivery loop one transmitter at a time: every active transmitter draws
+# its codebook from its own generator, seeded by (period, tx), each receiver's
+# noise comes from its own spawned stream, and each codebook is decoded on its
+# own. _execute, which draws each period as one batch, must decide with the same
+# law (TestBatchedMatchesPerTx).
+
+
+def _per_rx_noise(seed, k, n):
+    streams = np.random.SeedSequence(seed).spawn(k)
+    return np.stack([np.random.default_rng(s).standard_normal(n) for s in streams])
+
+
+def _execute_per_tx(scheme, demands, backend, bits_per_part, n_slot):
+    """``pipeline._execute`` on a MonteCarlo backend, one codebook and decode per transmitter."""
+    cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
+    decoded = {rx: {} for rx in range(1, cfg.k + 1)}
+    failures = links = 0
+
+    def sent(action):
+        if isinstance(action, Direct):
+            return placement.parts[d(action.file)][action.part - 1].value
+        return (
+            placement.parts[d(action.file_a)][action.part_a - 1].value
+            ^ placement.parts[d(action.file_b)][action.part_b - 1].value
+        )
+
+    for per in scheme.schedule.periods:
+        codebooks, x = {}, np.zeros((cfg.k, n_slot))
+        for tx, action in per.tx_actions.items():
+            if action.kind != "silent":
+                codebooks[tx] = draw_codebook(
+                    n_slot,
+                    bits_per_part,
+                    cfg.power - cfg.epsilon,
+                    derive_seed(backend.seed, pipeline._SEED_CODEBOOK, per.index, tx),
+                    [sent(action)],
+                    cfg.power,
+                )
+                x[tx - 1] = codebooks[tx].word[0]
+        if cfg.variant is Variant.SOFT_HANDOFF:
+            y = transmit_soft(x, cfg.gains, noiseless=True)
+        else:
+            y = transmit_full(x, cfg.alpha, noiseless=True)
+        noise_seed = derive_seed(backend.seed, pipeline._SEED_NOISE, per.index)
+        y = y + _per_rx_noise(noise_seed, cfg.k, n_slot)
+        decoders = {}
+        for rx, plan in per.rx_plans.items():
+            if plan is not None:
+                y_rx = y[rx - 1]
+                for tx, _, _ in plan.cancel:
+                    y_rx = cancel_known(y_rx, cfg.gain_at(rx), codebooks[tx].word[0])
+                gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
+                decoders.setdefault(plan.source, []).append((rx, y_rx, gain))
+        for tx, group in decoders.items():
+            rxs, ys, gains = zip(*group)
+            for rx, guess in zip(rxs, nn_decode(codebooks[tx], [0], [ys], [gains])[0].tolist()):
+                plan = per.rx_plans[rx]
+                links += 1
+                failures += guess != int(codebooks[tx].sent[0])
+                if plan.strip:
+                    guess ^= placement.lookup(rx, d(plan.strip[0]), plan.strip[1]).value
+                decoded[rx][plan.target[1]] = Bitstring(bits_per_part, guess)
+    return decoded, failures, links
 
 
 def _soft_cfg(k=6, alpha=1.0, power=1e4, eps=0.05):
@@ -211,30 +284,91 @@ class TestMonteCarlo:
             run_soft(cfg, lib, DemandVector((1,) * 6), MonteCarlo(n=288, seed=0))
 
     def test_out_of_subnet_transmitter_is_irrelevant(self):
-        # silencing a transmitter outside a receiver's subnet must not change
-        # that receiver's decoded parts (same codebook and noise streams)
+        # silencing a transmitter outside a receiver's subnet must not change the error
+        # law of that receiver's links. The words not sent are drawn per decode batch,
+        # so silencing shifts the period's codebook stream: the comparison is of error
+        # counts, at a power where links fail
         import copy
         import dataclasses
 
         from wynercache.schemes.pipeline import _execute, _scheme
         from wynercache.schemes.schedule import SILENT
 
-        cfg = _soft_cfg(power=100.0)
+        cfg = _soft_cfg(power=0.3)
         lib = random_library(6, 40, seed=8)
         d = DemandVector((1, 2, 3, 4, 5, 6))
         scheme = _scheme(cfg, lib)
-        backend = MonteCarlo(n=288, seed=3)
-
-        base, _, _ = _execute(scheme, d, backend, 8, 96)
         muted = copy.deepcopy(scheme.schedule)
         # silence the whole second subnet of period 1 (tx 4 and 5 serve rx 4..6)
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
         for rx in (4, 5, 6):
             muted.periods[0].rx_plans[rx] = None
-        alt, _, _ = _execute(dataclasses.replace(scheme, schedule=muted), d, backend, 8, 96)
-        for rx in (1, 2, 3):
-            assert base[rx] == alt[rx]
+        truth, _, _ = _execute(scheme, d, Ideal(), 8, 0)
+        labels = {rx: muted.periods[0].rx_plans[rx].target[1] for rx in (1, 2, 3)}
+        trials, errors = 400, []
+        for schedule in (scheme.schedule, muted):
+            placed = dataclasses.replace(scheme, schedule=schedule)
+            errors.append(0)
+            for t in range(trials):
+                got, _, _ = _execute(placed, d, MonteCarlo(n=288, seed=t), 8, 96)
+                errors[-1] += sum(got[rx][lb] != truth[rx][lb] for rx, lb in labels.items())
+        links = len(labels) * trials
+        assert errors[0] > 0.02 * links
+        assert abs(_z(*errors, links)) <= 4, errors
+
+
+class TestBatchedMatchesPerTx:
+    """One codebook generator and one noise block per period decide with the law of
+    per-transmitter codebook streams and per-receiver noise (``_execute_per_tx``)."""
+
+    def test_oracle_replays_the_per_tx_run(self, monkeypatch):
+        # pins the oracle to the per-transmitter streams: with them, the spec of the
+        # mc-soft-p0.3 golden case decodes as follows
+        real = pipeline._execute
+
+        def per_tx(scheme, demands, backend, *args):
+            run = _execute_per_tx if isinstance(backend, MonteCarlo) else real
+            return run(scheme, demands, backend, *args)
+
+        monkeypatch.setattr(pipeline, "_execute", per_tx)
+        spec = ExperimentSpec(config=_soft_cfg(power=0.3), backend="mc", trials=4, master_seed=15)
+        report = run_experiment(spec)
+        assert report.per_receiver_success == {1: 0.0, 2: 0.75, 3: 0.75, 4: 1.0, 5: 1.0, 6: 0.0}
+        assert report.link_error_rate == 4 / 60
+
+    @pytest.mark.parametrize(
+        "cfg, payload_bits, n, trials",
+        [
+            # every XOR codebook is decoded at two receivers, with gains 1 and 0.9; the
+            # cross gains are large enough that a skipped cancellation fails the test
+            (_soft_cfg(alpha=0.9, power=1.0), 40, 72, 200),
+            (NetworkConfig.full(6, 1.0, 0.3), 16, 96, 500),
+        ],
+    )
+    def test_link_error_rates_agree(self, cfg, payload_bits, n, trials):
+        scheme = pipeline._scheme(cfg, random_library(6, payload_bits, seed=3))
+        n_slot, bits = n // len(scheme.schedule.periods), payload_bits // scheme.needed
+        rng = np.random.default_rng(1)
+        links = Counter()  # per number of receivers decoding the link's codebook
+        errors = {run: Counter() for run in (pipeline._execute, _execute_per_tx)}
+        for t in range(trials):
+            d = DemandVector(tuple(int(x) for x in rng.integers(1, 7, size=6)))
+            truth, _, _ = pipeline._execute(scheme, d, Ideal(), bits, 0)
+            runs = {run: run(scheme, d, MonteCarlo(n, seed=t), bits, n_slot)[0] for run in errors}
+            for per in scheme.schedule.periods:
+                plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
+                receivers = Counter(plan.source for plan in plans.values())
+                for rx, plan in plans.items():
+                    size, label = receivers[plan.source], plan.target[1]
+                    links[size] += 1
+                    for run, got in runs.items():
+                        errors[run][size] += got[rx][label] != truth[rx][label]
+        batched, per_tx = errors.values()
+        assert sorted(links) == ([1, 2] if cfg.variant is Variant.SOFT_HANDOFF else [1])
+        for size, count in links.items():
+            assert per_tx[size] > 0.02 * count, (per_tx, links)
+            assert abs(_z(batched[size], per_tx[size], count)) <= 4, (batched, per_tx, links)
 
 
 class TestInputValidation:
@@ -408,6 +542,39 @@ def _ideal_configs(draw):
         k = draw(st.integers(5, 12))
         return NetworkConfig.soft_handoff(k, draw(st.lists(_GAIN, min_size=k, max_size=k)), power, eps)
     return NetworkConfig.full(2 * draw(st.integers(2, 6)), draw(_GAIN), power, eps)
+
+
+class TestIdealDemandIndependence:
+    """An Ideal run's success map is the same for every demand vector.
+
+    ``verify_schedule`` checks the placed schedule against cached part labels,
+    which no demand changes, and ``check_ideal_rate`` passes every link before
+    delivery, so the demands leave nothing to vary.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_two_demand_vectors_give_the_same_success(self, data):
+        scheme = data.draw(st.sampled_from(["soft", "full", "prop-1", "round robin"]))
+        power = 10.0 ** data.draw(st.floats(1.0, 8.0))
+        if scheme == "full":
+            k = 2 * data.draw(st.integers(2, 6))
+            cfg = NetworkConfig.full(k, data.draw(st.floats(0.1, 2.0)), power)
+        else:
+            k = data.draw(st.integers(5, 9))
+            gains = data.draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k))
+            cfg = NetworkConfig.soft_handoff(k, gains, power)
+        num_files = data.draw(st.integers(2, k + 2))
+        demands = st.lists(st.integers(1, num_files), min_size=k, max_size=k)
+        a, b = (DemandVector(tuple(data.draw(demands))) for _ in range(2))
+        payload_bits, run = {
+            "soft": (40, run_soft),
+            "full": (16, run_full),
+            "prop-1": (50, lambda *args: run_soft_prop1(*args, 10)),
+            "round robin": (40 * (k - 2), round_robin_soft),
+        }[scheme]
+        lib = random_library(num_files, payload_bits, seed=k, allow_small_d=True)
+        assert run(cfg, lib, a).success == run(cfg, lib, b).success
 
 
 class TestIdealRateCheck:
