@@ -21,6 +21,7 @@ _GENERATOR = 2
 
 _EXP = np.zeros(512, dtype=np.uint8)
 _LOG = np.zeros(256, dtype=np.int32)
+_MUL = np.zeros((256, 256), dtype=np.uint8)  # _MUL[a][b] = a * b; _MUL[c][vec] scales a byte vector
 
 
 def _init_tables() -> None:
@@ -32,6 +33,8 @@ def _init_tables() -> None:
         if x & 0x100:
             x ^= _PRIMITIVE_POLY
     _EXP[255:510] = _EXP[:255]
+    for a in range(1, 256):  # row by row: a 255 x 255 temporary of log sums raises peak RSS
+        _MUL[a, 1:] = _EXP[_LOG[a] + _LOG[1:]]
 
 
 _init_tables()
@@ -41,19 +44,9 @@ class TooFewParts(SimError):
     pass
 
 
-def _gf_scale(vec: np.ndarray, c: int) -> np.ndarray:
-    """Multiply every byte of ``vec`` by the constant ``c`` in GF(256)."""
-    if c == 0:
-        return np.zeros_like(vec)
-    out = _EXP[(_LOG[vec] + _LOG[c]) % 255].astype(np.uint8)
-    out[vec == 0] = 0
-    return out
-
-
-def _gf_pow(base: int, exponent: int) -> int:
-    if base == 0:
-        return 0
-    return int(_EXP[(_LOG[base] * exponent) % 255])
+def _gen_pow(exponent: int | np.ndarray) -> np.uint8 | np.ndarray:
+    """g^exponent in GF(256), elementwise."""
+    return _EXP[(_LOG[_GENERATOR] * exponent) % 255]
 
 
 def _gf_inv(c: int) -> int:
@@ -80,9 +73,8 @@ def mds_encode(data_parts: Sequence[Bitstring]) -> list[Bitstring]:
         raise SimError(f"K={k_total} exceeds the GF(256) limit of {MAX_K}")
     rows = _as_byte_rows(data_parts)
     p_parity = np.bitwise_xor.reduce(rows, axis=0)
-    q_parity = np.zeros_like(p_parity)
-    for i, row in enumerate(rows):
-        q_parity ^= _gf_scale(row, _gf_pow(_GENERATOR, i))
+    weights = _gen_pow(np.arange(len(rows)))
+    q_parity = np.bitwise_xor.reduce(_MUL[weights[:, None], rows], axis=0)
     return [*data_parts, Bitstring.from_bytes(p_parity.tobytes()), Bitstring.from_bytes(q_parity.tobytes())]
 
 
@@ -101,42 +93,32 @@ def mds_decode(available: Mapping[int, Bitstring], k_total: int) -> list[Bitstri
     if not missing_data:
         return [available[i] for i in range(1, n_data + 1)]
 
-    present = {i: available[i] for i in sorted(available)}
-    rows = {i: row for i, row in zip(present, _as_byte_rows(list(present.values())))}
-    p_idx, q_idx = k_total - 1, k_total
+    order = sorted(available)
+    labels, rows = np.array(order), _as_byte_rows([available[i] for i in order])
+    data = labels <= n_data
+    # with the known data parts XORed out: P' = XOR of the missing data parts and
+    # Q' = sum of g^(i-1) d_i over the missing i
+    p_acc = np.bitwise_xor.reduce(rows[data | (labels == k_total - 1)], axis=0)
+    weights = np.where(data, _gen_pow(labels - 1), labels == k_total)
+    q_acc = np.bitwise_xor.reduce(_MUL[weights[:, None], rows], axis=0)
 
     if len(missing_data) == 1:
         (a,) = missing_data
-        if p_idx in rows:
-            acc = rows[p_idx].copy()
-            for i in range(1, n_data + 1):
-                if i != a:
-                    acc ^= rows[i]
-            d_a = acc
+        if k_total - 1 in available:
+            d_a = p_acc
         else:
-            acc = rows[q_idx].copy()
-            for i in range(1, n_data + 1):
-                if i != a:
-                    acc ^= _gf_scale(rows[i], _gf_pow(_GENERATOR, i - 1))
-            d_a = _gf_scale(acc, _gf_inv(_gf_pow(_GENERATOR, a - 1)))
+            d_a = _MUL[_gf_inv(int(_gen_pow(a - 1)))][q_acc]
         recovered = {a: d_a}
     else:
         a, b = missing_data
-        # P' = d_a ^ d_b and Q' = g^(a-1) d_a ^ g^(b-1) d_b, then solve the 2x2 system.
-        p_acc = rows[p_idx].copy()
-        q_acc = rows[q_idx].copy()
-        for i in range(1, n_data + 1):
-            if i not in missing_data:
-                p_acc ^= rows[i]
-                q_acc ^= _gf_scale(rows[i], _gf_pow(_GENERATOR, i - 1))
-        g_a = _gf_pow(_GENERATOR, a - 1)
-        g_b = _gf_pow(_GENERATOR, b - 1)
-        denom_inv = _gf_inv(g_a ^ g_b)
-        d_b = _gf_scale(_gf_scale(p_acc, g_a) ^ q_acc, denom_inv)
+        # solve P' = d_a ^ d_b and Q' = g^(a-1) d_a ^ g^(b-1) d_b
+        g_a = int(_gen_pow(a - 1))
+        g_b = int(_gen_pow(b - 1))
+        d_b = _MUL[_gf_inv(g_a ^ g_b)][_MUL[g_a][p_acc] ^ q_acc]
         d_a = p_acc ^ d_b
         recovered = {a: d_a, b: d_b}
 
-    part_bits = next(iter(present.values())).length
+    part_bits = 8 * rows.shape[1]
     out = []
     for i in range(1, n_data + 1):
         if i in available:

@@ -2,22 +2,24 @@
 
 * Placement, once per (config, library): ``_scheme`` builds the demand-free
   ``CachePlacement``, which splits every file once, and fixes the number of
-  parts a receiver needs, the guaranteed receivers, the combine rule and the
-  delivery schedule for the demand vector (1, ..., K). In that schedule file j
-  stands for "the file receiver j demands". ``verify_schedule`` checks the
-  schedule against the placement here, once: validity depends on the cached
-  part labels only, never on the demands, and a broken schedule raises
-  ``InvalidSchedule``.
+  parts a receiver needs, the guaranteed receivers and the delivery schedule
+  for the demand vector (1, ..., K). In that schedule file j stands for "the
+  file receiver j demands". ``verify_schedule`` checks the schedule against the
+  placement here, once: validity depends on the cached part labels only, never
+  on the demands, and a broken schedule raises ``InvalidSchedule``. The
+  ``_Scheme`` record compiles its schedule into a ``_Plan`` of index arrays:
+  the parts each Tx action XORs, the Tx each link decodes and the cached part
+  it strips, and the part labels each receiver combines into each data part.
   Round robin places its K rotated schemes over the MDS-coded sub-libraries
   (``_rotations``); prop-1 places the base scheme over the main payloads and
   keeps every file's cached tail (``_prop1``). Each of these records is
   memoised on its hashable frozen inputs and never mutated, so all trials of
   one experiment share it.
-* Delivery, per demand vector: ``_deliver`` runs the placed schedule on a
-  backend with ``_execute``, which maps every file reference j to the demand
-  of receiver j and keys each receiver's decoded parts by part label, and
-  assembles the ``SimResult`` with ``_result``, which every runner shares.
-  Only MC links fail here: an Ideal delivery starts with ``check_ideal_rate``.
+* Delivery, per demand vector: ``_deliver`` gathers the parts of each
+  receiver's demanded file, maps them through the plan (``_links``), XORs each
+  receiver's selected labels into its data parts and checks the payloads with
+  ``_result``, which every runner shares. Only MC links fail here: an Ideal
+  delivery runs at the rate ``check_ideal_rate`` passed once per placed scheme.
 
 Two interchangeable backends drive the same schedules:
 
@@ -38,8 +40,8 @@ message so that any K-2 of its K coded parts suffice.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -57,8 +59,8 @@ from ..model import (
     validate_config,
 )
 from .mds import mds_decode, mds_encode
-from .parts import DATA_PARTS_SOFT, PARTS_FULL, reconstruct_five
-from .parts import split_full, split_soft  # unused here; perfbench/tracing.py wraps these names
+from .parts import DATA_PARTS_SOFT, PARTS_FULL
+from .parts import reconstruct_five, split_full, split_soft  # names perfbench/tracing.py wraps
 from .placement import cache_placement_full, cache_placement_soft
 from .points import check_ideal_rate
 from .schedule import (
@@ -128,6 +130,41 @@ class SimResult:
         return all(self.success[rx] for rx in self.guaranteed)
 
 
+@dataclass(frozen=True, eq=False)
+class _Period:
+    """One period of a compiled schedule: its slices of the plan and its MC decode layout."""
+
+    index: int  # the schedule's period number, which keys its MC random streams
+    txs: slice  # its K Tx actions, Tx 1..K, in the plan's tx arrays
+    links: slice  # its links in the plan's link arrays
+    known: np.ndarray  # (K, K) 0/1: receiver row cancels the sent word of Tx column
+    batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # nn_decode (rows, rx, gains)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """A placed schedule as index arrays into each delivery's source vector.
+
+    ``values`` holds part p of file f at [f - 1, p - 1] as a Python int, so any
+    L takes one path, and 0 in a trailing column. The source vector is the row
+    of each receiver's demand, flattened in rx order, followed by every link's
+    decoded part: receiver j's part p is at (j - 1) * (parts + 1) + p - 1, and
+    an absent XOR side or strip names the 0 of row 1.
+    """
+
+    values: np.ndarray  # (files, parts + 1), dtype object
+    tx: np.ndarray  # (2, periods * K): source positions of both sides of each Tx action
+    silent: np.ndarray  # (periods * K,)
+    link_rx: np.ndarray  # (links,): 0-based receiver
+    link_tx: np.ndarray  # (links,): its source's index in ``tx``
+    link_strip: np.ndarray  # (links,): source position of the cached part it XORs out
+    periods: tuple[_Period, ...]
+    gain: np.ndarray  # (K, 1): each receiver's cross gain
+    select: np.ndarray  # (K, needed, needed): source positions XORed into each data part
+    served: np.ndarray  # (K,): the receiver holds ``needed`` part labels
+    shifts: np.ndarray  # (needed,): each data part's offset in the payload, dtype object
+
+
 @dataclass(frozen=True)
 class _Scheme:
     """Placement-phase record of one scheme on one (config, library)."""
@@ -138,11 +175,67 @@ class _Scheme:
     needed: int  # labelled parts a receiver combines into its file
     guaranteed: tuple[int, ...]
     schedule: DeliverySchedule  # file j in it is the file receiver j demands
-    combine: Callable[[dict[int, Bitstring]], Bitstring]
+    plan: _Plan = field(init=False, repr=False, compare=False)  # so replace() recompiles it
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", _compile(self))
+
+    @functools.cached_property
+    def ideal_rate(self) -> float:
+        return check_ideal_rate(self.cfg)
 
 
-def _concat(parts: dict[int, Bitstring]) -> Bitstring:
-    return Bitstring.concat_all(parts.values())
+def _compile(scheme: _Scheme) -> _Plan:
+    """Index arrays of ``scheme.schedule``, which depend on the placement alone."""
+    cfg, k, needed, placement = scheme.cfg, scheme.cfg.k, scheme.needed, scheme.placement
+    files = [placement.parts[f] for f in sorted(placement.parts)]
+    cols = len(files[0]) + 1
+    values = np.array([[p.value for p in parts] + [0] for parts in files], dtype=object)
+    gain = np.array([[cfg.gain_at(rx)] for rx in range(1, k + 1)])
+    at = lambda ref, part: (ref - 1) * cols + part - 1  # source position of a part
+    zero = cols - 1
+    # each receiver's part labels -> source position; cached parts first, links override
+    held = {rx: {p: at(rx, p) for p in placement.labels.get(rx, ())} for rx in range(1, k + 1)}
+    sides, silent, links, periods = [], [], [], []
+    for per in scheme.schedule.periods:
+        txs = slice(len(silent), len(silent) + k)
+        for tx in range(1, k + 1):
+            a = per.tx_actions[tx]
+            silent.append(isinstance(a, Silent))
+            if isinstance(a, XorPair):
+                sides.append((at(a.file_a, a.part_a), at(a.file_b, a.part_b)))
+            else:
+                sides.append((at(a.file, a.part) if isinstance(a, Direct) else zero, zero))
+        first = len(links)
+        known = np.zeros((k, k))
+        decoders: dict[int, list[int]] = {}
+        for rx, plan in per.rx_plans.items():
+            if plan is None:
+                continue
+            links.append((rx - 1, txs.start + plan.source - 1, at(*plan.strip) if plan.strip else zero))
+            held[rx][plan.target[1]] = k * cols + len(links) - 1
+            known[rx - 1, [tx - 1 for tx, _, _ in plan.cancel]] = 1.0
+            decoders.setdefault(plan.source, []).append(rx)
+        batches = []  # one nn_decode per receiver count, Tx in order of first decoding receiver
+        for size in sorted({len(rxs) for rxs in decoders.values()}):
+            src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
+            rxs = np.array([decoders[tx + 1] for tx in src]) - 1
+            batches.append((src, rxs, np.where(rxs == src[:, None], 1.0, gain[rxs, 0])))
+        periods.append(_Period(per.index, txs, slice(first, len(links)), known, tuple(batches)))
+    # data part s is its own label, or the XOR of the five labels held (soft parity repair)
+    select = np.full((k, needed, needed), zero)
+    served = np.zeros(k, dtype=bool)
+    for rx in range(1, k + 1):
+        chosen = dict(sorted(held[rx].items())[:needed])
+        served[rx - 1] = len(chosen) == needed
+        for s in range(1, needed + 1) if served[rx - 1] else ():
+            picks = [chosen[s]] if s in chosen else list(chosen.values())
+            select[rx - 1, s - 1, : len(picks)] = picks
+    shifts = np.array([files[0][0].length * (needed - s) for s in range(1, needed + 1)], dtype=object)
+    return _Plan(
+        values, np.array(sides, dtype=np.intp).T, np.array(silent),
+        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), gain, select, served, shifts,
+    )
 
 
 def _checked(cfg: NetworkConfig, variant: Variant) -> NetworkConfig:
@@ -171,59 +264,39 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
         )
     receivers = DemandVector(tuple(range(1, cfg.k + 1)))
     # every builder is looked up by name per call, so tracers see it
-    scheme = _Scheme(
-        cfg,
-        library,
-        (cache_placement_soft if soft else cache_placement_full)(cfg.k, library),
-        needed,
-        tuple(range(2, cfg.k)) if soft else receivers.entries,
-        (delivery_schedule_soft if soft else delivery_schedule_full)(cfg.k, receivers),
-        (lambda parts: reconstruct_five(parts)) if soft else _concat,
-    )
-    violations = verify_schedule(scheme.schedule, scheme.placement, receivers)
+    placement = (cache_placement_soft if soft else cache_placement_full)(cfg.k, library)
+    schedule = (delivery_schedule_soft if soft else delivery_schedule_full)(cfg.k, receivers)
+    violations = verify_schedule(schedule, placement, receivers)
     if violations:
         first = violations[0]
         raise InvalidSchedule(f"{len(violations)} violation(s), first {first.kind}: {first.detail}")
-    return scheme
+    guaranteed = tuple(range(2, cfg.k)) if soft else receivers.entries
+    return _Scheme(cfg, library, placement, needed, guaranteed, schedule)
 
 
-def _execute(
-    scheme: _Scheme,
-    demands: DemandVector,
-    backend: Backend,
-    bits_per_part: int,
-    n_slot: int,
-) -> tuple[dict[int, dict[int, Bitstring]], int, int]:
-    """Run the placed schedule for ``demands`` on ``n_slot`` channel uses per period.
+def _links(
+    scheme: _Scheme, own: np.ndarray, backend: Backend, bits: int, n_slot: int
+) -> tuple[np.ndarray, int]:
+    """Every link's decoded part, given the demanded rows ``own``, and the count of wrong links.
 
     ``_scheme`` verified the schedule at placement and ``_deliver`` the Ideal
-    rate, so only an MC link can fail here. Every plan targets a part of its
-    receiver's own demand, so a part label alone names what it decodes.
-    Returns (per-rx decoded part label -> bits, failures, links).
+    rate, so only an MC link can decode a wrong word.
     """
-    cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
-    decoded: dict[int, dict[int, Bitstring]] = {rx: {} for rx in range(1, cfg.k + 1)}
-    failures = links = 0
-
-    def sent(action) -> int:
-        if isinstance(action, Direct):
-            return placement.parts[d(action.file)][action.part - 1].value
-        assert isinstance(action, XorPair)
-        return (
-            placement.parts[d(action.file_a)][action.part_a - 1].value
-            ^ placement.parts[d(action.file_b)][action.part_b - 1].value
-        )
-
-    for per in scheme.schedule.periods:
-        if isinstance(backend, MonteCarlo):
-            plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
-            gain = np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
-            cb = draw_codebook(  # row tx - 1 is Tx tx's codebook; a silent Tx sends zeros
+    cfg, plan = scheme.cfg, scheme.plan
+    sent = own[plan.tx[0]] ^ own[plan.tx[1]]
+    failures = 0
+    if isinstance(backend, Ideal):
+        guess = sent[plan.link_tx]
+    else:
+        rows = np.where(plan.silent, -1, sent).astype(np.int64)  # a silent Tx sends zeros
+        guess = np.empty(len(plan.link_tx), dtype=object)
+        for per in plan.periods:
+            cb = draw_codebook(  # row tx - 1 is Tx tx's codebook
                 n_slot,
-                bits_per_part,
+                bits,
                 cfg.power - cfg.epsilon,
                 derive_seed(backend.seed, _SEED_CODEBOOK, per.index),
-                [-1 if isinstance(a, Silent) else sent(a) for a in per.tx_actions.values()],
+                rows[per.txs],
                 cfg.power,
             )
             if not (pc := check_power(cb.word, cfg.power)).ok.all():
@@ -234,78 +307,51 @@ def _execute(
                 y = transmit_soft(cb.word, cfg.gains, noise_seed)
             else:
                 y = transmit_full(cb.word, cfg.alpha, noise_seed)
-            # cancel keys are sent words (verify_schedule); one nn_decode per receiver count
-            known = np.zeros((cfg.k, cfg.k))
-            decoders: dict[int, list[int]] = {}
-            for rx, plan in plans.items():
-                known[rx - 1, [tx - 1 for tx, _, _ in plan.cancel]] = 1.0
-                decoders.setdefault(plan.source, []).append(rx)
-            y = cancel_known(y, gain[:, None], known @ cb.word)
+            y = cancel_known(y, plan.gain, per.known @ cb.word)  # cancel keys are sent words
             guesses = np.zeros(cfg.k, dtype=np.int64)
-            for size in sorted({len(rxs) for rxs in decoders.values()}):
-                src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
-                at = np.array([decoders[tx + 1] for tx in src]) - 1
-                guesses[at] = nn_decode(cb, src, y[at], np.where(at == src[:, None], 1.0, gain[at]))
-
-        for rx, plan in per.rx_plans.items():
-            if plan is None:
-                continue
-            links += 1
-            if isinstance(backend, Ideal):
-                guess = sent(per.tx_actions[plan.source])
-            else:
-                guess = int(guesses[rx - 1])
-                failures += guess != int(cb.sent[plan.source - 1])
-            if plan.strip:
-                guess ^= placement.lookup(rx, d(plan.strip[0]), plan.strip[1]).value
-            decoded[rx][plan.target[1]] = Bitstring(bits_per_part, guess)
-    return decoded, failures, links
+            for src, rxs, gains in per.batches:
+                guesses[rxs] = nn_decode(cb, src, y[rxs], gains)
+            got = guesses[plan.link_rx[per.links]]
+            failures += np.count_nonzero(got != rows[plan.link_tx[per.links]])
+            guess[per.links] = got.tolist()
+    return guess ^ own[plan.link_strip], int(failures)
 
 
 def _result(
-    library: MessageLibrary,
-    demands: DemandVector,
-    have: dict[int, dict[int, Bitstring]],
-    needed: int,
-    combine: Callable[[dict[int, Bitstring]], Bitstring],
-    **fields,
+    library: MessageLibrary, demands: DemandVector, decoded: dict[int, Bitstring | None], **fields
 ) -> SimResult:
-    """Combine each receiver's ``needed`` lowest-labelled parts and check its demanded file."""
-    decoded = {
-        rx: combine(dict(sorted(parts.items())[:needed])) if len(parts) >= needed else None
-        for rx, parts in have.items()
-    }
+    """Check each receiver's decoded payload against its demanded file."""
     success = {rx: guess == library.payload(demands.for_rx(rx)) for rx, guess in decoded.items()}
     return SimResult(decoded=decoded, success=success, **fields)
 
 
 def _deliver(scheme: _Scheme, demands: DemandVector, backend: Backend) -> SimResult:
     """Delivery phase: serve one demand vector with a placed scheme."""
-    cfg, library = scheme.cfg, scheme.library
+    cfg, library, plan = scheme.cfg, scheme.library, scheme.plan
     _check_demands(cfg, library, demands)
-    periods = len(scheme.schedule.periods)
-    bits_per_part = library.payload_bits // scheme.needed
+    periods = len(plan.periods)
     if isinstance(backend, Ideal):
-        rate, n_slot = check_ideal_rate(cfg), 0
+        rate, n_slot = scheme.ideal_rate, 0
     else:
         n_slot = backend.n // periods
         if n_slot < 1:
             raise ConfigMismatch(f"block length {backend.n} too short for the period count")
         rate = library.payload_bits / (periods * n_slot)
 
-    decoded, failures, links = _execute(scheme, demands, backend, bits_per_part, n_slot)
-    have = {
-        rx: {**scheme.placement.parts_of(rx, demands.for_rx(rx)), **got}
-        for rx, got in decoded.items()
+    own = plan.values[np.array(demands.entries) - 1].ravel()
+    links, failures = _links(scheme, own, backend, library.payload_bits // scheme.needed, n_slot)
+    data = np.bitwise_xor.reduce(np.concatenate((own, links))[plan.select], axis=-1)
+    payloads = np.bitwise_or.reduce(data << plan.shifts, axis=-1).tolist()
+    decoded = {
+        rx: Bitstring(library.payload_bits, payloads[rx - 1]) if plan.served[rx - 1] else None
+        for rx in range(1, cfg.k + 1)
     }
     return _result(
         library,
         demands,
-        have,
-        scheme.needed,
-        scheme.combine,
+        decoded,
         guaranteed=scheme.guaranteed,
-        links_total=links,
+        links_total=len(links),
         link_failures=failures,
         rate_per_user=rate,
         memory_bits_per_receiver=scheme.placement.bits_per_receiver,
@@ -368,16 +414,14 @@ def run_soft_prop1(
         )
     base, tails = _prop1(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits)
     main = _deliver(base, demands, backend)
-    have = {
-        rx: {} if guess is None else {1: guess, 2: tails[demands.for_rx(rx) - 1]}
+    decoded = {
+        rx: None if guess is None else guess.concat(tails[demands.for_rx(rx) - 1])
         for rx, guess in main.decoded.items()
     }
     return _result(
         library,
         demands,
-        have,
-        2,
-        _concat,
+        decoded,
         guaranteed=main.guaranteed,
         links_total=main.links_total,
         link_failures=main.link_failures,
@@ -460,12 +504,16 @@ def round_robin_soft(
             if role in sub.guaranteed and sub.decoded[role] is not None:
                 collected[rx][ell] = sub.decoded[role]
 
+    decoded = {  # the K-2 lowest super-periods of each receiver
+        rx: Bitstring.concat_all(mds_decode(dict(sorted(coded.items())[: k - 2]), k))
+        if len(coded) >= k - 2
+        else None
+        for rx, coded in collected.items()
+    }
     return _result(
         library,
         demands,
-        collected,
-        k - 2,
-        lambda coded: Bitstring.concat_all(mds_decode(coded, k)),
+        decoded,
         guaranteed=tuple(range(1, k + 1)),
         links_total=links,
         link_failures=failures,

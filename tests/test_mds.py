@@ -4,12 +4,31 @@ import numpy as np
 import pytest
 
 from wynercache.model import Bitstring, LengthMismatch
-from wynercache.schemes import TooFewParts, mds_decode, mds_encode
+from wynercache.schemes import TooFewParts, mds, mds_decode, mds_encode
 
 
 def _random_parts(count, bits, seed):
     rng = np.random.default_rng(seed)
     return [Bitstring.random(bits, rng) for _ in range(count)]
+
+
+def _gf_mul(a, b):
+    """a * b in GF(256) modulo x^8 + x^4 + x^3 + x^2 + 1 (0x11D), by carry-less shift and add."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+    return product
+
+
+def test_product_table_is_the_field_product():
+    want = [[_gf_mul(a, b) for b in range(256)] for a in range(256)]
+    assert mds._MUL.dtype == np.uint8
+    assert mds._MUL.tolist() == want
 
 
 class TestEncode:

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wynercache.model import (
     random_library,
 )
 from wynercache.schemes import (
+    SILENT,
     ConfigMismatch,
     Ideal,
     InfeasibleRate,
@@ -34,6 +36,7 @@ from wynercache.schemes import (
     check_ideal_rate,
     rate_full,
     rate_soft,
+    reconstruct_five,
     round_robin_soft,
     run_full,
     run_soft,
@@ -50,13 +53,128 @@ from wynercache.schemes.schedule import (
 )
 
 
+# --- oracle: the dict walk of the placed schedule ------------------------------
+#
+# Delivery as a walk over the schedule's dicts of Bitstrings: every Tx action's
+# sent word and every link's part are looked up per trial, each receiver's parts
+# are keyed by label, and its needed lowest labels are combined with
+# reconstruct_five (soft) or concatenation (full). The pipeline compiles the
+# same schedule into index arrays once, at placement; it must return the same
+# SimResult (TestCompiledMatchesDictWalk).
+
+
+def _execute_dict(scheme, demands, backend, bits_per_part, n_slot):
+    """Run the placed schedule for ``demands``; per-rx decoded part label -> bits, failures, links."""
+    cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
+    decoded = {rx: {} for rx in range(1, cfg.k + 1)}
+    failures = links = 0
+
+    def sent(action):
+        if isinstance(action, Direct):
+            return placement.parts[d(action.file)][action.part - 1].value
+        return (
+            placement.parts[d(action.file_a)][action.part_a - 1].value
+            ^ placement.parts[d(action.file_b)][action.part_b - 1].value
+        )
+
+    for per in scheme.schedule.periods:
+        if isinstance(backend, MonteCarlo):
+            plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
+            gain = np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
+            cb = draw_codebook(
+                n_slot,
+                bits_per_part,
+                cfg.power - cfg.epsilon,
+                derive_seed(backend.seed, pipeline._SEED_CODEBOOK, per.index),
+                [-1 if a.kind == "silent" else sent(a) for a in per.tx_actions.values()],
+                cfg.power,
+            )
+            noise_seed = derive_seed(backend.seed, pipeline._SEED_NOISE, per.index)
+            if cfg.variant is Variant.SOFT_HANDOFF:
+                y = transmit_soft(cb.word, cfg.gains, noise_seed)
+            else:
+                y = transmit_full(cb.word, cfg.alpha, noise_seed)
+            known = np.zeros((cfg.k, cfg.k))
+            decoders = {}
+            for rx, plan in plans.items():
+                known[rx - 1, [tx - 1 for tx, _, _ in plan.cancel]] = 1.0
+                decoders.setdefault(plan.source, []).append(rx)
+            y = cancel_known(y, gain[:, None], known @ cb.word)
+            guesses = np.zeros(cfg.k, dtype=np.int64)
+            for size in sorted({len(rxs) for rxs in decoders.values()}):
+                src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
+                at = np.array([decoders[tx + 1] for tx in src]) - 1
+                guesses[at] = nn_decode(cb, src, y[at], np.where(at == src[:, None], 1.0, gain[at]))
+
+        for rx, plan in per.rx_plans.items():
+            if plan is None:
+                continue
+            links += 1
+            if isinstance(backend, Ideal):
+                guess = sent(per.tx_actions[plan.source])
+            else:
+                guess = int(guesses[rx - 1])
+                failures += guess != int(cb.sent[plan.source - 1])
+            if plan.strip:
+                guess ^= placement.lookup(rx, d(plan.strip[0]), plan.strip[1]).value
+            decoded[rx][plan.target[1]] = Bitstring(bits_per_part, guess)
+    return decoded, failures, links
+
+
+def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
+    """``pipeline._deliver`` over ``execute``, combining each receiver's labelled parts."""
+    cfg, library = scheme.cfg, scheme.library
+    pipeline._check_demands(cfg, library, demands)
+    periods = len(scheme.schedule.periods)
+    bits_per_part = library.payload_bits // scheme.needed
+    if isinstance(backend, Ideal):
+        rate, n_slot = points.check_ideal_rate(cfg), 0
+    else:
+        n_slot = backend.n // periods
+        rate = library.payload_bits / (periods * n_slot)
+    got, failures, links = execute(scheme, demands, backend, bits_per_part, n_slot)
+    soft = cfg.variant is Variant.SOFT_HANDOFF
+    combine = reconstruct_five if soft else lambda parts: Bitstring.concat_all(parts.values())
+    decoded = {}
+    for rx, parts in got.items():
+        have = {**scheme.placement.parts_of(rx, demands.for_rx(rx)), **parts}
+        chosen = dict(sorted(have.items())[: scheme.needed])
+        decoded[rx] = combine(chosen) if len(chosen) == scheme.needed else None
+    return pipeline._result(
+        library,
+        demands,
+        decoded,
+        guaranteed=scheme.guaranteed,
+        links_total=links,
+        link_failures=failures,
+        rate_per_user=rate,
+        memory_bits_per_receiver=scheme.placement.bits_per_receiver,
+    )
+
+
+def _execute_compiled(scheme, demands, backend, bits_per_part, n_slot):
+    """``pipeline._links`` keyed as the oracles key it: per-rx decoded part label -> bits."""
+    own = scheme.plan.values[np.array(demands.entries) - 1].ravel()
+    values, failures = pipeline._links(scheme, own, backend, bits_per_part, n_slot)
+    targets = [
+        (rx, plan.target[1])
+        for per in scheme.schedule.periods
+        for rx, plan in per.rx_plans.items()
+        if plan is not None
+    ]
+    decoded = {rx: {} for rx in range(1, scheme.cfg.k + 1)}
+    for (rx, label), value in zip(targets, values.tolist(), strict=True):
+        decoded[rx][label] = Bitstring(bits_per_part, value)
+    return decoded, failures, len(targets)
+
+
 # --- oracle: per-transmitter Monte-Carlo streams -----------------------------
 #
 # The MC delivery loop one transmitter at a time: every active transmitter draws
 # its codebook from its own generator, seeded by (period, tx), each receiver's
 # noise comes from its own spawned stream, and each codebook is decoded on its
-# own. _execute, which draws each period as one batch, must decide with the same
-# law (TestBatchedMatchesPerTx).
+# own. The pipeline, which draws each period as one batch, must decide with the
+# same law (TestBatchedMatchesPerTx).
 
 
 def _per_rx_noise(seed, k, n):
@@ -65,7 +183,7 @@ def _per_rx_noise(seed, k, n):
 
 
 def _execute_per_tx(scheme, demands, backend, bits_per_part, n_slot):
-    """``pipeline._execute`` on a MonteCarlo backend, one codebook and decode per transmitter."""
+    """``_execute_dict`` on a MonteCarlo backend, one codebook and decode per transmitter."""
     cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
     decoded = {rx: {} for rx in range(1, cfg.k + 1)}
     failures = links = 0
@@ -291,7 +409,7 @@ class TestMonteCarlo:
         import copy
         import dataclasses
 
-        from wynercache.schemes.pipeline import _execute, _scheme
+        from wynercache.schemes.pipeline import _scheme
         from wynercache.schemes.schedule import SILENT
 
         cfg = _soft_cfg(power=0.3)
@@ -304,14 +422,14 @@ class TestMonteCarlo:
         muted.periods[0].tx_actions[5] = SILENT
         for rx in (4, 5, 6):
             muted.periods[0].rx_plans[rx] = None
-        truth, _, _ = _execute(scheme, d, Ideal(), 8, 0)
+        truth, _, _ = _execute_compiled(scheme, d, Ideal(), 8, 0)
         labels = {rx: muted.periods[0].rx_plans[rx].target[1] for rx in (1, 2, 3)}
         trials, errors = 400, []
         for schedule in (scheme.schedule, muted):
             placed = dataclasses.replace(scheme, schedule=schedule)
             errors.append(0)
             for t in range(trials):
-                got, _, _ = _execute(placed, d, MonteCarlo(n=288, seed=t), 8, 96)
+                got, _, _ = _execute_compiled(placed, d, MonteCarlo(n=288, seed=t), 8, 96)
                 errors[-1] += sum(got[rx][lb] != truth[rx][lb] for rx, lb in labels.items())
         links = len(labels) * trials
         assert errors[0] > 0.02 * links
@@ -325,13 +443,11 @@ class TestBatchedMatchesPerTx:
     def test_oracle_replays_the_per_tx_run(self, monkeypatch):
         # pins the oracle to the per-transmitter streams: with them, the spec of the
         # mc-soft-p0.3 golden case decodes as follows
-        real = pipeline._execute
-
         def per_tx(scheme, demands, backend, *args):
-            run = _execute_per_tx if isinstance(backend, MonteCarlo) else real
+            run = _execute_per_tx if isinstance(backend, MonteCarlo) else _execute_dict
             return run(scheme, demands, backend, *args)
 
-        monkeypatch.setattr(pipeline, "_execute", per_tx)
+        monkeypatch.setattr(pipeline, "_deliver", lambda *args: _deliver_dict(*args, per_tx))
         spec = ExperimentSpec(config=_soft_cfg(power=0.3), backend="mc", trials=4, master_seed=15)
         report = run_experiment(spec)
         assert report.per_receiver_success == {1: 0.0, 2: 0.75, 3: 0.75, 4: 1.0, 5: 1.0, 6: 0.0}
@@ -351,10 +467,10 @@ class TestBatchedMatchesPerTx:
         n_slot, bits = n // len(scheme.schedule.periods), payload_bits // scheme.needed
         rng = np.random.default_rng(1)
         links = Counter()  # per number of receivers decoding the link's codebook
-        errors = {run: Counter() for run in (pipeline._execute, _execute_per_tx)}
+        errors = {run: Counter() for run in (_execute_compiled, _execute_per_tx)}
         for t in range(trials):
             d = DemandVector(tuple(int(x) for x in rng.integers(1, 7, size=6)))
-            truth, _, _ = pipeline._execute(scheme, d, Ideal(), bits, 0)
+            truth, _, _ = _execute_compiled(scheme, d, Ideal(), bits, 0)
             runs = {run: run(scheme, d, MonteCarlo(n, seed=t), bits, n_slot)[0] for run in errors}
             for per in scheme.schedule.periods:
                 plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
@@ -369,6 +485,69 @@ class TestBatchedMatchesPerTx:
         for size, count in links.items():
             assert per_tx[size] > 0.02 * count, (per_tx, links)
             assert abs(_z(batched[size], per_tx[size], count)) <= 4, (batched, per_tx, links)
+
+
+@st.composite
+def _deliveries(draw):
+    """(run, cfg, library, demands, backend): soft, full, prop-1 or round robin, parts up to 70 bits."""
+    scheme = draw(st.sampled_from(["soft", "full", "prop-1", "round robin"]))
+    mc = draw(st.booleans())
+    # MC at powers where links fail and where they do not; Ideal above its rate check
+    power = 10.0 ** draw(st.floats(-0.5, 2.0) if mc else st.floats(1.0, 8.0))
+    if scheme == "full":
+        k = 2 * draw(st.integers(2, 5))
+        cfg = NetworkConfig.full(k, draw(st.floats(0.1, 2.0)), power)
+    else:
+        k = draw(st.integers(5, 8))
+        gains = draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k))
+        cfg = NetworkConfig.soft_handoff(k, gains, power)
+    # bits per part: an MC codebook holds 2^bits words; round robin needs whole bytes
+    bits = draw(st.integers(1, 12 if mc else 70))
+    extra = draw(st.integers(1, 20))
+    payload_bits, run = {
+        "soft": (5 * bits, run_soft),
+        "full": (2 * bits, run_full),
+        "prop-1": (5 * bits + extra, lambda *args: run_soft_prop1(*args[:3], extra, args[3])),
+        "round robin": (5 * 8 * max(1, bits // 8) * (k - 2), round_robin_soft),
+    }[scheme]
+    num_files = draw(st.integers(2, k + 2))
+    lib = random_library(num_files, payload_bits, seed=draw(st.integers(0, 99)), allow_small_d=True)
+    demands = DemandVector(tuple(draw(st.lists(st.integers(1, num_files), min_size=k, max_size=k))))
+    periods = 1 if scheme == "full" else 3
+    backend = MonteCarlo(periods * draw(st.integers(1, 40)), draw(st.integers(0, 2**32))) if mc else Ideal()
+    return run, cfg, lib, demands, backend
+
+
+class TestCompiledMatchesDictWalk:
+    """The schedule compiled into index arrays delivers what the dict walk delivers."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_deliveries())
+    def test_same_sim_result(self, delivery):
+        run, cfg, lib, demands, backend = delivery
+        compiled = run(cfg, lib, demands, backend)
+        with mock.patch.object(pipeline, "_deliver", _deliver_dict):
+            assert run(cfg, lib, demands, backend) == compiled
+
+    def test_replace_recompiles_the_plan(self):
+        # the same muted schedule as test_out_of_subnet_transmitter_is_irrelevant:
+        # without a recompiled plan that test would compare a schedule with itself
+        scheme = pipeline._scheme(_soft_cfg(), random_library(6, 40, seed=8))
+        muted = copy.deepcopy(scheme.schedule)
+        muted.periods[0].tx_actions[4] = SILENT
+        muted.periods[0].tx_actions[5] = SILENT
+        for rx in (4, 5, 6):
+            muted.periods[0].rx_plans[rx] = None
+        placed = dataclasses.replace(scheme, schedule=muted)
+        assert placed.plan.silent[:6].tolist() == [False, False, True, True, True, True]
+        assert scheme.plan.silent[:6].tolist() == [False, False, True, False, False, True]
+        assert len(placed.plan.link_rx) == len(scheme.plan.link_rx) - 3 == 12
+        d = DemandVector((1, 2, 3, 4, 5, 6))
+        full, cut = (pipeline._deliver(s, d, Ideal()) for s in (scheme, placed))
+        assert (full.links_total, cut.links_total) == (15, 12)
+        # rx 4 and 5 lose their period-1 part and with it a fifth label
+        assert [rx for rx in range(2, 6) if cut.success[rx]] == [2, 3]
+        assert all(full.success[rx] for rx in range(2, 6))
 
 
 class TestInputValidation:
@@ -615,14 +794,17 @@ class TestIdealRateCheck:
             run(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6)))
 
     @pytest.mark.parametrize(
-        "kwargs, delivers",
+        "kwargs, placed",
         [
-            (dict(config=_soft_cfg(k=60), num_files=60), 5),
-            (dict(config=NetworkConfig.full(6, 0.5, 1e4)), 5),
-            (dict(config=_soft_cfg(k=7), round_robin=True), 5 * 7),
+            (dict(config=_soft_cfg(k=60), num_files=60), 1),
+            (dict(config=NetworkConfig.full(6, 0.5, 1e4)), 1),
+            (dict(config=_soft_cfg(k=7), round_robin=True), 7),
         ],
     )
-    def test_one_link_check_per_delivery(self, monkeypatch, kwargs, delivers):
+    def test_one_link_check_per_placed_scheme(self, monkeypatch, kwargs, placed):
+        # 5 trials deliver 5 times per placed scheme; the rate is checked once per scheme
+        for cache in (pipeline._scheme, pipeline._rotations):
+            cache.cache_clear()
         checks = []
         real = points.ideal_link
 
@@ -633,4 +815,4 @@ class TestIdealRateCheck:
         monkeypatch.setattr(points, "ideal_link", counted)
         report = run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=7))
         assert report.link_error_rate == 0.0
-        assert len(checks) == delivers + 1  # one per _deliver, one in validate
+        assert len(checks) == placed + 1  # one per placed scheme, one in validate
