@@ -1,27 +1,22 @@
 """End-to-end scheme execution in the paper's two phases.
 
 * Placement, once per (config, library): ``_scheme`` builds the demand-free
-  ``CachePlacement``, which splits every file once, and fixes the number of
-  parts a receiver needs, the guaranteed receivers and the delivery schedule
-  for the demand vector (1, ..., K). In that schedule file j stands for "the
-  file receiver j demands". ``verify_schedule`` checks the schedule against the
-  placement here, once: validity depends on the cached part labels only, never
-  on the demands, and a broken schedule raises ``InvalidSchedule``. The
-  ``_Scheme`` record compiles its schedule into a ``_Plan`` of index arrays:
-  the parts each Tx action XORs, the Tx each link decodes and the cached part
-  it strips, and the part labels each receiver combines into each data part.
-  Round robin places its K rotated schemes over the MDS-coded sub-libraries
-  (``_rotations``); prop-1 places the base scheme over the main payloads and
-  keeps every file's cached tail (``_prop1``). Each of these records is
-  memoised on its hashable frozen inputs and never mutated, so all trials of
-  one experiment share it.
-* Delivery, per demand vector: ``_deliver`` gathers the parts of each
-  receiver's demanded file, maps them through the plan (``_links``), XORs each
-  receiver's selected labels into its data parts and checks the payloads with
-  ``_result``, which every runner shares. Only MC links fail here: an Ideal
-  delivery runs at the rate ``check_ideal_rate`` passed once per placed scheme.
+  ``CachePlacement``, which splits every file once, and the delivery schedule
+  for the demands (1, ..., K), in which file j stands for "the file receiver j
+  demands"; ``verify_schedule`` checks it against the cached labels once, and
+  a broken schedule raises ``InvalidSchedule``. ``_compile`` turns the placed
+  schedule into a ``_Plan`` of index arrays. Two combinators build the
+  other schemes from compiled plans: ``_rotate`` (round robin) lays the K soft
+  rotations over the MDS-coded sub-libraries side by side, each rotation's
+  roles played by physical nodes, and ``_cache_tail`` (prop-1) adds every
+  file's tail as a label cached at every receiver. Each plan is memoised on
+  its hashable frozen inputs and shared by all trials of one experiment.
+* Delivery, per demand vector: ``_deliver`` walks any plan: the links
+  (``_links``), each receiver's XOR of its selected labels, round robin's MDS
+  decode, and ``_result``, which checks the payloads. Only MC links fail here:
+  an Ideal delivery runs at the rate ``check_ideal_rate`` passed once per plan.
 
-Two interchangeable backends drive the same schedules:
+Two interchangeable backends drive the same plans:
 
 * ``Ideal`` treats every point-to-point hop as an erasure link that succeeds
   iff its attempted rate is strictly below the interference-free capacity.
@@ -30,18 +25,13 @@ Two interchangeable backends drive the same schedules:
   and the noise of every receiver, each from one generator, runs the noisy
   channel, cancels known interferers from cache, and decodes each codebook by
   nearest neighbor at all its receivers at once, one batch per receiver count.
-
-Receivers 2..K-1 are the soft-handoff scheme's guarantee; Rx 1 and Rx K only
-collect one or two submessages each and are repaired by the round-robin
-wrapper, which rotates all labels over K super-periods and erasure-codes each
-message so that any K-2 of its K coded parts suffice.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import Callable, Union
 
 import numpy as np
 
@@ -66,6 +56,7 @@ from .points import check_ideal_rate
 from .schedule import (
     DeliverySchedule,
     Direct,
+    PeriodSchedule,
     Silent,
     XorPair,
     delivery_schedule_full,
@@ -132,109 +123,194 @@ class SimResult:
 
 @dataclass(frozen=True, eq=False)
 class _Period:
-    """One period of a compiled schedule: its slices of the plan and its MC decode layout."""
+    """One period of a plan: its links, seed keys, gains and decode plans. Period i owns Tx actions
+    i * K to (i + 1) * K - 1; they, its link receivers, codebook rows and noise rows are in its
+    roles, r at r - 1."""
 
     index: int  # the schedule's period number, which keys its MC random streams
-    txs: slice  # its K Tx actions, Tx 1..K, in the plan's tx arrays
+    keys: tuple[tuple[int, int], ...]  # derive_seed steps from the delivery seed to the period's
     links: slice  # its links in the plan's link arrays
-    known: np.ndarray  # (K, K) 0/1: receiver row cancels the sent word of Tx column
-    batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # nn_decode (rows, rx, gains)
+    gain: np.ndarray  # (K, 1): the cross gain each role's receiver hears
+    schedule: PeriodSchedule  # its decode plans, which the MC layout reads
+
+    def seed(self, seed: int, stream: int) -> int:
+        for key in self.keys:
+            seed = derive_seed(seed, *key)
+        return derive_seed(seed, stream, self.index)
+
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+        """MC decode layout, built on the first MC delivery: the (K, K) 0/1 matrix of the
+        sent words each receiver row cancels, and the nn_decode (rows, rx, gains) batches."""
+        known = np.zeros((len(self.gain),) * 2)
+        decoders: dict[int, list[int]] = {}
+        for rx, plan in self.schedule.rx_plans.items():
+            if plan is not None:
+                known[rx - 1, [tx - 1 for tx, _, _ in plan.cancel]] = 1.0
+                decoders.setdefault(plan.source, []).append(rx)
+        batches = []  # one nn_decode per receiver count, Tx in order of first decoding receiver
+        for size in sorted({len(rxs) for rxs in decoders.values()}):
+            src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
+            rxs = np.array([decoders[tx + 1] for tx in src]) - 1
+            batches.append((src, rxs, np.where(rxs == src[:, None], 1.0, self.gain[rxs, 0])))
+        return known, tuple(batches)
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """A placed schedule as index arrays into each delivery's source vector.
+    """A placed scheme as index arrays into each delivery's source vector; ``_deliver`` walks it.
 
-    ``values`` holds part p of file f at [f - 1, p - 1] as a Python int, so any
-    L takes one path, and 0 in a trailing column. The source vector is the row
-    of each receiver's demand, flattened in rx order, followed by every link's
-    decoded part: receiver j's part p is at (j - 1) * (parts + 1) + p - 1, and
-    an absent XOR side or strip names the 0 of row 1.
+    ``values`` holds label p of file f of ``placement`` at [p - 1, f - 1] as a Python
+    int, so any L takes one path. The source vector is a 0, then each label's column of
+    the receivers' demands, then every link's decoded part in reverse: receiver j's label
+    p is at (p - 1) * K + j, link i at ~i, and an absent XOR side or strip names the 0,
+    so a new label appends without moving a position. The data parts that
+    ``select[rx - 1]`` XORs, shifted by ``shifts`` and ORed, are receiver rx's payload, or
+    with ``coded`` its file's coded parts ``coded[rx - 1]``, one per row.
     """
 
-    values: np.ndarray  # (files, parts + 1), dtype object
+    cfg: NetworkConfig  # the physical network: K, the Ideal rate check and the MC channel
+    library: MessageLibrary  # the files each receiver's payload is checked against
+    placement: CachePlacement  # every label of every file; its bits give the memory
+    guaranteed: tuple[int, ...]
+    base_bits: int  # payload of one base delivery; MC rate base_bits / (base_periods * n_slot)
+    base_periods: int  # periods of one base delivery, each n // base_periods channel uses
+    part_bits: int  # bits per scheduled part, the MC codebook size
     tx: np.ndarray  # (2, periods * K): source positions of both sides of each Tx action
     silent: np.ndarray  # (periods * K,)
-    link_rx: np.ndarray  # (links,): 0-based receiver
+    link_rx: np.ndarray  # (links,): 0-based receiver role in its period
     link_tx: np.ndarray  # (links,): its source's index in ``tx``
     link_strip: np.ndarray  # (links,): source position of the cached part it XORs out
     periods: tuple[_Period, ...]
-    gain: np.ndarray  # (K, 1): each receiver's cross gain
-    select: np.ndarray  # (K, needed, needed): source positions XORed into each data part
-    served: np.ndarray  # (K,): the receiver holds ``needed`` part labels
-    shifts: np.ndarray  # (needed,): each data part's offset in the payload, dtype object
+    select: np.ndarray  # (K, data parts, picks), with ``coded`` (K, K - 2, data parts, picks)
+    served: np.ndarray  # (K,): the receiver holds every label its pieces need
+    shifts: np.ndarray  # (data parts,): each data part's offset in its piece, dtype object
+    scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
+    coded: tuple[tuple[int, ...], ...] | None = None  # round robin: each receiver's MDS part indices
 
-
-@dataclass(frozen=True)
-class _Scheme:
-    """Placement-phase record of one scheme on one (config, library)."""
-
-    cfg: NetworkConfig
-    library: MessageLibrary
-    placement: CachePlacement
-    needed: int  # labelled parts a receiver combines into its file
-    guaranteed: tuple[int, ...]
-    schedule: DeliverySchedule  # file j in it is the file receiver j demands
-    plan: _Plan = field(init=False, repr=False, compare=False)  # so replace() recompiles it
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "plan", _compile(self))
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        parts = self.placement.parts
+        return np.array([[p.value for p in parts[f]] for f in sorted(parts)], dtype=object).T
 
     @functools.cached_property
     def ideal_rate(self) -> float:
         return check_ideal_rate(self.cfg)
 
 
-def _compile(scheme: _Scheme) -> _Plan:
-    """Index arrays of ``scheme.schedule``, which depend on the placement alone."""
-    cfg, k, needed, placement = scheme.cfg, scheme.cfg.k, scheme.needed, scheme.placement
-    files = [placement.parts[f] for f in sorted(placement.parts)]
-    cols = len(files[0]) + 1
-    values = np.array([[p.value for p in parts] + [0] for parts in files], dtype=object)
+def _compile(
+    cfg: NetworkConfig, library: MessageLibrary, placement: CachePlacement, guaranteed: tuple[int, ...],
+    needed: int, schedule: DeliverySchedule,
+) -> _Plan:
+    """A placed schedule as index arrays, which depend on the placement alone: file j in
+    ``schedule`` is the file receiver j demands, and a receiver XORs ``needed`` labels into it."""
+    k = cfg.k
+    at = lambda ref, part: (part - 1) * k + ref  # source position of a part
     gain = np.array([[cfg.gain_at(rx)] for rx in range(1, k + 1)])
-    at = lambda ref, part: (ref - 1) * cols + part - 1  # source position of a part
-    zero = cols - 1
     # each receiver's part labels -> source position; cached parts first, links override
     held = {rx: {p: at(rx, p) for p in placement.labels.get(rx, ())} for rx in range(1, k + 1)}
     sides, silent, links, periods = [], [], [], []
-    for per in scheme.schedule.periods:
-        txs = slice(len(silent), len(silent) + k)
+    for per in schedule.periods:
+        tx0 = len(silent)
         for tx in range(1, k + 1):
             a = per.tx_actions[tx]
             silent.append(isinstance(a, Silent))
             if isinstance(a, XorPair):
                 sides.append((at(a.file_a, a.part_a), at(a.file_b, a.part_b)))
             else:
-                sides.append((at(a.file, a.part) if isinstance(a, Direct) else zero, zero))
-        first = len(links)
-        known = np.zeros((k, k))
-        decoders: dict[int, list[int]] = {}
+                sides.append((at(a.file, a.part) if isinstance(a, Direct) else 0, 0))
+        start = len(links)
         for rx, plan in per.rx_plans.items():
-            if plan is None:
-                continue
-            links.append((rx - 1, txs.start + plan.source - 1, at(*plan.strip) if plan.strip else zero))
-            held[rx][plan.target[1]] = k * cols + len(links) - 1
-            known[rx - 1, [tx - 1 for tx, _, _ in plan.cancel]] = 1.0
-            decoders.setdefault(plan.source, []).append(rx)
-        batches = []  # one nn_decode per receiver count, Tx in order of first decoding receiver
-        for size in sorted({len(rxs) for rxs in decoders.values()}):
-            src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
-            rxs = np.array([decoders[tx + 1] for tx in src]) - 1
-            batches.append((src, rxs, np.where(rxs == src[:, None], 1.0, gain[rxs, 0])))
-        periods.append(_Period(per.index, txs, slice(first, len(links)), known, tuple(batches)))
+            if plan is not None:
+                links.append((rx - 1, tx0 + plan.source - 1, at(*plan.strip) if plan.strip else 0))
+                held[rx][plan.target[1]] = ~(len(links) - 1)
+        periods.append(_Period(per.index, (), slice(start, len(links)), gain, per))
     # data part s is its own label, or the XOR of the five labels held (soft parity repair)
-    select = np.full((k, needed, needed), zero)
-    served = np.zeros(k, dtype=bool)
+    select, served = np.zeros((k, needed, needed), dtype=np.intp), np.zeros(k, dtype=bool)
     for rx in range(1, k + 1):
         chosen = dict(sorted(held[rx].items())[:needed])
         served[rx - 1] = len(chosen) == needed
         for s in range(1, needed + 1) if served[rx - 1] else ():
             picks = [chosen[s]] if s in chosen else list(chosen.values())
             select[rx - 1, s - 1, : len(picks)] = picks
-    shifts = np.array([files[0][0].length * (needed - s) for s in range(1, needed + 1)], dtype=object)
+    bits = next(iter(placement.parts.values()))[0].length
     return _Plan(
-        values, np.array(sides, dtype=np.intp).T, np.array(silent),
-        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), gain, select, served, shifts,
+        cfg, library, placement, guaranteed, library.payload_bits, len(periods),
+        bits, np.array(sides, dtype=np.intp).T, np.array(silent),
+        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served,
+        np.array([bits * (needed - s) for s in range(1, needed + 1)], dtype=object),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
+    """Round robin: the soft plans of the K MDS-coded sub-libraries side by side, rotation l
+    with role r played by node r + l (mod K). Rotation l keeps its own label columns, and its
+    periods hear the gains of the nodes playing each role and key their MC streams by
+    (_SEED_SUPER, l). Receiver rx plays a guaranteed role in K - 2 rotations, fixed here, and
+    ``_deliver`` MDS-decodes their pieces."""
+    k, chunk = cfg.k, library.payload_bits // (cfg.k - 2)
+    if library.payload_bits % (k - 2) != 0 or chunk % 8 != 0 or chunk % DATA_PARTS_SOFT != 0:
+        raise ConfigMismatch(
+            f"round-robin needs the payload divisible into K-2={k - 2} byte-aligned "
+            f"parts each divisible by {DATA_PARTS_SOFT}; got {library.payload_bits} bits"
+        )
+    coded = [mds_encode(list(p.split(k - 2))) for p in library]
+    rotations = [_scheme(cfg, MessageLibrary(tuple(c[ell] for c in coded))) for ell in range(k)]
+    width = rotations[0].values.shape[0]
+    role = lambda rx, ell: (rx - ell - 1) % k + 1  # played by node rx in rotation ell
+    remaps, arrays, periods, txs, links = [], [], [], 0, 0
+    label, slot = np.divmod(np.arange(width * k), k)  # of each rotation's source position 1, 2, ...
+    for ell, rot in enumerate(rotations, 1):
+        rows = (np.arange(k) + ell) % k  # node of each role
+        moved = ((ell - 1) * width + label) * k + rows[slot] + 1  # its labels, in its own columns
+        remaps.append(m := np.concatenate(([0], moved, ~(links + np.arange(len(rot.link_tx)))[::-1])))
+        arrays.append((m[rot.tx], rot.silent, rot.link_rx, rot.link_tx + txs, m[rot.link_strip]))
+        periods += [
+            replace(per, keys=((_SEED_SUPER, ell), *per.keys), gain=per.gain[rows],
+                    links=slice(per.links.start + links, per.links.stop + links)) for per in rot.periods
+        ]
+        txs, links = txs + len(rot.silent), links + len(rot.link_tx)
+    tx, silent, link_rx, link_tx, link_strip = (np.concatenate(a, axis=-1) for a in zip(*arrays))
+    placed = [rot.placement for rot in rotations]
+    placement = CachePlacement(
+        {f: sum((p.parts[f] for p in placed), ()) for f in placed[0].parts},
+        {rx: tuple(width * ell + p for ell in range(k) for p in placed[ell].labels[role(rx, ell + 1)])
+         for rx in range(1, k + 1)},
+    )
+    chosen = [  # (rotation, 0-based role) of each piece of each receiver
+        [(ell, role(rx, ell) - 1) for ell in range(1, k + 1) if role(rx, ell) in rotations[0].guaranteed]
+        for rx in range(1, k + 1)
+    ]
+    return replace(
+        rotations[0], cfg=cfg, library=library, placement=placement, guaranteed=tuple(range(1, k + 1)),
+        scale=lambda rate: rate * (k - 2) / k,
+        tx=tx, silent=silent, link_rx=link_rx, link_tx=link_tx, link_strip=link_strip, periods=tuple(periods),
+        select=np.array([[remaps[ell - 1][rotations[ell - 1].select[r]] for ell, r in c] for c in chosen]),
+        served=np.array([all(rotations[ell - 1].served[r] for ell, r in c) for c in chosen]),
+        coded=tuple(tuple(ell for ell, _ in c) for c in chosen),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _cache_tail(cfg: NetworkConfig, library: MessageLibrary, extra_bits: int) -> _Plan:
+    """Prop-1: the soft plan of the leading bits of each file, plus one more label, the tail,
+    cached at every receiver, never among the needed labels and appended to each payload."""
+    mains = MessageLibrary(tuple(Bitstring(p.length - extra_bits, p.value >> extra_bits) for p in library))
+    plan = _scheme(cfg, mains)
+    k, width = cfg.k, plan.values.shape[0]
+    placement = CachePlacement(
+        {f: parts + (Bitstring(extra_bits, library.payload(f).value & ((1 << extra_bits) - 1)),)
+         for f, parts in plan.placement.parts.items()},
+        {rx: labels + (width + 1,) for rx, labels in plan.placement.labels.items()},
+    )
+    tail = np.zeros((k, 1, plan.select.shape[-1]), dtype=np.intp)
+    tail[:, 0, 0] = width * k + np.arange(1, k + 1)
+    return replace(
+        plan, library=library, placement=placement,
+        scale=lambda rate: rate * (library.payload_bits / mains.payload_bits),
+        select=np.concatenate((plan.select, tail), axis=-2),
+        shifts=np.append(plan.shifts + extra_bits, 0),
     )
 
 
@@ -254,7 +330,7 @@ def _check_demands(cfg: NetworkConfig, library: MessageLibrary, demands: DemandV
 
 
 @functools.lru_cache(maxsize=1)
-def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
+def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     """Placement phase: everything about a run of ``cfg`` that the demands do not change."""
     soft = cfg.variant is Variant.SOFT_HANDOFF
     needed = DATA_PARTS_SOFT if soft else PARTS_FULL
@@ -271,49 +347,39 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Scheme:
         first = violations[0]
         raise InvalidSchedule(f"{len(violations)} violation(s), first {first.kind}: {first.detail}")
     guaranteed = tuple(range(2, cfg.k)) if soft else receivers.entries
-    return _Scheme(cfg, library, placement, needed, guaranteed, schedule)
+    return _compile(cfg, library, placement, guaranteed, needed, schedule)
 
 
-def _links(
-    scheme: _Scheme, own: np.ndarray, backend: Backend, bits: int, n_slot: int
-) -> tuple[np.ndarray, int]:
-    """Every link's decoded part, given the demanded rows ``own``, and the count of wrong links.
-
-    ``_scheme`` verified the schedule at placement and ``_deliver`` the Ideal
-    rate, so only an MC link can decode a wrong word.
-    """
-    cfg, plan = scheme.cfg, scheme.plan
+def _links(plan: _Plan, own: np.ndarray, backend: Backend, n_slot: int) -> tuple[np.ndarray, int]:
+    """Every link's decoded part, given the source vector ``own``, and the count of wrong links.
+    The schedule and the Ideal rate were checked at placement: only an MC link can fail."""
     sent = own[plan.tx[0]] ^ own[plan.tx[1]]
-    failures = 0
     if isinstance(backend, Ideal):
-        guess = sent[plan.link_tx]
-    else:
-        rows = np.where(plan.silent, -1, sent).astype(np.int64)  # a silent Tx sends zeros
-        guess = np.empty(len(plan.link_tx), dtype=object)
-        for per in plan.periods:
-            cb = draw_codebook(  # row tx - 1 is Tx tx's codebook
-                n_slot,
-                bits,
-                cfg.power - cfg.epsilon,
-                derive_seed(backend.seed, _SEED_CODEBOOK, per.index),
-                rows[per.txs],
-                cfg.power,
-            )
-            if not (pc := check_power(cb.word, cfg.power)).ok.all():
-                i = int(np.argmin(pc.ok))
-                raise PowerViolation(f"Tx {i + 1} block power {pc.measured[i]:.6g} exceeds P={cfg.power}")
-            noise_seed = derive_seed(backend.seed, _SEED_NOISE, per.index)
-            if cfg.variant is Variant.SOFT_HANDOFF:
-                y = transmit_soft(cb.word, cfg.gains, noise_seed)
-            else:
-                y = transmit_full(cb.word, cfg.alpha, noise_seed)
-            y = cancel_known(y, plan.gain, per.known @ cb.word)  # cancel keys are sent words
-            guesses = np.zeros(cfg.k, dtype=np.int64)
-            for src, rxs, gains in per.batches:
-                guesses[rxs] = nn_decode(cb, src, y[rxs], gains)
-            got = guesses[plan.link_rx[per.links]]
-            failures += np.count_nonzero(got != rows[plan.link_tx[per.links]])
-            guess[per.links] = got.tolist()
+        return sent[plan.link_tx] ^ own[plan.link_strip], 0
+    cfg, failures = plan.cfg, 0
+    rows = np.where(plan.silent, -1, sent).astype(np.int64)  # a silent Tx sends zeros
+    guess = np.empty(len(plan.link_tx), dtype=object)
+    for per, sends in zip(plan.periods, rows.reshape(-1, cfg.k)):
+        cb = draw_codebook(  # row r - 1 is the codebook of role r's Tx
+            n_slot, plan.part_bits, cfg.power - cfg.epsilon, per.seed(backend.seed, _SEED_CODEBOOK),
+            sends, cfg.power,
+        )
+        if not (pc := check_power(cb.word, cfg.power)).ok.all():
+            i = int(np.argmin(pc.ok))
+            raise PowerViolation(f"Tx {i + 1} block power {pc.measured[i]:.6g} exceeds P={cfg.power}")
+        noise_seed = per.seed(backend.seed, _SEED_NOISE)
+        if cfg.variant is Variant.SOFT_HANDOFF:
+            y = transmit_soft(cb.word, per.gain[:, 0], noise_seed)
+        else:
+            y = transmit_full(cb.word, cfg.alpha, noise_seed)
+        known, batches = per.layout
+        y = cancel_known(y, per.gain, known @ cb.word)  # cancel keys are sent words
+        guesses = np.zeros(cfg.k, dtype=np.int64)
+        for src, rxs, gains in batches:
+            guesses[rxs] = nn_decode(cb, src, y[rxs], gains)
+        got = guesses[plan.link_rx[per.links]]
+        failures += np.count_nonzero(got != rows[plan.link_tx[per.links]])
+        guess[per.links] = got.tolist()
     return guess ^ own[plan.link_strip], int(failures)
 
 
@@ -325,36 +391,35 @@ def _result(
     return SimResult(decoded=decoded, success=success, **fields)
 
 
-def _deliver(scheme: _Scheme, demands: DemandVector, backend: Backend) -> SimResult:
-    """Delivery phase: serve one demand vector with a placed scheme."""
-    cfg, library, plan = scheme.cfg, scheme.library, scheme.plan
+def _deliver(plan: _Plan, demands: DemandVector, backend: Backend) -> SimResult:
+    """Delivery phase: serve one demand vector with a placed plan."""
+    cfg, library = plan.cfg, plan.library
     _check_demands(cfg, library, demands)
-    periods = len(plan.periods)
     if isinstance(backend, Ideal):
-        rate, n_slot = scheme.ideal_rate, 0
+        rate, n_slot = plan.scale(plan.ideal_rate), 0
     else:
-        n_slot = backend.n // periods
+        n_slot = backend.n // plan.base_periods
         if n_slot < 1:
             raise ConfigMismatch(f"block length {backend.n} too short for the period count")
-        rate = library.payload_bits / (periods * n_slot)
-
-    own = plan.values[np.array(demands.entries) - 1].ravel()
-    links, failures = _links(scheme, own, backend, library.payload_bits // scheme.needed, n_slot)
-    data = np.bitwise_xor.reduce(np.concatenate((own, links))[plan.select], axis=-1)
-    payloads = np.bitwise_or.reduce(data << plan.shifts, axis=-1).tolist()
+        rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
+    own = np.concatenate(([0], plan.values[:, np.array(demands.entries) - 1].ravel()))
+    links, failures = _links(plan, own, backend, n_slot)
+    data = np.bitwise_xor.reduce(np.concatenate((own, links[::-1]))[plan.select], axis=-1)
+    pieces = np.bitwise_or.reduce(data << plan.shifts, axis=-1).tolist()
+    served = plan.served.tolist()
+    if plan.coded:  # any K-2 of a file's K coded parts give its K-2 data parts
+        bits = library.payload_bits // (cfg.k - 2)
+        pieces = [
+            Bitstring.concat_all(mds_decode(dict(zip(ells, [Bitstring(bits, v) for v in got])), cfg.k)).value
+            if ok else 0 for ells, got, ok in zip(plan.coded, pieces, served)
+        ]
     decoded = {
-        rx: Bitstring(library.payload_bits, payloads[rx - 1]) if plan.served[rx - 1] else None
-        for rx in range(1, cfg.k + 1)
+        rx: Bitstring(library.payload_bits, v) if ok else None
+        for rx, (v, ok) in enumerate(zip(pieces, served), start=1)
     }
     return _result(
-        library,
-        demands,
-        decoded,
-        guaranteed=scheme.guaranteed,
-        links_total=len(links),
-        link_failures=failures,
-        rate_per_user=rate,
-        memory_bits_per_receiver=scheme.placement.bits_per_receiver,
+        library, demands, decoded, guaranteed=plan.guaranteed, links_total=len(links),
+        link_failures=failures, rate_per_user=rate, memory_bits_per_receiver=plan.placement.bits_per_receiver,
     )
 
 
@@ -378,18 +443,6 @@ def run_full(
     return _deliver(_scheme(_checked(cfg, Variant.FULL), library), demands, backend)
 
 
-@functools.lru_cache(maxsize=1)
-def _prop1(
-    cfg: NetworkConfig, library: MessageLibrary, extra_bits: int
-) -> tuple[_Scheme, tuple[Bitstring, ...]]:
-    """Placement phase of prop-1: the base scheme over the main payloads, and every file's tail."""
-    main_bits = library.payload_bits - extra_bits
-    mains = tuple(Bitstring(main_bits, p.value >> extra_bits) for p in library)
-    mask = (1 << extra_bits) - 1
-    tails = tuple(Bitstring(extra_bits, p.value & mask) for p in library)
-    return _scheme(cfg, MessageLibrary(mains)), tails
-
-
 def run_soft_prop1(
     cfg: NetworkConfig,
     library: MessageLibrary,
@@ -399,9 +452,9 @@ def run_soft_prop1(
 ) -> SimResult:
     """Soft-handoff run with an extra tail of every file cached at every receiver.
 
-    Each payload is treated as (main || extra) with ``extra_bits`` trailing bits;
-    the base scheme delivers the main piece and the extra piece is read from
-    cache, lifting the operating point from (R, M) to (R + dR, M + D*dR).
+    Each payload is (main || extra) with ``extra_bits`` trailing bits. The soft plan
+    of the main pieces gains the tail as one more label per file (``_cache_tail``),
+    lifting the operating point from (R, M) to (R + dR, M + D*dR).
     """
     if extra_bits < 0:
         raise ConfigMismatch(f"negative extra_bits {extra_bits}")
@@ -412,60 +465,7 @@ def run_soft_prop1(
         raise ConfigMismatch(
             f"main payload of {main_bits} bits is not divisible by {DATA_PARTS_SOFT}"
         )
-    base, tails = _prop1(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits)
-    main = _deliver(base, demands, backend)
-    decoded = {
-        rx: None if guess is None else guess.concat(tails[demands.for_rx(rx) - 1])
-        for rx, guess in main.decoded.items()
-    }
-    return _result(
-        library,
-        demands,
-        decoded,
-        guaranteed=main.guaranteed,
-        links_total=main.links_total,
-        link_failures=main.link_failures,
-        rate_per_user=main.rate_per_user * (library.payload_bits / main_bits),
-        memory_bits_per_receiver=main.memory_bits_per_receiver + library.num_files * extra_bits,
-    )
-
-
-def role_of(physical: int, super_period: int, k: int) -> int:
-    """Role index of physical node ``physical`` in super-period ``super_period``."""
-    return (physical - super_period - 1) % k + 1
-
-
-def physical_of(role: int, super_period: int, k: int) -> int:
-    return (role + super_period - 1) % k + 1
-
-
-@functools.lru_cache(maxsize=1)
-def _rotations(cfg: NetworkConfig, library: MessageLibrary) -> tuple[_Scheme, ...]:
-    """Placement phase of round robin: the placed soft scheme of super-periods 1..K.
-
-    Super-period l carries coded part l of every file, with the cross gains of
-    the physical nodes that play each role in that super-period.
-    """
-    k = cfg.k
-    chunk = library.payload_bits // (k - 2)
-    if library.payload_bits % (k - 2) != 0 or chunk % 8 != 0 or chunk % DATA_PARTS_SOFT != 0:
-        raise ConfigMismatch(
-            f"round-robin needs the payload divisible into K-2={k - 2} byte-aligned "
-            f"parts each divisible by {DATA_PARTS_SOFT}; got {library.payload_bits} bits"
-        )
-    coded = [mds_encode(list(p.split(k - 2))) for p in library]
-    return tuple(
-        _scheme(
-            NetworkConfig.soft_handoff(
-                k,
-                tuple(cfg.gain_at(physical_of(r, ell, k)) for r in range(1, k + 1)),
-                cfg.power,
-                cfg.epsilon,
-            ),
-            MessageLibrary(tuple(parts[ell - 1] for parts in coded)),
-        )
-        for ell in range(1, k + 1)
-    )
+    return _deliver(_cache_tail(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits), demands, backend)
 
 
 def round_robin_soft(
@@ -476,47 +476,9 @@ def round_robin_soft(
 ) -> SimResult:
     """Rotate the soft-handoff scheme over K super-periods so all K receivers decode.
 
-    Each message is erasure-coded into K parts of which any K-2 reconstruct it;
-    super-period l delivers coded part l with all labels shifted by l, so every
-    receiver plays a bad edge role exactly twice and still collects K-2 parts.
-    The per-user rate shrinks by the factor (K-2)/K.
+    Each message is erasure-coded into K parts of which any K-2 reconstruct it.
+    Super-period l delivers coded part l with every role shifted by l (``_rotate``),
+    so every receiver plays a bad edge role exactly twice and still collects K-2
+    parts. The per-user rate shrinks by the factor (K-2)/K.
     """
-    _checked(cfg, Variant.SOFT_HANDOFF)
-    _check_demands(cfg, library, demands)
-    k = cfg.k
-    rotations = _rotations(cfg, library)
-
-    collected: dict[int, dict[int, Bitstring]] = {rx: {} for rx in range(1, k + 1)}
-    failures = 0
-    links = 0
-    for ell, scheme in enumerate(rotations, start=1):
-        sub_demands = DemandVector(
-            tuple(demands.for_rx(physical_of(r, ell, k)) for r in range(1, k + 1))
-        )
-        sub_backend = backend
-        if isinstance(backend, MonteCarlo):
-            sub_backend = MonteCarlo(backend.n, derive_seed(backend.seed, _SEED_SUPER, ell))
-        sub = _deliver(scheme, sub_demands, sub_backend)
-        failures += sub.link_failures
-        links += sub.links_total
-        for rx in range(1, k + 1):
-            role = role_of(rx, ell, k)
-            if role in sub.guaranteed and sub.decoded[role] is not None:
-                collected[rx][ell] = sub.decoded[role]
-
-    decoded = {  # the K-2 lowest super-periods of each receiver
-        rx: Bitstring.concat_all(mds_decode(dict(sorted(coded.items())[: k - 2]), k))
-        if len(coded) >= k - 2
-        else None
-        for rx, coded in collected.items()
-    }
-    return _result(
-        library,
-        demands,
-        decoded,
-        guaranteed=tuple(range(1, k + 1)),
-        links_total=links,
-        link_failures=failures,
-        rate_per_user=sub.rate_per_user * (k - 2) / k,
-        memory_bits_per_receiver=sum(s.placement.bits_per_receiver for s in rotations),
-    )
+    return _deliver(_rotate(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend)

@@ -2,13 +2,14 @@ import copy
 import dataclasses
 import itertools
 import math
+import re
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import wynercache.harness as harness
 import wynercache.schemes.pipeline as pipeline
 import wynercache.schemes.placement as placement
 import wynercache.schemes.points as points
@@ -19,6 +20,7 @@ from wynercache.harness import ExperimentSpec, run_experiment
 from wynercache.model import (
     Bitstring,
     DemandVector,
+    MessageLibrary,
     NetworkConfig,
     OddKForFullModel,
     Variant,
@@ -34,6 +36,8 @@ from wynercache.schemes import (
     MonteCarlo,
     PowerViolation,
     check_ideal_rate,
+    mds_decode,
+    mds_encode,
     rate_full,
     rate_soft,
     reconstruct_five,
@@ -58,9 +62,26 @@ from wynercache.schemes.schedule import (
 # Delivery as a walk over the schedule's dicts of Bitstrings: every Tx action's
 # sent word and every link's part are looked up per trial, each receiver's parts
 # are keyed by label, and its needed lowest labels are combined with
-# reconstruct_five (soft) or concatenation (full). The pipeline compiles the
-# same schedule into index arrays once, at placement; it must return the same
-# SimResult (TestCompiledMatchesDictWalk).
+# reconstruct_five (soft) or concatenation (full). Prop-1 and round robin are
+# assembled around it as separate runs: one base delivery plus the cached tails,
+# and K deliveries over rotated configs plus an MDS combine. The pipeline
+# compiles every scheme into one plan of index arrays once, at placement; it
+# must return the same SimResult (TestCompiledMatchesDictWalk).
+
+
+def _schedule(plan):
+    """The placed schedule of a base plan, one ``PeriodSchedule`` per period."""
+    return [per.schedule for per in plan.periods]
+
+
+def _needed(cfg):
+    return 5 if cfg.variant is Variant.SOFT_HANDOFF else 2
+
+
+def _recompiled(plan, schedule):
+    """The base ``plan`` with ``schedule`` in place of its placed schedule."""
+    cfg = plan.cfg
+    return pipeline._compile(cfg, plan.library, plan.placement, plan.guaranteed, _needed(cfg), schedule)
 
 
 def _execute_dict(scheme, demands, backend, bits_per_part, n_slot):
@@ -77,7 +98,7 @@ def _execute_dict(scheme, demands, backend, bits_per_part, n_slot):
             ^ placement.parts[d(action.file_b)][action.part_b - 1].value
         )
 
-    for per in scheme.schedule.periods:
+    for per in _schedule(scheme):
         if isinstance(backend, MonteCarlo):
             plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
             gain = np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
@@ -125,8 +146,8 @@ def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
     """``pipeline._deliver`` over ``execute``, combining each receiver's labelled parts."""
     cfg, library = scheme.cfg, scheme.library
     pipeline._check_demands(cfg, library, demands)
-    periods = len(scheme.schedule.periods)
-    bits_per_part = library.payload_bits // scheme.needed
+    periods, needed = len(scheme.periods), _needed(cfg)
+    bits_per_part = library.payload_bits // needed
     if isinstance(backend, Ideal):
         rate, n_slot = points.check_ideal_rate(cfg), 0
     else:
@@ -138,8 +159,8 @@ def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
     decoded = {}
     for rx, parts in got.items():
         have = {**scheme.placement.parts_of(rx, demands.for_rx(rx)), **parts}
-        chosen = dict(sorted(have.items())[: scheme.needed])
-        decoded[rx] = combine(chosen) if len(chosen) == scheme.needed else None
+        chosen = dict(sorted(have.items())[:needed])
+        decoded[rx] = combine(chosen) if len(chosen) == needed else None
     return pipeline._result(
         library,
         demands,
@@ -152,13 +173,87 @@ def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
     )
 
 
+def _prop1_dict(cfg, library, demands, extra_bits, backend):
+    """Prop-1 as the base delivery of the main pieces, each decoded piece followed by its tail."""
+    main_bits = library.payload_bits - extra_bits
+    mains = MessageLibrary(tuple(Bitstring(main_bits, p.value >> extra_bits) for p in library))
+    tails = tuple(Bitstring(extra_bits, p.value & ((1 << extra_bits) - 1)) for p in library)
+    main = _deliver_dict(pipeline._scheme(cfg, mains), demands, backend)
+    decoded = {
+        rx: None if guess is None else guess.concat(tails[demands.for_rx(rx) - 1])
+        for rx, guess in main.decoded.items()
+    }
+    return pipeline._result(
+        library,
+        demands,
+        decoded,
+        guaranteed=main.guaranteed,
+        links_total=main.links_total,
+        link_failures=main.link_failures,
+        rate_per_user=main.rate_per_user * (library.payload_bits / main_bits),
+        memory_bits_per_receiver=main.memory_bits_per_receiver + library.num_files * extra_bits,
+    )
+
+
+def _role_of(physical, ell, k):
+    """Role that physical node ``physical`` plays in super-period ``ell``."""
+    return (physical - ell - 1) % k + 1
+
+
+def _physical_of(role, ell, k):
+    return (role + ell - 1) % k + 1
+
+
+def _round_robin_dict(cfg, library, demands, backend):
+    """Round robin as K deliveries of the soft scheme over rotated configs, each of one
+    MDS-coded sub-library, then an MDS decode of each receiver's K-2 lowest super-periods."""
+    pipeline._check_demands(cfg, library, demands)
+    k = cfg.k
+    coded = [mds_encode(list(p.split(k - 2))) for p in library]
+    collected = {rx: {} for rx in range(1, k + 1)}
+    failures = links = memory = 0
+    for ell in range(1, k + 1):
+        gains = tuple(cfg.gain_at(_physical_of(r, ell, k)) for r in range(1, k + 1))
+        scheme = pipeline._scheme(
+            NetworkConfig.soft_handoff(k, gains, cfg.power, cfg.epsilon),
+            MessageLibrary(tuple(parts[ell - 1] for parts in coded)),
+        )
+        sub_demands = DemandVector(tuple(demands.for_rx(_physical_of(r, ell, k)) for r in range(1, k + 1)))
+        sub_backend = backend
+        if isinstance(backend, MonteCarlo):
+            sub_backend = MonteCarlo(backend.n, derive_seed(backend.seed, pipeline._SEED_SUPER, ell))
+        sub = _deliver_dict(scheme, sub_demands, sub_backend)
+        failures, links = failures + sub.link_failures, links + sub.links_total
+        memory += sub.memory_bits_per_receiver
+        for rx in range(1, k + 1):
+            role = _role_of(rx, ell, k)
+            if role in sub.guaranteed and sub.decoded[role] is not None:
+                collected[rx][ell] = sub.decoded[role]
+    decoded = {
+        rx: Bitstring.concat_all(mds_decode(dict(sorted(parts.items())[: k - 2]), k))
+        if len(parts) >= k - 2
+        else None
+        for rx, parts in collected.items()
+    }
+    return pipeline._result(
+        library,
+        demands,
+        decoded,
+        guaranteed=tuple(range(1, k + 1)),
+        links_total=links,
+        link_failures=failures,
+        rate_per_user=sub.rate_per_user * (k - 2) / k,
+        memory_bits_per_receiver=memory,
+    )
+
+
 def _execute_compiled(scheme, demands, backend, bits_per_part, n_slot):
     """``pipeline._links`` keyed as the oracles key it: per-rx decoded part label -> bits."""
-    own = scheme.plan.values[np.array(demands.entries) - 1].ravel()
-    values, failures = pipeline._links(scheme, own, backend, bits_per_part, n_slot)
+    own = np.concatenate(([0], scheme.values[:, np.array(demands.entries) - 1].ravel()))
+    values, failures = pipeline._links(scheme, own, backend, n_slot)
     targets = [
         (rx, plan.target[1])
-        for per in scheme.schedule.periods
+        for per in _schedule(scheme)
         for rx, plan in per.rx_plans.items()
         if plan is not None
     ]
@@ -196,7 +291,7 @@ def _execute_per_tx(scheme, demands, backend, bits_per_part, n_slot):
             ^ placement.parts[d(action.file_b)][action.part_b - 1].value
         )
 
-    for per in scheme.schedule.periods:
+    for per in _schedule(scheme):
         codebooks, x = {}, np.zeros((cfg.k, n_slot))
         for tx, action in per.tx_actions.items():
             if action.kind != "silent":
@@ -416,7 +511,7 @@ class TestMonteCarlo:
         lib = random_library(6, 40, seed=8)
         d = DemandVector((1, 2, 3, 4, 5, 6))
         scheme = _scheme(cfg, lib)
-        muted = copy.deepcopy(scheme.schedule)
+        muted = delivery_schedule_soft(6, DemandVector((1, 2, 3, 4, 5, 6)))
         # silence the whole second subnet of period 1 (tx 4 and 5 serve rx 4..6)
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
@@ -425,8 +520,7 @@ class TestMonteCarlo:
         truth, _, _ = _execute_compiled(scheme, d, Ideal(), 8, 0)
         labels = {rx: muted.periods[0].rx_plans[rx].target[1] for rx in (1, 2, 3)}
         trials, errors = 400, []
-        for schedule in (scheme.schedule, muted):
-            placed = dataclasses.replace(scheme, schedule=schedule)
+        for placed in (scheme, _recompiled(scheme, muted)):
             errors.append(0)
             for t in range(trials):
                 got, _, _ = _execute_compiled(placed, d, MonteCarlo(n=288, seed=t), 8, 96)
@@ -447,7 +541,10 @@ class TestBatchedMatchesPerTx:
             run = _execute_per_tx if isinstance(backend, MonteCarlo) else _execute_dict
             return run(scheme, demands, backend, *args)
 
-        monkeypatch.setattr(pipeline, "_deliver", lambda *args: _deliver_dict(*args, per_tx))
+        def run_soft(cfg, library, demands, backend):
+            return _deliver_dict(pipeline._scheme(cfg, library), demands, backend, per_tx)
+
+        monkeypatch.setattr(harness, "run_soft", run_soft)
         spec = ExperimentSpec(config=_soft_cfg(power=0.3), backend="mc", trials=4, master_seed=15)
         report = run_experiment(spec)
         assert report.per_receiver_success == {1: 0.0, 2: 0.75, 3: 0.75, 4: 1.0, 5: 1.0, 6: 0.0}
@@ -464,7 +561,7 @@ class TestBatchedMatchesPerTx:
     )
     def test_link_error_rates_agree(self, cfg, payload_bits, n, trials):
         scheme = pipeline._scheme(cfg, random_library(6, payload_bits, seed=3))
-        n_slot, bits = n // len(scheme.schedule.periods), payload_bits // scheme.needed
+        n_slot, bits = n // len(scheme.periods), payload_bits // _needed(cfg)
         rng = np.random.default_rng(1)
         links = Counter()  # per number of receivers decoding the link's codebook
         errors = {run: Counter() for run in (_execute_compiled, _execute_per_tx)}
@@ -472,7 +569,7 @@ class TestBatchedMatchesPerTx:
             d = DemandVector(tuple(int(x) for x in rng.integers(1, 7, size=6)))
             truth, _, _ = _execute_compiled(scheme, d, Ideal(), bits, 0)
             runs = {run: run(scheme, d, MonteCarlo(n, seed=t), bits, n_slot)[0] for run in errors}
-            for per in scheme.schedule.periods:
+            for per in _schedule(scheme):
                 plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
                 receivers = Counter(plan.source for plan in plans.values())
                 for rx, plan in plans.items():
@@ -487,9 +584,14 @@ class TestBatchedMatchesPerTx:
             assert abs(_z(batched[size], per_tx[size], count)) <= 4, (batched, per_tx, links)
 
 
+def _base_dict(cfg, library, demands, backend):
+    return _deliver_dict(pipeline._scheme(cfg, library), demands, backend)
+
+
 @st.composite
 def _deliveries(draw):
-    """(run, cfg, library, demands, backend): soft, full, prop-1 or round robin, parts up to 70 bits."""
+    """(run, oracle, cfg, library, demands, backend): soft, full, prop-1 or round robin,
+    parts up to 70 bits."""
     scheme = draw(st.sampled_from(["soft", "full", "prop-1", "round robin"]))
     mc = draw(st.booleans())
     # MC at powers where links fail and where they do not; Ideal above its rate check
@@ -504,44 +606,46 @@ def _deliveries(draw):
     # bits per part: an MC codebook holds 2^bits words; round robin needs whole bytes
     bits = draw(st.integers(1, 12 if mc else 70))
     extra = draw(st.integers(1, 20))
-    payload_bits, run = {
-        "soft": (5 * bits, run_soft),
-        "full": (2 * bits, run_full),
-        "prop-1": (5 * bits + extra, lambda *args: run_soft_prop1(*args[:3], extra, args[3])),
-        "round robin": (5 * 8 * max(1, bits // 8) * (k - 2), round_robin_soft),
+    payload_bits, run, oracle = {
+        "soft": (5 * bits, run_soft, _base_dict),
+        "full": (2 * bits, run_full, _base_dict),
+        "prop-1": (
+            5 * bits + extra,
+            lambda *args: run_soft_prop1(*args[:3], extra, args[3]),
+            lambda *args: _prop1_dict(*args[:3], extra, args[3]),
+        ),
+        "round robin": (5 * 8 * max(1, bits // 8) * (k - 2), round_robin_soft, _round_robin_dict),
     }[scheme]
     num_files = draw(st.integers(2, k + 2))
     lib = random_library(num_files, payload_bits, seed=draw(st.integers(0, 99)), allow_small_d=True)
     demands = DemandVector(tuple(draw(st.lists(st.integers(1, num_files), min_size=k, max_size=k))))
     periods = 1 if scheme == "full" else 3
     backend = MonteCarlo(periods * draw(st.integers(1, 40)), draw(st.integers(0, 2**32))) if mc else Ideal()
-    return run, cfg, lib, demands, backend
+    return run, oracle, cfg, lib, demands, backend
 
 
 class TestCompiledMatchesDictWalk:
-    """The schedule compiled into index arrays delivers what the dict walk delivers."""
+    """Every scheme compiled into one plan delivers what the dict walk and its assembly deliver."""
 
     @settings(max_examples=120, deadline=None)
     @given(_deliveries())
     def test_same_sim_result(self, delivery):
-        run, cfg, lib, demands, backend = delivery
-        compiled = run(cfg, lib, demands, backend)
-        with mock.patch.object(pipeline, "_deliver", _deliver_dict):
-            assert run(cfg, lib, demands, backend) == compiled
+        run, oracle, cfg, lib, demands, backend = delivery
+        assert run(cfg, lib, demands, backend) == oracle(cfg, lib, demands, backend)
 
     def test_replace_recompiles_the_plan(self):
         # the same muted schedule as test_out_of_subnet_transmitter_is_irrelevant:
         # without a recompiled plan that test would compare a schedule with itself
         scheme = pipeline._scheme(_soft_cfg(), random_library(6, 40, seed=8))
-        muted = copy.deepcopy(scheme.schedule)
+        muted = delivery_schedule_soft(6, DemandVector((1, 2, 3, 4, 5, 6)))
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
         for rx in (4, 5, 6):
             muted.periods[0].rx_plans[rx] = None
-        placed = dataclasses.replace(scheme, schedule=muted)
-        assert placed.plan.silent[:6].tolist() == [False, False, True, True, True, True]
-        assert scheme.plan.silent[:6].tolist() == [False, False, True, False, False, True]
-        assert len(placed.plan.link_rx) == len(scheme.plan.link_rx) - 3 == 12
+        placed = _recompiled(scheme, muted)
+        assert placed.silent[:6].tolist() == [False, False, True, True, True, True]
+        assert scheme.silent[:6].tolist() == [False, False, True, False, False, True]
+        assert len(placed.link_rx) == len(scheme.link_rx) - 3 == 12
         d = DemandVector((1, 2, 3, 4, 5, 6))
         full, cut = (pipeline._deliver(s, d, Ideal()) for s in (scheme, placed))
         assert (full.links_total, cut.links_total) == (15, 12)
@@ -699,7 +803,8 @@ class TestPlacedSchedule:
             cfg, payload_bits, build = NetworkConfig.full(k, 0.5, 1e4), 16, delivery_schedule_full
         num_files = k + 3  # random demands reach file ids above K
         lib = random_library(num_files, payload_bits, seed=k, allow_small_d=True)
-        template = pipeline._scheme(cfg, lib).schedule
+        periods = tuple(_schedule(pipeline._scheme(cfg, lib)))
+        template = DeliverySchedule(cfg.variant, k, DemandVector(tuple(range(1, k + 1))), periods)
         rng = np.random.default_rng(k)
         vectors = [tuple(range(1, k + 1)), (num_files,) * k] + [
             tuple(int(x) for x in rng.integers(1, num_files + 1, size=k)) for _ in range(20)
@@ -772,8 +877,8 @@ class TestIdealRateCheck:
         assert rate >= 0
         # the per-link rule the delivery loop used to apply, as the reference
         scheme = pipeline._scheme(cfg, random_library(6, 40, seed=1))
-        link_rate = len(scheme.schedule.periods) * rate / scheme.needed
-        for per in scheme.schedule.periods:
+        link_rate = len(scheme.periods) * rate / _needed(cfg)
+        for per in _schedule(scheme):
             for rx, plan in per.rx_plans.items():
                 if plan is not None:
                     gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
@@ -793,17 +898,35 @@ class TestIdealRateCheck:
         with pytest.raises(InfeasibleRate, match="lost to rounding"):
             run(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(_ideal_configs().filter(lambda cfg: cfg.variant is Variant.SOFT_HANDOFF))
+    def test_check_ignores_rotation(self, cfg):
+        # round robin checks the physical config once: each rotation only permutes the gains
+        try:
+            rate = check_ideal_rate(cfg)
+        except InfeasibleRate as exc:
+            rate = str(exc)
+        for shift in range(1, cfg.k):
+            gains = cfg.gains[shift:] + cfg.gains[:shift]
+            rotated = NetworkConfig.soft_handoff(cfg.k, gains, cfg.power, cfg.epsilon)
+            if isinstance(rate, str):
+                with pytest.raises(InfeasibleRate, match=re.escape(rate)):
+                    check_ideal_rate(rotated)
+            else:
+                assert check_ideal_rate(rotated) == rate
+
     @pytest.mark.parametrize(
         "kwargs, placed",
         [
             (dict(config=_soft_cfg(k=60), num_files=60), 1),
             (dict(config=NetworkConfig.full(6, 0.5, 1e4)), 1),
-            (dict(config=_soft_cfg(k=7), round_robin=True), 7),
+            (dict(config=_soft_cfg(k=7), round_robin=True), 1),
         ],
     )
     def test_one_link_check_per_placed_scheme(self, monkeypatch, kwargs, placed):
-        # 5 trials deliver 5 times per placed scheme; the rate is checked once per scheme
-        for cache in (pipeline._scheme, pipeline._rotations):
+        # 5 trials deliver 5 times per placed plan; the rate is checked once per plan.
+        # Round robin is one plan, checked on the physical config, not once per rotation
+        for cache in (pipeline._scheme, pipeline._rotate):
             cache.cache_clear()
         checks = []
         real = points.ideal_link
@@ -815,4 +938,27 @@ class TestIdealRateCheck:
         monkeypatch.setattr(points, "ideal_link", counted)
         report = run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=7))
         assert report.link_error_rate == 0.0
-        assert len(checks) == placed + 1  # one per placed scheme, one in validate
+        assert len(checks) == placed + 1  # one per placed plan, one in validate
+
+
+class TestLazyDecodeLayout:
+    """Only an MC delivery builds a period's decode layout (``_Period.layout``)."""
+
+    @pytest.mark.parametrize(
+        "run, cfg, payload_bits, place",
+        [
+            (run_soft, _soft_cfg(), 40, pipeline._scheme),
+            (run_full, NetworkConfig.full(6, 0.5, 1e4), 16, pipeline._scheme),
+            (round_robin_soft, _soft_cfg(), 160, pipeline._rotate),
+        ],
+    )
+    def test_ideal_runs_never_build_it(self, run, cfg, payload_bits, place):
+        for cache in (pipeline._scheme, pipeline._rotate):
+            cache.cache_clear()
+        lib = random_library(6, payload_bits, seed=3)
+        d = DemandVector((1, 2, 3, 4, 5, 6))
+        assert run(cfg, lib, d).link_failures == 0
+        periods = place(cfg, lib).periods  # the cached plan the run delivered with
+        assert not any("layout" in vars(per) for per in periods)
+        run(cfg, lib, d, MonteCarlo(n=3 * 16, seed=0))
+        assert all("layout" in vars(per) for per in periods)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+import wynercache.schemes.pipeline as pipeline
 from wynercache.model import DemandVector, NetworkConfig, random_library
 from wynercache.schemes import (
     ConfigMismatch,
     Ideal,
     MonteCarlo,
     rate_soft,
-    role_of,
     round_robin_soft,
     run_soft,
 )
@@ -43,12 +43,28 @@ class TestRoundRobin:
         assert not res.success[1] and not res.success[k]
 
     def test_bad_role_count_is_exactly_two(self):
+        # in the placed composite each rotation's periods hear the gains of the nodes
+        # playing its roles, and distinct gains name those nodes
         for k in (5, 6, 7, 9):
+            gains = tuple(1.0 + rx / 16 for rx in range(1, k + 1))
+            cfg = NetworkConfig.soft_handoff(k, gains, 1e4)
+            lib = random_library(6, 5 * 8 * (k - 2), seed=k, allow_small_d=True)
+            plan = pipeline._rotate(cfg, lib)
+            rotations = [per for per in plan.periods if per.index == 1]
+            keys = [((pipeline._SEED_SUPER, ell),) for ell in range(1, k + 1)]
+            assert [per.keys for per in rotations] == keys
+            roles = {rx: [] for rx in range(1, k + 1)}
+            for per in rotations:
+                for role, gain in enumerate(per.gain[:, 0], start=1):
+                    roles[gains.index(gain) + 1].append(role)
             for rx in range(1, k + 1):
-                roles = [role_of(rx, ell, k) for ell in range(1, k + 1)]
-                assert sorted(roles) == list(range(1, k + 1))  # each role once
-                bad = sum(r in (1, k) for r in roles)
+                assert sorted(roles[rx]) == list(range(1, k + 1))  # each role once
+                bad = sum(r in (1, k) for r in roles[rx])
                 assert bad == 2
+                # the K-2 rotations it combines are those where it plays a guaranteed role
+                guaranteed = tuple(ell for ell, r in enumerate(roles[rx], start=1) if r not in (1, k))
+                assert plan.coded[rx - 1] == guaranteed and len(guaranteed) == k - 2
+            assert plan.served.all()
 
     def test_effective_rate_factor(self):
         k = 7
