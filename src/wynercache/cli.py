@@ -266,7 +266,7 @@ def _cmd_verify_schedule(args: argparse.Namespace) -> int:
     demands = _demands_for_trial(spec, 0)
     library = random_library(args.d, spec.payload_bits(), seed=0, allow_small_d=args.allow_small_d)
     schedule = build(args.k, demands)
-    violations = verify_schedule(schedule, place(args.k, library), demands)
+    violations = verify_schedule(schedule, place(args.k, library))
     _print_json(schedule.to_json() | {"violations": to_json(violations)}, args.out)
     if violations:
         print(f"{len(violations)} violation(s) found", file=sys.stderr)

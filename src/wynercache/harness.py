@@ -25,6 +25,7 @@ from .model import (
     NetworkConfig,
     SimError,
     Variant,
+    check_library_size,
     derive_seed,
     random_library,
     to_json,
@@ -43,8 +44,7 @@ from .schemes import (
     run_soft_prop1,
 )
 from .schemes.mds import MAX_K
-from .schemes.parts import DATA_PARTS_SOFT, PARTS_FULL
-from .schemes.schedule import MIN_SOFT_K, SOFT_PERIODS, KTooSmall
+from .schemes.schedule import MIN_SOFT_K, NEEDED, PERIODS, KTooSmall
 from .tradeoff import (
     ACHIEVABLE,
     UPPER_BOUND,
@@ -90,8 +90,7 @@ class ExperimentSpec:
     def validate(self) -> None:
         cfg = self.config
         validate_config(cfg)
-        soft = cfg.variant is Variant.SOFT_HANDOFF
-        if soft and cfg.k < MIN_SOFT_K:
+        if cfg.variant is Variant.SOFT_HANDOFF and cfg.k < MIN_SOFT_K:
             raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
@@ -102,14 +101,14 @@ class ExperimentSpec:
             raise SimError("trials must be at least 1")
         if self.bits < 1:
             raise SimError("bits per submessage must be at least 1")
+        check_library_size(self.num_files, self.payload_bits(), self.allow_small_d)
         if self.backend == "mc":
             # every codebook has 2^bits words, and every period gets n // periods uses
             if self.bits > MAX_CODEBOOK_BITS:
                 raise TooManyWords(
                     f"codebook of 2^{self.bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap"
                 )
-            periods = SOFT_PERIODS if soft else 1
-            if self.n < periods:
+            if self.n < (periods := PERIODS[cfg.variant]):
                 raise ConfigMismatch(f"block length {self.n} too short for {periods} period(s)")
         if self.demand_policy is DemandPolicy.EXPLICIT:
             if self.explicit_demands is None:
@@ -141,13 +140,9 @@ class ExperimentSpec:
             )
 
     def payload_bits(self) -> int:
-        if self.config.variant is Variant.FULL:
-            base = PARTS_FULL * self.bits
-        elif self.round_robin:
-            base = DATA_PARTS_SOFT * self.bits * (self.config.k - 2)
-        else:
-            base = DATA_PARTS_SOFT * self.bits
-        return base + self.prop1_extra_bits
+        # round robin (soft only) sends K - 2 soft payloads, one per MDS data part
+        pieces = self.config.k - 2 if self.round_robin else 1
+        return NEEDED[self.config.variant] * self.bits * pieces + self.prop1_extra_bits
 
     def to_json(self) -> dict:
         return to_json(self)
@@ -397,15 +392,13 @@ print(f"wrote {{FIGURE}}")
 '''
 
 
-def emit_plot_script(
-    curve_csv: str, out_path: str, points_csv: str | None = None, figure: str | None = None
-) -> None:
+def emit_plot_script(curve_csv: str, out_path: str, points_csv: str | None = None) -> None:
     """Write a standalone matplotlib script that renders the exported CSVs."""
     script = _PLOT_TEMPLATE.format(
         extra_doc=" and empirical points" if points_csv else "",
         curve_csv=curve_csv,
         points_csv=points_csv,
-        figure=figure or out_path + ".png",
+        figure=out_path + ".png",
     )
     with open(out_path, "w") as fh:
         fh.write(script)

@@ -246,16 +246,21 @@ def derive_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def random_library(
-    num_files: int, payload_bits: int, seed: int, *, allow_small_d: bool = False
-) -> MessageLibrary:
-    """Draw ``num_files`` uniform i.i.d. payloads of ``payload_bits`` bits each."""
+def check_library_size(num_files: int, payload_bits: int, allow_small_d: bool) -> None:
+    """Raise ``SimError`` for a library size that ``random_library`` must not draw."""
     if num_files < 2 or payload_bits < 1:
         raise SimError(f"need num_files >= 2 and payload_bits >= 1, got {num_files}, {payload_bits}")
     if num_files < MIN_LIBRARY_FILES and not allow_small_d:
         raise SimError(
             f"library size {num_files} < {MIN_LIBRARY_FILES}; pass allow_small_d=True to permit"
         )
+
+
+def random_library(
+    num_files: int, payload_bits: int, seed: int, *, allow_small_d: bool = False
+) -> MessageLibrary:
+    """Draw ``num_files`` uniform i.i.d. payloads of ``payload_bits`` bits each."""
+    check_library_size(num_files, payload_bits, allow_small_d)
     rng = np.random.default_rng(seed)
     return MessageLibrary(tuple(Bitstring.random(payload_bits, rng) for _ in range(num_files)))
 
@@ -318,12 +323,6 @@ class CachePlacement:
         if file not in self.parts or part not in self.labels.get(rx, ()):
             return None
         return self.parts[file][part - 1]
-
-    def parts_of(self, rx: int, file: int) -> dict[int, Bitstring]:
-        """All cached parts of ``file`` at receiver ``rx``, keyed by part index."""
-        if file not in self.parts:
-            return {}
-        return {p: self.parts[file][p - 1] for p in self.labels.get(rx, ())}
 
 
 # --- JSON serialization ------------------------------------------------------

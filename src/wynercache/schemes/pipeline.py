@@ -49,11 +49,12 @@ from ..model import (
     validate_config,
 )
 from .mds import mds_decode, mds_encode
-from .parts import DATA_PARTS_SOFT, PARTS_FULL
+from .parts import DATA_PARTS_SOFT
 from .parts import reconstruct_five, split_full, split_soft  # names perfbench/tracing.py wraps
 from .placement import cache_placement_full, cache_placement_soft
 from .points import check_ideal_rate
 from .schedule import (
+    NEEDED,
     DeliverySchedule,
     Direct,
     PeriodSchedule,
@@ -61,6 +62,7 @@ from .schedule import (
     XorPair,
     delivery_schedule_full,
     delivery_schedule_soft,
+    guaranteed_receivers,
     verify_schedule,
 )
 
@@ -332,8 +334,7 @@ def _check_demands(cfg: NetworkConfig, library: MessageLibrary, demands: DemandV
 @functools.lru_cache(maxsize=1)
 def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     """Placement phase: everything about a run of ``cfg`` that the demands do not change."""
-    soft = cfg.variant is Variant.SOFT_HANDOFF
-    needed = DATA_PARTS_SOFT if soft else PARTS_FULL
+    soft, needed = cfg.variant is Variant.SOFT_HANDOFF, NEEDED[cfg.variant]
     if library.payload_bits % needed != 0:
         raise ConfigMismatch(
             f"payload of {library.payload_bits} bits is not divisible by {needed}"
@@ -342,11 +343,11 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     # every builder is looked up by name per call, so tracers see it
     placement = (cache_placement_soft if soft else cache_placement_full)(cfg.k, library)
     schedule = (delivery_schedule_soft if soft else delivery_schedule_full)(cfg.k, receivers)
-    violations = verify_schedule(schedule, placement, receivers)
+    violations = verify_schedule(schedule, placement)
     if violations:
         first = violations[0]
         raise InvalidSchedule(f"{len(violations)} violation(s), first {first.kind}: {first.detail}")
-    guaranteed = tuple(range(2, cfg.k)) if soft else receivers.entries
+    guaranteed = guaranteed_receivers(cfg.variant, cfg.k)
     return _compile(cfg, library, placement, guaranteed, needed, schedule)
 
 

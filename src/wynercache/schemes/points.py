@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from ..codec import LinkBudget, ideal_link
 from ..model import NetworkConfig, SimError, Variant
-from .parts import DATA_PARTS_SOFT, PARTS_FULL
-from .schedule import SOFT_PERIODS
+from .schedule import NEEDED, PERIODS
 
 
 def rate_soft(cfg: NetworkConfig) -> float:
@@ -42,7 +41,7 @@ def check_ideal_rate(cfg: NetworkConfig) -> float:
     at = f"{cfg.variant.value} scheme rate {rate:.6g} at P={cfg.power:g}, eps={cfg.epsilon:g}"
     if rate < 0:
         raise InfeasibleRate(f"{at} is negative; raise the power or lower epsilon")
-    link_rate = SOFT_PERIODS * rate / DATA_PARTS_SOFT if soft else rate / PARTS_FULL
+    link_rate = PERIODS[cfg.variant] * rate / NEEDED[cfg.variant]
     weakest = LinkBudget(cfg.alpha_min if soft else 1.0, link_rate, cfg.power - cfg.epsilon)
     if not ideal_link(weakest):
         raise InfeasibleRate(f"{at} puts its weakest link at capacity: eps is lost to rounding")
@@ -55,7 +54,6 @@ class SchemePoint:
 
     rate: float
     memory: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.rate < 0 or self.memory < 0:
@@ -67,15 +65,11 @@ def augment_prop1(base: SchemePoint, delta: float, num_files: int) -> SchemePoin
     (R, M) becomes (R + delta/D, M + delta)."""
     if delta < 0:
         raise SimError(f"negative augmentation {delta}")
-    return SchemePoint(base.rate + delta / num_files, base.memory + delta, base.label)
+    return SchemePoint(base.rate + delta / num_files, base.memory + delta)
 
 
 def time_share(a: SchemePoint, b: SchemePoint, lam: float) -> SchemePoint:
     """Convex combination of two operating points with weight ``lam`` on ``a``."""
     if not 0 <= lam <= 1:
         raise SimError(f"time-share fraction {lam} outside [0, 1]")
-    return SchemePoint(
-        lam * a.rate + (1 - lam) * b.rate,
-        lam * a.memory + (1 - lam) * b.memory,
-        a.label or b.label,
-    )
+    return SchemePoint(lam * a.rate + (1 - lam) * b.rate, lam * a.memory + (1 - lam) * b.memory)

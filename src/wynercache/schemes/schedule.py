@@ -1,5 +1,6 @@
 """Delivery schedules: per-period transmitter actions and receiver decode plans,
-plus a mechanical validity checker.
+a mechanical validity checker, and each model's periods, parts needed and
+guaranteed receivers (``PERIODS``, ``NEEDED``, ``guaranteed_receivers``).
 
 Soft handoff runs three periods. In period p the transmitter class
 (p - 1) mod 3 is silent, and Tx K is silent in every period, which cuts the
@@ -17,6 +18,7 @@ cached parts:
 
 The full model needs a single period: every transmitter sends the part its own
 receiver is missing, and each receiver cancels both neighbours from cache.
+``verify_schedule`` reads the cache labels from the placement it is given.
 """
 
 from __future__ import annotations
@@ -31,11 +33,18 @@ from ..model import (
     Variant,
     to_json,
 )
-from .parts import TOTAL_PARTS_SOFT
-from .placement import cached_part_full, cached_parts_soft
+from .parts import DATA_PARTS_SOFT, PARTS_FULL
+from .placement import cached_part_full
 
 MIN_SOFT_K = 5
 SOFT_PERIODS = 3
+PERIODS = {Variant.SOFT_HANDOFF: SOFT_PERIODS, Variant.FULL: 1}
+NEEDED = {Variant.SOFT_HANDOFF: DATA_PARTS_SOFT, Variant.FULL: PARTS_FULL}
+
+
+def guaranteed_receivers(variant: Variant, k: int) -> tuple[int, ...]:
+    """Soft handoff serves the interior receivers 2..K-1; the full model serves all K."""
+    return tuple(range(2, k)) if variant is Variant.SOFT_HANDOFF else tuple(range(1, k + 1))
 
 
 class KTooSmall(SimError):
@@ -229,149 +238,79 @@ def _heard_transmitters(schedule: DeliverySchedule, rx: int) -> tuple[int, ...]:
     return (prev, rx, nxt)
 
 
-def verify_schedule(
-    schedule: DeliverySchedule, placement: CachePlacement, demands: DemandVector
-) -> list[Violation]:
-    """Mechanically check a schedule; an empty list means the schedule is valid."""
-    k = schedule.k
+def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> list[Violation]:
+    """Mechanically check a schedule against a placement; an empty list means it is valid.
+
+    Receiver rx caches ``placement.labels[rx]`` of every file, and its decoded parts are
+    those of its file in ``schedule.demands``. Each guaranteed receiver must end up
+    holding exactly ``NEEDED`` distinct labels of its file, all in 1..parts: no label
+    is decoded twice, and none is both cached and decoded.
+    """
+    k, demands = schedule.k, schedule.demands
     if len(demands) != k:
         raise SimError(f"demand vector length {len(demands)} != K={k}")
     violations: list[Violation] = []
+    flag = lambda *fields: violations.append(Violation(*fields))
     decoded_parts: dict[int, list[int]] = {rx: [] for rx in range(1, k + 1)}
 
     for per in schedule.periods:
+        at, sends = per.index, per.tx_actions
         # (a) silence pattern and transmitter knowledge
-        for tx, action in per.tx_actions.items():
+        for tx, action in sends.items():
             if per.silent_class is not None:
                 should_be_silent = tx == k or tx % 3 == per.silent_class
                 if should_be_silent != isinstance(action, Silent):
-                    violations.append(
-                        Violation(
-                            "silent_class",
-                            per.index,
-                            tx,
-                            f"Tx {tx} must be {'silent' if should_be_silent else 'active'} "
-                            f"in period {per.index}",
-                        )
-                    )
+                    state = "silent" if should_be_silent else "active"
+                    flag("silent_class", at, tx, f"Tx {tx} must be {state} in period {at}")
             known = _knowledge_set(schedule, tx)
             for f in action.files():
                 if f not in known:
-                    violations.append(
-                        Violation(
-                            "knowledge",
-                            per.index,
-                            tx,
-                            f"Tx {tx} references file {f} outside its download set {sorted(known)}",
-                        )
-                    )
+                    flag("knowledge", at, tx,
+                         f"Tx {tx} references file {f} outside its download set {sorted(known)}")
 
         for rx, plan in per.rx_plans.items():
             if plan is None:
                 continue
+            cached = placement.labels.get(rx, ())
             # (b) every cancellation key's label is cached and matches the interferer's action
             for tx, f, p in plan.cancel:
-                action = per.tx_actions.get(tx)
+                action = sends.get(tx)
                 if not (isinstance(action, Direct) and (action.file, action.part) == (f, p)):
-                    violations.append(
-                        Violation(
-                            "cancel_key",
-                            per.index,
-                            rx,
-                            f"Rx {rx} cancels ({f}, {p}) from Tx {tx}, which sends {action}",
-                        )
-                    )
-                if p not in placement.labels.get(rx, ()):
-                    violations.append(
-                        Violation(
-                            "cancel_key",
-                            per.index,
-                            rx,
-                            f"Rx {rx} lacks cached ({f}, {p}) needed to cancel Tx {tx}",
-                        )
-                    )
+                    flag("cancel_key", at, rx,
+                         f"Rx {rx} cancels ({f}, {p}) from Tx {tx}, which sends {action}")
+                if p not in cached:
+                    flag("cancel_key", at, rx, f"Rx {rx} lacks cached ({f}, {p}) needed to cancel Tx {tx}")
             # extraction consistency: the source action must carry exactly
             # {target, strip} for XOR plans, or the target for direct plans
-            source_action = per.tx_actions.get(plan.source)
+            source_action = sends.get(plan.source)
             if plan.strip is None:
-                if not (
-                    isinstance(source_action, Direct)
-                    and (source_action.file, source_action.part) == plan.target
-                ):
-                    violations.append(
-                        Violation(
-                            "extraction_key",
-                            per.index,
-                            rx,
-                            f"Rx {rx} expects direct {plan.target} from Tx {plan.source}, "
-                            f"which sends {source_action}",
-                        )
-                    )
+                sent = isinstance(source_action, Direct) and (source_action.file, source_action.part)
+                if sent != plan.target:
+                    flag("extraction_key", at, rx, f"Rx {rx} expects direct {plan.target} "
+                         f"from Tx {plan.source}, which sends {source_action}")
             else:
                 wanted = {plan.target, plan.strip}
                 if not (isinstance(source_action, XorPair) and source_action.sides() == wanted):
-                    violations.append(
-                        Violation(
-                            "extraction_key",
-                            per.index,
-                            rx,
-                            f"Rx {rx} expects xor of {sorted(wanted)} from Tx {plan.source}, "
-                            f"which sends {source_action}",
-                        )
-                    )
-                if plan.strip[1] not in placement.labels.get(rx, ()):
-                    violations.append(
-                        Violation(
-                            "extraction_key",
-                            per.index,
-                            rx,
-                            f"Rx {rx} lacks cached {plan.strip} to strip the xor",
-                        )
-                    )
+                    flag("extraction_key", at, rx, f"Rx {rx} expects xor of {sorted(wanted)} "
+                         f"from Tx {plan.source}, which sends {source_action}")
+                if plan.strip[1] not in cached:
+                    flag("extraction_key", at, rx, f"Rx {rx} lacks cached {plan.strip} to strip the xor")
             # (d) no active transmitter is heard beyond the decode plan
             allowed = {plan.source} | {tx for tx, _, _ in plan.cancel}
             for tx in _heard_transmitters(schedule, rx):
-                if not isinstance(per.tx_actions.get(tx), Silent) and tx not in allowed:
-                    violations.append(
-                        Violation(
-                            "interference",
-                            per.index,
-                            rx,
-                            f"Rx {rx} hears active Tx {tx} not covered by its decode plan",
-                        )
-                    )
+                if not isinstance(sends.get(tx), Silent) and tx not in allowed:
+                    flag("interference", at, rx,
+                         f"Rx {rx} hears active Tx {tx} not covered by its decode plan")
             if plan.target[0] == demands.for_rx(rx):
                 decoded_parts[rx].append(plan.target[1])
 
-    # (c) part accounting at the receivers the scheme guarantees
-    if schedule.variant is Variant.SOFT_HANDOFF:
-        for rx in range(2, k):
-            cached = set(cached_parts_soft(rx))
-            decoded = decoded_parts[rx]
-            distinct = set(decoded)
-            if len(decoded) != 3 or len(distinct) != 3 or distinct & cached:
-                violations.append(
-                    Violation(
-                        "part_count",
-                        0,
-                        rx,
-                        f"Rx {rx} decodes parts {sorted(decoded)} against cached {sorted(cached)}",
-                    )
-                )
-            elif len(distinct | cached) < TOTAL_PARTS_SOFT - 1:
-                violations.append(
-                    Violation("part_count", 0, rx, f"Rx {rx} holds fewer than 5 distinct parts")
-                )
-    else:
-        for rx in range(1, k + 1):
-            need = {1, 2} - {cached_part_full(rx)}
-            if set(decoded_parts[rx]) != need:
-                violations.append(
-                    Violation(
-                        "part_count",
-                        0,
-                        rx,
-                        f"Rx {rx} decodes parts {sorted(decoded_parts[rx])}, needs {sorted(need)}",
-                    )
-                )
+    # (c) part accounting at the receivers the scheme guarantees; a label decoded twice,
+    # or both cached and decoded, leaves fewer held labels than cached plus decoded
+    top, needed = min(len(parts) for parts in placement.parts.values()), NEEDED[schedule.variant]
+    for rx in guaranteed_receivers(schedule.variant, k):
+        cached, decoded = set(placement.labels.get(rx, ())), decoded_parts[rx]
+        held = cached | set(decoded)
+        if not len(held) == len(cached) + len(decoded) == needed or not held <= set(range(1, top + 1)):
+            flag("part_count", 0, rx, f"Rx {rx} decodes parts {sorted(decoded)} against cached "
+                 f"{sorted(cached)}, needs {needed} distinct labels in 1..{top}")
     return violations

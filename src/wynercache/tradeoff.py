@@ -96,7 +96,6 @@ def breakpoints(variant: Variant, kind: str) -> tuple[tuple[Fraction, Fraction],
 class TradeoffCurve:
     variant: Variant
     kind: str
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
     samples: tuple[tuple[float, float], ...]  # (x, S), sorted by x
 
     def __post_init__(self) -> None:
@@ -110,9 +109,8 @@ def curve(variant: Variant, kind: str, n_points: int, x_max: Ratio) -> TradeoffC
     if n_points < 2:
         raise SimError(f"need at least 2 sample points, got {n_points}")
     x_hi = _ratio(x_max)
-    corners = breakpoints(variant, kind)
     fn = achievable if kind == ACHIEVABLE else upper_bound
     grid = {Fraction(i) * x_hi / (n_points - 1) for i in range(n_points)}
-    grid.update(x for x, _ in corners if x <= x_hi)
+    grid.update(x for x, _ in breakpoints(variant, kind) if x <= x_hi)
     samples = tuple((float(x), float(fn(variant, x))) for x in sorted(grid))
-    return TradeoffCurve(variant, kind, corners, samples)
+    return TradeoffCurve(variant, kind, samples)

@@ -317,7 +317,7 @@ def test_criterion_8_schedule_verifier():
         ]
         for demands in policies:
             schedule = delivery_schedule_soft(k, demands)
-            all_ok &= verify_schedule(schedule, placement, demands) == []
+            all_ok &= verify_schedule(schedule, placement) == []
 
     # three hand-mutated schedules, each rejected with the right diagnostic
     lib = random_library(6, 30, seed=820)
@@ -326,20 +326,20 @@ def test_criterion_8_schedule_verifier():
     demands = DemandVector((1, 2, 3, 4, 5, 6))
     knowledge = copy.deepcopy(delivery_schedule_soft(6, demands))
     knowledge.periods[0].tx_actions[1] = Direct(4, 3)
-    got = {v.kind for v in verify_schedule(knowledge, placement, demands)}
+    got = {v.kind for v in verify_schedule(knowledge, placement)}
     knowledge_ok = "knowledge" in got
 
     demands_rep = DemandVector((1, 2, 1, 2, 1, 2))
     cachekey = copy.deepcopy(delivery_schedule_soft(6, demands_rep))
     cachekey.periods[0].tx_actions[2] = XorPair(1, 6, 1, 3)
-    violations = verify_schedule(cachekey, placement, demands_rep)
+    violations = verify_schedule(cachekey, placement)
     cachekey_ok = all(v.kind != "knowledge" for v in violations) and any(
         v.kind == "extraction_key" and v.actor == 3 for v in violations
     )
 
     silent = copy.deepcopy(delivery_schedule_soft(6, demands))
     silent.periods[0].tx_actions[3] = Direct(3, 3)
-    silent_ok = "silent_class" in {v.kind for v in verify_schedule(silent, placement, demands)}
+    silent_ok = "silent_class" in {v.kind for v in verify_schedule(silent, placement)}
 
     _report(
         8,

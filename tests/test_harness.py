@@ -132,7 +132,7 @@ class TestSpecValidation:
         with pytest.raises(KTooSmall):
             spec.validate()
         # the full model has no K >= 5 rule
-        _soft_spec(config=NetworkConfig.full(4, 0.7, 1e4), num_files=4).validate()
+        _soft_spec(config=NetworkConfig.full(4, 0.7, 1e4), num_files=6).validate()
 
     @pytest.mark.parametrize(
         "config",
@@ -218,6 +218,16 @@ class TestLateFailuresRejected:
     def test_explicit_demands_checked(self, demands, match):
         spec = _soft_spec(demand_policy=DemandPolicy.EXPLICIT, explicit_demands=demands)
         _rejected_before_any_trial(spec, SimError, match=match)
+
+    @pytest.mark.parametrize(
+        "num_files, allow_small_d, match",
+        [(3, False, "library size 3 < 6"), (1, True, "need num_files >= 2")],
+    )
+    def test_library_size_checked(self, num_files, allow_small_d, match):
+        # the same checks random_library makes, made before any trial
+        spec = _soft_spec(num_files=num_files, allow_small_d=allow_small_d)
+        _rejected_before_any_trial(spec, SimError, match=match)
+        _soft_spec(num_files=max(num_files, 2), allow_small_d=True).validate()
 
     def test_negative_prop1_extra_bits(self):
         _rejected_before_any_trial(_soft_spec(prop1_extra_bits=-3), ConfigMismatch)

@@ -193,7 +193,6 @@ class TestCachePlacement:
         placement = CachePlacement(self.PARTS, {1: (2,)})
         assert placement.lookup(1, 3, 2) == Bitstring(8, 5)
         assert placement.lookup(1, 3, 1) is None
-        assert placement.parts_of(1, 3) == {2: Bitstring(8, 5)}
 
 
 class TestToJson:

@@ -158,7 +158,8 @@ def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
     combine = reconstruct_five if soft else lambda parts: Bitstring.concat_all(parts.values())
     decoded = {}
     for rx, parts in got.items():
-        have = {**scheme.placement.parts_of(rx, demands.for_rx(rx)), **parts}
+        cached = scheme.placement.parts[demands.for_rx(rx)]
+        have = {**{p: cached[p - 1] for p in scheme.placement.labels[rx]}, **parts}
         chosen = dict(sorted(have.items())[:needed])
         decoded[rx] = combine(chosen) if len(chosen) == needed else None
     return pipeline._result(

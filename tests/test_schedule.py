@@ -3,11 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wynercache.model import DemandVector, random_library, to_json
+from wynercache.model import CachePlacement, DemandVector, Variant, random_library, to_json
 from wynercache.schemes import (
+    DecodePlan,
+    DeliverySchedule,
     Direct,
     KTooSmall,
+    PeriodSchedule,
     SILENT,
     Silent,
     Violation,
@@ -18,6 +22,8 @@ from wynercache.schemes import (
     delivery_schedule_soft,
     verify_schedule,
 )
+from wynercache.schemes.placement import cached_part_full, cached_parts_soft
+from wynercache.schemes.schedule import NEEDED, PERIODS, guaranteed_receivers
 
 
 def _soft_setup(k, d_files=6, demands=None, seed=0):
@@ -93,7 +99,7 @@ class TestVerifySchedule:
         ]
         for demands in policies:
             schedule = delivery_schedule_soft(k, demands)
-            assert verify_schedule(schedule, placement, demands) == []
+            assert verify_schedule(schedule, placement) == []
 
     @pytest.mark.parametrize("variant, k", [("soft", 12), ("full", 10)])
     def test_placed_template_passes_with_fewer_files_than_receivers(self, variant, k):
@@ -108,7 +114,7 @@ class TestVerifySchedule:
             lib = random_library(6, 16, seed=k)
             placement = cache_placement_full(k, lib)
             schedule = delivery_schedule_full(k, receivers)
-        assert verify_schedule(schedule, placement, receivers) == []
+        assert verify_schedule(schedule, placement) == []
 
     def test_exhaustive_small(self):
         lib = random_library(2, 30, seed=1, allow_small_d=True)
@@ -116,7 +122,7 @@ class TestVerifySchedule:
         for combo in itertools.product((1, 2), repeat=6):
             demands = DemandVector(combo)
             schedule = delivery_schedule_soft(6, demands)
-            assert verify_schedule(schedule, placement, demands) == []
+            assert verify_schedule(schedule, placement) == []
 
     def test_knowledge_violation(self):
         demands = DemandVector((1, 2, 3, 4, 5, 6))
@@ -124,7 +130,7 @@ class TestVerifySchedule:
         mutated = copy.deepcopy(sched)
         # Tx 1 only downloads files d_1 and d_2; referencing d_4 is illegal
         mutated.periods[0].tx_actions[1] = Direct(4, 3)
-        kinds = {v.kind for v in verify_schedule(mutated, placement, demands)}
+        kinds = {v.kind for v in verify_schedule(mutated, placement)}
         assert "knowledge" in kinds
 
     def test_extraction_key_violation(self):
@@ -136,7 +142,7 @@ class TestVerifySchedule:
         original = mutated.periods[0].tx_actions[2]
         assert original == XorPair(2, 6, 1, 3)
         mutated.periods[0].tx_actions[2] = XorPair(1, 6, 1, 3)  # first file swapped to d_1
-        violations = verify_schedule(mutated, placement, demands)
+        violations = verify_schedule(mutated, placement)
         assert all(v.kind != "knowledge" for v in violations)
         assert any(v.kind == "extraction_key" and v.actor == 3 for v in violations)
 
@@ -145,7 +151,7 @@ class TestVerifySchedule:
         sched, placement, _ = _soft_setup(6, demands=demands)
         mutated = copy.deepcopy(sched)
         mutated.periods[0].tx_actions[3] = Direct(3, 3)  # Tx 3 must be silent in period 1
-        kinds = {v.kind for v in verify_schedule(mutated, placement, demands)}
+        kinds = {v.kind for v in verify_schedule(mutated, placement)}
         assert "silent_class" in kinds
 
     def test_cancel_key_violation(self):
@@ -156,7 +162,7 @@ class TestVerifySchedule:
         mutated.periods[0].rx_plans[2] = type(plan)(
             source=plan.source, cancel=((1, 1, 5),), strip=plan.strip, target=plan.target
         )
-        kinds = {v.kind for v in verify_schedule(mutated, placement, demands)}
+        kinds = {v.kind for v in verify_schedule(mutated, placement)}
         assert "cancel_key" in kinds
 
     def test_violation_json(self):
@@ -185,4 +191,124 @@ class TestFullSchedule:
             placement = cache_placement_full(k, lib)
             demands = DemandVector(tuple((i % 6) + 1 for i in range(k)))
             schedule = delivery_schedule_full(k, demands)
-            assert verify_schedule(schedule, placement, demands) == []
+            assert verify_schedule(schedule, placement) == []
+
+
+def _per_model_part_count(variant, k, decoded):
+    """The receivers flagged by the former part accounting, one rule per model against the
+    canonical caches, whatever the placement: the oracle of the placement-driven rule."""
+    flagged = set()
+    if variant is Variant.SOFT_HANDOFF:
+        for rx in range(2, k):
+            cached, distinct = set(cached_parts_soft(rx)), set(decoded[rx])
+            if len(decoded[rx]) != 3 or len(distinct) != 3 or distinct & cached:
+                flagged.add(rx)
+            elif len(distinct | cached) < 5:
+                flagged.add(rx)
+    else:
+        for rx in range(1, k + 1):
+            if set(decoded[rx]) != {1, 2} - {cached_part_full(rx)}:
+                flagged.add(rx)
+    return flagged
+
+
+def _decoding(variant, k, decoded):
+    """A schedule in which receiver rx decodes the labels ``decoded[rx]`` of its own file, one
+    per period; only its part accounting is of interest."""
+    receivers = DemandVector(tuple(range(1, k + 1)))
+    periods = tuple(
+        PeriodSchedule(i, None, {}, {
+            rx: DecodePlan(rx, (), None, (rx, labels[i - 1])) if i <= len(labels) else None
+            for rx, labels in decoded.items()
+        })
+        for i in range(1, max(map(len, decoded.values())) + 1)
+    )
+    return DeliverySchedule(variant, k, receivers, periods)
+
+
+def _canonical(variant, k):
+    """The canonical placement and the labels of its own file each receiver decodes."""
+    receivers = DemandVector(tuple(range(1, k + 1)))
+    if variant is Variant.SOFT_HANDOFF:
+        placement = cache_placement_soft(k, random_library(6, 30, seed=k))
+        schedule = delivery_schedule_soft(k, receivers)
+    else:
+        placement = cache_placement_full(k, random_library(6, 16, seed=k))
+        schedule = delivery_schedule_full(k, receivers)
+    decoded = {rx: [] for rx in range(1, k + 1)}
+    for per in schedule.periods:
+        for rx, plan in per.rx_plans.items():
+            if plan is not None and plan.target[0] == rx:
+                decoded[rx].append(plan.target[1])
+    return placement, decoded
+
+
+def _part_count(schedule, placement):
+    return {v.actor for v in verify_schedule(schedule, placement) if v.kind == "part_count"}
+
+
+@st.composite
+def _decoded_labels(draw):
+    variant = draw(st.sampled_from(Variant))
+    soft = variant is Variant.SOFT_HANDOFF
+    k = draw(st.integers(5, 12) if soft else st.integers(2, 6).map(lambda half: 2 * half))
+    placement, canonical = _canonical(variant, k)
+    top = 6 if soft else 2
+    label = st.integers(0, top + 1)  # out of range at both ends
+    decoded = {
+        rx: draw(st.one_of(
+            st.just(labels),
+            st.lists(label, max_size=top),
+            label.map(lambda extra, labels=labels: labels + [extra]),
+            st.permutations(labels).map(lambda p: p[1:]),
+        ))
+        for rx, labels in canonical.items()
+    }
+    return variant, k, placement, decoded
+
+
+class TestPartAccounting:
+    @settings(max_examples=300, deadline=None)
+    @given(_decoded_labels())
+    def test_agrees_with_the_per_model_rules(self, case):
+        # the one rule is stricter in two cases only: a soft label outside 1..6, and a
+        # full label decoded twice; the per-model rules flag both other variants already
+        variant, k, placement, decoded = case
+        soft = variant is Variant.SOFT_HANDOFF
+        top = 6 if soft else 2
+        stricter = {
+            rx for rx in (range(2, k) if soft else range(1, k + 1))
+            if len(set(decoded[rx])) < len(decoded[rx]) or not all(1 <= p <= top for p in decoded[rx])
+        }
+        want = _per_model_part_count(variant, k, decoded) | stricter
+        assert _part_count(_decoding(variant, k, decoded), placement) == want
+
+    @pytest.mark.parametrize(
+        "variant, k, rx, labels",
+        [(Variant.SOFT_HANDOFF, 6, 4, [3, 4, 7]), (Variant.FULL, 6, 1, [2, 2])],
+    )
+    def test_stricter_cases(self, variant, k, rx, labels):
+        placement, decoded = _canonical(variant, k)
+        decoded[rx] = labels
+        assert rx not in _per_model_part_count(variant, k, decoded)
+        assert _part_count(_decoding(variant, k, decoded), placement) == {rx}
+
+    @pytest.mark.parametrize("variant, k", [(Variant.SOFT_HANDOFF, 7), (Variant.FULL, 8)])
+    def test_scheme_table_matches_the_schedules(self, variant, k):
+        placement, decoded = _canonical(variant, k)
+        build = delivery_schedule_soft if variant is Variant.SOFT_HANDOFF else delivery_schedule_full
+        assert len(build(k, DemandVector(tuple(range(1, k + 1)))).periods) == PERIODS[variant]
+        held = {rx: len(placement.labels[rx]) + len(set(decoded[rx])) for rx in decoded}
+        assert guaranteed_receivers(variant, k) == tuple(rx for rx in held if held[rx] == NEEDED[variant])
+
+    def test_canonical_decodes_pass(self):
+        for variant, k in [(Variant.SOFT_HANDOFF, 7), (Variant.FULL, 8)]:
+            placement, decoded = _canonical(variant, k)
+            assert _part_count(_decoding(variant, k, decoded), placement) == set()
+
+    def test_reads_the_placement_labels(self):
+        # every receiver caches labels (1, 2): receivers 2, 3 and 5 then decode a cached
+        # label, and receiver 4, whose canonical cache this is, still holds five labels
+        sched, canonical, _ = _soft_setup(6)
+        placement = CachePlacement(canonical.parts, {rx: (1, 2) for rx in range(1, 7)})
+        assert _part_count(sched, placement) == {2, 3, 5}
