@@ -28,7 +28,6 @@ from .model import (
     Variant,
     random_library,
     to_json,
-    validate_config,
 )
 from .schemes import (
     cache_placement_full,
@@ -125,29 +124,14 @@ def _parse_list(text: str, flag: str, kind: type = float) -> list:
     return values
 
 
-def _parse_gains(text: str, k: int, variant: Variant) -> tuple[float, ...] | float:
-    values = _parse_list(text, "--alpha")
-    if variant is Variant.FULL:
-        if len(values) != 1:
-            raise SimError("the full model takes a single --alpha value")
-        return values[0]
-    if len(values) == 1:
-        return (values[0],) * k
-    if len(values) != k:
-        raise SimError(f"--alpha needs 1 or K={k} values, got {len(values)}")
-    return tuple(values)
-
-
 def _build_config(args: argparse.Namespace) -> NetworkConfig:
+    """The config of the flags; ``ExperimentSpec.validate`` checks it, the --alpha count included."""
     variant = Variant.SOFT_HANDOFF if args.model == "soft" else Variant.FULL
     power = power_from_db(_parse_list(args.snr_db, "--snr-db")[0])
-    gains = _parse_gains(args.alpha, args.k, variant)
-    if variant is Variant.FULL:
-        cfg = NetworkConfig.full(args.k, gains, power, args.epsilon)
-    else:
-        cfg = NetworkConfig.soft_handoff(args.k, gains, power, args.epsilon)
-    validate_config(cfg)
-    return cfg
+    gains = _parse_list(args.alpha, "--alpha")
+    if variant is Variant.SOFT_HANDOFF and len(gains) == 1:
+        gains *= args.k
+    return NetworkConfig(variant, args.k, tuple(gains), power, args.epsilon)
 
 
 def _parse_demands(text: str) -> tuple[DemandPolicy, tuple[int, ...] | None]:

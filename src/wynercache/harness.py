@@ -29,7 +29,6 @@ from .model import (
     derive_seed,
     random_library,
     to_json,
-    validate_config,
 )
 from .schemes import (
     ConfigMismatch,
@@ -43,8 +42,8 @@ from .schemes import (
     run_soft,
     run_soft_prop1,
 )
-from .schemes.mds import MAX_K
-from .schemes.schedule import MIN_SOFT_K, NEEDED, PERIODS, KTooSmall
+from .schemes.pipeline import check_scheme
+from .schemes.schedule import NEEDED, PERIODS
 from .tradeoff import (
     ACHIEVABLE,
     UPPER_BOUND,
@@ -89,9 +88,13 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         cfg = self.config
-        validate_config(cfg)
-        if cfg.variant is Variant.SOFT_HANDOFF and cfg.k < MIN_SOFT_K:
-            raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
+        if self.round_robin and self.prop1_extra_bits:
+            raise SimError("round_robin runs no prop-1 placement; unset prop1_extra_bits")
+        if self.bits < 1:
+            raise SimError("bits per submessage must be at least 1")
+        if self.master_seed < 0:
+            raise SimError(f"master_seed must be non-negative, got {self.master_seed}")
+        check_scheme(cfg, self.payload_bits(), self.round_robin, self.prop1_extra_bits)
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
         if self.backend == "ideal":
@@ -99,8 +102,6 @@ class ExperimentSpec:
             check_ideal_rate(cfg)
         if self.trials < 1:
             raise SimError("trials must be at least 1")
-        if self.bits < 1:
-            raise SimError("bits per submessage must be at least 1")
         check_library_size(self.num_files, self.payload_bits(), self.allow_small_d)
         if self.backend == "mc":
             # every codebook has 2^bits words, and every period gets n // periods uses
@@ -122,22 +123,6 @@ class ExperimentSpec:
                     f"exhaustive policy needs D^K <= {EXHAUSTIVE_LIMIT}, "
                     f"got {self.num_files}^{self.config.k}"
                 )
-        if self.round_robin and self.config.variant is not Variant.SOFT_HANDOFF:
-            raise SimError("round robin applies to the soft-handoff scheme only")
-        if self.prop1_extra_bits < 0:
-            raise ConfigMismatch(f"negative prop1_extra_bits {self.prop1_extra_bits}")
-        if self.prop1_extra_bits and self.config.variant is not Variant.SOFT_HANDOFF:
-            raise SimError("the augmented placement is wired for the soft-handoff scheme")
-        if self.round_robin and self.prop1_extra_bits:
-            raise SimError("round_robin runs no prop-1 placement; unset prop1_extra_bits")
-        if self.round_robin and cfg.k > MAX_K:
-            raise ConfigMismatch(f"round robin's GF(256) MDS code allows K <= {MAX_K}, got K={cfg.k}")
-        if self.round_robin and self.payload_bits() // (cfg.k - 2) % 8 != 0:
-            # the MDS code works byte-wise on each of the K-2 data parts
-            raise ConfigMismatch(
-                f"round robin needs whole-byte MDS parts, got {self.payload_bits() // (cfg.k - 2)} "
-                f"bits each; use a multiple of 8 for bits"
-            )
 
     def payload_bits(self) -> int:
         # round robin (soft only) sends K - 2 soft payloads, one per MDS data part

@@ -52,6 +52,10 @@ class LengthMismatch(SimError):
     pass
 
 
+class ConfigMismatch(SimError):
+    pass
+
+
 class Variant(Enum):
     """Interference topology: one-sided (soft handoff) or two-sided (full)."""
 
@@ -275,10 +279,10 @@ class DemandVector:
     def checked(cls, entries: Iterable[int], k: int, num_files: int) -> "DemandVector":
         d = cls(tuple(int(e) for e in entries))
         if len(d.entries) != k:
-            raise SimError(f"demand vector has {len(d.entries)} entries, expected K={k}")
+            raise ConfigMismatch(f"demand vector has {len(d.entries)} entries, expected K={k}")
         for e in d.entries:
             if not 1 <= e <= num_files:
-                raise SimError(f"demand {e} outside 1..{num_files}")
+                raise ConfigMismatch(f"demand {e} outside 1..{num_files}")
         return d
 
     def for_rx(self, rx: int) -> int:

@@ -1,6 +1,8 @@
 """End-to-end scheme execution in the paper's two phases.
 
-* Placement, once per (config, library): ``_scheme`` builds the demand-free
+* Placement, once per (config, library): ``check_scheme`` holds every rule a run
+  must pass before any demand is known, and ``ExperimentSpec.validate`` calls it
+  too. ``_scheme`` builds the demand-free
   ``CachePlacement``, which splits every file once, and the delivery schedule
   for the demands (1, ..., K), in which file j stands for "the file receiver j
   demands"; ``verify_schedule`` checks it against the cached labels once, and
@@ -40,6 +42,7 @@ from ..codec import draw_codebook, nn_decode
 from ..model import (
     Bitstring,
     CachePlacement,
+    ConfigMismatch,
     DemandVector,
     MessageLibrary,
     NetworkConfig,
@@ -48,15 +51,16 @@ from ..model import (
     derive_seed,
     validate_config,
 )
-from .mds import mds_decode, mds_encode
-from .parts import DATA_PARTS_SOFT
+from .mds import MAX_K, mds_decode, mds_encode
 from .parts import reconstruct_five, split_full, split_soft  # names perfbench/tracing.py wraps
 from .placement import cache_placement_full, cache_placement_soft
 from .points import check_ideal_rate
 from .schedule import (
+    MIN_SOFT_K,
     NEEDED,
     DeliverySchedule,
     Direct,
+    KTooSmall,
     PeriodSchedule,
     Silent,
     XorPair,
@@ -72,10 +76,6 @@ _SEED_SUPER = 0x50BE
 
 
 class PowerViolation(SimError):
-    pass
-
-
-class ConfigMismatch(SimError):
     pass
 
 
@@ -251,12 +251,8 @@ def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     periods hear the gains of the nodes playing each role and key their MC streams by
     (_SEED_SUPER, l). Receiver rx plays a guaranteed role in K - 2 rotations, fixed here, and
     ``_deliver`` MDS-decodes their pieces."""
-    k, chunk = cfg.k, library.payload_bits // (cfg.k - 2)
-    if library.payload_bits % (k - 2) != 0 or chunk % 8 != 0 or chunk % DATA_PARTS_SOFT != 0:
-        raise ConfigMismatch(
-            f"round-robin needs the payload divisible into K-2={k - 2} byte-aligned "
-            f"parts each divisible by {DATA_PARTS_SOFT}; got {library.payload_bits} bits"
-        )
+    check_scheme(cfg, library.payload_bits, round_robin=True)
+    k = cfg.k
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
     rotations = [_scheme(cfg, MessageLibrary(tuple(c[ell] for c in coded))) for ell in range(k)]
     width = rotations[0].values.shape[0]
@@ -298,6 +294,7 @@ def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
 def _cache_tail(cfg: NetworkConfig, library: MessageLibrary, extra_bits: int) -> _Plan:
     """Prop-1: the soft plan of the leading bits of each file, plus one more label, the tail,
     cached at every receiver, never among the needed labels and appended to each payload."""
+    check_scheme(cfg, library.payload_bits, extra_bits=extra_bits)
     mains = MessageLibrary(tuple(Bitstring(p.length - extra_bits, p.value >> extra_bits) for p in library))
     plan = _scheme(cfg, mains)
     k, width = cfg.k, plan.values.shape[0]
@@ -316,29 +313,42 @@ def _cache_tail(cfg: NetworkConfig, library: MessageLibrary, extra_bits: int) ->
     )
 
 
-def _checked(cfg: NetworkConfig, variant: Variant) -> NetworkConfig:
+def check_scheme(cfg: NetworkConfig, payload_bits: int, round_robin: bool = False, extra_bits: int = 0) -> None:
+    """Raise the named ``SimError`` for the first placement rule that a run of ``cfg`` on
+    ``payload_bits``-bit files breaks, round robin or with a prop-1 tail of ``extra_bits``."""
     validate_config(cfg)
+    soft = cfg.variant is Variant.SOFT_HANDOFF
+    if soft and cfg.k < MIN_SOFT_K:
+        raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
+    if (round_robin or extra_bits) and not soft:
+        raise ConfigMismatch("round robin and the prop-1 tail apply to the soft-handoff scheme only")
+    if extra_bits < 0:
+        raise ConfigMismatch(f"negative prop1_extra_bits {extra_bits}")
+    base = payload_bits - extra_bits  # the main part of prop-1, or one MDS part of round robin
+    if round_robin:
+        if cfg.k > MAX_K:
+            raise ConfigMismatch(f"round robin's GF(256) MDS code allows K <= {MAX_K}, got K={cfg.k}")
+        base, rest = divmod(payload_bits, cfg.k - 2)
+        if rest or base % 8:  # the MDS code works byte-wise on each of the K-2 data parts
+            raise ConfigMismatch(
+                f"round robin needs the {payload_bits}-bit payload split into K-2={cfg.k - 2} "
+                f"whole-byte MDS parts; use a multiple of 8 for bits"
+            )
+    if base <= 0 or base % NEEDED[cfg.variant]:
+        raise ConfigMismatch(f"payload of {base} bits is not divisible into {NEEDED[cfg.variant]} parts")
+
+
+def _checked(cfg: NetworkConfig, variant: Variant) -> NetworkConfig:
     if cfg.variant is not variant:
         raise ConfigMismatch(f"config is {cfg.variant.value}, scheme needs {variant.value}")
     return cfg
 
 
-def _check_demands(cfg: NetworkConfig, library: MessageLibrary, demands: DemandVector) -> None:
-    if len(demands) != cfg.k:
-        raise ConfigMismatch(f"demand vector length {len(demands)} != K={cfg.k}")
-    for d in demands:
-        if not 1 <= d <= library.num_files:
-            raise ConfigMismatch(f"demand {d} outside library 1..{library.num_files}")
-
-
 @functools.lru_cache(maxsize=1)
 def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     """Placement phase: everything about a run of ``cfg`` that the demands do not change."""
+    check_scheme(cfg, library.payload_bits)
     soft, needed = cfg.variant is Variant.SOFT_HANDOFF, NEEDED[cfg.variant]
-    if library.payload_bits % needed != 0:
-        raise ConfigMismatch(
-            f"payload of {library.payload_bits} bits is not divisible by {needed}"
-        )
     receivers = DemandVector(tuple(range(1, cfg.k + 1)))
     # every builder is looked up by name per call, so tracers see it
     placement = (cache_placement_soft if soft else cache_placement_full)(cfg.k, library)
@@ -395,7 +405,7 @@ def _result(
 def _deliver(plan: _Plan, demands: DemandVector, backend: Backend) -> SimResult:
     """Delivery phase: serve one demand vector with a placed plan."""
     cfg, library = plan.cfg, plan.library
-    _check_demands(cfg, library, demands)
+    DemandVector.checked(demands, cfg.k, library.num_files)
     if isinstance(backend, Ideal):
         rate, n_slot = plan.scale(plan.ideal_rate), 0
     else:
@@ -457,15 +467,8 @@ def run_soft_prop1(
     of the main pieces gains the tail as one more label per file (``_cache_tail``),
     lifting the operating point from (R, M) to (R + dR, M + D*dR).
     """
-    if extra_bits < 0:
-        raise ConfigMismatch(f"negative extra_bits {extra_bits}")
     if extra_bits == 0:
         return run_soft(cfg, library, demands, backend)
-    main_bits = library.payload_bits - extra_bits
-    if main_bits <= 0 or main_bits % DATA_PARTS_SOFT != 0:
-        raise ConfigMismatch(
-            f"main payload of {main_bits} bits is not divisible by {DATA_PARTS_SOFT}"
-        )
     return _deliver(_cache_tail(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits), demands, backend)
 
 

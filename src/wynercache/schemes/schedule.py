@@ -1,6 +1,7 @@
 """Delivery schedules: per-period transmitter actions and receiver decode plans,
-a mechanical validity checker, and each model's periods, parts needed and
-guaranteed receivers (``PERIODS``, ``NEEDED``, ``guaranteed_receivers``).
+a mechanical validity checker, and each model's periods, parts needed,
+guaranteed receivers and topology (``PERIODS``, ``NEEDED``,
+``guaranteed_receivers``, ``HEARD``).
 
 Soft handoff runs three periods. In period p the transmitter class
 (p - 1) mod 3 is silent, and Tx K is silent in every period, which cuts the
@@ -40,6 +41,9 @@ MIN_SOFT_K = 5
 SOFT_PERIODS = 3
 PERIODS = {Variant.SOFT_HANDOFF: SOFT_PERIODS, Variant.FULL: 1}
 NEEDED = {Variant.SOFT_HANDOFF: DATA_PARTS_SOFT, Variant.FULL: PARTS_FULL}
+# the transmitters each receiver hears, as offsets from its own at 0; a cognitive Tx
+# knows the files of exactly the receivers that hear it
+HEARD = {Variant.SOFT_HANDOFF: (-1, 0), Variant.FULL: (-1, 0, 1)}
 
 
 def guaranteed_receivers(variant: Variant, k: int) -> tuple[int, ...]:
@@ -221,23 +225,6 @@ class Violation:
     detail: str
 
 
-def _knowledge_set(schedule: DeliverySchedule, tx: int) -> set[int]:
-    d = schedule.demands.for_rx
-    nxt = tx + 1 if tx < schedule.k else 1
-    if schedule.variant is Variant.SOFT_HANDOFF:
-        return {d(tx), d(nxt)}
-    prev = tx - 1 if tx > 1 else schedule.k
-    return {d(prev), d(tx), d(nxt)}
-
-
-def _heard_transmitters(schedule: DeliverySchedule, rx: int) -> tuple[int, ...]:
-    prev = rx - 1 if rx > 1 else schedule.k
-    if schedule.variant is Variant.SOFT_HANDOFF:
-        return (prev, rx)
-    nxt = rx + 1 if rx < schedule.k else 1
-    return (prev, rx, nxt)
-
-
 def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> list[Violation]:
     """Mechanically check a schedule against a placement; an empty list means it is valid.
 
@@ -246,7 +233,8 @@ def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> li
     holding exactly ``NEEDED`` distinct labels of its file, all in 1..parts: no label
     is decoded twice, and none is both cached and decoded.
     """
-    k, demands = schedule.k, schedule.demands
+    k, demands, heard = schedule.k, schedule.demands, HEARD[schedule.variant]
+    ring = lambda node: (node - 1) % k + 1
     if len(demands) != k:
         raise SimError(f"demand vector length {len(demands)} != K={k}")
     violations: list[Violation] = []
@@ -262,7 +250,7 @@ def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> li
                 if should_be_silent != isinstance(action, Silent):
                     state = "silent" if should_be_silent else "active"
                     flag("silent_class", at, tx, f"Tx {tx} must be {state} in period {at}")
-            known = _knowledge_set(schedule, tx)
+            known = {demands.for_rx(ring(tx - off)) for off in heard}
             for f in action.files():
                 if f not in known:
                     flag("knowledge", at, tx,
@@ -297,7 +285,7 @@ def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> li
                     flag("extraction_key", at, rx, f"Rx {rx} lacks cached {plan.strip} to strip the xor")
             # (d) no active transmitter is heard beyond the decode plan
             allowed = {plan.source} | {tx for tx, _, _ in plan.cancel}
-            for tx in _heard_transmitters(schedule, rx):
+            for tx in (ring(rx + off) for off in heard):
                 if not isinstance(sends.get(tx), Silent) and tx not in allowed:
                     flag("interference", at, rx,
                          f"Rx {rx} hears active Tx {tx} not covered by its decode plan")

@@ -130,10 +130,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--k", "6", "--prop1-delta-bits", "-3"], ["--k", "7", "--round-robin", "--bits", "7"]],
+        [
+            ["--model", "soft", "--k", "6", "--prop1-delta-bits", "-3"],
+            ["--model", "soft", "--k", "7", "--round-robin", "--bits", "7"],
+            ["--model", "full", "--k", "6", "--round-robin"],
+            ["--model", "full", "--k", "6", "--prop1-delta-bits", "8"],
+            ["--model", "soft", "--k", "6", "--demands", "explicit:1,2,3,4,5,9"],
+        ],
     )
     def test_late_failures_fail_validation(self, capsys, flags):
-        code = main(["simulate", "--model", "soft", *flags])
+        code = main(["simulate", *flags])
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("ConfigMismatch: ")
@@ -144,6 +150,11 @@ class TestSimulate:
             ["simulate", "--model", "soft", "--k", "6", "--alpha", "1,2,3"]
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("model, alpha", [("soft", "1,2,3"), ("full", "1,2")])
+    def test_alpha_count_is_checked_by_the_config(self, capsys, model, alpha):
+        assert main(["simulate", "--model", model, "--k", "6", "--alpha", alpha]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"ConfigError: {model} variant needs")
 
 
 @pytest.mark.parametrize(
@@ -163,6 +174,7 @@ class TestSimulate:
         ["tradeoff", "--model", "soft", "--x-max", "nan"],
         ["simulate", "--model", "soft", "--k", "6", "--snr-db", "4000"],
         ["sweep", "--model", "soft", "--k", "6", "--snr-db", "20,4000"],
+        ["simulate", "--model", "soft", "--k", "6", "--seed", "-1"],
     ],
 )
 def test_bad_input_gets_one_named_line(capsys, argv):

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import wynercache.harness as harness
 from wynercache.harness import (
@@ -15,8 +16,8 @@ from wynercache.harness import (
     sweep_snr,
 )
 from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
-from wynercache.model import DemandVector, NetworkConfig, SimError, Variant
-from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft
+from wynercache.model import DemandVector, NetworkConfig, SimError, Variant, random_library
+from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft, round_robin_soft
 from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE, upper_bound
@@ -250,6 +251,55 @@ class TestLateFailuresRejected:
             config=NetworkConfig.soft_handoff(7, 1.0, 1e4), round_robin=True, prop1_extra_bits=10
         )
         _rejected_before_any_trial(spec, SimError, match="round_robin.*prop1_extra_bits")
+
+    def test_negative_seed(self):
+        _rejected_before_any_trial(_soft_spec(master_seed=-1), SimError, match="master_seed")
+        _soft_spec(master_seed=0).validate()
+
+    @pytest.mark.parametrize("extra", [{"round_robin": True}, {"prop1_extra_bits": 8}])
+    def test_soft_only_schemes_on_full(self, extra):
+        spec = _soft_spec(config=NetworkConfig.full(6, 0.7, 1e4), **extra)
+        _rejected_before_any_trial(spec, ConfigMismatch, match="soft-handoff scheme only")
+
+
+class TestValidateMatchesTheRun:
+    """``ExperimentSpec.validate`` and the runners state each rule once, so they agree."""
+
+    def test_runner_rejects_k_beyond_the_mds_field(self):
+        k = MAX_K + 1
+        lib = random_library(6, 5 * 8 * (k - 2), seed=1)
+        with pytest.raises(ConfigMismatch, match=f"K <= {MAX_K}, got K={k}"):
+            round_robin_soft(NetworkConfig.soft_handoff(k, 1.0, 1e4), lib, DemandVector((1,) * k))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_a_validated_spec_runs(self, data):
+        # the first value, which validates, at least half the time, so many specs reach a run
+        draw = lambda *values: data.draw(st.just(values[0]) | st.sampled_from(values))
+        variant, k = draw(*Variant), draw(6, *range(3, 10))
+        gains = (1.0,) * k if variant is Variant.SOFT_HANDOFF else (0.7,)
+        config = NetworkConfig(variant, k, gains, draw(1e4, 10.0, 0.05), draw(0.05, 1e-16))
+        num_files, policy = draw(6, 1, 2, 3, 8), draw(*DemandPolicy)
+        explicit = None
+        if policy is DemandPolicy.EXPLICIT:
+            entries = st.integers(0, num_files + 1)
+            explicit = data.draw(
+                st.none() | st.lists(entries, min_size=k, max_size=k).map(tuple)
+                | st.lists(entries, max_size=10).map(tuple)
+            )
+        if policy is DemandPolicy.EXHAUSTIVE:
+            assume(num_files**k <= 2000)
+        spec = ExperimentSpec(
+            config=config, backend=draw("ideal", "mc"), num_files=num_files, bits=draw(8, 0, 1, 3),
+            n=draw(30, 0, 1, 3), trials=1, master_seed=draw(0, -1, 2**70), demand_policy=policy,
+            explicit_demands=explicit, round_robin=draw(False, True),
+            prop1_extra_bits=draw(0, -1, 3, 8), allow_small_d=draw(False, True),
+        )
+        try:
+            spec.validate()  # any exception but a SimError fails the property
+        except SimError:
+            return
+        run_experiment(spec)
 
 
 class TestSweep:

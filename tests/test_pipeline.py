@@ -145,7 +145,7 @@ def _execute_dict(scheme, demands, backend, bits_per_part, n_slot):
 def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
     """``pipeline._deliver`` over ``execute``, combining each receiver's labelled parts."""
     cfg, library = scheme.cfg, scheme.library
-    pipeline._check_demands(cfg, library, demands)
+    DemandVector.checked(demands, cfg.k, library.num_files)
     periods, needed = len(scheme.periods), _needed(cfg)
     bits_per_part = library.payload_bits // needed
     if isinstance(backend, Ideal):
@@ -208,7 +208,7 @@ def _physical_of(role, ell, k):
 def _round_robin_dict(cfg, library, demands, backend):
     """Round robin as K deliveries of the soft scheme over rotated configs, each of one
     MDS-coded sub-library, then an MDS decode of each receiver's K-2 lowest super-periods."""
-    pipeline._check_demands(cfg, library, demands)
+    DemandVector.checked(demands, cfg.k, library.num_files)
     k = cfg.k
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
     collected = {rx: {} for rx in range(1, k + 1)}

@@ -312,3 +312,64 @@ class TestPartAccounting:
         sched, canonical, _ = _soft_setup(6)
         placement = CachePlacement(canonical.parts, {rx: (1, 2) for rx in range(1, 7)})
         assert _part_count(sched, placement) == {2, 3, 5}
+
+
+def _knowledge_set(schedule, tx):
+    """The files Tx ``tx`` knows, per variant: the former helper, now the oracle of ``HEARD``."""
+    d = schedule.demands.for_rx
+    nxt = tx + 1 if tx < schedule.k else 1
+    if schedule.variant is Variant.SOFT_HANDOFF:
+        return {d(tx), d(nxt)}
+    prev = tx - 1 if tx > 1 else schedule.k
+    return {d(prev), d(tx), d(nxt)}
+
+
+def _heard_transmitters(schedule, rx):
+    prev = rx - 1 if rx > 1 else schedule.k
+    if schedule.variant is Variant.SOFT_HANDOFF:
+        return (prev, rx)
+    nxt = rx + 1 if rx < schedule.k else 1
+    return (prev, rx, nxt)
+
+
+class TestTopologyTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_violations_as_the_per_variant_helpers(self, data):
+        variant = data.draw(st.sampled_from(Variant))
+        soft = variant is Variant.SOFT_HANDOFF
+        k = data.draw(st.integers(5, 10) if soft else st.integers(2, 5).map(lambda half: 2 * half))
+        demands = DemandVector(tuple(data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))))
+        lib = random_library(4, 30 if soft else 16, seed=k, allow_small_d=True)
+        build, place = (
+            (delivery_schedule_soft, cache_placement_soft) if soft else (delivery_schedule_full, cache_placement_full)
+        )
+        schedule = build(k, demands)
+        file = st.integers(1, 4)
+        action = st.one_of(
+            st.just(SILENT), st.builds(Direct, file, st.just(1)), st.builds(XorPair, file, st.just(1), file, st.just(2))
+        )
+        for per in schedule.periods:  # rewire a few transmitters to reference any file
+            for tx in data.draw(st.lists(st.integers(1, k), max_size=3)):
+                per.tx_actions[tx] = data.draw(action)
+        want = []
+        for per in schedule.periods:
+            for tx, sent in per.tx_actions.items():
+                known = _knowledge_set(schedule, tx)
+                want += [
+                    ("knowledge", per.index, tx,
+                     f"Tx {tx} references file {f} outside its download set {sorted(known)}")
+                    for f in sent.files() if f not in known
+                ]
+            for rx, plan in per.rx_plans.items():
+                allowed = plan and {plan.source} | {tx for tx, _, _ in plan.cancel}
+                want += [
+                    ("interference", per.index, rx, f"Rx {rx} hears active Tx {tx} not covered by its decode plan")
+                    for tx in (_heard_transmitters(schedule, rx) if plan else ())
+                    if not isinstance(per.tx_actions.get(tx), Silent) and tx not in allowed
+                ]
+        got = [
+            (v.kind, v.period, v.actor, v.detail)
+            for v in verify_schedule(schedule, place(k, lib)) if v.kind in ("knowledge", "interference")
+        ]
+        assert got == want
