@@ -168,7 +168,9 @@ def _demands_for_trial(spec: ExperimentSpec, trial: int) -> DemandVector:
         entries = (int(x) for x in rng.integers(1, d + 1, size=k))
     else:
         raise SimError("exhaustive demands are enumerated, not drawn per trial")
-    return DemandVector.checked(entries, k, d)
+    # unchecked: validate bounds an explicit vector, a random draw is in range, and the
+    # runner checks every vector it delivers
+    return DemandVector(tuple(entries))
 
 
 def _run_single(

@@ -244,6 +244,14 @@ class MessageLibrary:
     def __iter__(self) -> Iterator[Bitstring]:
         return iter(self.payloads)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.payloads)
+
+    def __hash__(self) -> int:
+        # hashed once: the runners look their placement up by library on every delivery
+        return self._hash
+
 
 def derive_seed(*entropy: int) -> int:
     """64-bit seed of the stream keyed by ``entropy``; distinct tuples give independent streams."""

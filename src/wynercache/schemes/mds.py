@@ -5,6 +5,12 @@ parity P and part K the weighted parity Q = sum g^(i-1) * d_i with generator
 g = 2. Any K-2 of the K coded parts reconstruct the data, byte-wise. The
 weighted parity needs distinct generator powers per data part, which caps the
 code at 255 data parts (K <= 257).
+
+The decode is linear over GF(256), byte by byte, and fixed by the erasure
+pattern alone: each data part is one available part or a GF(256) combination
+of them (``gf_dot``). A caller whose patterns are known before the data, as
+round robin's are at placement, can decode the identity once per pattern and
+apply the resulting recipe to every later delivery.
 """
 
 from __future__ import annotations
@@ -55,6 +61,11 @@ def _gf_inv(c: int) -> int:
     return int(_EXP[255 - _LOG[c]])
 
 
+def gf_dot(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """XOR over j of coefficients[..., j] * rows[..., j, :] in GF(256), both uint8 and broadcast."""
+    return np.bitwise_xor.reduce(_MUL[coefficients[..., None], rows], axis=-2)
+
+
 def _as_byte_rows(parts: Sequence[Bitstring]) -> np.ndarray:
     lengths = {p.length for p in parts}
     if len(lengths) != 1:
@@ -74,7 +85,7 @@ def mds_encode(data_parts: Sequence[Bitstring]) -> list[Bitstring]:
     rows = _as_byte_rows(data_parts)
     p_parity = np.bitwise_xor.reduce(rows, axis=0)
     weights = _gen_pow(np.arange(len(rows)))
-    q_parity = np.bitwise_xor.reduce(_MUL[weights[:, None], rows], axis=0)
+    q_parity = gf_dot(weights, rows)
     return [*data_parts, Bitstring.from_bytes(p_parity.tobytes()), Bitstring.from_bytes(q_parity.tobytes())]
 
 
@@ -100,7 +111,7 @@ def mds_decode(available: Mapping[int, Bitstring], k_total: int) -> list[Bitstri
     # Q' = sum of g^(i-1) d_i over the missing i
     p_acc = np.bitwise_xor.reduce(rows[data | (labels == k_total - 1)], axis=0)
     weights = np.where(data, _gen_pow(labels - 1), labels == k_total)
-    q_acc = np.bitwise_xor.reduce(_MUL[weights[:, None], rows], axis=0)
+    q_acc = gf_dot(weights, rows)
 
     if len(missing_data) == 1:
         (a,) = missing_data

@@ -11,12 +11,16 @@
   other schemes from compiled plans: ``_rotate`` (round robin) lays the K soft
   rotations over the MDS-coded sub-libraries side by side, each rotation's
   roles played by physical nodes, and ``_cache_tail`` (prop-1) adds every
-  file's tail as a label cached at every receiver. Each plan is memoised on
-  its hashable frozen inputs and shared by all trials of one experiment.
+  file's tail as a label cached at every receiver. Which K-2 coded parts a
+  round robin receiver collects is fixed here too, so ``_rotate`` reads each
+  receiver's MDS decode off ``mds_decode`` once, as a GF(256) ``_Recipe``.
+  Each plan is memoised on its hashable frozen inputs and shared by all
+  trials of one experiment.
 * Delivery, per demand vector: ``_deliver`` walks any plan: the links
-  (``_links``), each receiver's XOR of its selected labels, round robin's MDS
-  decode, and ``_result``, which checks the payloads. Only MC links fail here:
-  an Ideal delivery runs at the rate ``check_ideal_rate`` passed once per plan.
+  (``_links``), each receiver's XOR of its selected labels, round robin's
+  recipe, applied to every receiver's coded parts in one array step, and
+  ``_result``, which checks the payloads. Only MC links fail here: an Ideal
+  delivery runs at the rate ``check_ideal_rate`` passed once per plan.
 
 Two interchangeable backends drive the same plans:
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -51,7 +55,7 @@ from ..model import (
     derive_seed,
     validate_config,
 )
-from .mds import MAX_K, mds_decode, mds_encode
+from .mds import MAX_K, gf_dot, mds_decode, mds_encode
 from .parts import reconstruct_five, split_full, split_soft  # names perfbench/tracing.py wraps
 from .placement import cache_placement_full, cache_placement_soft
 from .points import check_ideal_rate
@@ -159,6 +163,40 @@ class _Period:
 
 
 @dataclass(frozen=True, eq=False)
+class _Recipe:
+    """Each receiver's MDS decode, fixed by the K - 2 coded parts it collects: its data part i is
+    its collected part ``keep[r, i]``, except the two data parts ``fix[r]``, which are GF(256)
+    combinations ``coef[r]`` of all its collected parts. A receiver misses at most two data
+    parts; one that misses fewer also rebuilds collected data parts, whose rows are unit rows."""
+
+    keep: np.ndarray  # (receivers, K - 2): the collected part each data part passes through from
+    fix: np.ndarray  # (receivers, 2): the data parts ``coef`` rebuilds
+    coef: np.ndarray  # (receivers, 2, K - 2), uint8
+
+    def apply(self, parts: np.ndarray) -> np.ndarray:
+        """The (receivers, K - 2, bytes) uint8 data parts of the collected coded parts, same shape."""
+        data = np.take_along_axis(parts, self.keep[..., None], axis=1)
+        data[np.arange(len(data))[:, None], self.fix] = gf_dot(self.coef, parts[:, None])
+        return data
+
+
+def _recipe(collected: Sequence[tuple[int, ...]], k: int) -> _Recipe:
+    """The decode of each receiver's collected coded parts (1-based, ascending), read off
+    ``mds_decode``, which is linear byte by byte: collected part j as the byte row e_j gives
+    data part i with byte j equal to its coefficient on part j."""
+    unit = [Bitstring(8 * (k - 2), 1 << 8 * (k - 3 - j)) for j in range(k - 2)]
+    keep, fix, coef = [], [], []
+    for parts in collected:
+        rows = np.array([np.frombuffer(d.to_bytes(), np.uint8) for d in mds_decode(dict(zip(parts, unit)), k)])
+        held = [i for i in range(k - 2) if i + 1 in parts]
+        rebuilt = ([i for i in range(k - 2) if i + 1 not in parts] + held)[:2]
+        keep.append(rows.argmax(axis=1))  # a held data part's row is the unit row of its position
+        fix.append(rebuilt)
+        coef.append(rows[rebuilt])
+    return _Recipe(np.array(keep, dtype=np.intp), np.array(fix, dtype=np.intp), np.array(coef, dtype=np.uint8))
+
+
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """A placed scheme as index arrays into each delivery's source vector; ``_deliver`` walks it.
 
@@ -168,7 +206,8 @@ class _Plan:
     p is at (p - 1) * K + j, link i at ~i, and an absent XOR side or strip names the 0,
     so a new label appends without moving a position. The data parts that
     ``select[rx - 1]`` XORs, shifted by ``shifts`` and ORed, are receiver rx's payload, or
-    with ``coded`` its file's coded parts ``coded[rx - 1]``, one per row.
+    with ``recipe`` the K - 2 coded parts of its file that it collects, one per row, which
+    the recipe decodes.
     """
 
     cfg: NetworkConfig  # the physical network: K, the Ideal rate check and the MC channel
@@ -184,11 +223,11 @@ class _Plan:
     link_tx: np.ndarray  # (links,): its source's index in ``tx``
     link_strip: np.ndarray  # (links,): source position of the cached part it XORs out
     periods: tuple[_Period, ...]
-    select: np.ndarray  # (K, data parts, picks), with ``coded`` (K, K - 2, data parts, picks)
+    select: np.ndarray  # (K, data parts, picks), with ``recipe`` (K, K - 2, data parts, picks)
     served: np.ndarray  # (K,): the receiver holds every label its pieces need
     shifts: np.ndarray  # (data parts,): each data part's offset in its piece, dtype object
     scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
-    coded: tuple[tuple[int, ...], ...] | None = None  # round robin: each receiver's MDS part indices
+    recipe: _Recipe | None = None  # round robin: each receiver's MDS decode of its collected parts
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -250,7 +289,7 @@ def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     with role r played by node r + l (mod K). Rotation l keeps its own label columns, and its
     periods hear the gains of the nodes playing each role and key their MC streams by
     (_SEED_SUPER, l). Receiver rx plays a guaranteed role in K - 2 rotations, fixed here, and
-    ``_deliver`` MDS-decodes their pieces."""
+    ``_deliver`` decodes their pieces, coded parts of its file, with its ``_recipe``."""
     check_scheme(cfg, library.payload_bits, round_robin=True)
     k = cfg.k
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
@@ -286,7 +325,7 @@ def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
         tx=tx, silent=silent, link_rx=link_rx, link_tx=link_tx, link_strip=link_strip, periods=tuple(periods),
         select=np.array([[remaps[ell - 1][rotations[ell - 1].select[r]] for ell, r in c] for c in chosen]),
         served=np.array([all(rotations[ell - 1].served[r] for ell, r in c) for c in chosen]),
-        coded=tuple(tuple(ell for ell, _ in c) for c in chosen),
+        recipe=_recipe([tuple(ell for ell, _ in c) for c in chosen], k),
     )
 
 
@@ -417,13 +456,12 @@ def _deliver(plan: _Plan, demands: DemandVector, backend: Backend) -> SimResult:
     links, failures = _links(plan, own, backend, n_slot)
     data = np.bitwise_xor.reduce(np.concatenate((own, links[::-1]))[plan.select], axis=-1)
     pieces = np.bitwise_or.reduce(data << plan.shifts, axis=-1).tolist()
+    if plan.recipe is not None:  # any K-2 of a file's K coded parts give its K-2 data parts
+        width = library.payload_bits // (cfg.k - 2) // 8
+        coded = b"".join(v.to_bytes(width, "big") for got in pieces for v in got)
+        parts = plan.recipe.apply(np.frombuffer(coded, np.uint8).reshape(cfg.k, cfg.k - 2, width))
+        pieces = [int.from_bytes(p.tobytes(), "big") for p in parts]  # data part 1 leads
     served = plan.served.tolist()
-    if plan.coded:  # any K-2 of a file's K coded parts give its K-2 data parts
-        bits = library.payload_bits // (cfg.k - 2)
-        pieces = [
-            Bitstring.concat_all(mds_decode(dict(zip(ells, [Bitstring(bits, v) for v in got])), cfg.k)).value
-            if ok else 0 for ells, got, ok in zip(plan.coded, pieces, served)
-        ]
     decoded = {
         rx: Bitstring(library.payload_bits, v) if ok else None
         for rx, (v, ok) in enumerate(zip(pieces, served), start=1)

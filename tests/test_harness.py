@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +17,7 @@ from wynercache.harness import (
     sweep_snr,
 )
 from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
-from wynercache.model import DemandVector, NetworkConfig, SimError, Variant, random_library
+from wynercache.model import Bitstring, DemandVector, NetworkConfig, SimError, Variant, random_library
 from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft, round_robin_soft
 from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
@@ -96,6 +97,53 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "run_soft", failing_run_soft)
         with pytest.raises(SimError, match="trial 0"):
             run_experiment(_soft_spec(trials=1))
+
+
+class TestOncePerRun:
+    """Work that a 24-trial run does once per run or once per trial, not more often."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"round_robin": True}, {"prop1_extra_bits": 3}, {"config": NetworkConfig.full(6, 0.5, 1e4)}],
+        ids=["soft", "round-robin", "prop-1", "full"],
+    )
+    def test_each_payload_hashed_once(self, monkeypatch, overrides):
+        # every trial looks its placement up by library; the library's hash is computed once
+        libraries, hashes = [], Counter()
+        real_library, real_hash = harness.random_library, Bitstring.__hash__
+
+        def drawn(*args, **kwargs):
+            libraries.append(real_library(*args, **kwargs))
+            hashes.clear()
+            return libraries[-1]
+
+        def counted(self):
+            hashes[id(self)] += 1
+            return real_hash(self)
+
+        monkeypatch.setattr(harness, "random_library", drawn)
+        monkeypatch.setattr(Bitstring, "__hash__", counted)
+        run_experiment(_soft_spec(trials=24, **overrides))
+        (library,) = libraries
+        assert [hashes[id(p)] for p in library] == [1] * library.num_files
+
+    @pytest.mark.parametrize(
+        "policy, explicit, validated",
+        [(DemandPolicy.RANDOM, None, 0), (DemandPolicy.DISTINCT, None, 0), (DemandPolicy.EXPLICIT, (2,) * 6, 1)],
+        ids=["random", "distinct", "explicit"],
+    )
+    def test_one_demand_check_per_trial(self, monkeypatch, policy, explicit, validated):
+        # the runner checks each trial's vector; validate checks an explicit one once per run
+        calls = []
+        real = DemandVector.checked.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(DemandVector, "checked", classmethod(counted))
+        run_experiment(_soft_spec(trials=24, demand_policy=policy, explicit_demands=explicit))
+        assert len(calls) == 24 + validated
 
 
 class TestSpecValidation:

@@ -106,6 +106,14 @@ class TestRandomLibrary:
         with pytest.raises(SimError):
             random_library(6, 0, seed=0)
 
+    def test_equal_libraries_hash_equal(self):
+        # the hash is cached per library; equality still compares the payloads
+        a = random_library(6, 40, seed=1)
+        hash(a)
+        b = MessageLibrary(tuple(Bitstring(p.length, p.value) for p in a))
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != random_library(6, 40, seed=2)
+
 
 class TestBitstring:
     def test_xor_self_inverse(self):

@@ -1,22 +1,45 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wynercache.schemes.pipeline as pipeline
-from wynercache.model import DemandVector, NetworkConfig, random_library
+from wynercache.model import Bitstring, DemandVector, NetworkConfig, random_library
 from wynercache.schemes import (
     ConfigMismatch,
     Ideal,
     MonteCarlo,
+    mds_decode,
+    mds_encode,
     rate_soft,
     round_robin_soft,
     run_soft,
 )
+from wynercache.schemes.mds import MAX_K
 
 
 def _setup(k, d_files=6, bits=8, seed=0):
     cfg = NetworkConfig.soft_handoff(k, 1.0, 1e4)
     lib = random_library(d_files, 5 * bits * (k - 2), seed=seed, allow_small_d=True)
     return cfg, lib
+
+
+def _byte_rows(parts):
+    return np.array([np.frombuffer(p.to_bytes(), np.uint8) for p in parts])
+
+
+def _coded(k, part_bytes, seed):
+    """K - 2 random data parts and their K coded parts."""
+    rng = np.random.default_rng(seed)
+    data = [Bitstring.random(8 * part_bytes, rng) for _ in range(k - 2)]
+    return data, mds_encode(data)
+
+
+def _recipe_decodes(recipe, collected, coded):
+    """The recipe applied to each receiver's collected coded parts (1-based indices)."""
+    return recipe.apply(np.array([_byte_rows([coded[i - 1] for i in parts]) for parts in collected]))
 
 
 class TestRoundRobin:
@@ -57,13 +80,18 @@ class TestRoundRobin:
             for per in rotations:
                 for role, gain in enumerate(per.gain[:, 0], start=1):
                     roles[gains.index(gain) + 1].append(role)
+            collected = []
             for rx in range(1, k + 1):
                 assert sorted(roles[rx]) == list(range(1, k + 1))  # each role once
                 bad = sum(r in (1, k) for r in roles[rx])
                 assert bad == 2
-                # the K-2 rotations it combines are those where it plays a guaranteed role
                 guaranteed = tuple(ell for ell, r in enumerate(roles[rx], start=1) if r not in (1, k))
-                assert plan.coded[rx - 1] == guaranteed and len(guaranteed) == k - 2
+                assert len(guaranteed) == k - 2
+                collected.append(guaranteed)
+            # the K-2 rotations it combines are those where it plays a guaranteed role: its
+            # recipe decodes the coded parts of exactly those rotations
+            data, coded = _coded(k, 3, seed=k)
+            assert _recipe_decodes(plan.recipe, collected, coded).tolist() == [_byte_rows(data).tolist()] * k
             assert plan.served.all()
 
     def test_effective_rate_factor(self):
@@ -97,3 +125,54 @@ class TestRoundRobin:
         lib = random_library(6, 5 * 8 * (k - 2), seed=4)
         res = round_robin_soft(cfg, lib, DemandVector((2, 4, 6, 1, 3, 5)))
         assert all(res.success.values())
+
+
+@st.composite
+def _erasure_patterns(draw):
+    """K and the K - 2 coded parts (1-based, ascending) that a receiver collects."""
+    k = draw(st.one_of(st.just(MAX_K), st.integers(5, MAX_K)))
+    erased = draw(st.sets(st.integers(1, k), min_size=2, max_size=2))
+    return k, tuple(i for i in range(1, k + 1) if i not in erased)
+
+
+class TestDecodeRecipe:
+    """The GF(256) recipe that round robin fixes at placement decodes as ``mds_decode`` does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_erasure_patterns(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example((MAX_K, tuple(range(3, MAX_K + 1))), 2, 0)  # both parities repair
+    @example((MAX_K, tuple(range(1, MAX_K - 1))), 1, 1)  # every data part passes through
+    def test_matches_mds_decode(self, pattern, part_bytes, seed):
+        k, parts = pattern
+        data, coded = _coded(k, part_bytes, seed)
+        (got,) = _recipe_decodes(pipeline._recipe([parts], k), [parts], coded).tolist()
+        assert got == _byte_rows(data).tolist()
+        assert got == _byte_rows(mds_decode({i: coded[i - 1] for i in parts}, k)).tolist()
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_every_pattern_at_small_k(self, k):
+        collected = list(itertools.combinations(range(1, k + 1), k - 2))
+        data, coded = _coded(k, 4, seed=k)
+        got = _recipe_decodes(pipeline._recipe(collected, k), collected, coded)
+        assert got.tolist() == [_byte_rows(data).tolist()] * len(collected)
+
+    @pytest.mark.parametrize("backend", [Ideal(), MonteCarlo(n=288, seed=1)], ids=["ideal", "mc"])
+    def test_no_mds_decode_per_delivery(self, monkeypatch, backend):
+        # placement decodes the identity once per receiver; deliveries only apply the recipes
+        k = 6
+        cfg = NetworkConfig.soft_handoff(k, 1.0, 100.0)
+        lib = random_library(6, 5 * 8 * (k - 2), seed=2)
+        calls = []
+        monkeypatch.setattr(pipeline, "mds_decode", lambda *args: calls.append(args) or mds_decode(*args))
+        pipeline._rotate.cache_clear()
+        pipeline._rotate(cfg, lib)
+        assert len(calls) == k
+
+        def refuse(*args):
+            raise AssertionError("mds_decode called in a delivery")
+
+        monkeypatch.setattr(pipeline, "mds_decode", refuse)
+        rng = np.random.default_rng(3)
+        for demands in [(1, 2, 3, 4, 5, 6), *(tuple(int(x) for x in rng.integers(1, 7, size=k)) for _ in range(3))]:
+            res = round_robin_soft(cfg, lib, DemandVector(demands), backend)
+            assert all(res.success.values())
