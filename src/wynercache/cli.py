@@ -15,7 +15,7 @@ import sys
 from .harness import (
     DemandPolicy,
     ExperimentSpec,
-    _demands_for_trial,
+    _demands,
     emit_plot_script,
     export_csv,
     power_from_db,
@@ -23,6 +23,7 @@ from .harness import (
     sweep_snr,
 )
 from .model import (
+    DemandVector,
     NetworkConfig,
     SimError,
     Variant,
@@ -247,7 +248,7 @@ def _cmd_verify_schedule(args: argparse.Namespace) -> int:
         allow_small_d=args.allow_small_d,
     )
     spec.validate()
-    demands = _demands_for_trial(spec, 0)
+    demands = DemandVector(tuple(_demands(spec, range(1))[0].tolist()))
     library = random_library(args.d, spec.payload_bits(), seed=0, allow_small_d=args.allow_small_d)
     schedule = build(args.k, demands)
     violations = verify_schedule(schedule, place(args.k, library))

@@ -1,5 +1,5 @@
 """Random Gaussian shell codebooks with nearest-neighbor decoding, plus the
-ideal capacity-threshold link abstraction.
+interference-free capacity that the Ideal rate check compares link rates with.
 
 A shell codebook holds 2^L words drawn independently and uniformly on the
 sphere of radius sqrt(n P'), one per transmitter of a period from one
@@ -141,18 +141,3 @@ def capacity(gain: float, power: float) -> float:
         raise SimError(f"negative power {power}")
     return 0.5 * math.log2(1.0 + gain * gain * power)
 
-
-@dataclass(frozen=True)
-class LinkBudget:
-    gain: float
-    rate: float  # bits per channel use attempted on the link
-    power: float
-
-    def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise SimError(f"negative link rate {self.rate}")
-
-
-def ideal_link(link: LinkBudget) -> bool:
-    """Asymptotic link abstraction: success iff rate is strictly below capacity."""
-    return link.rate < capacity(link.gain, link.power)

@@ -2,19 +2,23 @@
 
 Per-trial randomness (demand draws, codebooks, noise) is derived from
 (master_seed, trial_index, role) streams, so reports are reproducible and
-independent of evaluation order. Wall-clock time appears in JSON reports
-only; CSV exports are byte-stable for replay comparison.
+independent of evaluation order. ``run_experiment`` delivers the trials in
+blocks: each block's demand vectors go to the runner as one (T, K) array,
+with one MC seed per trial, and the receivers' success counts are summed over
+blocks as Python ints. The block size (``schemes.pipeline.block_trials``)
+bounds memory only; it changes no stream and no reported value. Wall-clock
+time appears in JSON reports only; CSV exports are byte-stable for replay
+comparison.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,18 +35,18 @@ from .model import (
     to_json,
 )
 from .schemes import (
+    BlockResult,
     ConfigMismatch,
     Ideal,
     InfeasibleRate,  # re-exported: callers of run_experiment catch it from here
     MonteCarlo,
-    SimResult,
     check_ideal_rate,
     round_robin_soft,
     run_full,
     run_soft,
     run_soft_prop1,
 )
-from .schemes.pipeline import check_scheme
+from .schemes.pipeline import block_trials, check_scheme
 from .schemes.schedule import NEEDED, PERIODS
 from .tradeoff import (
     ACHIEVABLE,
@@ -152,48 +156,42 @@ class ExperimentReport:
         return to_json(self)
 
 
-def _demands_for_trial(spec: ExperimentSpec, trial: int) -> DemandVector:
+def _demands(spec: ExperimentSpec, trials: range) -> np.ndarray:
+    """The (trials, K) demand vectors of a block of trials; trial t of the exhaustive policy is
+    the t-th vector of ``itertools.product``, the last receiver's demand changing fastest."""
     k, d = spec.config.k, spec.num_files
     policy = spec.demand_policy
-    if policy is DemandPolicy.DISTINCT:
-        entries: Iterable[int] = range(1, k + 1)
-    elif policy is DemandPolicy.ALL_EQUAL:
-        entries = (1,) * k
-    elif policy is DemandPolicy.EXPLICIT:
-        entries = spec.explicit_demands or ()
-    elif policy is DemandPolicy.RANDOM:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((spec.master_seed, trial, _TAG_DEMANDS))
-        )
-        entries = (int(x) for x in rng.integers(1, d + 1, size=k))
-    else:
-        raise SimError("exhaustive demands are enumerated, not drawn per trial")
-    # unchecked: validate bounds an explicit vector, a random draw is in range, and the
-    # runner checks every vector it delivers
-    return DemandVector(tuple(entries))
+    if policy is DemandPolicy.RANDOM:
+        streams = (np.random.SeedSequence((spec.master_seed, t, _TAG_DEMANDS)) for t in trials)
+        return np.array([np.random.default_rng(s).integers(1, d + 1, k) for s in streams])
+    if policy is DemandPolicy.EXHAUSTIVE:
+        return np.arange(trials.start, trials.stop)[:, None] // d ** np.arange(k - 1, -1, -1) % d + 1
+    rows = {DemandPolicy.DISTINCT: range(1, k + 1), DemandPolicy.ALL_EQUAL: (1,) * k}
+    return np.tile(np.array(rows.get(policy, spec.explicit_demands)), (len(trials), 1))
 
 
-def _run_single(
-    spec: ExperimentSpec, library: MessageLibrary, demands: DemandVector, trial: int
-) -> SimResult:
-    if spec.backend == "ideal":
-        backend = Ideal()
-    else:
-        backend = MonteCarlo(spec.n, derive_seed(spec.master_seed, trial, _TAG_BACKEND))
+def _run_block(spec: ExperimentSpec, library: MessageLibrary, trials: range) -> BlockResult:
+    backend, seeds = Ideal(), ()
+    if spec.backend == "mc":
+        backend = MonteCarlo(spec.n)
+        seeds = tuple(derive_seed(spec.master_seed, t, _TAG_BACKEND) for t in trials)
+    demands = _demands(spec, trials)
     try:
         if spec.config.variant is Variant.FULL:
-            return run_full(spec.config, library, demands, backend)
+            return run_full(spec.config, library, demands, backend, seeds)
         if spec.round_robin:
-            return round_robin_soft(spec.config, library, demands, backend)
+            return round_robin_soft(spec.config, library, demands, backend, seeds)
         if spec.prop1_extra_bits:
-            return run_soft_prop1(spec.config, library, demands, spec.prop1_extra_bits, backend)
-        return run_soft(spec.config, library, demands, backend)
+            return run_soft_prop1(spec.config, library, demands, spec.prop1_extra_bits, backend, seeds)
+        return run_soft(spec.config, library, demands, backend, seeds)
     except SimError as exc:
-        raise type(exc)(f"trial {trial}: {exc}") from exc
+        first, last = trials[0], trials[-1]
+        raise type(exc)(f"trial {first}: {exc}" if first == last else f"trials {first}-{last}: {exc}") from exc
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Aggregate SimResults over trials (or the exhaustive demand enumeration)."""
+    """Sum the success of every receiver over the trials (or the exhaustive demand
+    enumeration), delivered in blocks of ``block_trials`` trials."""
     spec.validate()
     started = time.perf_counter()
     k = spec.config.k
@@ -205,26 +203,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         allow_small_d=spec.allow_small_d,
     )
 
-    if spec.demand_policy is DemandPolicy.EXHAUSTIVE:
-        all_demands = [
-            DemandVector(combo)
-            for combo in itertools.product(range(1, spec.num_files + 1), repeat=k)
-        ]
-    else:
-        all_demands = [_demands_for_trial(spec, t) for t in range(spec.trials)]
-
-    results = [_run_single(spec, library, d, trial) for trial, d in enumerate(all_demands)]
-
-    trials = len(results)
-    success_counts = {rx: 0 for rx in range(1, k + 1)}
-    links = failures = 0
-    for res in results:
-        for rx, ok in res.success.items():
-            success_counts[rx] += int(ok)
-        links += res.links_total
-        failures += res.link_failures
-    per_rx = {rx: success_counts[rx] / trials for rx in range(1, k + 1)}
-    guaranteed = results[0].guaranteed
+    exhaustive = spec.demand_policy is DemandPolicy.EXHAUSTIVE
+    trials = spec.num_files**k if exhaustive else spec.trials
+    step = block_trials(spec.config, spec.payload_bits(), spec.round_robin, spec.prop1_extra_bits)
+    success, links, failures = np.zeros(k, dtype=np.int64), 0, 0
+    for start in range(0, trials, step):
+        block = _run_block(spec, library, range(start, min(start + step, trials)))
+        success += block.success.sum(axis=0)
+        links += block.links_total
+        failures += block.link_failures
+    per_rx = {rx: count / trials for rx, count in enumerate(success.tolist(), start=1)}
+    guaranteed = block.guaranteed
     interior = [per_rx[rx] for rx in range(2, k)]
     edge = [per_rx[1], per_rx[k]]
 
@@ -237,9 +226,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         interior_success=sum(interior) / len(interior),
         edge_success=sum(edge) / len(edge),
         link_error_rate=failures / links if links else 0.0,
-        rate_per_user=results[0].rate_per_user,
-        memory_bits_per_receiver=results[0].memory_bits_per_receiver,
-        empirical_mg=empirical_mg(results[0].rate_per_user, spec.config.power),
+        rate_per_user=block.rate_per_user,
+        memory_bits_per_receiver=block.memory_bits_per_receiver,
+        empirical_mg=empirical_mg(block.rate_per_user, spec.config.power),
         wall_clock_s=time.perf_counter() - started,
     )
 

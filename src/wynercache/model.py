@@ -170,10 +170,6 @@ class Bitstring:
         return cls(length, raw & ((1 << length) - 1) if length else 0)
 
     @classmethod
-    def from_bits(cls, bits: str) -> "Bitstring":
-        return cls(len(bits), int(bits, 2) if bits else 0)
-
-    @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstring":
         return cls(8 * len(data), int.from_bytes(data, "big"))
 
@@ -286,12 +282,18 @@ class DemandVector:
     @classmethod
     def checked(cls, entries: Iterable[int], k: int, num_files: int) -> "DemandVector":
         d = cls(tuple(int(e) for e in entries))
-        if len(d.entries) != k:
-            raise ConfigMismatch(f"demand vector has {len(d.entries)} entries, expected K={k}")
-        for e in d.entries:
-            if not 1 <= e <= num_files:
-                raise ConfigMismatch(f"demand {e} outside 1..{num_files}")
+        cls.check_block(np.array([d.entries], dtype=object), k, num_files)  # Python ints: any size
         return d
+
+    @staticmethod
+    def check_block(demands: np.ndarray, k: int, num_files: int) -> None:
+        """Raise ``ConfigMismatch`` unless every row of the (T, K) array ``demands`` is a
+        demand vector of K files in 1..num_files; the first bad entry in row order is named."""
+        if demands.ndim != 2 or demands.shape[1] != k:
+            raise ConfigMismatch(f"demand vector has {demands.shape[-1]} entries, expected K={k}")
+        bad = np.flatnonzero((demands < 1) | (demands > num_files))
+        if len(bad):
+            raise ConfigMismatch(f"demand {demands.flat[bad[0]]} outside 1..{num_files}")
 
     def for_rx(self, rx: int) -> int:
         return self.entries[rx - 1]

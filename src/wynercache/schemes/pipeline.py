@@ -15,12 +15,20 @@
   round robin receiver collects is fixed here too, so ``_rotate`` reads each
   receiver's MDS decode off ``mds_decode`` once, as a GF(256) ``_Recipe``.
   Each plan is memoised on its hashable frozen inputs and shared by all
-  trials of one experiment.
-* Delivery, per demand vector: ``_deliver`` walks any plan: the links
-  (``_links``), each receiver's XOR of its selected labels, round robin's
-  recipe, applied to every receiver's coded parts in one array step, and
-  ``_result``, which checks the payloads. Only MC links fail here: an Ideal
-  delivery runs at the rate ``check_ideal_rate`` passed once per plan.
+  trials of one experiment. It also holds, built once, the plane of every
+  part value as uint8 bytes and ``want``, each file's data parts as a
+  delivery must decode them.
+* Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
+  them with any plan at once: it gathers each trial's source vectors from the
+  plane (``_sources``), decodes the links (``_links``: gathers and XORs, and
+  for MC one codebook draw and decode per trial and period, from that trial's
+  seed), XOR-reduces each receiver's selected labels into its data parts,
+  applies round robin's recipe to every trial's coded parts in one array step,
+  and compares the data parts with ``want``. No Python code runs per receiver
+  or per Ideal trial. Only MC links fail here: an Ideal delivery runs at the
+  rate ``check_ideal_rate`` passed once per plan. The runners take a block and
+  return its ``BlockResult``, or one ``DemandVector`` and return its
+  ``SimResult``, the one-trial block with the decoded payloads (``_run``).
 
 Two interchangeable backends drive the same plans:
 
@@ -78,6 +86,11 @@ _SEED_CODEBOOK = 0xC0DE
 _SEED_NOISE = 0x401E
 _SEED_SUPER = 0x50BE
 
+# A delivery block's largest array gathers, per trial and receiver, the picks of every data
+# part: at most 6 parts x 5 picks of nb label bytes, K - 2 times over for round robin. A block
+# of ``block_trials`` trials keeps it within 4 MiB; like codec's chunk, it bounds memory only.
+BLOCK_BYTES = 1 << 22
+
 
 class PowerViolation(SimError):
     pass
@@ -97,7 +110,8 @@ class MonteCarlo:
     """Shell-codebook simulation over ``n`` channel uses split evenly across periods.
 
     Each (trial, period) draws a fresh codebook per transmitter, and the noise,
-    from ``seed``, which the harness derives per trial. A sent word is an explicit
+    from the trial's seed: ``seed`` for one delivery, and for a block the runner's
+    ``seeds``, which the harness derives per trial. A sent word is an explicit
     n-vector; every other word is three numbers, its exact projection onto the
     frame of the received vectors that decode it (``codec``). Success rates are
     averages over the random-coding ensemble, as in the paper's achievability
@@ -125,6 +139,18 @@ class SimResult:
 
     def all_guaranteed_ok(self) -> bool:
         return all(self.success[rx] for rx in self.guaranteed)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockResult:
+    """Outcome of a block of deliveries, one per row of its (T, K) demands."""
+
+    success: np.ndarray  # (T, K) bool: receiver rx of trial t decoded its file bit-exactly at [t, rx - 1]
+    guaranteed: tuple[int, ...]  # receivers the scheme promises to serve
+    links_total: int  # over every trial of the block
+    link_failures: int
+    rate_per_user: float
+    memory_bits_per_receiver: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +200,10 @@ class _Recipe:
     coef: np.ndarray  # (receivers, 2, K - 2), uint8
 
     def apply(self, parts: np.ndarray) -> np.ndarray:
-        """The (receivers, K - 2, bytes) uint8 data parts of the collected coded parts, same shape."""
-        data = np.take_along_axis(parts, self.keep[..., None], axis=1)
-        data[np.arange(len(data))[:, None], self.fix] = gf_dot(self.coef, parts[:, None])
+        """The (..., receivers, K - 2, bytes) uint8 data parts of the collected coded parts, same shape."""
+        rx = np.arange(len(self.keep))[:, None]
+        data = parts[..., rx, self.keep, :]
+        data[..., rx, self.fix, :] = gf_dot(self.coef, parts[..., None, :, :])
         return data
 
 
@@ -196,18 +223,24 @@ def _recipe(collected: Sequence[tuple[int, ...]], k: int) -> _Recipe:
     return _Recipe(np.array(keep, dtype=np.intp), np.array(fix, dtype=np.intp), np.array(coef, dtype=np.uint8))
 
 
+def _byte_rows(values: Sequence[int], nb: int) -> np.ndarray:
+    """Each int as ``nb`` big-endian bytes, one uint8 row per int."""
+    return np.frombuffer(b"".join(v.to_bytes(nb, "big") for v in values), np.uint8).reshape(len(values), nb)
+
+
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """A placed scheme as index arrays into each delivery's source vector; ``_deliver`` walks it.
+    """A placed scheme as index arrays into each delivery's source vectors; ``_deliver`` walks it.
 
-    ``values`` holds label p of file f of ``placement`` at [p - 1, f - 1] as a Python
-    int, so any L takes one path. The source vector is a 0, then each label's column of
-    the receivers' demands, then every link's decoded part in reverse: receiver j's label
-    p is at (p - 1) * K + j, link i at ~i, and an absent XOR side or strip names the 0,
-    so a new label appends without moving a position. The data parts that
-    ``select[rx - 1]`` XORs, shifted by ``shifts`` and ORed, are receiver rx's payload, or
-    with ``recipe`` the K - 2 coded parts of its file that it collects, one per row, which
-    the recipe decodes.
+    ``plane`` holds label p of file f of ``placement`` at [p - 1, f - 1] as nb big-endian
+    bytes, right-aligned, nb fitting the widest label, so any L takes one path. A trial's
+    source vector is a 0, then each label's column of the receivers' demands, then every
+    link's decoded part in reverse: receiver j's label p is at (p - 1) * K + j, link i at
+    ~i, and an absent XOR side or strip names the 0, so a new label appends without moving
+    a position. The data parts that ``select[rx - 1]`` XORs are receiver rx's payload cut
+    into ``widths``, or with ``recipe`` the K - 2 coded parts of its file that it collects,
+    each its five data parts joined byte by byte, which the recipe decodes. ``want`` holds
+    every file's data parts as a delivery must decode them.
     """
 
     cfg: NetworkConfig  # the physical network: K, the Ideal rate check and the MC channel
@@ -225,14 +258,35 @@ class _Plan:
     periods: tuple[_Period, ...]
     select: np.ndarray  # (K, data parts, picks), with ``recipe`` (K, K - 2, data parts, picks)
     served: np.ndarray  # (K,): the receiver holds every label its pieces need
-    shifts: np.ndarray  # (data parts,): each data part's offset in its piece, dtype object
+    widths: tuple[int, ...]  # bits of each data part of a payload, the first the most significant
     scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
     recipe: _Recipe | None = None  # round robin: each receiver's MDS decode of its collected parts
 
+    @property
+    def labels(self) -> int:
+        return len(next(iter(self.placement.parts.values())))
+
     @functools.cached_property
-    def values(self) -> np.ndarray:
-        parts = self.placement.parts
-        return np.array([[p.value for p in parts[f]] for f in sorted(parts)], dtype=object).T
+    def plane(self) -> np.ndarray:
+        """(labels, files, nb) uint8: every part value of ``placement``, built once per plan."""
+        files = [self.placement.parts[f] for f in sorted(self.placement.parts)]
+        nb = -(-max(p.length for p in files[0]) // 8)
+        values = [p.value for label in zip(*files) for p in label]
+        return _byte_rows(values, nb).reshape(self.labels, len(files), nb)
+
+    @functools.cached_property
+    def want(self) -> np.ndarray:
+        """(files, data parts, bytes) uint8: each payload cut into ``widths``, as ``_deliver``'s
+        data parts hold it: right-aligned in the plane's nb bytes, or B bytes per MDS part."""
+        nb = self.plane.shape[-1] if self.recipe is None else self.widths[0] // 8
+        cut = []
+        for payload in self.library:
+            value, parts = payload.value, []
+            for width in reversed(self.widths):
+                parts.append(value & ((1 << width) - 1))
+                value >>= width
+            cut += reversed(parts)
+        return _byte_rows(cut, nb).reshape(self.library.num_files, len(self.widths), nb)
 
     @functools.cached_property
     def ideal_rate(self) -> float:
@@ -278,8 +332,7 @@ def _compile(
     return _Plan(
         cfg, library, placement, guaranteed, library.payload_bits, len(periods),
         bits, np.array(sides, dtype=np.intp).T, np.array(silent),
-        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served,
-        np.array([bits * (needed - s) for s in range(1, needed + 1)], dtype=object),
+        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served, (bits,) * needed,
     )
 
 
@@ -294,7 +347,7 @@ def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     k = cfg.k
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
     rotations = [_scheme(cfg, MessageLibrary(tuple(c[ell] for c in coded))) for ell in range(k)]
-    width = rotations[0].values.shape[0]
+    width = rotations[0].labels
     role = lambda rx, ell: (rx - ell - 1) % k + 1  # played by node rx in rotation ell
     remaps, arrays, periods, txs, links = [], [], [], 0, 0
     label, slot = np.divmod(np.arange(width * k), k)  # of each rotation's source position 1, 2, ...
@@ -321,7 +374,7 @@ def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     ]
     return replace(
         rotations[0], cfg=cfg, library=library, placement=placement, guaranteed=tuple(range(1, k + 1)),
-        scale=lambda rate: rate * (k - 2) / k,
+        scale=lambda rate: rate * (k - 2) / k, widths=(library.payload_bits // (k - 2),) * (k - 2),
         tx=tx, silent=silent, link_rx=link_rx, link_tx=link_tx, link_strip=link_strip, periods=tuple(periods),
         select=np.array([[remaps[ell - 1][rotations[ell - 1].select[r]] for ell, r in c] for c in chosen]),
         served=np.array([all(rotations[ell - 1].served[r] for ell, r in c) for c in chosen]),
@@ -336,7 +389,7 @@ def _cache_tail(cfg: NetworkConfig, library: MessageLibrary, extra_bits: int) ->
     check_scheme(cfg, library.payload_bits, extra_bits=extra_bits)
     mains = MessageLibrary(tuple(Bitstring(p.length - extra_bits, p.value >> extra_bits) for p in library))
     plan = _scheme(cfg, mains)
-    k, width = cfg.k, plan.values.shape[0]
+    k, width = cfg.k, plan.labels
     placement = CachePlacement(
         {f: parts + (Bitstring(extra_bits, library.payload(f).value & ((1 << extra_bits) - 1)),)
          for f, parts in plan.placement.parts.items()},
@@ -347,8 +400,7 @@ def _cache_tail(cfg: NetworkConfig, library: MessageLibrary, extra_bits: int) ->
     return replace(
         plan, library=library, placement=placement,
         scale=lambda rate: rate * (library.payload_bits / mains.payload_bits),
-        select=np.concatenate((plan.select, tail), axis=-2),
-        shifts=np.append(plan.shifts + extra_bits, 0),
+        select=np.concatenate((plan.select, tail), axis=-2), widths=(*plan.widths, extra_bits),
     )
 
 
@@ -377,6 +429,14 @@ def check_scheme(cfg: NetworkConfig, payload_bits: int, round_robin: bool = Fals
         raise ConfigMismatch(f"payload of {base} bits is not divisible into {NEEDED[cfg.variant]} parts")
 
 
+def block_trials(cfg: NetworkConfig, payload_bits: int, round_robin: bool = False, extra_bits: int = 0) -> int:
+    """Trials per delivery block of a run that ``check_scheme`` passes: its largest array fits
+    ``BLOCK_BYTES``, and a block holds at least one trial."""
+    needed, pieces = NEEDED[cfg.variant], cfg.k - 2 if round_robin else 1
+    nb = -(-max((payload_bits - extra_bits) // (needed * pieces), extra_bits) // 8)
+    return max(1, BLOCK_BYTES // (cfg.k * pieces * (needed + 1) * needed * nb))
+
+
 def _checked(cfg: NetworkConfig, variant: Variant) -> NetworkConfig:
     if cfg.variant is not variant:
         raise ConfigMismatch(f"config is {cfg.variant.value}, scheme needs {variant.value}")
@@ -400,105 +460,139 @@ def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
     return _compile(cfg, library, placement, guaranteed, needed, schedule)
 
 
-def _links(plan: _Plan, own: np.ndarray, backend: Backend, n_slot: int) -> tuple[np.ndarray, int]:
-    """Every link's decoded part, given the source vector ``own``, and the count of wrong links.
-    The schedule and the Ideal rate were checked at placement: only an MC link can fail."""
-    sent = own[plan.tx[0]] ^ own[plan.tx[1]]
+def _sources(plan: _Plan, demands: np.ndarray) -> np.ndarray:
+    """The (T, sources, nb) source vectors of the (T, K) ``demands``, without the links."""
+    labels, t = plan.plane[:, demands - 1], len(demands)  # (labels, T, K, nb)
+    nb = labels.shape[-1]
+    return np.concatenate((np.zeros((t, 1, nb), np.uint8), labels.swapaxes(0, 1).reshape(t, -1, nb)), axis=1)
+
+
+def _links(
+    plan: _Plan, own: np.ndarray, backend: Backend, n_slot: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, int]:
+    """Every link's decoded part (T, links, nb), given the source vectors ``own``, and the count
+    of wrong links. Trial t's MC streams come from ``seeds[t]``. The schedule and the Ideal rate
+    were checked at placement: only an MC link can fail."""
+    sent = own[:, plan.tx[0]] ^ own[:, plan.tx[1]]
     if isinstance(backend, Ideal):
-        return sent[plan.link_tx] ^ own[plan.link_strip], 0
+        return sent[:, plan.link_tx] ^ own[:, plan.link_strip], 0
     cfg, failures = plan.cfg, 0
-    rows = np.where(plan.silent, -1, sent).astype(np.int64)  # a silent Tx sends zeros
-    guess = np.empty(len(plan.link_tx), dtype=object)
-    for per, sends in zip(plan.periods, rows.reshape(-1, cfg.k)):
-        cb = draw_codebook(  # row r - 1 is the codebook of role r's Tx
-            n_slot, plan.part_bits, cfg.power - cfg.epsilon, per.seed(backend.seed, _SEED_CODEBOOK),
-            sends, cfg.power,
-        )
-        if not (pc := check_power(cb.word, cfg.power)).ok.all():
-            i = int(np.argmin(pc.ok))
-            raise PowerViolation(f"Tx {i + 1} block power {pc.measured[i]:.6g} exceeds P={cfg.power}")
-        noise_seed = per.seed(backend.seed, _SEED_NOISE)
-        if cfg.variant is Variant.SOFT_HANDOFF:
-            y = transmit_soft(cb.word, per.gain[:, 0], noise_seed)
-        else:
-            y = transmit_full(cb.word, cfg.alpha, noise_seed)
-        known, batches = per.layout
-        y = cancel_known(y, per.gain, known @ cb.word)  # cancel keys are sent words
-        guesses = np.zeros(cfg.k, dtype=np.int64)
-        for src, rxs, gains in batches:
-            guesses[rxs] = nn_decode(cb, src, y[rxs], gains)
-        got = guesses[plan.link_rx[per.links]]
-        failures += np.count_nonzero(got != rows[plan.link_tx[per.links]])
-        guess[per.links] = got.tolist()
-    return guess ^ own[plan.link_strip], int(failures)
+    # a codeword index has at most MAX_CODEBOOK_BITS (22) bits, so its part's last bytes hold
+    # it; draw_codebook rejects a longer part before it reads a word
+    places = 8 * np.arange(min(own.shape[-1], 7))[::-1]
+    words = (sent[..., -len(places):].astype(np.int64) << places).sum(axis=-1)
+    rows = np.where(plan.silent, -1, words)  # a silent Tx sends zeros
+    guess = np.empty((len(own), len(plan.link_tx)), dtype=np.int64)
+    for t, seed in enumerate(seeds):
+        for per, sends in zip(plan.periods, rows[t].reshape(-1, cfg.k)):
+            cb = draw_codebook(  # row r - 1 is the codebook of role r's Tx
+                n_slot, plan.part_bits, cfg.power - cfg.epsilon, per.seed(seed, _SEED_CODEBOOK), sends, cfg.power,
+            )
+            if not (pc := check_power(cb.word, cfg.power)).ok.all():
+                i = int(np.argmin(pc.ok))
+                raise PowerViolation(f"Tx {i + 1} block power {pc.measured[i]:.6g} exceeds P={cfg.power}")
+            noise_seed = per.seed(seed, _SEED_NOISE)
+            if cfg.variant is Variant.SOFT_HANDOFF:
+                y = transmit_soft(cb.word, per.gain[:, 0], noise_seed)
+            else:
+                y = transmit_full(cb.word, cfg.alpha, noise_seed)
+            known, batches = per.layout
+            y = cancel_known(y, per.gain, known @ cb.word)  # cancel keys are sent words
+            guesses = np.zeros(cfg.k, dtype=np.int64)
+            for src, rxs, gains in batches:
+                guesses[rxs] = nn_decode(cb, src, y[rxs], gains)
+            guess[t, per.links] = got = guesses[plan.link_rx[per.links]]
+            failures += np.count_nonzero(got != rows[t, plan.link_tx[per.links]])
+    strip = own[:, plan.link_strip]
+    decoded = np.zeros_like(strip)
+    decoded[..., -len(places):] = (guess[..., None] >> places) & 0xFF
+    return decoded ^ strip, int(failures)
 
 
-def _result(
-    library: MessageLibrary, demands: DemandVector, decoded: dict[int, Bitstring | None], **fields
-) -> SimResult:
-    """Check each receiver's decoded payload against its demanded file."""
-    success = {rx: guess == library.payload(demands.for_rx(rx)) for rx, guess in decoded.items()}
-    return SimResult(decoded=decoded, success=success, **fields)
-
-
-def _deliver(plan: _Plan, demands: DemandVector, backend: Backend) -> SimResult:
-    """Delivery phase: serve one demand vector with a placed plan."""
-    cfg, library = plan.cfg, plan.library
-    DemandVector.checked(demands, cfg.k, library.num_files)
+def _deliver(
+    plan: _Plan, demands: np.ndarray, backend: Backend, seeds: Sequence[int]
+) -> tuple[BlockResult, np.ndarray]:
+    """Delivery phase: serve a checked (T, K) block of demand vectors with a placed plan; also
+    returns every receiver's data parts, (T, K, data parts, bytes) uint8."""
     if isinstance(backend, Ideal):
         rate, n_slot = plan.scale(plan.ideal_rate), 0
     else:
         n_slot = backend.n // plan.base_periods
         if n_slot < 1:
             raise ConfigMismatch(f"block length {backend.n} too short for the period count")
+        if len(seeds) != len(demands):
+            raise ConfigMismatch(f"{len(seeds)} Monte-Carlo seed(s) for {len(demands)} trial(s)")
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
-    own = np.concatenate(([0], plan.values[:, np.array(demands.entries) - 1].ravel()))
-    links, failures = _links(plan, own, backend, n_slot)
-    data = np.bitwise_xor.reduce(np.concatenate((own, links[::-1]))[plan.select], axis=-1)
-    pieces = np.bitwise_or.reduce(data << plan.shifts, axis=-1).tolist()
+    own = _sources(plan, demands)
+    links, failures = _links(plan, own, backend, n_slot, seeds)
+    picks = np.concatenate((own, links[:, ::-1]), axis=1)[:, plan.select]
+    data = np.bitwise_xor.reduce(picks, axis=-2)
     if plan.recipe is not None:  # any K-2 of a file's K coded parts give its K-2 data parts
-        width = library.payload_bits // (cfg.k - 2) // 8
-        coded = b"".join(v.to_bytes(width, "big") for got in pieces for v in got)
-        parts = plan.recipe.apply(np.frombuffer(coded, np.uint8).reshape(cfg.k, cfg.k - 2, width))
-        pieces = [int.from_bytes(p.tobytes(), "big") for p in parts]  # data part 1 leads
-    served = plan.served.tolist()
-    decoded = {
-        rx: Bitstring(library.payload_bits, v) if ok else None
-        for rx, (v, ok) in enumerate(zip(pieces, served), start=1)
-    }
-    return _result(
-        library, demands, decoded, guaranteed=plan.guaranteed, links_total=len(links),
-        link_failures=failures, rate_per_user=rate, memory_bits_per_receiver=plan.placement.bits_per_receiver,
+        data = plan.recipe.apply(data.reshape(*data.shape[:3], -1))
+    success = plan.served & (data == plan.want[demands - 1]).all(axis=(-2, -1))
+    block = BlockResult(
+        success, plan.guaranteed, len(demands) * len(plan.link_tx), failures, rate,
+        plan.placement.bits_per_receiver,
     )
+    return block, data
+
+
+def _run(
+    plan: _Plan, demands: DemandVector | np.ndarray, backend: Backend, seeds: Sequence[int]
+) -> SimResult | BlockResult:
+    """A block of demand vectors with its per-trial MC ``seeds`` gives its ``BlockResult``; one
+    ``DemandVector`` gives its ``SimResult``, the one-trial block with the decoded payloads."""
+    cfg, library = plan.cfg, plan.library
+    if not isinstance(demands, DemandVector):
+        DemandVector.check_block(demands, cfg.k, library.num_files)
+        return _deliver(plan, demands, backend, seeds)[0]
+    DemandVector.checked(demands, cfg.k, library.num_files)
+    seeds = (backend.seed,) if isinstance(backend, MonteCarlo) else ()
+    block, (data,) = _deliver(plan, np.array([demands.entries], dtype=np.intp), backend, seeds)
+    decoded = {}
+    for rx, (parts, served) in enumerate(zip(data, plan.served), start=1):
+        value = 0
+        for width, part in zip(plan.widths, parts):
+            value = value << width | int.from_bytes(part.tobytes(), "big")
+        decoded[rx] = Bitstring(library.payload_bits, value) if served else None
+    return SimResult(decoded=decoded, **vars(block) | {"success": dict(enumerate(block.success[0].tolist(), 1))})
 
 
 def run_soft(
     cfg: NetworkConfig,
     library: MessageLibrary,
-    demands: DemandVector,
+    demands: DemandVector | np.ndarray,
     backend: Backend = Ideal(),
-) -> SimResult:
-    """One delivery round of the soft-handoff scheme (interior receivers guaranteed)."""
-    return _deliver(_scheme(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend)
+    seeds: Sequence[int] = (),
+) -> SimResult | BlockResult:
+    """One delivery round of the soft-handoff scheme (interior receivers guaranteed).
+
+    Every runner takes one ``DemandVector`` and returns its ``SimResult``, or a (T, K)
+    int array of demand vectors, with one MC seed per trial in ``seeds`` in place of
+    ``backend.seed``, and returns their ``BlockResult``.
+    """
+    return _run(_scheme(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend, seeds)
 
 
 def run_full(
     cfg: NetworkConfig,
     library: MessageLibrary,
-    demands: DemandVector,
+    demands: DemandVector | np.ndarray,
     backend: Backend = Ideal(),
-) -> SimResult:
+    seeds: Sequence[int] = (),
+) -> SimResult | BlockResult:
     """One delivery round of the full-model scheme (all K receivers guaranteed)."""
-    return _deliver(_scheme(_checked(cfg, Variant.FULL), library), demands, backend)
+    return _run(_scheme(_checked(cfg, Variant.FULL), library), demands, backend, seeds)
 
 
 def run_soft_prop1(
     cfg: NetworkConfig,
     library: MessageLibrary,
-    demands: DemandVector,
+    demands: DemandVector | np.ndarray,
     extra_bits: int,
     backend: Backend = Ideal(),
-) -> SimResult:
+    seeds: Sequence[int] = (),
+) -> SimResult | BlockResult:
     """Soft-handoff run with an extra tail of every file cached at every receiver.
 
     Each payload is (main || extra) with ``extra_bits`` trailing bits. The soft plan
@@ -506,16 +600,17 @@ def run_soft_prop1(
     lifting the operating point from (R, M) to (R + dR, M + D*dR).
     """
     if extra_bits == 0:
-        return run_soft(cfg, library, demands, backend)
-    return _deliver(_cache_tail(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits), demands, backend)
+        return run_soft(cfg, library, demands, backend, seeds)
+    return _run(_cache_tail(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits), demands, backend, seeds)
 
 
 def round_robin_soft(
     cfg: NetworkConfig,
     library: MessageLibrary,
-    demands: DemandVector,
+    demands: DemandVector | np.ndarray,
     backend: Backend = Ideal(),
-) -> SimResult:
+    seeds: Sequence[int] = (),
+) -> SimResult | BlockResult:
     """Rotate the soft-handoff scheme over K super-periods so all K receivers decode.
 
     Each message is erasure-coded into K parts of which any K-2 reconstruct it.
@@ -523,4 +618,4 @@ def round_robin_soft(
     so every receiver plays a bad edge role exactly twice and still collects K-2
     parts. The per-user rate shrinks by the factor (K-2)/K.
     """
-    return _deliver(_rotate(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend)
+    return _run(_rotate(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend, seeds)

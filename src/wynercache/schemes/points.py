@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..codec import LinkBudget, ideal_link
+from ..codec import capacity
 from ..model import NetworkConfig, SimError, Variant
 from .schedule import NEEDED, PERIODS
 
@@ -42,8 +42,7 @@ def check_ideal_rate(cfg: NetworkConfig) -> float:
     if rate < 0:
         raise InfeasibleRate(f"{at} is negative; raise the power or lower epsilon")
     link_rate = PERIODS[cfg.variant] * rate / NEEDED[cfg.variant]
-    weakest = LinkBudget(cfg.alpha_min if soft else 1.0, link_rate, cfg.power - cfg.epsilon)
-    if not ideal_link(weakest):
+    if not link_rate < capacity(cfg.alpha_min if soft else 1.0, cfg.power - cfg.epsilon):
         raise InfeasibleRate(f"{at} puts its weakest link at capacity: eps is lost to rounding")
     return rate
 

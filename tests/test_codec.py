@@ -11,14 +11,35 @@ import wynercache.codec as codec
 from wynercache.channel import block_power, check_power
 from wynercache.codec import (
     MAX_CODEBOOK_BITS,
-    LinkBudget,
     TooManyWords,
     capacity,
     draw_codebook,
-    ideal_link,
     nn_decode,
 )
 from wynercache.model import SimError
+
+
+# --- oracle: the per-link capacity rule -------------------------------------
+#
+# Ideal links as the delivery loop once tested them, one budget per link.
+# ``check_ideal_rate`` tests the scheme rate against the weakest link once per
+# placed plan; tests/test_pipeline.py checks it against this rule on every link.
+
+
+@dataclass(frozen=True)
+class LinkBudget:
+    gain: float
+    rate: float  # bits per channel use attempted on the link
+    power: float
+
+    def __post_init__(self) -> None:
+        if self.rate < 0:
+            raise SimError(f"negative link rate {self.rate}")
+
+
+def ideal_link(link: LinkBudget) -> bool:
+    """Asymptotic link abstraction: success iff rate is strictly below capacity."""
+    return link.rate < capacity(link.gain, link.power)
 
 
 def _decode_one(cb, ys, gains) -> list[int]:

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wynercache.harness as harness
+import wynercache.schemes.pipeline as pipeline
 from wynercache.harness import (
     DemandPolicy,
     ExperimentSpec,
@@ -17,11 +20,109 @@ from wynercache.harness import (
     sweep_snr,
 )
 from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
-from wynercache.model import Bitstring, DemandVector, NetworkConfig, SimError, Variant, random_library
-from wynercache.schemes import ConfigMismatch, KTooSmall, delivery_schedule_soft, round_robin_soft
+from wynercache.model import (
+    Bitstring,
+    DemandVector,
+    NetworkConfig,
+    SimError,
+    Variant,
+    derive_seed,
+    random_library,
+)
+from wynercache.schemes import (
+    ConfigMismatch,
+    Ideal,
+    KTooSmall,
+    MonteCarlo,
+    delivery_schedule_soft,
+    round_robin_soft,
+    run_full,
+    run_soft,
+    run_soft_prop1,
+)
 from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE, upper_bound
+
+
+# --- oracle: the per-trial harness loop ---------------------------------------
+#
+# run_experiment as it ran before it delivered blocks: each trial's demand vector
+# drawn (or enumerated) on its own, one single-delivery runner call per trial,
+# and the SimResults summed. run_experiment must report the same
+# (TestBlocksMatchPerTrial).
+
+
+def _demands_for_trial(spec, trial):
+    k, d = spec.config.k, spec.num_files
+    policy = spec.demand_policy
+    if policy is DemandPolicy.DISTINCT:
+        entries = range(1, k + 1)
+    elif policy is DemandPolicy.ALL_EQUAL:
+        entries = (1,) * k
+    elif policy is DemandPolicy.EXPLICIT:
+        entries = spec.explicit_demands or ()
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence((spec.master_seed, trial, harness._TAG_DEMANDS)))
+        entries = (int(x) for x in rng.integers(1, d + 1, size=k))
+    return DemandVector(tuple(entries))
+
+
+def _run_single(spec, library, demands, trial):
+    if spec.backend == "ideal":
+        backend = Ideal()
+    else:
+        backend = MonteCarlo(spec.n, derive_seed(spec.master_seed, trial, harness._TAG_BACKEND))
+    if spec.config.variant is Variant.FULL:
+        return run_full(spec.config, library, demands, backend)
+    if spec.round_robin:
+        return round_robin_soft(spec.config, library, demands, backend)
+    if spec.prop1_extra_bits:
+        return run_soft_prop1(spec.config, library, demands, spec.prop1_extra_bits, backend)
+    return run_soft(spec.config, library, demands, backend)
+
+
+def _per_trial_report(spec):
+    """``run_experiment(spec).to_json()`` without ``wall_clock_s``, one trial at a time."""
+    spec.validate()
+    k = spec.config.k
+    library = random_library(
+        spec.num_files, spec.payload_bits(), derive_seed(spec.master_seed, harness._TAG_LIBRARY),
+        allow_small_d=spec.allow_small_d,
+    )
+    if spec.demand_policy is DemandPolicy.EXHAUSTIVE:
+        all_demands = [DemandVector(c) for c in itertools.product(range(1, spec.num_files + 1), repeat=k)]
+    else:
+        all_demands = [_demands_for_trial(spec, t) for t in range(spec.trials)]
+    results = [_run_single(spec, library, d, trial) for trial, d in enumerate(all_demands)]
+    trials = len(results)
+    success_counts = {rx: 0 for rx in range(1, k + 1)}
+    links = failures = 0
+    for res in results:
+        for rx, ok in res.success.items():
+            success_counts[rx] += int(ok)
+        links += res.links_total
+        failures += res.link_failures
+    per_rx = {rx: success_counts[rx] / trials for rx in range(1, k + 1)}
+    guaranteed = results[0].guaranteed
+    interior = [per_rx[rx] for rx in range(2, k)]
+    edge = [per_rx[1], per_rx[k]]
+    report = harness.ExperimentReport(
+        spec=spec,
+        trials=trials,
+        per_receiver_success=per_rx,
+        guaranteed=guaranteed,
+        guaranteed_success=sum(per_rx[rx] for rx in guaranteed) / len(guaranteed),
+        interior_success=sum(interior) / len(interior),
+        edge_success=sum(edge) / len(edge),
+        link_error_rate=failures / links if links else 0.0,
+        rate_per_user=results[0].rate_per_user,
+        memory_bits_per_receiver=results[0].memory_bits_per_receiver,
+        empirical_mg=harness.empirical_mg(results[0].rate_per_user, spec.config.power),
+        wall_clock_s=0.0,
+    ).to_json()
+    del report["wall_clock_s"]
+    return report
 
 
 def _soft_spec(**overrides):
@@ -127,23 +228,126 @@ class TestOncePerRun:
         (library,) = libraries
         assert [hashes[id(p)] for p in library] == [1] * library.num_files
 
+    @pytest.mark.parametrize("block, blocks", [(None, 1), (5, 5)], ids=["one-block", "five-blocks"])
     @pytest.mark.parametrize(
         "policy, explicit, validated",
         [(DemandPolicy.RANDOM, None, 0), (DemandPolicy.DISTINCT, None, 0), (DemandPolicy.EXPLICIT, (2,) * 6, 1)],
         ids=["random", "distinct", "explicit"],
     )
-    def test_one_demand_check_per_trial(self, monkeypatch, policy, explicit, validated):
-        # the runner checks each trial's vector; validate checks an explicit one once per run
+    def test_one_demand_check_per_block(self, monkeypatch, policy, explicit, validated, block, blocks):
+        # the runner checks every row of each block at once; validate checks an explicit
+        # vector once per run
+        if block is not None:
+            monkeypatch.setattr(harness, "block_trials", lambda *args: block)
         calls = []
-        real = DemandVector.checked.__func__
+        real = DemandVector.check_block
 
-        def counted(cls, *args):
-            calls.append(args)
-            return real(cls, *args)
+        def counted(demands, *args):
+            calls.append(demands.shape)
+            return real(demands, *args)
 
-        monkeypatch.setattr(DemandVector, "checked", classmethod(counted))
+        monkeypatch.setattr(DemandVector, "check_block", staticmethod(counted))
         run_experiment(_soft_spec(trials=24, demand_policy=policy, explicit_demands=explicit))
-        assert len(calls) == 24 + validated
+        assert len(calls) == blocks + validated
+        assert sum(rows for rows, _ in calls[validated:]) == 24
+
+    @pytest.mark.parametrize(
+        "run, config, payload_bits",
+        [
+            (run_soft, NetworkConfig.soft_handoff(6, 1.0, 1e4), 40),
+            (run_full, NetworkConfig.full(6, 0.5, 1e4), 16),
+            (lambda *args: run_soft_prop1(*args[:3], 5, *args[3:]), NetworkConfig.soft_handoff(6, 1.0, 1e4), 45),
+            (round_robin_soft, NetworkConfig.soft_handoff(6, 1.0, 1e4), 160),
+        ],
+        ids=["soft", "full", "prop-1", "round-robin"],
+    )
+    def test_bad_entry_in_the_last_row_of_a_block(self, run, config, payload_bits):
+        demands = np.ones((5, 6), dtype=np.int64)
+        demands[-1, -1] = 9
+        lib = random_library(6, payload_bits, seed=1)
+        with pytest.raises(ConfigMismatch, match="^demand 9 outside 1..6$"):
+            run(config, lib, demands, Ideal())
+        with pytest.raises(ConfigMismatch, match="^demand vector has 5 entries, expected K=6$"):
+            run(config, lib, demands[:, :5], Ideal())
+
+    def test_bad_entry_in_the_last_block_of_a_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "block_trials", lambda *args: 5)
+        real = harness._demands
+
+        def corrupted(spec, trials):
+            demands = real(spec, trials)
+            if trials.stop == spec.trials:
+                demands[-1, -1] = 9
+            return demands
+
+        monkeypatch.setattr(harness, "_demands", corrupted)
+        with pytest.raises(ConfigMismatch, match="^trials 20-23: demand 9 outside 1..6$"):
+            run_experiment(_soft_spec(trials=24))
+
+
+@st.composite
+def _specs(draw):
+    """Specs of every scheme, backend and demand policy, at most 64 trials."""
+    scheme = draw(st.sampled_from(["soft", "full", "round robin", "prop-1"]))
+    policy = draw(st.sampled_from(DemandPolicy))
+    exhaustive = policy is DemandPolicy.EXHAUSTIVE
+    mc = draw(st.booleans())
+    # MC links fail at P = 0.3 and decode at P = 100
+    power = draw(st.sampled_from([0.3, 100.0])) if mc else 1e4
+    if scheme == "full":
+        k = 2 * draw(st.integers(2, 3 if exhaustive else 4))
+        config = NetworkConfig.full(k, 0.7, power)
+    else:
+        k = draw(st.integers(5, 6 if exhaustive else 8))
+        config = NetworkConfig.soft_handoff(k, 1.0, power)
+    low = k if policy is DemandPolicy.DISTINCT else 2
+    num_files = 2 if exhaustive else draw(st.integers(low, max(low, k + 2)))
+    explicit = None
+    if policy is DemandPolicy.EXPLICIT:
+        explicit = tuple(draw(st.lists(st.integers(1, num_files), min_size=k, max_size=k)))
+    return ExperimentSpec(
+        config=config,
+        backend="mc" if mc else "ideal",
+        num_files=num_files,
+        bits=8 if scheme == "round robin" else draw(st.integers(1, 12)),
+        n=(1 if scheme == "full" else 3) * draw(st.integers(4, 40)),
+        trials=draw(st.integers(1, 40)),
+        master_seed=draw(st.integers(0, 2**32)),
+        demand_policy=policy,
+        explicit_demands=explicit,
+        round_robin=scheme == "round robin",
+        prop1_extra_bits=draw(st.integers(1, 20)) if scheme == "prop-1" else 0,
+        allow_small_d=True,
+    )
+
+
+class TestBlocksMatchPerTrial:
+    """Blocks of trials give the report of one delivery per trial (``_per_trial_report``)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_specs(), st.integers(1, 4000) | st.just(pipeline.BLOCK_BYTES))
+    def test_same_report(self, spec, budget):
+        # a small budget splits a run into blocks of a few trials, budget 1 into single trials
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "BLOCK_BYTES", budget)
+            report = run_experiment(spec).to_json()
+        del report["wall_clock_s"]
+        assert report == _per_trial_report(spec)
+
+    @pytest.mark.parametrize("policy", list(DemandPolicy))
+    def test_block_rows_are_the_per_trial_vectors(self, policy):
+        # an Ideal report does not depend on the demands, so the rows are compared directly
+        spec = _soft_spec(
+            num_files=3, allow_small_d=True, trials=30, demand_policy=policy, explicit_demands=(3, 1, 2, 1, 3, 2)
+        )
+        if policy is DemandPolicy.EXHAUSTIVE:
+            vectors = list(itertools.product(range(1, 4), repeat=6))
+        else:
+            vectors = [_demands_for_trial(spec, t).entries for t in range(spec.trials)]
+        for start, stop in [(0, 1), (0, 7), (7, 20), (20, 30), (25, len(vectors))]:
+            rows = harness._demands(spec, range(start, stop))
+            assert rows.shape == (stop - start, 6)
+            assert [tuple(row) for row in rows.tolist()] == vectors[start:stop]
 
 
 class TestSpecValidation:

@@ -24,6 +24,11 @@ from wynercache.model import (
 )
 
 
+def from_bits(bits: str) -> Bitstring:
+    """The bitstring written out in ``bits``, most significant bit first."""
+    return Bitstring(len(bits), int(bits, 2) if bits else 0)
+
+
 class TestValidateConfig:
     def test_valid_soft_config(self):
         cfg = NetworkConfig.soft_handoff(6, 1.0, 100.0, 0.05)
@@ -117,15 +122,15 @@ class TestRandomLibrary:
 
 class TestBitstring:
     def test_xor_self_inverse(self):
-        s = Bitstring.from_bits("10110010")
+        s = from_bits("10110010")
         assert s ^ s == Bitstring.zeros(8)
 
     def test_xor_identity(self):
-        s = Bitstring.from_bits("10110010")
+        s = from_bits("10110010")
         assert s ^ Bitstring.zeros(8) == s
 
     def test_xor_definition(self):
-        assert (Bitstring.from_bits("1010") ^ Bitstring.from_bits("0110")).bits() == "1100"
+        assert (from_bits("1010") ^ from_bits("0110")).bits() == "1100"
 
     def test_xor_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -144,7 +149,7 @@ class TestBitstring:
             assert Bitstring.concat_all(s.split(5)) == s
 
     def test_split_order_is_msb_first(self):
-        s = Bitstring.from_bits("11110000")
+        s = from_bits("11110000")
         hi, lo = s.split(2)
         assert hi.bits() == "1111" and lo.bits() == "0000"
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from test_model import from_bits
 from wynercache.model import Bitstring
 from wynercache.schemes import (
     BadLength,
@@ -19,7 +20,7 @@ class TestSplitSoft:
 
     def test_parity_is_xor_of_data(self):
         # part 1 = 1010, parts 2..5 zero => parity = 1010
-        msg = Bitstring.from_bits("1010" + "0000" * 4)
+        msg = from_bits("1010" + "0000" * 4)
         pm = split_soft(msg)
         assert pm[0].bits() == "1010"
         assert pm[5].bits() == "1010"
@@ -77,7 +78,7 @@ class TestReconstructFive:
 
 class TestSplitFull:
     def test_two_halves(self):
-        msg = Bitstring.from_bits("11110000")
+        msg = from_bits("11110000")
         pm = split_full(msg)
         assert pm[0].bits() == "1111"
         assert pm[1].bits() == "0000"

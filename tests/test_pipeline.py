@@ -13,9 +13,9 @@ import wynercache.harness as harness
 import wynercache.schemes.pipeline as pipeline
 import wynercache.schemes.placement as placement
 import wynercache.schemes.points as points
-from test_codec import _z
+from test_codec import LinkBudget, _z, ideal_link
 from wynercache.channel import cancel_known, transmit_full, transmit_soft
-from wynercache.codec import LinkBudget, capacity, draw_codebook, ideal_link, nn_decode
+from wynercache.codec import capacity, draw_codebook, nn_decode
 from wynercache.harness import ExperimentSpec, run_experiment
 from wynercache.model import (
     Bitstring,
@@ -29,12 +29,14 @@ from wynercache.model import (
 )
 from wynercache.schemes import (
     SILENT,
+    BlockResult,
     ConfigMismatch,
     Ideal,
     InfeasibleRate,
     InvalidSchedule,
     MonteCarlo,
     PowerViolation,
+    SimResult,
     check_ideal_rate,
     mds_decode,
     mds_encode,
@@ -82,6 +84,31 @@ def _recompiled(plan, schedule):
     """The base ``plan`` with ``schedule`` in place of its placed schedule."""
     cfg = plan.cfg
     return pipeline._compile(cfg, plan.library, plan.placement, plan.guaranteed, _needed(cfg), schedule)
+
+
+def _result(library, demands, decoded, **fields):
+    """Check each receiver's decoded payload against its demanded file."""
+    success = {rx: guess == library.payload(demands.for_rx(rx)) for rx, guess in decoded.items()}
+    return SimResult(decoded=decoded, success=success, **fields)
+
+
+def _blockwise(run):
+    """The block form of the single-delivery runner ``run``: each row of a (T, K) block of
+    demands delivered on its own, an MC row with its own seed, and the results summed."""
+
+    def block(cfg, library, demands, backend, seeds=()):
+        backends = [MonteCarlo(backend.n, seed) for seed in seeds] or [backend] * len(demands)
+        results = [run(cfg, library, DemandVector(tuple(row)), b) for row, b in zip(demands.tolist(), backends)]
+        return BlockResult(
+            np.array([[res.success[rx] for rx in range(1, cfg.k + 1)] for res in results]),
+            results[0].guaranteed,
+            sum(res.links_total for res in results),
+            sum(res.link_failures for res in results),
+            results[0].rate_per_user,
+            results[0].memory_bits_per_receiver,
+        )
+
+    return block
 
 
 def _execute_dict(scheme, demands, backend, bits_per_part, n_slot):
@@ -162,7 +189,7 @@ def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
         have = {**{p: cached[p - 1] for p in scheme.placement.labels[rx]}, **parts}
         chosen = dict(sorted(have.items())[:needed])
         decoded[rx] = combine(chosen) if len(chosen) == needed else None
-    return pipeline._result(
+    return _result(
         library,
         demands,
         decoded,
@@ -184,7 +211,7 @@ def _prop1_dict(cfg, library, demands, extra_bits, backend):
         rx: None if guess is None else guess.concat(tails[demands.for_rx(rx) - 1])
         for rx, guess in main.decoded.items()
     }
-    return pipeline._result(
+    return _result(
         library,
         demands,
         decoded,
@@ -236,7 +263,7 @@ def _round_robin_dict(cfg, library, demands, backend):
         else None
         for rx, parts in collected.items()
     }
-    return pipeline._result(
+    return _result(
         library,
         demands,
         decoded,
@@ -249,9 +276,11 @@ def _round_robin_dict(cfg, library, demands, backend):
 
 
 def _execute_compiled(scheme, demands, backend, bits_per_part, n_slot):
-    """``pipeline._links`` keyed as the oracles key it: per-rx decoded part label -> bits."""
-    own = np.concatenate(([0], scheme.values[:, np.array(demands.entries) - 1].ravel()))
-    values, failures = pipeline._links(scheme, own, backend, n_slot)
+    """``pipeline._links`` of a one-trial block, keyed as the oracles key it: per-rx decoded part
+    label -> bits."""
+    own = pipeline._sources(scheme, np.array([demands.entries]))
+    seeds = [backend.seed] if isinstance(backend, MonteCarlo) else []
+    (values,), failures = pipeline._links(scheme, own, backend, n_slot, seeds)
     targets = [
         (rx, plan.target[1])
         for per in _schedule(scheme)
@@ -259,8 +288,8 @@ def _execute_compiled(scheme, demands, backend, bits_per_part, n_slot):
         if plan is not None
     ]
     decoded = {rx: {} for rx in range(1, scheme.cfg.k + 1)}
-    for (rx, label), value in zip(targets, values.tolist(), strict=True):
-        decoded[rx][label] = Bitstring(bits_per_part, value)
+    for (rx, label), value in zip(targets, values, strict=True):
+        decoded[rx][label] = Bitstring(bits_per_part, int.from_bytes(value.tobytes(), "big"))
     return decoded, failures, len(targets)
 
 
@@ -545,7 +574,7 @@ class TestBatchedMatchesPerTx:
         def run_soft(cfg, library, demands, backend):
             return _deliver_dict(pipeline._scheme(cfg, library), demands, backend, per_tx)
 
-        monkeypatch.setattr(harness, "run_soft", run_soft)
+        monkeypatch.setattr(harness, "run_soft", _blockwise(run_soft))
         spec = ExperimentSpec(config=_soft_cfg(power=0.3), backend="mc", trials=4, master_seed=15)
         report = run_experiment(spec)
         assert report.per_receiver_success == {1: 0.0, 2: 0.75, 3: 0.75, 4: 1.0, 5: 1.0, 6: 0.0}
@@ -648,7 +677,7 @@ class TestCompiledMatchesDictWalk:
         assert scheme.silent[:6].tolist() == [False, False, True, False, False, True]
         assert len(placed.link_rx) == len(scheme.link_rx) - 3 == 12
         d = DemandVector((1, 2, 3, 4, 5, 6))
-        full, cut = (pipeline._deliver(s, d, Ideal()) for s in (scheme, placed))
+        full, cut = (pipeline._run(s, d, Ideal(), ()) for s in (scheme, placed))
         assert (full.links_total, cut.links_total) == (15, 12)
         # rx 4 and 5 lose their period-1 part and with it a fifth label
         assert [rx for rx in range(2, 6) if cut.success[rx]] == [2, 3]
@@ -930,13 +959,13 @@ class TestIdealRateCheck:
         for cache in (pipeline._scheme, pipeline._rotate):
             cache.cache_clear()
         checks = []
-        real = points.ideal_link
+        real = points.capacity
 
-        def counted(link):
-            checks.append(link)
-            return real(link)
+        def counted(*args):
+            checks.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(points, "ideal_link", counted)
+        monkeypatch.setattr(points, "capacity", counted)
         report = run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=7))
         assert report.link_error_rate == 0.0
         assert len(checks) == placed + 1  # one per placed plan, one in validate
