@@ -2,10 +2,12 @@
 
 Each case runs ``run_experiment`` on a fixed spec and compares
 ``ExperimentReport.to_json()`` without ``wall_clock_s`` (as indented JSON) and
-the ``export_csv`` bytes of the report with the stored files. The CSV written
-by ``wynercache tradeoff --points 200 --out`` and the schedule JSON written by
-``wynercache verify-schedule --out`` are compared the same way. A refactor must
-leave every byte unchanged.
+the ``export_csv`` bytes of the report with the stored files. Each sweep case
+stores the ``export_csv`` bytes of ``sweep_snr`` over a 4-point grid, which for
+MC reaches points whose links fail, so one plan serves powers that succeed and
+powers that fail. The CSV written by ``wynercache tradeoff --points 200 --out``
+and the schedule JSON written by ``wynercache verify-schedule --out`` are
+compared the same way. A refactor must leave every byte unchanged.
 
 The expected files were written from a trusted revision with
 ``PYTHONPATH=src python tests/test_golden.py``; rerun it only when an output
@@ -24,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from wynercache.cli import main
-from wynercache.harness import DemandPolicy, ExperimentSpec, export_csv, run_experiment
+from wynercache.harness import DemandPolicy, ExperimentSpec, export_csv, run_experiment, sweep_snr
 from wynercache.model import NetworkConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,6 +61,19 @@ CASES: dict[str, ExperimentSpec] = {
         master_seed=21,
     ),
 }
+GAINS_K7 = (1.0, 0.5, 2.0, 0.8, 1.5, 0.3, 1.2)
+# (spec, SNR grid in dB): the spec's own power is replaced at every grid point
+SWEEP_CASES: dict[str, tuple[ExperimentSpec, tuple[float, ...]]] = {
+    "sweep-mc-soft-k7-gains": (
+        _soft(k=7, alpha=GAINS_K7, num_files=7, backend="mc", trials=3, master_seed=30), (-10.0, 0.0, 10.0, 20.0)
+    ),
+    "sweep-mc-rr-k6-gains": (
+        _soft(k=6, alpha=(1.0, 0.5, 2.0, 0.8, 1.5, 0.3), backend="mc", round_robin=True, trials=2, master_seed=31),
+        (-10.0, 0.0, 10.0, 20.0),
+    ),
+    "sweep-mc-full": (_full(backend="mc", trials=3, master_seed=32), (-10.0, 0.0, 10.0, 20.0)),
+    "sweep-ideal-prop1": (_soft(prop1_extra_bits=10, trials=4, master_seed=33), (0.0, 5.0, 10.0, 20.0)),
+}
 REPORT_SUFFIXES = (".json", ".csv")  # the keys of _report_outputs
 TRADEOFF_MODELS = ("soft", "full")
 SCHEDULE_CASES: dict[str, list[str]] = {
@@ -74,6 +89,7 @@ def _golden_names() -> set[str]:
         {f"{name}{suffix}" for name in CASES for suffix in REPORT_SUFFIXES}
         | {f"tradeoff-{model}.csv" for model in TRADEOFF_MODELS}
         | {f"{name}.json" for name in SCHEDULE_CASES}
+        | {f"{name}.csv" for name in SWEEP_CASES}
     )
 
 
@@ -87,6 +103,12 @@ def _report_outputs(spec: ExperimentSpec, workdir: Path) -> dict[str, bytes]:
         ".json": (json.dumps(doc, indent=2) + "\n").encode(),
         ".csv": csv_path.read_bytes(),
     }
+
+
+def _sweep_csv(spec: ExperimentSpec, grid: tuple[float, ...], workdir: Path) -> bytes:
+    path = workdir / "sweep.csv"
+    export_csv(sweep_snr(spec, grid), str(path))
+    return path.read_bytes()
 
 
 def _tradeoff_csv(model: str, workdir: Path) -> bytes:
@@ -105,6 +127,11 @@ def _schedule_json(args: list[str], workdir: Path) -> bytes:
 def test_report_replay(name, tmp_path):
     for suffix, got in _report_outputs(CASES[name], tmp_path).items():
         assert got == (GOLDEN / f"{name}{suffix}").read_bytes(), f"{name}{suffix} changed"
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_replay(name, tmp_path):
+    assert _sweep_csv(*SWEEP_CASES[name], tmp_path) == (GOLDEN / f"{name}.csv").read_bytes(), f"{name}.csv changed"
 
 
 @pytest.mark.parametrize("model", TRADEOFF_MODELS)
@@ -129,6 +156,8 @@ def _write_golden() -> None:
         for name, spec in CASES.items():
             for suffix, data in _report_outputs(spec, workdir).items():
                 (GOLDEN / f"{name}{suffix}").write_bytes(data)
+        for name, (spec, grid) in SWEEP_CASES.items():
+            (GOLDEN / f"{name}.csv").write_bytes(_sweep_csv(spec, grid, workdir))
         for model in TRADEOFF_MODELS:
             (GOLDEN / f"tradeoff-{model}.csv").write_bytes(_tradeoff_csv(model, workdir))
         for name, args in SCHEDULE_CASES.items():
