@@ -25,12 +25,7 @@ def _as_matrix(inputs: Sequence[Samples]) -> np.ndarray:
     return np.asarray(inputs, dtype=float)
 
 
-def transmit_soft(
-    inputs: Sequence[Samples],
-    gains: Sequence[float],
-    noise_seed: int = 0,
-    noiseless: bool = False,
-) -> np.ndarray:
+def transmit_soft(inputs: Sequence[Samples], gains: Sequence[float], noise_seed: int = 0) -> np.ndarray:
     """Y_k = X_k + alpha_k * X_{k-1} + Z_k with circular wrap X_0 = X_K."""
     x = _as_matrix(inputs)
     k, n = x.shape
@@ -38,24 +33,15 @@ def transmit_soft(
         raise LengthMismatch(f"{len(gains)} gains for {k} transmitters")
     g = np.asarray(gains, dtype=float)
     y = x + g[:, None] * np.roll(x, 1, axis=0)
-    if not noiseless:
-        y = y + np.random.default_rng(noise_seed).standard_normal((k, n))
-    return y
+    return y + np.random.default_rng(noise_seed).standard_normal((k, n))
 
 
-def transmit_full(
-    inputs: Sequence[Samples],
-    gain: float,
-    noise_seed: int = 0,
-    noiseless: bool = False,
-) -> np.ndarray:
+def transmit_full(inputs: Sequence[Samples], gain: float, noise_seed: int = 0) -> np.ndarray:
     """Y_k = X_k + alpha * (X_{k-1} + X_{k+1}) + Z_k with circular wrap."""
     x = _as_matrix(inputs)
     k, n = x.shape
     y = x + gain * (np.roll(x, 1, axis=0) + np.roll(x, -1, axis=0))
-    if not noiseless:
-        y = y + np.random.default_rng(noise_seed).standard_normal((k, n))
-    return y
+    return y + np.random.default_rng(noise_seed).standard_normal((k, n))
 
 
 @dataclass(frozen=True)

@@ -282,15 +282,23 @@ class DemandVector:
     @classmethod
     def checked(cls, entries: Iterable[int], k: int, num_files: int) -> "DemandVector":
         d = cls(tuple(int(e) for e in entries))
-        cls.check_block(np.array([d.entries], dtype=object), k, num_files)  # Python ints: any size
+        cls._check_rows(np.array([d.entries], dtype=object), k, num_files)  # Python ints: any size
         return d
 
     @staticmethod
     def check_block(demands: np.ndarray, k: int, num_files: int) -> None:
-        """Raise ``ConfigMismatch`` unless every row of the (T, K) array ``demands`` is a
-        demand vector of K files in 1..num_files; the first bad entry in row order is named."""
-        if demands.ndim != 2 or demands.shape[1] != k:
-            raise ConfigMismatch(f"demand vector has {demands.shape[-1]} entries, expected K={k}")
+        """Raise ``ConfigMismatch`` unless ``demands`` is a 2-D integer array of T >= 1 rows,
+        each a demand vector of K files in 1..num_files; the first bad entry in row order is named."""
+        if demands.dtype.kind not in "iu":
+            raise ConfigMismatch(f"demand block has dtype {demands.dtype}, expected integers")
+        if demands.ndim != 2 or not len(demands):
+            raise ConfigMismatch(f"demand block has shape {demands.shape}, expected (T, K={k}) with T >= 1")
+        DemandVector._check_rows(demands, k, num_files)
+
+    @staticmethod
+    def _check_rows(demands: np.ndarray, k: int, num_files: int) -> None:
+        if demands.shape[1] != k:
+            raise ConfigMismatch(f"demand vector has {demands.shape[1]} entries, expected K={k}")
         bad = np.flatnonzero((demands < 1) | (demands > num_files))
         if len(bad):
             raise ConfigMismatch(f"demand {demands.flat[bad[0]]} outside 1..{num_files}")
@@ -310,24 +318,32 @@ class CachePlacement:
     """Demand-free cache contents: each receiver stores the same part labels of every file.
 
     ``parts[f]`` holds the parts of file f, part label p at index p - 1, and
-    ``labels[rx]`` the labels that receiver rx caches of every file.
+    ``labels[rx]`` the labels that receiver rx caches of every file. All files share
+    one layout of part lengths, so a receiver's memory is D times its labels' bits.
     """
 
     parts: Mapping[int, tuple[Bitstring, ...]]
     labels: Mapping[int, tuple[int, ...]]
 
     def __post_init__(self) -> None:
+        layouts = {tuple(p.length for p in parts) for parts in self.parts.values()}
+        if len(layouts) > 1:
+            raise SimError(f"files have mixed part lengths {sorted(layouts)}")
         for rx, labels in self.labels.items():
             if len(set(labels)) != len(labels):
                 raise SimError(f"duplicate part label in the cache of receiver {rx}")
-            if any(not 1 <= p <= len(parts) for parts in self.parts.values() for p in labels):
-                raise SimError(f"receiver {rx} caches labels {labels} that some file lacks")
+            if any(not 1 <= p <= len(self._lengths) for p in labels):
+                raise SimError(f"receiver {rx} caches labels {labels} that the files lack")
         totals = {self._bits(labels) for labels in self.labels.values()}
         if len(totals) > 1:
             raise SimError(f"asymmetric cache memory across receivers: {sorted(totals)}")
 
+    @cached_property
+    def _lengths(self) -> tuple[int, ...]:
+        return tuple(p.length for p in next(iter(self.parts.values()), ()))
+
     def _bits(self, labels: tuple[int, ...]) -> int:
-        return sum(parts[p - 1].length for parts in self.parts.values() for p in labels)
+        return len(self.parts) * sum(self._lengths[p - 1] for p in labels)
 
     @cached_property
     def bits_per_receiver(self) -> int:

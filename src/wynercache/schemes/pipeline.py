@@ -1,23 +1,23 @@
 """End-to-end scheme execution in the paper's two phases.
 
-* Placement, once per (config, library): ``check_scheme`` holds every rule a run
-  must pass before any demand is known, and ``ExperimentSpec.validate`` calls it
-  too. ``_scheme`` builds the demand-free
-  ``CachePlacement``, which splits every file once, and the delivery schedule
-  for the demands (1, ..., K), in which file j stands for "the file receiver j
-  demands"; ``verify_schedule`` checks it against the cached labels once, and
-  a broken schedule raises ``InvalidSchedule``. ``_compile`` turns the placed
-  schedule into a ``_Plan`` of index arrays. Two combinators build the
-  other schemes from compiled plans: ``_rotate`` (round robin) lays the K soft
-  rotations over the MDS-coded sub-libraries side by side, each rotation's
-  roles played by physical nodes, and ``_cache_tail`` (prop-1) adds every
-  file's tail as a label cached at every receiver. Which K-2 coded parts a
-  round robin receiver collects is fixed here too, so ``_rotate`` reads each
-  receiver's MDS decode off ``mds_decode`` once, as a GF(256) ``_Recipe``.
-  Each plan is memoised on its hashable frozen inputs and shared by all
-  trials of one experiment. It also holds, built once, the plane of every
-  part value as uint8 bytes and ``want``, each file's data parts as a
-  delivery must decode them.
+* Placement, once per (model, K, library): ``check_scheme`` holds every rule a
+  run must pass before any demand is known; each runner calls it on the config
+  it is handed, and ``ExperimentSpec.validate`` calls it too. ``_scheme`` builds
+  the demand-free ``CachePlacement``, which splits every file once, and the
+  delivery schedule for the demands (1, ..., K), in which file j stands for
+  "the file receiver j demands"; ``verify_schedule`` checks it against the
+  cached labels once, and a broken schedule raises ``InvalidSchedule``.
+  ``_compile`` turns the placed schedule into a ``_Plan`` of index arrays. Two
+  combinators build the other schemes from compiled plans: ``_rotate`` (round
+  robin) lays K rotations of one soft plan, placed over every MDS-coded part,
+  side by side, and ``_cache_tail`` (prop-1) adds every file's tail as a label
+  cached at every receiver. Which K-2 coded parts a round robin receiver
+  collects is fixed here too, so ``_rotate`` reads each receiver's MDS decode
+  off ``mds_decode`` once, as a GF(256) ``_Recipe``. A plan depends on the
+  model, K and the library, not on the channel: it is memoised on them and
+  shared by every trial and every SNR point of a sweep. It also holds, built
+  once, the plane of every part value as uint8 bytes and ``want``, each
+  file's data parts as a delivery must decode them.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
   them with any plan at once: it gathers each trial's source vectors from the
   plane (``_sources``), decodes the links (``_links``: gathers and XORs, and
@@ -25,9 +25,10 @@
   seed), XOR-reduces each receiver's selected labels into its data parts,
   applies round robin's recipe to every trial's coded parts in one array step,
   and compares the data parts with ``want``. No Python code runs per receiver
-  or per Ideal trial. Only MC links fail here: an Ideal delivery runs at the
-  rate ``check_ideal_rate`` passed once per plan. The runners take a block and
-  return its ``BlockResult``, or one ``DemandVector`` and return its
+  or per Ideal trial. The MC links read power, epsilon and gains from the
+  runner's config, and an Ideal delivery runs at the rate ``check_ideal_rate``
+  passes once per runner call, so only MC links fail here. The runners take a
+  block and return its ``BlockResult``, or one ``DemandVector`` and return its
   ``SimResult``, the one-trial block with the decoded payloads (``_run``).
 
 Two interchangeable backends drive the same plans:
@@ -155,14 +156,14 @@ class BlockResult:
 
 @dataclass(frozen=True, eq=False)
 class _Period:
-    """One period of a plan: its links, seed keys, gains and decode plans. Period i owns Tx actions
-    i * K to (i + 1) * K - 1; they, its link receivers, codebook rows and noise rows are in its
-    roles, r at r - 1."""
+    """One period of a plan: its links, seed keys, the node playing each role and its decode plans.
+    Period i owns Tx actions i * K to (i + 1) * K - 1; they, its link receivers, codebook rows and
+    noise rows are in its roles, r at r - 1. Role r hears the cross gain of node ``nodes[r - 1]``."""
 
     index: int  # the schedule's period number, which keys its MC random streams
     keys: tuple[tuple[int, int], ...]  # derive_seed steps from the delivery seed to the period's
     links: slice  # its links in the plan's link arrays
-    gain: np.ndarray  # (K, 1): the cross gain each role's receiver hears
+    nodes: np.ndarray  # (K,): the 0-based node playing each role; the identity except in round robin
     schedule: PeriodSchedule  # its decode plans, which the MC layout reads
 
     def seed(self, seed: int, stream: int) -> int:
@@ -172,9 +173,9 @@ class _Period:
 
     @functools.cached_property
     def layout(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
-        """MC decode layout, built on the first MC delivery: the (K, K) 0/1 matrix of the
-        sent words each receiver row cancels, and the nn_decode (rows, rx, gains) batches."""
-        known = np.zeros((len(self.gain),) * 2)
+        """MC decode layout, built on the first MC delivery: the (K, K) 0/1 matrix of the sent words
+        each receiver row cancels, and the nn_decode (rows, rx, rx hears its own Tx) batches."""
+        known = np.zeros((len(self.nodes),) * 2)
         decoders: dict[int, list[int]] = {}
         for rx, plan in self.schedule.rx_plans.items():
             if plan is not None:
@@ -184,7 +185,7 @@ class _Period:
         for size in sorted({len(rxs) for rxs in decoders.values()}):
             src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
             rxs = np.array([decoders[tx + 1] for tx in src]) - 1
-            batches.append((src, rxs, np.where(rxs == src[:, None], 1.0, self.gain[rxs, 0])))
+            batches.append((src, rxs, rxs == src[:, None]))
         return known, tuple(batches)
 
 
@@ -232,18 +233,18 @@ def _byte_rows(values: Sequence[int], nb: int) -> np.ndarray:
 class _Plan:
     """A placed scheme as index arrays into each delivery's source vectors; ``_deliver`` walks it.
 
-    ``plane`` holds label p of file f of ``placement`` at [p - 1, f - 1] as nb big-endian
-    bytes, right-aligned, nb fitting the widest label, so any L takes one path. A trial's
-    source vector is a 0, then each label's column of the receivers' demands, then every
-    link's decoded part in reverse: receiver j's label p is at (p - 1) * K + j, link i at
-    ~i, and an absent XOR side or strip names the 0, so a new label appends without moving
-    a position. The data parts that ``select[rx - 1]`` XORs are receiver rx's payload cut
-    into ``widths``, or with ``recipe`` the K - 2 coded parts of its file that it collects,
-    each its five data parts joined byte by byte, which the recipe decodes. ``want`` holds
-    every file's data parts as a delivery must decode them.
+    It depends on the model, K and the library; each delivery brings the channel. ``plane``
+    holds label p of file f of ``placement`` at [p - 1, f - 1] as nb big-endian bytes,
+    right-aligned, nb fitting the widest label, so any L takes one path. A trial's source
+    vector is a 0, then each label's column of the receivers' demands, then every link's
+    decoded part in reverse: receiver j's label p is at (p - 1) * K + j, link i at ~i, and
+    an absent XOR side or strip names the 0, so a new label appends without moving a
+    position. The data parts that ``select[rx - 1]`` XORs are receiver rx's payload cut into
+    ``widths``, or with ``recipe`` the K - 2 coded parts of its file that it collects, each
+    its five data parts joined byte by byte, which the recipe decodes. ``want`` holds every
+    file's data parts as a delivery must decode them.
     """
 
-    cfg: NetworkConfig  # the physical network: K, the Ideal rate check and the MC channel
     library: MessageLibrary  # the files each receiver's payload is checked against
     placement: CachePlacement  # every label of every file; its bits give the memory
     guaranteed: tuple[int, ...]
@@ -288,20 +289,12 @@ class _Plan:
             cut += reversed(parts)
         return _byte_rows(cut, nb).reshape(self.library.num_files, len(self.widths), nb)
 
-    @functools.cached_property
-    def ideal_rate(self) -> float:
-        return check_ideal_rate(self.cfg)
 
-
-def _compile(
-    cfg: NetworkConfig, library: MessageLibrary, placement: CachePlacement, guaranteed: tuple[int, ...],
-    needed: int, schedule: DeliverySchedule,
-) -> _Plan:
+def _compile(library: MessageLibrary, placement: CachePlacement, schedule: DeliverySchedule) -> _Plan:
     """A placed schedule as index arrays, which depend on the placement alone: file j in
-    ``schedule`` is the file receiver j demands, and a receiver XORs ``needed`` labels into it."""
-    k = cfg.k
+    ``schedule`` is the file receiver j demands, and a receiver XORs ``NEEDED`` labels into it."""
+    k, needed = schedule.k, NEEDED[schedule.variant]
     at = lambda ref, part: (part - 1) * k + ref  # source position of a part
-    gain = np.array([[cfg.gain_at(rx)] for rx in range(1, k + 1)])
     # each receiver's part labels -> source position; cached parts first, links override
     held = {rx: {p: at(rx, p) for p in placement.labels.get(rx, ())} for rx in range(1, k + 1)}
     sides, silent, links, periods = [], [], [], []
@@ -319,7 +312,7 @@ def _compile(
             if plan is not None:
                 links.append((rx - 1, tx0 + plan.source - 1, at(*plan.strip) if plan.strip else 0))
                 held[rx][plan.target[1]] = ~(len(links) - 1)
-        periods.append(_Period(per.index, (), slice(start, len(links)), gain, per))
+        periods.append(_Period(per.index, (), slice(start, len(links)), np.arange(k), per))
     # data part s is its own label, or the XOR of the five labels held (soft parity repair)
     select, served = np.zeros((k, needed, needed), dtype=np.intp), np.zeros(k, dtype=bool)
     for rx in range(1, k + 1):
@@ -330,66 +323,63 @@ def _compile(
             select[rx - 1, s - 1, : len(picks)] = picks
     bits = next(iter(placement.parts.values()))[0].length
     return _Plan(
-        cfg, library, placement, guaranteed, library.payload_bits, len(periods),
+        library, placement, guaranteed_receivers(schedule.variant, k), library.payload_bits, len(periods),
         bits, np.array(sides, dtype=np.intp).T, np.array(silent),
         *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served, (bits,) * needed,
     )
 
 
 @functools.lru_cache(maxsize=1)
-def _rotate(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
-    """Round robin: the soft plans of the K MDS-coded sub-libraries side by side, rotation l
-    with role r played by node r + l (mod K). Rotation l keeps its own label columns, and its
-    periods hear the gains of the nodes playing each role and key their MC streams by
-    (_SEED_SUPER, l). Receiver rx plays a guaranteed role in K - 2 rotations, fixed here, and
-    ``_deliver`` decodes their pieces, coded parts of its file, with its ``_recipe``."""
-    check_scheme(cfg, library.payload_bits, round_robin=True)
-    k = cfg.k
+def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
+    """Round robin: K rotations of one plan side by side, rotation l with role r played by node
+    r + l (mod K), keeping its own label columns, keying its MC streams by (_SEED_SUPER, l) and
+    delivering coded part l of every file: the plan is placed once, file (f - 1) * K + l its
+    coded part l of file f. Receiver rx plays a guaranteed role in K - 2 rotations, fixed
+    here, and ``_deliver`` decodes their pieces, coded parts of its file, with its ``_recipe``."""
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
-    rotations = [_scheme(cfg, MessageLibrary(tuple(c[ell] for c in coded))) for ell in range(k)]
-    width = rotations[0].labels
+    plan = _scheme(variant, k, MessageLibrary(tuple(part for parts in coded for part in parts)))
+    width, placed = plan.labels, plan.placement
     role = lambda rx, ell: (rx - ell - 1) % k + 1  # played by node rx in rotation ell
     remaps, arrays, periods, txs, links = [], [], [], 0, 0
     label, slot = np.divmod(np.arange(width * k), k)  # of each rotation's source position 1, 2, ...
-    for ell, rot in enumerate(rotations, 1):
+    for ell in range(1, k + 1):
         rows = (np.arange(k) + ell) % k  # node of each role
         moved = ((ell - 1) * width + label) * k + rows[slot] + 1  # its labels, in its own columns
-        remaps.append(m := np.concatenate(([0], moved, ~(links + np.arange(len(rot.link_tx)))[::-1])))
-        arrays.append((m[rot.tx], rot.silent, rot.link_rx, rot.link_tx + txs, m[rot.link_strip]))
+        remaps.append(m := np.concatenate(([0], moved, ~(links + np.arange(len(plan.link_tx)))[::-1])))
+        arrays.append((m[plan.tx], plan.silent, plan.link_rx, plan.link_tx + txs, m[plan.link_strip]))
         periods += [
-            replace(per, keys=((_SEED_SUPER, ell), *per.keys), gain=per.gain[rows],
-                    links=slice(per.links.start + links, per.links.stop + links)) for per in rot.periods
+            replace(per, keys=((_SEED_SUPER, ell), *per.keys), nodes=rows[per.nodes],
+                    links=slice(per.links.start + links, per.links.stop + links)) for per in plan.periods
         ]
-        txs, links = txs + len(rot.silent), links + len(rot.link_tx)
+        txs, links = txs + len(plan.silent), links + len(plan.link_tx)
     tx, silent, link_rx, link_tx, link_strip = (np.concatenate(a, axis=-1) for a in zip(*arrays))
-    placed = [rot.placement for rot in rotations]
     placement = CachePlacement(
-        {f: sum((p.parts[f] for p in placed), ()) for f in placed[0].parts},
-        {rx: tuple(width * ell + p for ell in range(k) for p in placed[ell].labels[role(rx, ell + 1)])
+        {f: sum((placed.parts[(f - 1) * k + ell] for ell in range(1, k + 1)), ())
+         for f in range(1, library.num_files + 1)},
+        {rx: tuple(width * ell + p for ell in range(k) for p in placed.labels[role(rx, ell + 1)])
          for rx in range(1, k + 1)},
     )
     chosen = [  # (rotation, 0-based role) of each piece of each receiver
-        [(ell, role(rx, ell) - 1) for ell in range(1, k + 1) if role(rx, ell) in rotations[0].guaranteed]
+        [(ell, role(rx, ell) - 1) for ell in range(1, k + 1) if role(rx, ell) in plan.guaranteed]
         for rx in range(1, k + 1)
     ]
     return replace(
-        rotations[0], cfg=cfg, library=library, placement=placement, guaranteed=tuple(range(1, k + 1)),
+        plan, library=library, placement=placement, guaranteed=tuple(range(1, k + 1)),
         scale=lambda rate: rate * (k - 2) / k, widths=(library.payload_bits // (k - 2),) * (k - 2),
         tx=tx, silent=silent, link_rx=link_rx, link_tx=link_tx, link_strip=link_strip, periods=tuple(periods),
-        select=np.array([[remaps[ell - 1][rotations[ell - 1].select[r]] for ell, r in c] for c in chosen]),
-        served=np.array([all(rotations[ell - 1].served[r] for ell, r in c) for c in chosen]),
+        select=np.array([[remaps[ell - 1][plan.select[r]] for ell, r in c] for c in chosen]),
+        served=np.array([all(plan.served[r] for _, r in c) for c in chosen]),
         recipe=_recipe([tuple(ell for ell, _ in c) for c in chosen], k),
     )
 
 
 @functools.lru_cache(maxsize=1)
-def _cache_tail(cfg: NetworkConfig, library: MessageLibrary, extra_bits: int) -> _Plan:
-    """Prop-1: the soft plan of the leading bits of each file, plus one more label, the tail,
+def _cache_tail(variant: Variant, k: int, library: MessageLibrary, extra_bits: int) -> _Plan:
+    """Prop-1: the plan of the leading bits of each file, plus one more label, the tail,
     cached at every receiver, never among the needed labels and appended to each payload."""
-    check_scheme(cfg, library.payload_bits, extra_bits=extra_bits)
     mains = MessageLibrary(tuple(Bitstring(p.length - extra_bits, p.value >> extra_bits) for p in library))
-    plan = _scheme(cfg, mains)
-    k, width = cfg.k, plan.labels
+    plan = _scheme(variant, k, mains)
+    width = plan.labels
     placement = CachePlacement(
         {f: parts + (Bitstring(extra_bits, library.payload(f).value & ((1 << extra_bits) - 1)),)
          for f, parts in plan.placement.parts.items()},
@@ -437,27 +427,29 @@ def block_trials(cfg: NetworkConfig, payload_bits: int, round_robin: bool = Fals
     return max(1, BLOCK_BYTES // (cfg.k * pieces * (needed + 1) * needed * nb))
 
 
-def _checked(cfg: NetworkConfig, variant: Variant) -> NetworkConfig:
+def _checked(
+    cfg: NetworkConfig, variant: Variant, library: MessageLibrary, round_robin: bool = False, extra_bits: int = 0
+) -> tuple[Variant, int, MessageLibrary]:
+    """The plan key (model, K, library) of a run of the ``variant`` scheme that passes every rule."""
     if cfg.variant is not variant:
         raise ConfigMismatch(f"config is {cfg.variant.value}, scheme needs {variant.value}")
-    return cfg
+    check_scheme(cfg, library.payload_bits, round_robin, extra_bits)
+    return variant, cfg.k, library
 
 
 @functools.lru_cache(maxsize=1)
-def _scheme(cfg: NetworkConfig, library: MessageLibrary) -> _Plan:
-    """Placement phase: everything about a run of ``cfg`` that the demands do not change."""
-    check_scheme(cfg, library.payload_bits)
-    soft, needed = cfg.variant is Variant.SOFT_HANDOFF, NEEDED[cfg.variant]
-    receivers = DemandVector(tuple(range(1, cfg.k + 1)))
+def _scheme(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
+    """Placement phase: everything about a run of the ``variant`` scheme on K nodes that neither
+    the demands nor the channel change. The caller has checked the run with ``check_scheme``."""
+    soft = variant is Variant.SOFT_HANDOFF
     # every builder is looked up by name per call, so tracers see it
-    placement = (cache_placement_soft if soft else cache_placement_full)(cfg.k, library)
-    schedule = (delivery_schedule_soft if soft else delivery_schedule_full)(cfg.k, receivers)
+    placement = (cache_placement_soft if soft else cache_placement_full)(k, library)
+    schedule = (delivery_schedule_soft if soft else delivery_schedule_full)(k, DemandVector(tuple(range(1, k + 1))))
     violations = verify_schedule(schedule, placement)
     if violations:
         first = violations[0]
         raise InvalidSchedule(f"{len(violations)} violation(s), first {first.kind}: {first.detail}")
-    guaranteed = guaranteed_receivers(cfg.variant, cfg.k)
-    return _compile(cfg, library, placement, guaranteed, needed, schedule)
+    return _compile(library, placement, schedule)
 
 
 def _sources(plan: _Plan, demands: np.ndarray) -> np.ndarray:
@@ -468,15 +460,15 @@ def _sources(plan: _Plan, demands: np.ndarray) -> np.ndarray:
 
 
 def _links(
-    plan: _Plan, own: np.ndarray, backend: Backend, n_slot: int, seeds: Sequence[int]
+    plan: _Plan, cfg: NetworkConfig, own: np.ndarray, backend: Backend, n_slot: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, int]:
     """Every link's decoded part (T, links, nb), given the source vectors ``own``, and the count
-    of wrong links. Trial t's MC streams come from ``seeds[t]``. The schedule and the Ideal rate
-    were checked at placement: only an MC link can fail."""
+    of wrong links. Trial t's MC streams come from ``seeds[t]``, over the channel of ``cfg``. The
+    schedule was checked at placement and the Ideal rate by the runner: only an MC link can fail."""
     sent = own[:, plan.tx[0]] ^ own[:, plan.tx[1]]
     if isinstance(backend, Ideal):
         return sent[:, plan.link_tx] ^ own[:, plan.link_strip], 0
-    cfg, failures = plan.cfg, 0
+    failures, gains = 0, np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
     # a codeword index has at most MAX_CODEBOOK_BITS (22) bits, so its part's last bytes hold
     # it; draw_codebook rejects a longer part before it reads a word
     places = 8 * np.arange(min(own.shape[-1], 7))[::-1]
@@ -485,6 +477,7 @@ def _links(
     guess = np.empty((len(own), len(plan.link_tx)), dtype=np.int64)
     for t, seed in enumerate(seeds):
         for per, sends in zip(plan.periods, rows[t].reshape(-1, cfg.k)):
+            gain = gains[per.nodes]  # the cross gain each role's receiver hears
             cb = draw_codebook(  # row r - 1 is the codebook of role r's Tx
                 n_slot, plan.part_bits, cfg.power - cfg.epsilon, per.seed(seed, _SEED_CODEBOOK), sends, cfg.power,
             )
@@ -493,14 +486,14 @@ def _links(
                 raise PowerViolation(f"Tx {i + 1} block power {pc.measured[i]:.6g} exceeds P={cfg.power}")
             noise_seed = per.seed(seed, _SEED_NOISE)
             if cfg.variant is Variant.SOFT_HANDOFF:
-                y = transmit_soft(cb.word, per.gain[:, 0], noise_seed)
+                y = transmit_soft(cb.word, gain, noise_seed)
             else:
                 y = transmit_full(cb.word, cfg.alpha, noise_seed)
             known, batches = per.layout
-            y = cancel_known(y, per.gain, known @ cb.word)  # cancel keys are sent words
+            y = cancel_known(y, gain[:, None], known @ cb.word)  # cancel keys are sent words
             guesses = np.zeros(cfg.k, dtype=np.int64)
-            for src, rxs, gains in batches:
-                guesses[rxs] = nn_decode(cb, src, y[rxs], gains)
+            for src, rxs, own_tx in batches:
+                guesses[rxs] = nn_decode(cb, src, y[rxs], np.where(own_tx, 1.0, gain[rxs]))
             guess[t, per.links] = got = guesses[plan.link_rx[per.links]]
             failures += np.count_nonzero(got != rows[t, plan.link_tx[per.links]])
     strip = own[:, plan.link_strip]
@@ -510,12 +503,12 @@ def _links(
 
 
 def _deliver(
-    plan: _Plan, demands: np.ndarray, backend: Backend, seeds: Sequence[int]
+    plan: _Plan, cfg: NetworkConfig, demands: np.ndarray, backend: Backend, seeds: Sequence[int]
 ) -> tuple[BlockResult, np.ndarray]:
-    """Delivery phase: serve a checked (T, K) block of demand vectors with a placed plan; also
-    returns every receiver's data parts, (T, K, data parts, bytes) uint8."""
+    """Delivery phase: serve a checked (T, K) block of demand vectors with a placed plan over the
+    channel of ``cfg``; also returns every receiver's data parts, (T, K, data parts, bytes) uint8."""
     if isinstance(backend, Ideal):
-        rate, n_slot = plan.scale(plan.ideal_rate), 0
+        rate, n_slot = plan.scale(check_ideal_rate(cfg)), 0
     else:
         n_slot = backend.n // plan.base_periods
         if n_slot < 1:
@@ -524,7 +517,7 @@ def _deliver(
             raise ConfigMismatch(f"{len(seeds)} Monte-Carlo seed(s) for {len(demands)} trial(s)")
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
     own = _sources(plan, demands)
-    links, failures = _links(plan, own, backend, n_slot, seeds)
+    links, failures = _links(plan, cfg, own, backend, n_slot, seeds)
     picks = np.concatenate((own, links[:, ::-1]), axis=1)[:, plan.select]
     data = np.bitwise_xor.reduce(picks, axis=-2)
     if plan.recipe is not None:  # any K-2 of a file's K coded parts give its K-2 data parts
@@ -538,17 +531,19 @@ def _deliver(
 
 
 def _run(
-    plan: _Plan, demands: DemandVector | np.ndarray, backend: Backend, seeds: Sequence[int]
+    cfg: NetworkConfig, plan: _Plan, demands: DemandVector | np.ndarray, backend: Backend, seeds: Sequence[int]
 ) -> SimResult | BlockResult:
     """A block of demand vectors with its per-trial MC ``seeds`` gives its ``BlockResult``; one
-    ``DemandVector`` gives its ``SimResult``, the one-trial block with the decoded payloads."""
-    cfg, library = plan.cfg, plan.library
+    ``DemandVector`` gives its ``SimResult``, the one-trial block at ``backend.seed`` with payloads."""
+    library = plan.library
     if not isinstance(demands, DemandVector):
         DemandVector.check_block(demands, cfg.k, library.num_files)
-        return _deliver(plan, demands, backend, seeds)[0]
+        return _deliver(plan, cfg, demands, backend, seeds)[0]
+    if len(seeds):
+        raise ConfigMismatch(f"one DemandVector runs on backend.seed; {len(seeds)} seed(s) are for a (T, K) block")
     DemandVector.checked(demands, cfg.k, library.num_files)
     seeds = (backend.seed,) if isinstance(backend, MonteCarlo) else ()
-    block, (data,) = _deliver(plan, np.array([demands.entries], dtype=np.intp), backend, seeds)
+    block, (data,) = _deliver(plan, cfg, np.array([demands.entries], dtype=np.intp), backend, seeds)
     decoded = {}
     for rx, (parts, served) in enumerate(zip(data, plan.served), start=1):
         value = 0
@@ -571,7 +566,7 @@ def run_soft(
     int array of demand vectors, with one MC seed per trial in ``seeds`` in place of
     ``backend.seed``, and returns their ``BlockResult``.
     """
-    return _run(_scheme(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend, seeds)
+    return _run(cfg, _scheme(*_checked(cfg, Variant.SOFT_HANDOFF, library)), demands, backend, seeds)
 
 
 def run_full(
@@ -582,7 +577,7 @@ def run_full(
     seeds: Sequence[int] = (),
 ) -> SimResult | BlockResult:
     """One delivery round of the full-model scheme (all K receivers guaranteed)."""
-    return _run(_scheme(_checked(cfg, Variant.FULL), library), demands, backend, seeds)
+    return _run(cfg, _scheme(*_checked(cfg, Variant.FULL, library)), demands, backend, seeds)
 
 
 def run_soft_prop1(
@@ -601,7 +596,8 @@ def run_soft_prop1(
     """
     if extra_bits == 0:
         return run_soft(cfg, library, demands, backend, seeds)
-    return _run(_cache_tail(_checked(cfg, Variant.SOFT_HANDOFF), library, extra_bits), demands, backend, seeds)
+    plan = _cache_tail(*_checked(cfg, Variant.SOFT_HANDOFF, library, extra_bits=extra_bits), extra_bits)
+    return _run(cfg, plan, demands, backend, seeds)
 
 
 def round_robin_soft(
@@ -618,4 +614,4 @@ def round_robin_soft(
     so every receiver plays a bad edge role exactly twice and still collects K-2
     parts. The per-user rate shrinks by the factor (K-2)/K.
     """
-    return _run(_rotate(_checked(cfg, Variant.SOFT_HANDOFF), library), demands, backend, seeds)
+    return _run(cfg, _rotate(*_checked(cfg, Variant.SOFT_HANDOFF, library, round_robin=True)), demands, backend, seeds)

@@ -17,25 +17,30 @@ def _impulse(n, at=0):
     return e
 
 
+def _noise(seed, k, n):
+    """The K x n noise block that a transmit with ``noise_seed=seed`` adds."""
+    return np.random.default_rng(seed).standard_normal((k, n))
+
+
 class TestTransmitSoft:
     def test_impulse_propagation(self):
         n = 8
         x = [_impulse(n), np.zeros(n), np.zeros(n)]
-        y = transmit_soft(x, [1.0, 1.0, 1.0], noiseless=True)
-        assert np.array_equal(y[0], _impulse(n))  # own signal
-        assert np.array_equal(y[1], _impulse(n))  # heard downstream
-        assert np.array_equal(y[2], np.zeros(n))
+        y, z = transmit_soft(x, [1.0, 1.0, 1.0], noise_seed=1), _noise(1, 3, n)
+        assert np.array_equal(y[0], _impulse(n) + z[0])  # own signal
+        assert np.array_equal(y[1], _impulse(n) + z[1])  # heard downstream
+        assert np.array_equal(y[2], z[2])
 
     def test_all_zero(self):
-        y = transmit_soft([np.zeros(4)] * 3, [1.0] * 3, noiseless=True)
-        assert all(np.array_equal(b, np.zeros(4)) for b in y)
+        y = transmit_soft([np.zeros(4)] * 3, [1.0] * 3, noise_seed=2)
+        assert np.array_equal(y, _noise(2, 3, 4))
 
     def test_circular_wrap(self):
         # X_0 = X_K: receiver 1 hears transmitter K through alpha_1
         n = 4
         x = [np.zeros(n), np.zeros(n), _impulse(n)]
-        y = transmit_soft(x, [2.0, 1.0, 1.0], noiseless=True)
-        assert np.array_equal(y[0], 2.0 * _impulse(n))
+        y = transmit_soft(x, [2.0, 1.0, 1.0], noise_seed=3)
+        assert np.array_equal(y[0], 2.0 * _impulse(n) + _noise(3, 3, n)[0])
 
     def test_noise_reproducible(self):
         x = [np.zeros(16)] * 3
@@ -45,14 +50,14 @@ class TestTransmitSoft:
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
         assert not all(np.array_equal(u, v) for u, v in zip(a, c))
 
-    def test_noiseless_superposition_exact(self):
+    def test_superposition_plus_seeded_noise_exact(self):
         rng = np.random.default_rng(5)
         k, n = 6, 32
         x = [rng.standard_normal(n) for _ in range(k)]
         gains = rng.uniform(0.2, 2.0, size=k)
-        y = transmit_soft(x, gains, noiseless=True)
+        y, z = transmit_soft(x, gains, noise_seed=4), _noise(4, k, n)
         for i in range(k):
-            expected = x[i] + gains[i] * x[(i - 1) % k]
+            expected = x[i] + gains[i] * x[(i - 1) % k] + z[i]
             assert np.max(np.abs(y[i] - expected)) == 0.0
 
     def test_length_mismatch(self):
@@ -66,22 +71,22 @@ class TestTransmitFull:
     def test_impulse_two_sided(self):
         n = 4
         x = [np.zeros(n), _impulse(n), np.zeros(n), np.zeros(n)]
-        y = transmit_full(x, 0.5, noiseless=True)
-        assert np.array_equal(y[0], 0.5 * _impulse(n))
-        assert np.array_equal(y[1], _impulse(n))
-        assert np.array_equal(y[2], 0.5 * _impulse(n))
-        assert np.array_equal(y[3], np.zeros(n))
+        y, z = transmit_full(x, 0.5, noise_seed=5), _noise(5, 4, n)
+        assert np.array_equal(y[0], 0.5 * _impulse(n) + z[0])
+        assert np.array_equal(y[1], _impulse(n) + z[1])
+        assert np.array_equal(y[2], 0.5 * _impulse(n) + z[2])
+        assert np.array_equal(y[3], z[3])
 
     def test_all_zero(self):
-        y = transmit_full([np.zeros(4)] * 4, 1.0, noiseless=True)
-        assert all(np.array_equal(b, np.zeros(4)) for b in y)
+        y = transmit_full([np.zeros(4)] * 4, 1.0, noise_seed=6)
+        assert np.array_equal(y, _noise(6, 4, 4))
 
     def test_circular_wrap_k_plus_one(self):
         # X_{K+1} = X_1: receiver K hears transmitter 1
         n = 4
         x = [_impulse(n), np.zeros(n), np.zeros(n), np.zeros(n)]
-        y = transmit_full(x, 1.0, noiseless=True)
-        assert np.array_equal(y[3], _impulse(n))
+        y = transmit_full(x, 1.0, noise_seed=7)
+        assert np.array_equal(y[3], _impulse(n) + _noise(7, 4, n)[3])
 
 
 class TestPower:
@@ -133,15 +138,13 @@ class TestCancelKnown:
             cancel_known(np.zeros(4), 1.0, np.zeros(5))
 
     def test_cancellation_after_transmit(self):
-        # noiseless channel plus injected noise: cancelling the known
-        # interferer must leave own signal + noise to machine precision
+        # cancelling the known interferer must leave own signal + the channel's
+        # seeded noise to machine precision
         rng = np.random.default_rng(3)
         k, n = 3, 64
         x = [rng.standard_normal(n) for _ in range(k)]
         gains = [0.8, 1.3, 0.6]
-        z = [rng.standard_normal(n) for _ in range(k)]
-        y = transmit_soft(x, gains, noiseless=True)
-        y = [yi + zi for yi, zi in zip(y, z)]
+        y, z = transmit_soft(x, gains, noise_seed=8), _noise(8, k, n)
         for i in range(k):
             cleaned = cancel_known(y[i], gains[i], x[(i - 1) % k])
             assert np.max(np.abs(cleaned - (x[i] + z[i]))) <= 1e-9

@@ -236,17 +236,18 @@ class TestOncePerRun:
     )
     def test_one_demand_check_per_block(self, monkeypatch, policy, explicit, validated, block, blocks):
         # the runner checks every row of each block at once; validate checks an explicit
-        # vector once per run
+        # vector once per run. Both go through the row check that follows the block's
+        # dtype and shape check
         if block is not None:
             monkeypatch.setattr(harness, "block_trials", lambda *args: block)
         calls = []
-        real = DemandVector.check_block
+        real = DemandVector._check_rows
 
         def counted(demands, *args):
             calls.append(demands.shape)
             return real(demands, *args)
 
-        monkeypatch.setattr(DemandVector, "check_block", staticmethod(counted))
+        monkeypatch.setattr(DemandVector, "_check_rows", staticmethod(counted))
         run_experiment(_soft_spec(trials=24, demand_policy=policy, explicit_demands=explicit))
         assert len(calls) == blocks + validated
         assert sum(rows for rows, _ in calls[validated:]) == 24
@@ -269,6 +270,28 @@ class TestOncePerRun:
             run(config, lib, demands, Ideal())
         with pytest.raises(ConfigMismatch, match="^demand vector has 5 entries, expected K=6$"):
             run(config, lib, demands[:, :5], Ideal())
+
+    @pytest.mark.parametrize(
+        "demands, match",
+        [
+            (np.ones((2, 6), dtype=bool), r"^demand block has dtype bool, expected integers$"),
+            (np.ones((2, 6)), r"^demand block has dtype float64, expected integers$"),
+            (np.ones((1, 2, 6), dtype=np.int64), r"^demand block has shape \(1, 2, 6\), expected \(T, K=6\)"),
+            (np.ones((0, 6), dtype=np.int64), r"^demand block has shape \(0, 6\), expected \(T, K=6\) with T >= 1$"),
+        ],
+        ids=["bool", "float", "3-d", "no-rows"],
+    )
+    def test_block_is_a_2d_integer_array_with_rows(self, demands, match):
+        lib = random_library(6, 40, seed=1)
+        with pytest.raises(ConfigMismatch, match=match):
+            run_soft(NetworkConfig.soft_handoff(6, 1.0, 1e4), lib, demands, Ideal())
+
+    def test_one_demand_vector_takes_no_block_seeds(self):
+        # one DemandVector runs on backend.seed; a seeds tuple would be silently ignored
+        lib = random_library(6, 40, seed=1)
+        cfg = NetworkConfig.soft_handoff(6, 1.0, 100.0)
+        with pytest.raises(ConfigMismatch, match="backend.seed"):
+            run_soft(cfg, lib, DemandVector((1,) * 6), MonteCarlo(288, seed=0), (5,))
 
     def test_bad_entry_in_the_last_block_of_a_run(self, monkeypatch):
         monkeypatch.setattr(harness, "block_trials", lambda *args: 5)

@@ -193,6 +193,12 @@ class TestCachePlacement:
         with pytest.raises(SimError):
             CachePlacement(self.PARTS, {1: (1, 1)})
 
+    def test_part_lengths_differ_across_files_rejected(self):
+        # the same labels at every receiver: only the files' layouts disagree
+        parts = {1: (Bitstring(8, 0), Bitstring(8, 0)), 2: (Bitstring(8, 0), Bitstring(4, 0))}
+        with pytest.raises(SimError, match=r"^files have mixed part lengths \[\(8, 4\), \(8, 8\)\]$"):
+            CachePlacement(parts, {1: (1,), 2: (1,)})
+
     def test_asymmetric_memory_rejected(self):
         with pytest.raises(SimError):
             CachePlacement(self.PARTS, {1: (1,), 2: (1, 2)})

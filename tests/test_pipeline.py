@@ -82,8 +82,7 @@ def _needed(cfg):
 
 def _recompiled(plan, schedule):
     """The base ``plan`` with ``schedule`` in place of its placed schedule."""
-    cfg = plan.cfg
-    return pipeline._compile(cfg, plan.library, plan.placement, plan.guaranteed, _needed(cfg), schedule)
+    return pipeline._compile(plan.library, plan.placement, schedule)
 
 
 def _result(library, demands, decoded, **fields):
@@ -111,9 +110,10 @@ def _blockwise(run):
     return block
 
 
-def _execute_dict(scheme, demands, backend, bits_per_part, n_slot):
-    """Run the placed schedule for ``demands``; per-rx decoded part label -> bits, failures, links."""
-    cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
+def _execute_dict(cfg, scheme, demands, backend, bits_per_part, n_slot):
+    """Run the placed schedule for ``demands`` over the channel of ``cfg``; per-rx decoded part
+    label -> bits, failures, links."""
+    placement, d = scheme.placement, demands.for_rx
     decoded = {rx: {} for rx in range(1, cfg.k + 1)}
     failures = links = 0
 
@@ -169,9 +169,9 @@ def _execute_dict(scheme, demands, backend, bits_per_part, n_slot):
     return decoded, failures, links
 
 
-def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
+def _deliver_dict(cfg, scheme, demands, backend, execute=_execute_dict):
     """``pipeline._deliver`` over ``execute``, combining each receiver's labelled parts."""
-    cfg, library = scheme.cfg, scheme.library
+    library = scheme.library
     DemandVector.checked(demands, cfg.k, library.num_files)
     periods, needed = len(scheme.periods), _needed(cfg)
     bits_per_part = library.payload_bits // needed
@@ -180,7 +180,7 @@ def _deliver_dict(scheme, demands, backend, execute=_execute_dict):
     else:
         n_slot = backend.n // periods
         rate = library.payload_bits / (periods * n_slot)
-    got, failures, links = execute(scheme, demands, backend, bits_per_part, n_slot)
+    got, failures, links = execute(cfg, scheme, demands, backend, bits_per_part, n_slot)
     soft = cfg.variant is Variant.SOFT_HANDOFF
     combine = reconstruct_five if soft else lambda parts: Bitstring.concat_all(parts.values())
     decoded = {}
@@ -206,7 +206,7 @@ def _prop1_dict(cfg, library, demands, extra_bits, backend):
     main_bits = library.payload_bits - extra_bits
     mains = MessageLibrary(tuple(Bitstring(main_bits, p.value >> extra_bits) for p in library))
     tails = tuple(Bitstring(extra_bits, p.value & ((1 << extra_bits) - 1)) for p in library)
-    main = _deliver_dict(pipeline._scheme(cfg, mains), demands, backend)
+    main = _deliver_dict(cfg, pipeline._scheme(cfg.variant, cfg.k, mains), demands, backend)
     decoded = {
         rx: None if guess is None else guess.concat(tails[demands.for_rx(rx) - 1])
         for rx, guess in main.decoded.items()
@@ -242,15 +242,13 @@ def _round_robin_dict(cfg, library, demands, backend):
     failures = links = memory = 0
     for ell in range(1, k + 1):
         gains = tuple(cfg.gain_at(_physical_of(r, ell, k)) for r in range(1, k + 1))
-        scheme = pipeline._scheme(
-            NetworkConfig.soft_handoff(k, gains, cfg.power, cfg.epsilon),
-            MessageLibrary(tuple(parts[ell - 1] for parts in coded)),
-        )
+        rotated = NetworkConfig.soft_handoff(k, gains, cfg.power, cfg.epsilon)
+        scheme = pipeline._scheme(rotated.variant, k, MessageLibrary(tuple(parts[ell - 1] for parts in coded)))
         sub_demands = DemandVector(tuple(demands.for_rx(_physical_of(r, ell, k)) for r in range(1, k + 1)))
         sub_backend = backend
         if isinstance(backend, MonteCarlo):
             sub_backend = MonteCarlo(backend.n, derive_seed(backend.seed, pipeline._SEED_SUPER, ell))
-        sub = _deliver_dict(scheme, sub_demands, sub_backend)
+        sub = _deliver_dict(rotated, scheme, sub_demands, sub_backend)
         failures, links = failures + sub.link_failures, links + sub.links_total
         memory += sub.memory_bits_per_receiver
         for rx in range(1, k + 1):
@@ -275,19 +273,19 @@ def _round_robin_dict(cfg, library, demands, backend):
     )
 
 
-def _execute_compiled(scheme, demands, backend, bits_per_part, n_slot):
+def _execute_compiled(cfg, scheme, demands, backend, bits_per_part, n_slot):
     """``pipeline._links`` of a one-trial block, keyed as the oracles key it: per-rx decoded part
     label -> bits."""
     own = pipeline._sources(scheme, np.array([demands.entries]))
     seeds = [backend.seed] if isinstance(backend, MonteCarlo) else []
-    (values,), failures = pipeline._links(scheme, own, backend, n_slot, seeds)
+    (values,), failures = pipeline._links(scheme, cfg, own, backend, n_slot, seeds)
     targets = [
         (rx, plan.target[1])
         for per in _schedule(scheme)
         for rx, plan in per.rx_plans.items()
         if plan is not None
     ]
-    decoded = {rx: {} for rx in range(1, scheme.cfg.k + 1)}
+    decoded = {rx: {} for rx in range(1, cfg.k + 1)}
     for (rx, label), value in zip(targets, values, strict=True):
         decoded[rx][label] = Bitstring(bits_per_part, int.from_bytes(value.tobytes(), "big"))
     return decoded, failures, len(targets)
@@ -307,9 +305,9 @@ def _per_rx_noise(seed, k, n):
     return np.stack([np.random.default_rng(s).standard_normal(n) for s in streams])
 
 
-def _execute_per_tx(scheme, demands, backend, bits_per_part, n_slot):
+def _execute_per_tx(cfg, scheme, demands, backend, bits_per_part, n_slot):
     """``_execute_dict`` on a MonteCarlo backend, one codebook and decode per transmitter."""
-    cfg, placement, d = scheme.cfg, scheme.placement, demands.for_rx
+    placement, d = scheme.placement, demands.for_rx
     decoded = {rx: {} for rx in range(1, cfg.k + 1)}
     failures = links = 0
 
@@ -334,11 +332,13 @@ def _execute_per_tx(scheme, demands, backend, bits_per_part, n_slot):
                     cfg.power,
                 )
                 x[tx - 1] = codebooks[tx].word[0]
-        if cfg.variant is Variant.SOFT_HANDOFF:
-            y = transmit_soft(x, cfg.gains, noiseless=True)
-        else:
-            y = transmit_full(x, cfg.alpha, noiseless=True)
         noise_seed = derive_seed(backend.seed, pipeline._SEED_NOISE, per.index)
+        if cfg.variant is Variant.SOFT_HANDOFF:
+            y = transmit_soft(x, cfg.gains, noise_seed)
+        else:
+            y = transmit_full(x, cfg.alpha, noise_seed)
+        # the channel's one noise block swapped for per-receiver streams
+        y = y - np.random.default_rng(noise_seed).standard_normal((cfg.k, n_slot))
         y = y + _per_rx_noise(noise_seed, cfg.k, n_slot)
         decoders = {}
         for rx, plan in per.rx_plans.items():
@@ -540,20 +540,20 @@ class TestMonteCarlo:
         cfg = _soft_cfg(power=0.3)
         lib = random_library(6, 40, seed=8)
         d = DemandVector((1, 2, 3, 4, 5, 6))
-        scheme = _scheme(cfg, lib)
+        scheme = _scheme(cfg.variant, cfg.k, lib)
         muted = delivery_schedule_soft(6, DemandVector((1, 2, 3, 4, 5, 6)))
         # silence the whole second subnet of period 1 (tx 4 and 5 serve rx 4..6)
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
         for rx in (4, 5, 6):
             muted.periods[0].rx_plans[rx] = None
-        truth, _, _ = _execute_compiled(scheme, d, Ideal(), 8, 0)
+        truth, _, _ = _execute_compiled(cfg, scheme, d, Ideal(), 8, 0)
         labels = {rx: muted.periods[0].rx_plans[rx].target[1] for rx in (1, 2, 3)}
         trials, errors = 400, []
         for placed in (scheme, _recompiled(scheme, muted)):
             errors.append(0)
             for t in range(trials):
-                got, _, _ = _execute_compiled(placed, d, MonteCarlo(n=288, seed=t), 8, 96)
+                got, _, _ = _execute_compiled(cfg, placed, d, MonteCarlo(n=288, seed=t), 8, 96)
                 errors[-1] += sum(got[rx][lb] != truth[rx][lb] for rx, lb in labels.items())
         links = len(labels) * trials
         assert errors[0] > 0.02 * links
@@ -567,12 +567,12 @@ class TestBatchedMatchesPerTx:
     def test_oracle_replays_the_per_tx_run(self, monkeypatch):
         # pins the oracle to the per-transmitter streams: with them, the spec of the
         # mc-soft-p0.3 golden case decodes as follows
-        def per_tx(scheme, demands, backend, *args):
+        def per_tx(cfg, scheme, demands, backend, *args):
             run = _execute_per_tx if isinstance(backend, MonteCarlo) else _execute_dict
-            return run(scheme, demands, backend, *args)
+            return run(cfg, scheme, demands, backend, *args)
 
         def run_soft(cfg, library, demands, backend):
-            return _deliver_dict(pipeline._scheme(cfg, library), demands, backend, per_tx)
+            return _deliver_dict(cfg, pipeline._scheme(cfg.variant, cfg.k, library), demands, backend, per_tx)
 
         monkeypatch.setattr(harness, "run_soft", _blockwise(run_soft))
         spec = ExperimentSpec(config=_soft_cfg(power=0.3), backend="mc", trials=4, master_seed=15)
@@ -590,15 +590,15 @@ class TestBatchedMatchesPerTx:
         ],
     )
     def test_link_error_rates_agree(self, cfg, payload_bits, n, trials):
-        scheme = pipeline._scheme(cfg, random_library(6, payload_bits, seed=3))
+        scheme = pipeline._scheme(cfg.variant, cfg.k, random_library(6, payload_bits, seed=3))
         n_slot, bits = n // len(scheme.periods), payload_bits // _needed(cfg)
         rng = np.random.default_rng(1)
         links = Counter()  # per number of receivers decoding the link's codebook
         errors = {run: Counter() for run in (_execute_compiled, _execute_per_tx)}
         for t in range(trials):
             d = DemandVector(tuple(int(x) for x in rng.integers(1, 7, size=6)))
-            truth, _, _ = _execute_compiled(scheme, d, Ideal(), bits, 0)
-            runs = {run: run(scheme, d, MonteCarlo(n, seed=t), bits, n_slot)[0] for run in errors}
+            truth, _, _ = _execute_compiled(cfg, scheme, d, Ideal(), bits, 0)
+            runs = {run: run(cfg, scheme, d, MonteCarlo(n, seed=t), bits, n_slot)[0] for run in errors}
             for per in _schedule(scheme):
                 plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
                 receivers = Counter(plan.source for plan in plans.values())
@@ -615,7 +615,7 @@ class TestBatchedMatchesPerTx:
 
 
 def _base_dict(cfg, library, demands, backend):
-    return _deliver_dict(pipeline._scheme(cfg, library), demands, backend)
+    return _deliver_dict(cfg, pipeline._scheme(cfg.variant, cfg.k, library), demands, backend)
 
 
 @st.composite
@@ -666,7 +666,8 @@ class TestCompiledMatchesDictWalk:
     def test_replace_recompiles_the_plan(self):
         # the same muted schedule as test_out_of_subnet_transmitter_is_irrelevant:
         # without a recompiled plan that test would compare a schedule with itself
-        scheme = pipeline._scheme(_soft_cfg(), random_library(6, 40, seed=8))
+        cfg = _soft_cfg()
+        scheme = pipeline._scheme(cfg.variant, cfg.k, random_library(6, 40, seed=8))
         muted = delivery_schedule_soft(6, DemandVector((1, 2, 3, 4, 5, 6)))
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
@@ -677,7 +678,7 @@ class TestCompiledMatchesDictWalk:
         assert scheme.silent[:6].tolist() == [False, False, True, False, False, True]
         assert len(placed.link_rx) == len(scheme.link_rx) - 3 == 12
         d = DemandVector((1, 2, 3, 4, 5, 6))
-        full, cut = (pipeline._run(s, d, Ideal(), ()) for s in (scheme, placed))
+        full, cut = (pipeline._run(cfg, s, d, Ideal(), ()) for s in (scheme, placed))
         assert (full.links_total, cut.links_total) == (15, 12)
         # rx 4 and 5 lose their period-1 part and with it a fifth label
         assert [rx for rx in range(2, 6) if cut.success[rx]] == [2, 3]
@@ -712,10 +713,12 @@ class TestInputValidation:
 
 PLACEMENTS = ("cache_placement_soft", "cache_placement_full")
 SCHEDULES = ("delivery_schedule_soft", "delivery_schedule_full")
+PLAN_CACHES = (pipeline._scheme, pipeline._rotate, pipeline._cache_tail)
 
 
 class TestPlaceOnce:
-    """Placement and the schedule build run once per (config, library), not once per trial."""
+    """Placement and the schedule build run once per (model, K, library), not once per trial,
+    per SNR point or per round robin rotation."""
 
     @staticmethod
     def _count(monkeypatch, *names, module=pipeline):
@@ -758,14 +761,38 @@ class TestPlaceOnce:
         assert sum(map(len, splits)) == 6  # D=6 files
 
     def test_round_robin_places_each_rotation_once(self, monkeypatch):
+        # all K rotations share one plan, placed over every coded part of every file
         placements = self._count(monkeypatch, *PLACEMENTS)
         schedules = self._count(monkeypatch, *SCHEDULES)
         checks = self._count(monkeypatch, "verify_schedule")
         spec = ExperimentSpec(config=_soft_cfg(k=7), round_robin=True, trials=5, master_seed=90211)
         assert run_experiment(spec).trials == 5
-        assert len(placements) == 7
-        assert len(schedules) == 7
-        assert len(checks) == 7
+        assert len(placements) == 1
+        assert len(schedules) == 1
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(config=_soft_cfg()),
+            dict(config=NetworkConfig.full(6, 0.5, 1e4)),
+            dict(config=_soft_cfg(), prop1_extra_bits=10),
+            dict(config=_soft_cfg(k=7), round_robin=True),
+        ],
+        ids=["soft", "full", "prop-1", "round-robin"],
+    )
+    def test_one_placement_per_sweep(self, monkeypatch, kwargs):
+        # the plan depends on the model, K and the library; every SNR point shares it
+        for cache in PLAN_CACHES:
+            cache.cache_clear()
+        placements = self._count(monkeypatch, *PLACEMENTS)
+        schedules = self._count(monkeypatch, *SCHEDULES)
+        checks = self._count(monkeypatch, "verify_schedule")
+        result = harness.sweep_snr(ExperimentSpec(**kwargs, trials=3, master_seed=90213), [20, 30, 40, 50])
+        assert len(result.rows) == 4
+        assert len(placements) == 1
+        assert len(schedules) == 1
+        assert len(checks) == 1
 
     def test_invalid_schedule_rejected_at_placement(self, monkeypatch):
         # a template whose rx-2 plan cancels part 5, which rx 2 (class 2: parts 3, 4)
@@ -785,6 +812,51 @@ class TestPlaceOnce:
         lib = random_library(6, 40, seed=5)
         with pytest.raises(InvalidSchedule, match=r"^1 violation\(s\), first cancel_key: Rx 2 lacks"):
             run_soft(_soft_cfg(), lib, DemandVector((1, 2, 3, 4, 5, 6)))
+
+
+@st.composite
+def _channel_pairs(draw):
+    """Two specs of one scheme, backend, K and library over two channels (power and gains)."""
+    scheme = draw(st.sampled_from(["soft", "full", "prop-1", "round robin"]))
+    mc = draw(st.booleans())
+    k = 2 * draw(st.integers(2, 4)) if scheme == "full" else draw(st.integers(5, 8))
+
+    def config():
+        # MC at powers where links fail and where they do not; Ideal above its rate check
+        power = 10.0 ** draw(st.floats(-0.5, 2.0) if mc else st.floats(1.0, 8.0))
+        if scheme == "full":
+            return NetworkConfig.full(k, draw(st.floats(0.1, 2.0)), power)
+        return NetworkConfig.soft_handoff(k, draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k)), power)
+
+    kwargs = dict(
+        backend="mc" if mc else "ideal",
+        trials=draw(st.integers(1, 4)),
+        master_seed=draw(st.integers(0, 99)),
+        round_robin=scheme == "round robin",
+        prop1_extra_bits=10 if scheme == "prop-1" else 0,
+    )
+    return ExperimentSpec(config=config(), **kwargs), ExperimentSpec(config=config(), **kwargs)
+
+
+def _report(spec):
+    doc = run_experiment(spec).to_json()
+    del doc["wall_clock_s"]
+    return doc
+
+
+class TestSharedPlan:
+    """A plan depends on the model, K and the library alone: a run that reuses the plan of a
+    run over another channel reports what a run on a freshly placed plan reports."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_channel_pairs())
+    def test_reused_plan_reports_as_a_fresh_one(self, specs):
+        first, second = specs
+        run_experiment(first)
+        reused = _report(second)
+        for cache in PLAN_CACHES:
+            cache.cache_clear()
+        assert reused == _report(second)
 
 
 def _resolve(template, demands):
@@ -833,7 +905,7 @@ class TestPlacedSchedule:
             cfg, payload_bits, build = NetworkConfig.full(k, 0.5, 1e4), 16, delivery_schedule_full
         num_files = k + 3  # random demands reach file ids above K
         lib = random_library(num_files, payload_bits, seed=k, allow_small_d=True)
-        periods = tuple(_schedule(pipeline._scheme(cfg, lib)))
+        periods = tuple(_schedule(pipeline._scheme(cfg.variant, k, lib)))
         template = DeliverySchedule(cfg.variant, k, DemandVector(tuple(range(1, k + 1))), periods)
         rng = np.random.default_rng(k)
         vectors = [tuple(range(1, k + 1)), (num_files,) * k] + [
@@ -906,7 +978,7 @@ class TestIdealRateCheck:
             return
         assert rate >= 0
         # the per-link rule the delivery loop used to apply, as the reference
-        scheme = pipeline._scheme(cfg, random_library(6, 40, seed=1))
+        scheme = pipeline._scheme(cfg.variant, cfg.k, random_library(6, 40, seed=1))
         link_rate = len(scheme.periods) * rate / _needed(cfg)
         for per in _schedule(scheme):
             for rx, plan in per.rx_plans.items():
@@ -954,9 +1026,9 @@ class TestIdealRateCheck:
         ],
     )
     def test_one_link_check_per_placed_scheme(self, monkeypatch, kwargs, placed):
-        # 5 trials deliver 5 times per placed plan; the rate is checked once per plan.
-        # Round robin is one plan, checked on the physical config, not once per rotation
-        for cache in (pipeline._scheme, pipeline._rotate):
+        # 5 trials are one block, one runner call, which checks the rate once. Round robin
+        # is one plan, checked on the physical config, not once per rotation
+        for cache in PLAN_CACHES:
             cache.cache_clear()
         checks = []
         real = points.capacity
@@ -983,12 +1055,12 @@ class TestLazyDecodeLayout:
         ],
     )
     def test_ideal_runs_never_build_it(self, run, cfg, payload_bits, place):
-        for cache in (pipeline._scheme, pipeline._rotate):
+        for cache in PLAN_CACHES:
             cache.cache_clear()
         lib = random_library(6, payload_bits, seed=3)
         d = DemandVector((1, 2, 3, 4, 5, 6))
         assert run(cfg, lib, d).link_failures == 0
-        periods = place(cfg, lib).periods  # the cached plan the run delivered with
+        periods = place(cfg.variant, cfg.k, lib).periods  # the cached plan the run delivered with
         assert not any("layout" in vars(per) for per in periods)
         run(cfg, lib, d, MonteCarlo(n=3 * 16, seed=0))
         assert all("layout" in vars(per) for per in periods)

@@ -67,18 +67,18 @@ class TestRoundRobin:
 
     def test_bad_role_count_is_exactly_two(self):
         # in the placed composite each rotation's periods hear the gains of the nodes
-        # playing its roles, and distinct gains name those nodes
+        # playing its roles (``nodes``), and distinct gains name those nodes
         for k in (5, 6, 7, 9):
             gains = tuple(1.0 + rx / 16 for rx in range(1, k + 1))
             cfg = NetworkConfig.soft_handoff(k, gains, 1e4)
             lib = random_library(6, 5 * 8 * (k - 2), seed=k, allow_small_d=True)
-            plan = pipeline._rotate(cfg, lib)
+            plan = pipeline._rotate(cfg.variant, k, lib)
             rotations = [per for per in plan.periods if per.index == 1]
             keys = [((pipeline._SEED_SUPER, ell),) for ell in range(1, k + 1)]
             assert [per.keys for per in rotations] == keys
             roles = {rx: [] for rx in range(1, k + 1)}
             for per in rotations:
-                for role, gain in enumerate(per.gain[:, 0], start=1):
+                for role, gain in enumerate(np.array(cfg.gains)[per.nodes], start=1):
                     roles[gains.index(gain) + 1].append(role)
             collected = []
             for rx in range(1, k + 1):
@@ -165,7 +165,7 @@ class TestDecodeRecipe:
         calls = []
         monkeypatch.setattr(pipeline, "mds_decode", lambda *args: calls.append(args) or mds_decode(*args))
         pipeline._rotate.cache_clear()
-        pipeline._rotate(cfg, lib)
+        pipeline._rotate(cfg.variant, k, lib)
         assert len(calls) == k
 
         def refuse(*args):
