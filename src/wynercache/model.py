@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -85,7 +86,7 @@ class NetworkConfig:
         power: float,
         epsilon: float = DEFAULT_EPSILON,
     ) -> "NetworkConfig":
-        if isinstance(gains, (int, float)):
+        if isinstance(gains, numbers.Real):  # numpy scalars too
             gains = (float(gains),) * k
         return cls(Variant.SOFT_HANDOFF, k, tuple(float(g) for g in gains), power, epsilon)
 
@@ -281,6 +282,10 @@ class DemandVector:
 
     @classmethod
     def checked(cls, entries: Iterable[int], k: int, num_files: int) -> "DemandVector":
+        entries = tuple(entries)
+        for e in entries:  # as ``check_block`` takes integer dtypes only: no float, no bool
+            if not isinstance(e, numbers.Integral) or isinstance(e, bool):
+                raise ConfigMismatch(f"demand {e!r} is not an integer")
         d = cls(tuple(int(e) for e in entries))
         cls._check_rows(np.array([d.entries], dtype=object), k, num_files)  # Python ints: any size
         return d

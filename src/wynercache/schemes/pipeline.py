@@ -7,17 +7,18 @@
   delivery schedule for the demands (1, ..., K), in which file j stands for
   "the file receiver j demands"; ``verify_schedule`` checks it against the
   cached labels once, and a broken schedule raises ``InvalidSchedule``.
-  ``_compile`` turns the placed schedule into a ``_Plan`` of index arrays. Two
-  combinators build the other schemes from compiled plans: ``_rotate`` (round
-  robin) lays K rotations of one soft plan, placed over every MDS-coded part,
-  side by side, and ``_cache_tail`` (prop-1) adds every file's tail as a label
-  cached at every receiver. Which K-2 coded parts a round robin receiver
+  ``_compile`` is the one place that turns these objects into a ``_Plan`` of
+  arrays: index arrays over the sources, the plane of every part value as uint8
+  bytes, ``want`` (each file's data parts as a delivery must decode them, read
+  off the plane), the memory, and each period's MC decode layout. Two
+  combinators reshape a compiled base plan into the other schemes: ``_rotate``
+  (round robin) lays K rotations of one soft plan, placed over every MDS-coded
+  part, side by side, and ``_cache_tail`` (prop-1) adds every file's tail as a
+  label cached at every receiver. Which K-2 coded parts a round robin receiver
   collects is fixed here too, so ``_rotate`` reads each receiver's MDS decode
   off ``mds_decode`` once, as a GF(256) ``_Recipe``. A plan depends on the
   model, K and the library, not on the channel: it is memoised on them and
-  shared by every trial and every SNR point of a sweep. It also holds, built
-  once, the plane of every part value as uint8 bytes and ``want``, each
-  file's data parts as a delivery must decode them.
+  shared by every trial and every SNR point of a sweep.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
   them with any plan at once: it gathers each trial's source vectors from the
   plane (``_sources``), decodes the links (``_links``: gathers and XORs, and
@@ -74,7 +75,6 @@ from .schedule import (
     DeliverySchedule,
     Direct,
     KTooSmall,
-    PeriodSchedule,
     Silent,
     XorPair,
     delivery_schedule_full,
@@ -156,37 +156,22 @@ class BlockResult:
 
 @dataclass(frozen=True, eq=False)
 class _Period:
-    """One period of a plan: its links, seed keys, the node playing each role and its decode plans.
-    Period i owns Tx actions i * K to (i + 1) * K - 1; they, its link receivers, codebook rows and
-    noise rows are in its roles, r at r - 1. Role r hears the cross gain of node ``nodes[r - 1]``."""
+    """One period of a plan: its links, seed keys, the node playing each role and its MC decode
+    layout. Period i owns Tx actions i * K to (i + 1) * K - 1; they, its link receivers, codebook
+    rows and noise rows are in its roles, r at r - 1. Role r hears the cross gain of node
+    ``nodes[r - 1]``. Round robin's rotations share the layout arrays of their base period."""
 
     index: int  # the schedule's period number, which keys its MC random streams
     keys: tuple[tuple[int, int], ...]  # derive_seed steps from the delivery seed to the period's
     links: slice  # its links in the plan's link arrays
     nodes: np.ndarray  # (K,): the 0-based node playing each role; the identity except in round robin
-    schedule: PeriodSchedule  # its decode plans, which the MC layout reads
+    cancel: np.ndarray  # (K, 2): the roles whose sent words each receiver role cancels; K, a zero row, pads
+    batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # nn_decode (rows, rx, rx hears own Tx)
 
     def seed(self, seed: int, stream: int) -> int:
         for key in self.keys:
             seed = derive_seed(seed, *key)
         return derive_seed(seed, stream, self.index)
-
-    @functools.cached_property
-    def layout(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
-        """MC decode layout, built on the first MC delivery: the (K, K) 0/1 matrix of the sent words
-        each receiver row cancels, and the nn_decode (rows, rx, rx hears its own Tx) batches."""
-        known = np.zeros((len(self.nodes),) * 2)
-        decoders: dict[int, list[int]] = {}
-        for rx, plan in self.schedule.rx_plans.items():
-            if plan is not None:
-                known[rx - 1, [tx - 1 for tx, _, _ in plan.cancel]] = 1.0
-                decoders.setdefault(plan.source, []).append(rx)
-        batches = []  # one nn_decode per receiver count, Tx in order of first decoding receiver
-        for size in sorted({len(rxs) for rxs in decoders.values()}):
-            src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
-            rxs = np.array([decoders[tx + 1] for tx in src]) - 1
-            batches.append((src, rxs, rxs == src[:, None]))
-        return known, tuple(batches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,23 +219,24 @@ class _Plan:
     """A placed scheme as index arrays into each delivery's source vectors; ``_deliver`` walks it.
 
     It depends on the model, K and the library; each delivery brings the channel. ``plane``
-    holds label p of file f of ``placement`` at [p - 1, f - 1] as nb big-endian bytes,
-    right-aligned, nb fitting the widest label, so any L takes one path. A trial's source
-    vector is a 0, then each label's column of the receivers' demands, then every link's
-    decoded part in reverse: receiver j's label p is at (p - 1) * K + j, link i at ~i, and
-    an absent XOR side or strip names the 0, so a new label appends without moving a
-    position. The data parts that ``select[rx - 1]`` XORs are receiver rx's payload cut into
-    ``widths``, or with ``recipe`` the K - 2 coded parts of its file that it collects, each
-    its five data parts joined byte by byte, which the recipe decodes. ``want`` holds every
-    file's data parts as a delivery must decode them.
+    holds label p of file f at [p - 1, f - 1] as nb big-endian bytes, right-aligned, nb
+    fitting the widest label, so any L takes one path. A trial's source vector is a 0, then
+    each label's column of the receivers' demands, then every link's decoded part in
+    reverse: receiver j's label p is at (p - 1) * K + j, link i at ~i, and an absent XOR
+    side or strip names the 0, so a new label appends without moving a position. The data
+    parts that ``select[rx - 1]`` XORs are receiver rx's payload cut into ``widths``, or with
+    ``recipe`` the K - 2 coded parts of its file that it collects, each its five data parts
+    joined byte by byte, which the recipe decodes.
     """
 
     library: MessageLibrary  # the files each receiver's payload is checked against
-    placement: CachePlacement  # every label of every file; its bits give the memory
     guaranteed: tuple[int, ...]
     base_bits: int  # payload of one base delivery; MC rate base_bits / (base_periods * n_slot)
     base_periods: int  # periods of one base delivery, each n // base_periods channel uses
     part_bits: int  # bits per scheduled part, the MC codebook size
+    plane: np.ndarray  # (labels, files, nb) uint8: every part value
+    want: np.ndarray  # (files, data parts, bytes) uint8: each file's data parts as ``_deliver`` decodes them
+    memory_bits: int  # cache bits per receiver
     tx: np.ndarray  # (2, periods * K): source positions of both sides of each Tx action
     silent: np.ndarray  # (periods * K,)
     link_rx: np.ndarray  # (links,): 0-based receiver role in its period
@@ -263,36 +249,10 @@ class _Plan:
     scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
     recipe: _Recipe | None = None  # round robin: each receiver's MDS decode of its collected parts
 
-    @property
-    def labels(self) -> int:
-        return len(next(iter(self.placement.parts.values())))
-
-    @functools.cached_property
-    def plane(self) -> np.ndarray:
-        """(labels, files, nb) uint8: every part value of ``placement``, built once per plan."""
-        files = [self.placement.parts[f] for f in sorted(self.placement.parts)]
-        nb = -(-max(p.length for p in files[0]) // 8)
-        values = [p.value for label in zip(*files) for p in label]
-        return _byte_rows(values, nb).reshape(self.labels, len(files), nb)
-
-    @functools.cached_property
-    def want(self) -> np.ndarray:
-        """(files, data parts, bytes) uint8: each payload cut into ``widths``, as ``_deliver``'s
-        data parts hold it: right-aligned in the plane's nb bytes, or B bytes per MDS part."""
-        nb = self.plane.shape[-1] if self.recipe is None else self.widths[0] // 8
-        cut = []
-        for payload in self.library:
-            value, parts = payload.value, []
-            for width in reversed(self.widths):
-                parts.append(value & ((1 << width) - 1))
-                value >>= width
-            cut += reversed(parts)
-        return _byte_rows(cut, nb).reshape(self.library.num_files, len(self.widths), nb)
-
 
 def _compile(library: MessageLibrary, placement: CachePlacement, schedule: DeliverySchedule) -> _Plan:
-    """A placed schedule as index arrays, which depend on the placement alone: file j in
-    ``schedule`` is the file receiver j demands, and a receiver XORs ``NEEDED`` labels into it."""
+    """A placed schedule as arrays, which depend on the placement alone: file j in ``schedule``
+    is the file receiver j demands, and a receiver XORs ``NEEDED`` labels into it."""
     k, needed = schedule.k, NEEDED[schedule.variant]
     at = lambda ref, part: (part - 1) * k + ref  # source position of a part
     # each receiver's part labels -> source position; cached parts first, links override
@@ -307,12 +267,19 @@ def _compile(library: MessageLibrary, placement: CachePlacement, schedule: Deliv
                 sides.append((at(a.file_a, a.part_a), at(a.file_b, a.part_b)))
             else:
                 sides.append((at(a.file, a.part) if isinstance(a, Direct) else 0, 0))
-        start = len(links)
+        start, cancel, decoders = len(links), np.full((k, 2), k, dtype=np.intp), {}
         for rx, plan in per.rx_plans.items():
             if plan is not None:
                 links.append((rx - 1, tx0 + plan.source - 1, at(*plan.strip) if plan.strip else 0))
                 held[rx][plan.target[1]] = ~(len(links) - 1)
-        periods.append(_Period(per.index, (), slice(start, len(links)), np.arange(k), per))
+                cancel[rx - 1, : len(plan.cancel)] = [tx - 1 for tx, _, _ in plan.cancel]
+                decoders.setdefault(plan.source, []).append(rx)
+        batches = []  # one nn_decode per receiver count, Tx in order of first decoding receiver
+        for size in sorted({len(rxs) for rxs in decoders.values()}):
+            src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
+            rxs = np.array([decoders[tx + 1] for tx in src]) - 1
+            batches.append((src, rxs, rxs == src[:, None]))
+        periods.append(_Period(per.index, (), slice(start, len(links)), np.arange(k), cancel, tuple(batches)))
     # data part s is its own label, or the XOR of the five labels held (soft parity repair)
     select, served = np.zeros((k, needed, needed), dtype=np.intp), np.zeros(k, dtype=bool)
     for rx in range(1, k + 1):
@@ -321,10 +288,13 @@ def _compile(library: MessageLibrary, placement: CachePlacement, schedule: Deliv
         for s in range(1, needed + 1) if served[rx - 1] else ():
             picks = [chosen[s]] if s in chosen else list(chosen.values())
             select[rx - 1, s - 1, : len(picks)] = picks
-    bits = next(iter(placement.parts.values()))[0].length
+    files = [placement.parts[f] for f in sorted(placement.parts)]
+    bits, nb = files[0][0].length, -(-max(p.length for p in files[0]) // 8)
+    plane = _byte_rows([p.value for label in zip(*files) for p in label], nb).reshape(-1, len(files), nb)
     return _Plan(
-        library, placement, guaranteed_receivers(schedule.variant, k), library.payload_bits, len(periods),
-        bits, np.array(sides, dtype=np.intp).T, np.array(silent),
+        library, guaranteed_receivers(schedule.variant, k), library.payload_bits, len(periods), bits,
+        plane, plane[:needed].swapaxes(0, 1), placement.bits_per_receiver,
+        np.array(sides, dtype=np.intp).T, np.array(silent),
         *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served, (bits,) * needed,
     )
 
@@ -334,11 +304,13 @@ def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
     """Round robin: K rotations of one plan side by side, rotation l with role r played by node
     r + l (mod K), keeping its own label columns, keying its MC streams by (_SEED_SUPER, l) and
     delivering coded part l of every file: the plan is placed once, file (f - 1) * K + l its
-    coded part l of file f. Receiver rx plays a guaranteed role in K - 2 rotations, fixed
-    here, and ``_deliver`` decodes their pieces, coded parts of its file, with its ``_recipe``."""
+    coded part l of file f, so its plane regroups into K label blocks and its memory stays.
+    Receiver rx plays a guaranteed role in K - 2 rotations, fixed here, and ``_deliver``
+    decodes their pieces, coded parts of its file, with its ``_recipe``."""
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
-    plan = _scheme(variant, k, MessageLibrary(tuple(part for parts in coded for part in parts)))
-    width, placed = plan.labels, plan.placement
+    # placed uncached: the one-slot ``_scheme`` cache keeps the plans the runners deliver with
+    plan = _scheme.__wrapped__(variant, k, MessageLibrary(tuple(part for parts in coded for part in parts)))
+    width, _, nb = plan.plane.shape
     role = lambda rx, ell: (rx - ell - 1) % k + 1  # played by node rx in rotation ell
     remaps, arrays, periods, txs, links = [], [], [], 0, 0
     label, slot = np.divmod(np.arange(width * k), k)  # of each rotation's source position 1, 2, ...
@@ -353,18 +325,15 @@ def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
         ]
         txs, links = txs + len(plan.silent), links + len(plan.link_tx)
     tx, silent, link_rx, link_tx, link_strip = (np.concatenate(a, axis=-1) for a in zip(*arrays))
-    placement = CachePlacement(
-        {f: sum((placed.parts[(f - 1) * k + ell] for ell in range(1, k + 1)), ())
-         for f in range(1, library.num_files + 1)},
-        {rx: tuple(width * ell + p for ell in range(k) for p in placed.labels[role(rx, ell + 1)])
-         for rx in range(1, k + 1)},
-    )
+    plane = plan.plane.reshape(width, -1, k, nb).transpose(2, 0, 1, 3)  # (rotation, label, file, nb)
     chosen = [  # (rotation, 0-based role) of each piece of each receiver
         [(ell, role(rx, ell) - 1) for ell in range(1, k + 1) if role(rx, ell) in plan.guaranteed]
         for rx in range(1, k + 1)
     ]
     return replace(
-        plan, library=library, placement=placement, guaranteed=tuple(range(1, k + 1)),
+        plan, library=library, guaranteed=tuple(range(1, k + 1)), plane=plane.reshape(k * width, -1, nb),
+        # the code is systematic: data part i is coded part i, its five data labels joined
+        want=plane[: k - 2, : NEEDED[variant]].transpose(2, 0, 1, 3).reshape(library.num_files, k - 2, -1),
         scale=lambda rate: rate * (k - 2) / k, widths=(library.payload_bits // (k - 2),) * (k - 2),
         tx=tx, silent=silent, link_rx=link_rx, link_tx=link_tx, link_strip=link_strip, periods=tuple(periods),
         select=np.array([[remaps[ell - 1][plan.select[r]] for ell, r in c] for c in chosen]),
@@ -378,17 +347,16 @@ def _cache_tail(variant: Variant, k: int, library: MessageLibrary, extra_bits: i
     """Prop-1: the plan of the leading bits of each file, plus one more label, the tail,
     cached at every receiver, never among the needed labels and appended to each payload."""
     mains = MessageLibrary(tuple(Bitstring(p.length - extra_bits, p.value >> extra_bits) for p in library))
-    plan = _scheme(variant, k, mains)
-    width = plan.labels
-    placement = CachePlacement(
-        {f: parts + (Bitstring(extra_bits, library.payload(f).value & ((1 << extra_bits) - 1)),)
-         for f, parts in plan.placement.parts.items()},
-        {rx: labels + (width + 1,) for rx, labels in plan.placement.labels.items()},
-    )
+    plan = _scheme.__wrapped__(variant, k, mains)  # uncached, as in ``_rotate``
+    width, nb = len(plan.plane), max(plan.plane.shape[-1], -(-extra_bits // 8))
+    tails = _byte_rows([p.value & ((1 << extra_bits) - 1) for p in library], nb)[:, None]  # (files, 1, nb)
+    pad = lambda parts: np.pad(parts, ((0, 0), (0, 0), (nb - parts.shape[-1], 0)))
     tail = np.zeros((k, 1, plan.select.shape[-1]), dtype=np.intp)
     tail[:, 0, 0] = width * k + np.arange(1, k + 1)
     return replace(
-        plan, library=library, placement=placement,
+        plan, library=library, plane=np.concatenate((pad(plan.plane), tails.swapaxes(0, 1))),
+        want=np.concatenate((pad(plan.want), tails), axis=1),
+        memory_bits=plan.memory_bits + library.num_files * extra_bits,
         scale=lambda rate: rate * (library.payload_bits / mains.payload_bits),
         select=np.concatenate((plan.select, tail), axis=-2), widths=(*plan.widths, extra_bits),
     )
@@ -489,10 +457,11 @@ def _links(
                 y = transmit_soft(cb.word, gain, noise_seed)
             else:
                 y = transmit_full(cb.word, cfg.alpha, noise_seed)
-            known, batches = per.layout
-            y = cancel_known(y, gain[:, None], known @ cb.word)  # cancel keys are sent words
+            # cancel keys are sent words, at most two per receiver; row K, a zero word, pads
+            word = np.concatenate((cb.word, np.zeros((1, n_slot))))
+            y = cancel_known(y, gain[:, None], word[per.cancel[:, 0]] + word[per.cancel[:, 1]])
             guesses = np.zeros(cfg.k, dtype=np.int64)
-            for src, rxs, own_tx in batches:
+            for src, rxs, own_tx in per.batches:
                 guesses[rxs] = nn_decode(cb, src, y[rxs], np.where(own_tx, 1.0, gain[rxs]))
             guess[t, per.links] = got = guesses[plan.link_rx[per.links]]
             failures += np.count_nonzero(got != rows[t, plan.link_tx[per.links]])
@@ -508,6 +477,8 @@ def _deliver(
     """Delivery phase: serve a checked (T, K) block of demand vectors with a placed plan over the
     channel of ``cfg``; also returns every receiver's data parts, (T, K, data parts, bytes) uint8."""
     if isinstance(backend, Ideal):
+        if len(seeds):
+            raise ConfigMismatch(f"an Ideal delivery draws nothing; {len(seeds)} Monte-Carlo seed(s) given")
         rate, n_slot = plan.scale(check_ideal_rate(cfg)), 0
     else:
         n_slot = backend.n // plan.base_periods
@@ -523,10 +494,7 @@ def _deliver(
     if plan.recipe is not None:  # any K-2 of a file's K coded parts give its K-2 data parts
         data = plan.recipe.apply(data.reshape(*data.shape[:3], -1))
     success = plan.served & (data == plan.want[demands - 1]).all(axis=(-2, -1))
-    block = BlockResult(
-        success, plan.guaranteed, len(demands) * len(plan.link_tx), failures, rate,
-        plan.placement.bits_per_receiver,
-    )
+    block = BlockResult(success, plan.guaranteed, len(demands) * len(plan.link_tx), failures, rate, plan.memory_bits)
     return block, data
 
 

@@ -293,6 +293,13 @@ class TestOncePerRun:
         with pytest.raises(ConfigMismatch, match="backend.seed"):
             run_soft(cfg, lib, DemandVector((1,) * 6), MonteCarlo(288, seed=0), (5,))
 
+    def test_ideal_block_takes_no_seeds(self):
+        # an Ideal delivery draws no random stream; MC seeds given to it would be silently ignored
+        lib = random_library(6, 40, seed=1)
+        demands = np.ones((2, 6), dtype=np.int64)
+        with pytest.raises(ConfigMismatch, match="Ideal delivery draws nothing; 2 Monte-Carlo seed"):
+            run_soft(NetworkConfig.soft_handoff(6, 1.0, 1e4), lib, demands, Ideal(), (5, 6))
+
     def test_bad_entry_in_the_last_block_of_a_run(self, monkeypatch):
         monkeypatch.setattr(harness, "block_trials", lambda *args: 5)
         real = harness._demands
@@ -489,7 +496,13 @@ class TestLateFailuresRejected:
 
     @pytest.mark.parametrize(
         "demands, match",
-        [((1, 2, 3), "3 entries, expected K=6"), ((1, 2, 3, 4, 5, 9), "demand 9 outside 1..6")],
+        [
+            ((1, 2, 3), "3 entries, expected K=6"),
+            ((1, 2, 3, 4, 5, 9), "demand 9 outside 1..6"),
+            ((1.7, 2, 3, 4, 5, 6), "demand 1.7 is not an integer"),
+            ((1, 2, 3, 4, 5, 6.0), "demand 6.0 is not an integer"),
+            ((1, True, 3, 4, 5, 6), "demand True is not an integer"),
+        ],
     )
     def test_explicit_demands_checked(self, demands, match):
         spec = _soft_spec(demand_policy=DemandPolicy.EXPLICIT, explicit_demands=demands)
@@ -557,7 +570,8 @@ class TestValidateMatchesTheRun:
         num_files, policy = draw(6, 1, 2, 3, 8), draw(*DemandPolicy)
         explicit = None
         if policy is DemandPolicy.EXPLICIT:
-            entries = st.integers(0, num_files + 1)
+            # a float or a bool entry, which the (T, K) demand block refuses, must not validate
+            entries = st.integers(0, num_files + 1) | st.sampled_from([1.7, 2.0, True])
             explicit = data.draw(
                 st.none() | st.lists(entries, min_size=k, max_size=k).map(tuple)
                 | st.lists(entries, max_size=10).map(tuple)

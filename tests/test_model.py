@@ -9,6 +9,7 @@ from wynercache.model import (
     Bitstring,
     CachePlacement,
     ConfigError,
+    ConfigMismatch,
     DemandVector,
     LengthMismatch,
     MessageLibrary,
@@ -83,6 +84,12 @@ class TestValidateConfig:
         cfg = NetworkConfig.soft_handoff(4, [2.0, -0.5, 1.0, 3.0], 100.0)
         assert cfg.alpha_min == 0.5
         assert NetworkConfig.soft_handoff(4, 2.0, 100.0).alpha_min == 1.0
+
+    @pytest.mark.parametrize("gain", [2, 0.5, np.int64(2), np.float32(0.5), np.float64(0.5)])
+    def test_any_real_scalar_gain_is_shared(self, gain):
+        cfg = NetworkConfig.soft_handoff(6, gain, 100.0)
+        assert cfg.gains == (float(gain),) * 6
+        assert all(type(g) is float for g in cfg.gains)
 
 
 class TestRandomLibrary:
@@ -172,6 +179,8 @@ class TestDemandVector:
         d = DemandVector.checked([1, 2, 3], 3, 6)
         assert d.for_rx(2) == 2
         assert list(d) == [1, 2, 3]
+        d = DemandVector.checked(np.array([3, 1, 2]), 3, 6)  # numpy integers, stored as ints
+        assert d.entries == (3, 1, 2) and all(type(e) is int for e in d)
 
     def test_checked_length(self):
         with pytest.raises(SimError):
@@ -180,6 +189,12 @@ class TestDemandVector:
     def test_checked_range(self):
         with pytest.raises(SimError):
             DemandVector.checked([1, 2, 7], 3, 6)
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, np.bool_(True), np.float64(2.0), "2"])
+    def test_checked_rejects_what_is_not_an_integer(self, bad):
+        # a (T, K) block takes integer dtypes only; one vector takes the same entries
+        with pytest.raises(ConfigMismatch, match="is not an integer"):
+            DemandVector.checked([1, bad, 3], 3, 6)
 
 
 class TestCachePlacement:

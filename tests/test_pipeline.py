@@ -37,6 +37,8 @@ from wynercache.schemes import (
     MonteCarlo,
     PowerViolation,
     SimResult,
+    cache_placement_full,
+    cache_placement_soft,
     check_ideal_rate,
     mds_decode,
     mds_encode,
@@ -64,25 +66,29 @@ from wynercache.schemes.schedule import (
 # Delivery as a walk over the schedule's dicts of Bitstrings: every Tx action's
 # sent word and every link's part are looked up per trial, each receiver's parts
 # are keyed by label, and its needed lowest labels are combined with
-# reconstruct_five (soft) or concatenation (full). Prop-1 and round robin are
-# assembled around it as separate runs: one base delivery plus the cached tails,
-# and K deliveries over rotated configs plus an MDS combine. The pipeline
-# compiles every scheme into one plan of index arrays once, at placement; it
+# reconstruct_five (soft) or concatenation (full). The placement and the schedule
+# are rebuilt from the public builders, not read off the plan. Prop-1 and round
+# robin are assembled around it as separate runs: one base delivery plus the
+# cached tails, and K deliveries over rotated configs plus an MDS combine. The
+# pipeline compiles every scheme into one plan of arrays once, at placement; it
 # must return the same SimResult (TestCompiledMatchesDictWalk).
 
 
-def _schedule(plan):
-    """The placed schedule of a base plan, one ``PeriodSchedule`` per period."""
-    return [per.schedule for per in plan.periods]
+def _placed(cfg, library):
+    """The placement of ``library`` and the identity schedule (file j stands for receiver j's
+    demand) of the base scheme on ``cfg``, from the public builders."""
+    soft = cfg.variant is Variant.SOFT_HANDOFF
+    place, build = (cache_placement_soft, delivery_schedule_soft) if soft else (cache_placement_full, delivery_schedule_full)
+    return place(cfg.k, library), build(cfg.k, DemandVector(tuple(range(1, cfg.k + 1))))
 
 
 def _needed(cfg):
     return 5 if cfg.variant is Variant.SOFT_HANDOFF else 2
 
 
-def _recompiled(plan, schedule):
-    """The base ``plan`` with ``schedule`` in place of its placed schedule."""
-    return pipeline._compile(plan.library, plan.placement, schedule)
+def _recompiled(cfg, plan, schedule):
+    """The base ``plan`` on ``cfg`` with ``schedule`` in place of its placed schedule."""
+    return pipeline._compile(plan.library, _placed(cfg, plan.library)[0], schedule)
 
 
 def _result(library, demands, decoded, **fields):
@@ -113,7 +119,7 @@ def _blockwise(run):
 def _execute_dict(cfg, scheme, demands, backend, bits_per_part, n_slot):
     """Run the placed schedule for ``demands`` over the channel of ``cfg``; per-rx decoded part
     label -> bits, failures, links."""
-    placement, d = scheme.placement, demands.for_rx
+    (placement, schedule), d = _placed(cfg, scheme.library), demands.for_rx
     decoded = {rx: {} for rx in range(1, cfg.k + 1)}
     failures = links = 0
 
@@ -125,7 +131,7 @@ def _execute_dict(cfg, scheme, demands, backend, bits_per_part, n_slot):
             ^ placement.parts[d(action.file_b)][action.part_b - 1].value
         )
 
-    for per in _schedule(scheme):
+    for per in schedule.periods:
         if isinstance(backend, MonteCarlo):
             plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
             gain = np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
@@ -183,10 +189,11 @@ def _deliver_dict(cfg, scheme, demands, backend, execute=_execute_dict):
     got, failures, links = execute(cfg, scheme, demands, backend, bits_per_part, n_slot)
     soft = cfg.variant is Variant.SOFT_HANDOFF
     combine = reconstruct_five if soft else lambda parts: Bitstring.concat_all(parts.values())
+    placement, _ = _placed(cfg, library)
     decoded = {}
     for rx, parts in got.items():
-        cached = scheme.placement.parts[demands.for_rx(rx)]
-        have = {**{p: cached[p - 1] for p in scheme.placement.labels[rx]}, **parts}
+        cached = placement.parts[demands.for_rx(rx)]
+        have = {**{p: cached[p - 1] for p in placement.labels[rx]}, **parts}
         chosen = dict(sorted(have.items())[:needed])
         decoded[rx] = combine(chosen) if len(chosen) == needed else None
     return _result(
@@ -197,7 +204,7 @@ def _deliver_dict(cfg, scheme, demands, backend, execute=_execute_dict):
         links_total=links,
         link_failures=failures,
         rate_per_user=rate,
-        memory_bits_per_receiver=scheme.placement.bits_per_receiver,
+        memory_bits_per_receiver=placement.bits_per_receiver,
     )
 
 
@@ -273,15 +280,15 @@ def _round_robin_dict(cfg, library, demands, backend):
     )
 
 
-def _execute_compiled(cfg, scheme, demands, backend, bits_per_part, n_slot):
+def _execute_compiled(cfg, scheme, demands, backend, bits_per_part, n_slot, schedule=None):
     """``pipeline._links`` of a one-trial block, keyed as the oracles key it: per-rx decoded part
-    label -> bits."""
+    label -> bits. ``schedule`` is the one ``scheme`` was compiled from, by default the builder's."""
     own = pipeline._sources(scheme, np.array([demands.entries]))
     seeds = [backend.seed] if isinstance(backend, MonteCarlo) else []
     (values,), failures = pipeline._links(scheme, cfg, own, backend, n_slot, seeds)
     targets = [
         (rx, plan.target[1])
-        for per in _schedule(scheme)
+        for per in (schedule or _placed(cfg, scheme.library)[1]).periods
         for rx, plan in per.rx_plans.items()
         if plan is not None
     ]
@@ -307,7 +314,7 @@ def _per_rx_noise(seed, k, n):
 
 def _execute_per_tx(cfg, scheme, demands, backend, bits_per_part, n_slot):
     """``_execute_dict`` on a MonteCarlo backend, one codebook and decode per transmitter."""
-    placement, d = scheme.placement, demands.for_rx
+    (placement, schedule), d = _placed(cfg, scheme.library), demands.for_rx
     decoded = {rx: {} for rx in range(1, cfg.k + 1)}
     failures = links = 0
 
@@ -319,7 +326,7 @@ def _execute_per_tx(cfg, scheme, demands, backend, bits_per_part, n_slot):
             ^ placement.parts[d(action.file_b)][action.part_b - 1].value
         )
 
-    for per in _schedule(scheme):
+    for per in schedule.periods:
         codebooks, x = {}, np.zeros((cfg.k, n_slot))
         for tx, action in per.tx_actions.items():
             if action.kind != "silent":
@@ -550,10 +557,10 @@ class TestMonteCarlo:
         truth, _, _ = _execute_compiled(cfg, scheme, d, Ideal(), 8, 0)
         labels = {rx: muted.periods[0].rx_plans[rx].target[1] for rx in (1, 2, 3)}
         trials, errors = 400, []
-        for placed in (scheme, _recompiled(scheme, muted)):
+        for placed, schedule in ((scheme, None), (_recompiled(cfg, scheme, muted), muted)):
             errors.append(0)
             for t in range(trials):
-                got, _, _ = _execute_compiled(cfg, placed, d, MonteCarlo(n=288, seed=t), 8, 96)
+                got, _, _ = _execute_compiled(cfg, placed, d, MonteCarlo(n=288, seed=t), 8, 96, schedule)
                 errors[-1] += sum(got[rx][lb] != truth[rx][lb] for rx, lb in labels.items())
         links = len(labels) * trials
         assert errors[0] > 0.02 * links
@@ -590,7 +597,8 @@ class TestBatchedMatchesPerTx:
         ],
     )
     def test_link_error_rates_agree(self, cfg, payload_bits, n, trials):
-        scheme = pipeline._scheme(cfg.variant, cfg.k, random_library(6, payload_bits, seed=3))
+        lib = random_library(6, payload_bits, seed=3)
+        scheme, (_, schedule) = pipeline._scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
         n_slot, bits = n // len(scheme.periods), payload_bits // _needed(cfg)
         rng = np.random.default_rng(1)
         links = Counter()  # per number of receivers decoding the link's codebook
@@ -599,7 +607,7 @@ class TestBatchedMatchesPerTx:
             d = DemandVector(tuple(int(x) for x in rng.integers(1, 7, size=6)))
             truth, _, _ = _execute_compiled(cfg, scheme, d, Ideal(), bits, 0)
             runs = {run: run(cfg, scheme, d, MonteCarlo(n, seed=t), bits, n_slot)[0] for run in errors}
-            for per in _schedule(scheme):
+            for per in schedule.periods:
                 plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
                 receivers = Counter(plan.source for plan in plans.values())
                 for rx, plan in plans.items():
@@ -673,7 +681,7 @@ class TestCompiledMatchesDictWalk:
         muted.periods[0].tx_actions[5] = SILENT
         for rx in (4, 5, 6):
             muted.periods[0].rx_plans[rx] = None
-        placed = _recompiled(scheme, muted)
+        placed = _recompiled(cfg, scheme, muted)
         assert placed.silent[:6].tolist() == [False, False, True, True, True, True]
         assert scheme.silent[:6].tolist() == [False, False, True, False, False, True]
         assert len(placed.link_rx) == len(scheme.link_rx) - 3 == 12
@@ -794,6 +802,22 @@ class TestPlaceOnce:
         assert len(schedules) == 1
         assert len(checks) == 1
 
+    @pytest.mark.parametrize(
+        "combined, payload_bits",
+        [(round_robin_soft, 5 * 8 * 4), (lambda *args: run_soft_prop1(*args, 10), 5 * 32 + 10)],
+        ids=["round-robin", "prop-1"],
+    )
+    def test_combinators_keep_the_soft_plan(self, monkeypatch, combined, payload_bits):
+        # round robin and prop-1 place their base plans uncached: alternating with the soft
+        # scheme on one library places each plan once
+        for cache in PLAN_CACHES:
+            cache.cache_clear()
+        placements = self._count(monkeypatch, *PLACEMENTS)
+        cfg, lib = _soft_cfg(), random_library(6, payload_bits, seed=4)
+        for run in (run_soft, combined, run_soft, combined):
+            assert run(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6))).link_failures == 0
+        assert len(placements) == 2
+
     def test_invalid_schedule_rejected_at_placement(self, monkeypatch):
         # a template whose rx-2 plan cancels part 5, which rx 2 (class 2: parts 3, 4)
         # does not cache; Tx 1 and rx 1 are changed to match, so that is the only violation
@@ -893,7 +917,8 @@ def _resolve(template, demands):
 
 
 class TestPlacedSchedule:
-    """The placed schedule, with file j read as receiver j's demand, is the per-demand schedule."""
+    """The placed (identity) schedule, with file j read as receiver j's demand, is the per-demand
+    schedule, so one plan serves every demand vector."""
 
     @pytest.mark.parametrize(
         "variant, k", [("soft", k) for k in range(5, 13)] + [("full", k) for k in (4, 6, 8, 10)]
@@ -905,8 +930,8 @@ class TestPlacedSchedule:
             cfg, payload_bits, build = NetworkConfig.full(k, 0.5, 1e4), 16, delivery_schedule_full
         num_files = k + 3  # random demands reach file ids above K
         lib = random_library(num_files, payload_bits, seed=k, allow_small_d=True)
-        periods = tuple(_schedule(pipeline._scheme(cfg.variant, k, lib)))
-        template = DeliverySchedule(cfg.variant, k, DemandVector(tuple(range(1, k + 1))), periods)
+        template = _placed(cfg, lib)[1]
+        assert len(pipeline._scheme(cfg.variant, k, lib).periods) == len(template.periods)
         rng = np.random.default_rng(k)
         vectors = [tuple(range(1, k + 1)), (num_files,) * k] + [
             tuple(int(x) for x in rng.integers(1, num_files + 1, size=k)) for _ in range(20)
@@ -978,9 +1003,10 @@ class TestIdealRateCheck:
             return
         assert rate >= 0
         # the per-link rule the delivery loop used to apply, as the reference
-        scheme = pipeline._scheme(cfg.variant, cfg.k, random_library(6, 40, seed=1))
+        lib = random_library(6, 40, seed=1)
+        scheme, (_, schedule) = pipeline._scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
         link_rate = len(scheme.periods) * rate / _needed(cfg)
-        for per in _schedule(scheme):
+        for per in schedule.periods:
             for rx, plan in per.rx_plans.items():
                 if plan is not None:
                     gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
@@ -1043,24 +1069,61 @@ class TestIdealRateCheck:
         assert len(checks) == placed + 1  # one per placed plan, one in validate
 
 
-class TestLazyDecodeLayout:
-    """Only an MC delivery builds a period's decode layout (``_Period.layout``)."""
+class TestDecodeLayout:
+    """``_compile`` builds each period's MC decode layout once, and round robin's rotations share
+    the layout of their base period."""
 
     @pytest.mark.parametrize(
-        "run, cfg, payload_bits, place",
-        [
-            (run_soft, _soft_cfg(), 40, pipeline._scheme),
-            (run_full, NetworkConfig.full(6, 0.5, 1e4), 16, pipeline._scheme),
-            (round_robin_soft, _soft_cfg(), 160, pipeline._rotate),
-        ],
+        "cfg, payload_bits",
+        [(_soft_cfg(), 40), (_soft_cfg(k=7), 40), (NetworkConfig.full(6, 0.5, 1e4), 16)],
+        ids=["soft-k6", "soft-k7", "full-k6"],
     )
-    def test_ideal_runs_never_build_it(self, run, cfg, payload_bits, place):
-        for cache in PLAN_CACHES:
-            cache.cache_clear()
+    def test_cancel_names_each_receivers_interferers(self, cfg, payload_bits):
         lib = random_library(6, payload_bits, seed=3)
-        d = DemandVector((1, 2, 3, 4, 5, 6))
-        assert run(cfg, lib, d).link_failures == 0
-        periods = place(cfg.variant, cfg.k, lib).periods  # the cached plan the run delivered with
-        assert not any("layout" in vars(per) for per in periods)
-        run(cfg, lib, d, MonteCarlo(n=3 * 16, seed=0))
-        assert all("layout" in vars(per) for per in periods)
+        plan, (_, schedule) = pipeline._scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
+        for per, placed in zip(plan.periods, schedule.periods, strict=True):
+            assert per.cancel.shape == (cfg.k, 2)
+            # K names the zero row that pads a receiver with fewer than two interferers
+            got = [sorted(set(row) - {cfg.k}) for row in per.cancel.tolist()]
+            want = [sorted(tx - 1 for tx, _, _ in p.cancel) if p else [] for p in placed.rx_plans.values()]
+            assert got == want
+
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_rotations_share_three_layouts(self, k):
+        lib = random_library(6, 5 * 8 * (k - 2), seed=3)
+        plan = pipeline._rotate(Variant.SOFT_HANDOFF, k, lib)
+        assert len(plan.periods) == 3 * k
+        assert all(per.cancel.shape == (k, 2) for per in plan.periods)
+        assert len({id(per.cancel) for per in plan.periods}) == 3
+        assert len({id(per.batches) for per in plan.periods}) == 3
+
+
+def _budget_plans():
+    """(cfg, payload bits, round robin, prop-1 tail bits, plan) of each scheme at two K."""
+    for k in (6, 9):
+        lib = random_library(6, 5 * 24, seed=k)
+        yield _soft_cfg(k=k), 5 * 24, False, 0, pipeline._scheme(Variant.SOFT_HANDOFF, k, lib)
+        # the tail, 40 bits, is wider than a label, 24 bits
+        lib = random_library(6, 5 * 24 + 40, seed=k)
+        yield _soft_cfg(k=k), 5 * 24 + 40, False, 40, pipeline._cache_tail(Variant.SOFT_HANDOFF, k, lib, 40)
+        lib = random_library(6, 5 * 16 * (k - 2), seed=k)
+        yield _soft_cfg(k=k), 5 * 16 * (k - 2), True, 0, pipeline._rotate(Variant.SOFT_HANDOFF, k, lib)
+    for k in (6, 10):
+        lib = random_library(6, 2 * 24, seed=k)
+        yield NetworkConfig.full(k, 0.5, 1e4), 2 * 24, False, 0, pipeline._scheme(Variant.FULL, k, lib)
+
+
+class TestBlockBudget:
+    """``block_trials`` keeps a block's largest array, every trial's picks of label bytes
+    (T x ``select.size`` x nb), within ``BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize("budget", [pipeline.BLOCK_BYTES, 1 << 16, 5000])
+    def test_largest_array_fits(self, monkeypatch, budget):
+        monkeypatch.setattr(pipeline, "BLOCK_BYTES", budget)
+        blocks = 0
+        for cfg, payload_bits, round_robin, extra_bits, plan in _budget_plans():
+            trials = pipeline.block_trials(cfg, payload_bits, round_robin, extra_bits)
+            if trials > 1:
+                blocks += 1
+                assert trials * plan.select.size * plan.plane.shape[-1] <= budget
+        assert blocks  # some block of each budget holds more than one trial
