@@ -127,7 +127,7 @@ def _parse_list(text: str, flag: str, kind: type = float) -> list:
 
 def _build_config(args: argparse.Namespace) -> NetworkConfig:
     """The config of the flags; ``ExperimentSpec.validate`` checks it, the --alpha count included."""
-    variant = Variant.SOFT_HANDOFF if args.model == "soft" else Variant.FULL
+    variant = Variant(args.model)
     power = power_from_db(_parse_list(args.snr_db, "--snr-db")[0])
     gains = _parse_list(args.alpha, "--alpha")
     if variant is Variant.SOFT_HANDOFF and len(gains) == 1:
@@ -218,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
     if args.plot_script and not args.out:
         raise SimError("--plot-script needs --out, the CSV it plots")
-    variant = Variant.SOFT_HANDOFF if args.model == "soft" else Variant.FULL
+    variant = Variant(args.model)
     ach = curve(variant, ACHIEVABLE, args.points, args.x_max)
     if args.out:
         export_csv(ach, args.out)

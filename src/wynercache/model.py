@@ -23,6 +23,9 @@ DEFAULT_EPSILON = 0.05
 # Library sizes below this are rejected unless explicitly allowed; the schemes
 # themselves operate for any D >= 2.
 MIN_LIBRARY_FILES = 6
+# A receiver cancels a cached codeword sent at cross gain alpha; the float64 residual, about
+# |alpha| * 2^-53 of a codeword entry, stays below 2^-13 up to this bound.
+MAX_CROSS_GAIN = 2.0**40
 
 
 class SimError(ValueError):
@@ -86,15 +89,13 @@ class NetworkConfig:
         power: float,
         epsilon: float = DEFAULT_EPSILON,
     ) -> "NetworkConfig":
-        if isinstance(gains, numbers.Real):  # numpy scalars too
-            gains = (float(gains),) * k
-        return cls(Variant.SOFT_HANDOFF, k, tuple(float(g) for g in gains), power, epsilon)
+        return cls(Variant.SOFT_HANDOFF, k, _real_gains(gains, k), power, epsilon)
 
     @classmethod
     def full(
         cls, k: int, alpha: float, power: float, epsilon: float = DEFAULT_EPSILON
     ) -> "NetworkConfig":
-        return cls(Variant.FULL, k, (float(alpha),), power, epsilon)
+        return cls(Variant.FULL, k, _real_gains(alpha, 1), power, epsilon)
 
     @property
     def alpha(self) -> float:
@@ -111,11 +112,22 @@ class NetworkConfig:
 
     @property
     def alpha_min(self) -> float:
-        """min{1, |alpha_1|, ..., |alpha_K|}; the weakest link seen by any decoder."""
+        """min{1, |alpha_1|, ..., |alpha_K|}: the weakest link gain of a soft-handoff decoder,
+        which hears its own Tx at gain 1 or a cross gain alone. A full-model decoder cancels
+        both cross terms and hears its own Tx at gain 1 (``check_ideal_rate``)."""
         return min(1.0, min(abs(g) for g in self.gains))
 
     def with_power(self, power: float) -> "NetworkConfig":
         return replace(self, power=power)
+
+
+def _real_gains(gains, count: int) -> tuple[float, ...]:
+    """The cross gains as floats; a real scalar, 0-d arrays included, is shared ``count`` times."""
+    if gains is None or isinstance(gains, (str, bytes, bytearray)):
+        raise ConfigError(f"cross gains must be real numbers, got {gains!r}")
+    if isinstance(gains, numbers.Real) or isinstance(gains, np.ndarray) and gains.ndim == 0:
+        return (float(gains),) * count
+    return tuple(float(g) for g in gains)
 
 
 def validate_config(cfg: NetworkConfig) -> None:
@@ -130,6 +142,8 @@ def validate_config(cfg: NetworkConfig) -> None:
     for i, g in enumerate(cfg.gains, start=1):
         if not math.isfinite(g):
             raise ConfigError(f"cross gain alpha_{i} must be finite, got {g}")
+        if abs(g) > MAX_CROSS_GAIN:
+            raise ConfigError(f"cross gain alpha_{i} = {g} exceeds 2^40, past which float64 cancellation fails")
         if g == 0:
             raise ZeroCrossGain(f"cross gain alpha_{i} must be nonzero")
     if not math.isfinite(cfg.power):

@@ -11,26 +11,30 @@
   arrays: index arrays over the sources, the plane of every part value as uint8
   bytes, ``want`` (each file's data parts as a delivery must decode them, read
   off the plane), the memory, and each period's MC decode layout. Two
-  combinators reshape a compiled base plan into the other schemes: ``_rotate``
-  (round robin) lays K rotations of one soft plan, placed over every MDS-coded
-  part, side by side, and ``_cache_tail`` (prop-1) adds every file's tail as a
-  label cached at every receiver. Which K-2 coded parts a round robin receiver
-  collects is fixed here too, so ``_rotate`` reads each receiver's MDS decode
-  off ``mds_decode`` once, as a GF(256) ``_Recipe``. A plan depends on the
-  model, K and the library, not on the channel: it is memoised on them and
-  shared by every trial and every SNR point of a sweep.
+  combinators reshape a compiled base plan into the other schemes.
+  ``_cache_tail`` (prop-1) adds every file's tail as a label cached at every
+  receiver. ``_rotate`` (round robin) keeps the soft plan placed over every
+  MDS-coded part as it is and adds each receiver's K - 2 pieces, the
+  (rotation, role) pairs in which it plays a guaranteed role, with their MDS
+  decode read off ``mds_decode`` once as a GF(256) ``_Recipe``. A plan depends
+  on the model, K and the library, not on the channel: it is memoised on them
+  and shared by every trial and every SNR point of a sweep.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
-  them with any plan at once: it gathers each trial's source vectors from the
-  plane (``_sources``), decodes the links (``_links``: gathers and XORs, and
-  for MC one codebook draw and decode per trial and period, from that trial's
-  seed), XOR-reduces each receiver's selected labels into its data parts,
-  applies round robin's recipe to every trial's coded parts in one array step,
-  and compares the data parts with ``want``. No Python code runs per receiver
-  or per Ideal trial. The MC links read power, epsilon and gains from the
-  runner's config, and an Ideal delivery runs at the rate ``check_ideal_rate``
-  passes once per runner call, so only MC links fail here. The runners take a
-  block and return its ``BlockResult``, or one ``DemandVector`` and return its
-  ``SimResult``, the one-trial block with the decoded payloads (``_run``).
+  them with any plan at once: it gathers each row's source vectors from the
+  plane (``_sources``), decodes the links (``_links``: gathers and XORs, and for
+  MC one codebook draw and decode per row and period, from that row's seed),
+  XOR-reduces each receiver's selected labels into its data parts and compares
+  them with ``want``. Round robin delivers trial t as K rows of its base plan:
+  in rotation l the role played by node n demands coded part l of node n's
+  file, hears node n's cross gain and draws from the seed keyed by
+  (``_SEED_SUPER``, l). Each receiver's pieces are then gathered from its rows
+  and decoded by its recipe, for every trial in one array step. No Python code
+  runs per receiver or per Ideal trial. The MC links read power, epsilon and
+  gains from the runner's config, and an Ideal delivery runs at the rate
+  ``check_ideal_rate`` passes once per runner call, so only MC links fail here.
+  The runners take a block and return its ``BlockResult``, or one
+  ``DemandVector`` and return its ``SimResult``, the one-trial block with the
+  decoded payloads (``_run``).
 
 Two interchangeable backends drive the same plans:
 
@@ -87,8 +91,8 @@ _SEED_CODEBOOK = 0xC0DE
 _SEED_NOISE = 0x401E
 _SEED_SUPER = 0x50BE
 
-# A delivery block's largest array gathers, per trial and receiver, the picks of every data
-# part: at most 6 parts x 5 picks of nb label bytes, K - 2 times over for round robin. A block
+# A delivery block's largest array gathers, per row and receiver, the picks of every data
+# part: at most 6 parts x 5 picks of nb label bytes, and a round robin trial is K rows. A block
 # of ``block_trials`` trials keeps it within 4 MiB; like codec's chunk, it bounds memory only.
 BLOCK_BYTES = 1 << 22
 
@@ -156,22 +160,14 @@ class BlockResult:
 
 @dataclass(frozen=True, eq=False)
 class _Period:
-    """One period of a plan: its links, seed keys, the node playing each role and its MC decode
-    layout. Period i owns Tx actions i * K to (i + 1) * K - 1; they, its link receivers, codebook
-    rows and noise rows are in its roles, r at r - 1. Role r hears the cross gain of node
-    ``nodes[r - 1]``. Round robin's rotations share the layout arrays of their base period."""
+    """One period of a plan: its links and its MC decode layout. Period i owns Tx actions i * K
+    to (i + 1) * K - 1; they, its link receivers, codebook rows and noise rows are in node
+    order, node r at r - 1."""
 
     index: int  # the schedule's period number, which keys its MC random streams
-    keys: tuple[tuple[int, int], ...]  # derive_seed steps from the delivery seed to the period's
     links: slice  # its links in the plan's link arrays
-    nodes: np.ndarray  # (K,): the 0-based node playing each role; the identity except in round robin
-    cancel: np.ndarray  # (K, 2): the roles whose sent words each receiver role cancels; K, a zero row, pads
+    cancel: np.ndarray  # (K, 2): the nodes whose sent words each receiver cancels; K, a zero row, pads
     batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # nn_decode (rows, rx, rx hears own Tx)
-
-    def seed(self, seed: int, stream: int) -> int:
-        for key in self.keys:
-            seed = derive_seed(seed, *key)
-        return derive_seed(seed, stream, self.index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +189,7 @@ class _Recipe:
         return data
 
 
-def _recipe(collected: Sequence[tuple[int, ...]], k: int) -> _Recipe:
+def _recipe(collected: Sequence[Sequence[int]], k: int) -> _Recipe:
     """The decode of each receiver's collected coded parts (1-based, ascending), read off
     ``mds_decode``, which is linear byte by byte: collected part j as the byte row e_j gives
     data part i with byte j equal to its coefficient on part j."""
@@ -220,13 +216,13 @@ class _Plan:
 
     It depends on the model, K and the library; each delivery brings the channel. ``plane``
     holds label p of file f at [p - 1, f - 1] as nb big-endian bytes, right-aligned, nb
-    fitting the widest label, so any L takes one path. A trial's source vector is a 0, then
+    fitting the widest label, so any L takes one path. A row's source vector is a 0, then
     each label's column of the receivers' demands, then every link's decoded part in
     reverse: receiver j's label p is at (p - 1) * K + j, link i at ~i, and an absent XOR
     side or strip names the 0, so a new label appends without moving a position. The data
-    parts that ``select[rx - 1]`` XORs are receiver rx's payload cut into ``widths``, or with
-    ``recipe`` the K - 2 coded parts of its file that it collects, each its five data parts
-    joined byte by byte, which the recipe decodes.
+    parts that ``select[rx - 1]`` XORs are receiver rx's payload cut into ``widths``. In
+    round robin they are one coded part, its data labels joined byte by byte, and receiver
+    rx's K - 2 ``pieces`` are the coded parts its ``recipe`` decodes into its payload.
     """
 
     library: MessageLibrary  # the files each receiver's payload is checked against
@@ -243,11 +239,12 @@ class _Plan:
     link_tx: np.ndarray  # (links,): its source's index in ``tx``
     link_strip: np.ndarray  # (links,): source position of the cached part it XORs out
     periods: tuple[_Period, ...]
-    select: np.ndarray  # (K, data parts, picks), with ``recipe`` (K, K - 2, data parts, picks)
-    served: np.ndarray  # (K,): the receiver holds every label its pieces need
+    select: np.ndarray  # (K, data parts, picks)
+    served: np.ndarray  # (K,): the receiver holds every label its data parts (or pieces) need
     widths: tuple[int, ...]  # bits of each data part of a payload, the first the most significant
     scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
-    recipe: _Recipe | None = None  # round robin: each receiver's MDS decode of its collected parts
+    pieces: np.ndarray | None = None  # round robin: (K, K - 2, 2) 0-based (rotation, role) of each piece
+    recipe: _Recipe | None = None  # round robin: each receiver's MDS decode of its pieces
 
 
 def _compile(library: MessageLibrary, placement: CachePlacement, schedule: DeliverySchedule) -> _Plan:
@@ -279,7 +276,7 @@ def _compile(library: MessageLibrary, placement: CachePlacement, schedule: Deliv
             src = np.array([tx for tx, rxs in decoders.items() if len(rxs) == size]) - 1
             rxs = np.array([decoders[tx + 1] for tx in src]) - 1
             batches.append((src, rxs, rxs == src[:, None]))
-        periods.append(_Period(per.index, (), slice(start, len(links)), np.arange(k), cancel, tuple(batches)))
+        periods.append(_Period(per.index, slice(start, len(links)), cancel, tuple(batches)))
     # data part s is its own label, or the XOR of the five labels held (soft parity repair)
     select, served = np.zeros((k, needed, needed), dtype=np.intp), np.zeros(k, dtype=bool)
     for rx in range(1, k + 1):
@@ -301,44 +298,26 @@ def _compile(library: MessageLibrary, placement: CachePlacement, schedule: Deliv
 
 @functools.lru_cache(maxsize=1)
 def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
-    """Round robin: K rotations of one plan side by side, rotation l with role r played by node
-    r + l (mod K), keeping its own label columns, keying its MC streams by (_SEED_SUPER, l) and
-    delivering coded part l of every file: the plan is placed once, file (f - 1) * K + l its
-    coded part l of file f, so its plane regroups into K label blocks and its memory stays.
-    Receiver rx plays a guaranteed role in K - 2 rotations, fixed here, and ``_deliver``
-    decodes their pieces, coded parts of its file, with its ``_recipe``."""
+    """Round robin: the soft plan placed once over the MDS-coded library, file (f - 1) * K + l
+    coded part l of file f, and delivered K times by ``_deliver``: in rotation l, 0-based node
+    n plays 0-based role (n - l) mod K. Receiver rx plays a guaranteed role in K - 2
+    rotations, fixed here as its pieces, and its ``_recipe`` decodes the coded parts of its
+    file that they carry."""
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
     # placed uncached: the one-slot ``_scheme`` cache keeps the plans the runners deliver with
     plan = _scheme.__wrapped__(variant, k, MessageLibrary(tuple(part for parts in coded for part in parts)))
-    width, _, nb = plan.plane.shape
-    role = lambda rx, ell: (rx - ell - 1) % k + 1  # played by node rx in rotation ell
-    remaps, arrays, periods, txs, links = [], [], [], 0, 0
-    label, slot = np.divmod(np.arange(width * k), k)  # of each rotation's source position 1, 2, ...
-    for ell in range(1, k + 1):
-        rows = (np.arange(k) + ell) % k  # node of each role
-        moved = ((ell - 1) * width + label) * k + rows[slot] + 1  # its labels, in its own columns
-        remaps.append(m := np.concatenate(([0], moved, ~(links + np.arange(len(plan.link_tx)))[::-1])))
-        arrays.append((m[plan.tx], plan.silent, plan.link_rx, plan.link_tx + txs, m[plan.link_strip]))
-        periods += [
-            replace(per, keys=((_SEED_SUPER, ell), *per.keys), nodes=rows[per.nodes],
-                    links=slice(per.links.start + links, per.links.stop + links)) for per in plan.periods
-        ]
-        txs, links = txs + len(plan.silent), links + len(plan.link_tx)
-    tx, silent, link_rx, link_tx, link_strip = (np.concatenate(a, axis=-1) for a in zip(*arrays))
-    plane = plan.plane.reshape(width, -1, k, nb).transpose(2, 0, 1, 3)  # (rotation, label, file, nb)
-    chosen = [  # (rotation, 0-based role) of each piece of each receiver
-        [(ell, role(rx, ell) - 1) for ell in range(1, k + 1) if role(rx, ell) in plan.guaranteed]
+    role = lambda rx, ell: (rx - ell - 1) % k  # 0-based, played by node rx in rotation ell
+    pieces = np.array([
+        [(ell - 1, role(rx, ell)) for ell in range(1, k + 1) if role(rx, ell) + 1 in plan.guaranteed]
         for rx in range(1, k + 1)
-    ]
+    ])
+    _, needed, nb = plan.want.shape
     return replace(
-        plan, library=library, guaranteed=tuple(range(1, k + 1)), plane=plane.reshape(k * width, -1, nb),
-        # the code is systematic: data part i is coded part i, its five data labels joined
-        want=plane[: k - 2, : NEEDED[variant]].transpose(2, 0, 1, 3).reshape(library.num_files, k - 2, -1),
+        plan, library=library, guaranteed=tuple(range(1, k + 1)),
+        # the code is systematic: data part i is coded part i, its data labels joined
+        want=plan.want.reshape(-1, k, needed * nb)[:, : k - 2], served=plan.served[pieces[..., 1]].all(axis=1),
         scale=lambda rate: rate * (k - 2) / k, widths=(library.payload_bits // (k - 2),) * (k - 2),
-        tx=tx, silent=silent, link_rx=link_rx, link_tx=link_tx, link_strip=link_strip, periods=tuple(periods),
-        select=np.array([[remaps[ell - 1][plan.select[r]] for ell, r in c] for c in chosen]),
-        served=np.array([all(plan.served[r] for _, r in c) for c in chosen]),
-        recipe=_recipe([tuple(ell for ell, _ in c) for c in chosen], k),
+        pieces=pieces, recipe=_recipe((pieces[..., 0] + 1).tolist(), k),
     )
 
 
@@ -389,10 +368,12 @@ def check_scheme(cfg: NetworkConfig, payload_bits: int, round_robin: bool = Fals
 
 def block_trials(cfg: NetworkConfig, payload_bits: int, round_robin: bool = False, extra_bits: int = 0) -> int:
     """Trials per delivery block of a run that ``check_scheme`` passes: its largest array fits
-    ``BLOCK_BYTES``, and a block holds at least one trial."""
+    ``BLOCK_BYTES``, and a block holds at least one trial. A round robin trial is K rows of
+    its base plan, whose labels are those of one of the K - 2 MDS parts."""
     needed, pieces = NEEDED[cfg.variant], cfg.k - 2 if round_robin else 1
     nb = -(-max((payload_bits - extra_bits) // (needed * pieces), extra_bits) // 8)
-    return max(1, BLOCK_BYTES // (cfg.k * pieces * (needed + 1) * needed * nb))
+    rows = cfg.k if round_robin else 1
+    return max(1, BLOCK_BYTES // (rows * cfg.k * (needed + 1) * needed * nb))
 
 
 def _checked(
@@ -428,15 +409,17 @@ def _sources(plan: _Plan, demands: np.ndarray) -> np.ndarray:
 
 
 def _links(
-    plan: _Plan, cfg: NetworkConfig, own: np.ndarray, backend: Backend, n_slot: int, seeds: Sequence[int]
+    plan: _Plan, cfg: NetworkConfig, own: np.ndarray, backend: Backend, n_slot: int, seeds: Sequence[int],
+    gains: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Every link's decoded part (T, links, nb), given the source vectors ``own``, and the count
-    of wrong links. Trial t's MC streams come from ``seeds[t]``, over the channel of ``cfg``. The
-    schedule was checked at placement and the Ideal rate by the runner: only an MC link can fail."""
+    of wrong links. Row t's MC streams come from ``seeds[t]``, over the channel of ``cfg`` with
+    the cross gains ``gains[t % len(gains)]``, one per receiver. The schedule was checked at
+    placement and the Ideal rate by the runner: only an MC link can fail."""
     sent = own[:, plan.tx[0]] ^ own[:, plan.tx[1]]
     if isinstance(backend, Ideal):
         return sent[:, plan.link_tx] ^ own[:, plan.link_strip], 0
-    failures, gains = 0, np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
+    failures = 0
     # a codeword index has at most MAX_CODEBOOK_BITS (22) bits, so its part's last bytes hold
     # it; draw_codebook rejects a longer part before it reads a word
     places = 8 * np.arange(min(own.shape[-1], 7))[::-1]
@@ -444,15 +427,16 @@ def _links(
     rows = np.where(plan.silent, -1, words)  # a silent Tx sends zeros
     guess = np.empty((len(own), len(plan.link_tx)), dtype=np.int64)
     for t, seed in enumerate(seeds):
+        gain = gains[t % len(gains)]
         for per, sends in zip(plan.periods, rows[t].reshape(-1, cfg.k)):
-            gain = gains[per.nodes]  # the cross gain each role's receiver hears
-            cb = draw_codebook(  # row r - 1 is the codebook of role r's Tx
-                n_slot, plan.part_bits, cfg.power - cfg.epsilon, per.seed(seed, _SEED_CODEBOOK), sends, cfg.power,
+            cb = draw_codebook(  # row r - 1 is the codebook of Tx r
+                n_slot, plan.part_bits, cfg.power - cfg.epsilon, derive_seed(seed, _SEED_CODEBOOK, per.index),
+                sends, cfg.power,
             )
             if not (pc := check_power(cb.word, cfg.power)).ok.all():
                 i = int(np.argmin(pc.ok))
                 raise PowerViolation(f"Tx {i + 1} block power {pc.measured[i]:.6g} exceeds P={cfg.power}")
-            noise_seed = per.seed(seed, _SEED_NOISE)
+            noise_seed = derive_seed(seed, _SEED_NOISE, per.index)
             if cfg.variant is Variant.SOFT_HANDOFF:
                 y = transmit_soft(cb.word, gain, noise_seed)
             else:
@@ -487,14 +471,21 @@ def _deliver(
         if len(seeds) != len(demands):
             raise ConfigMismatch(f"{len(seeds)} Monte-Carlo seed(s) for {len(demands)} trial(s)")
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
-    own = _sources(plan, demands)
-    links, failures = _links(plan, cfg, own, backend, n_slot, seeds)
+    rows, gains = demands, np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
+    if plan.pieces is not None:  # trial t's rotation l is row t * K + l - 1 of the base plan
+        k, ell = cfg.k, np.arange(1, cfg.k + 1)[:, None]
+        node = (np.arange(k) + ell) % k  # (rotation, role): the 0-based node playing the role
+        rows, gains = ((demands[:, node] - 1) * k + ell).reshape(-1, k), gains[0, node]
+        seeds = [derive_seed(seed, _SEED_SUPER, rotation) for seed in seeds for rotation in range(1, k + 1)]
+    own = _sources(plan, rows)
+    links, failures = _links(plan, cfg, own, backend, n_slot, seeds, gains)
     picks = np.concatenate((own, links[:, ::-1]), axis=1)[:, plan.select]
     data = np.bitwise_xor.reduce(picks, axis=-2)
-    if plan.recipe is not None:  # any K-2 of a file's K coded parts give its K-2 data parts
-        data = plan.recipe.apply(data.reshape(*data.shape[:3], -1))
+    if plan.pieces is not None:  # any K-2 of a file's K coded parts give its K-2 data parts
+        pieces = data.reshape(len(demands), cfg.k, *data.shape[1:])[:, plan.pieces[..., 0], plan.pieces[..., 1]]
+        data = plan.recipe.apply(pieces.reshape(*pieces.shape[:3], -1))
     success = plan.served & (data == plan.want[demands - 1]).all(axis=(-2, -1))
-    block = BlockResult(success, plan.guaranteed, len(demands) * len(plan.link_tx), failures, rate, plan.memory_bits)
+    block = BlockResult(success, plan.guaranteed, len(rows) * len(plan.link_tx), failures, rate, plan.memory_bits)
     return block, data
 
 

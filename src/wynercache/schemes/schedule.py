@@ -3,6 +3,13 @@ a mechanical validity checker, and each model's periods, parts needed,
 guaranteed receivers and topology (``PERIODS``, ``NEEDED``,
 ``guaranteed_receivers``, ``HEARD``).
 
+A builder states what each transmitter sends per period; ``_decode_plans``
+reads every receiver's plan off those actions and ``HEARD``, for both models.
+A receiver whose own Tx is active decodes that Tx, cancels every other heard Tx
+that sends a direct part, which it caches, and strips the side of an XOR meant
+for the next receiver. A receiver whose own Tx is silent decodes its side of
+the previous Tx's XOR, if that Tx sends one, and otherwise gets no plan.
+
 Soft handoff runs three periods. In period p the transmitter class
 (p - 1) mod 3 is silent, and Tx K is silent in every period, which cuts the
 circle into non-interfering subnets of two active transmitters. Within each
@@ -35,7 +42,6 @@ from ..model import (
     to_json,
 )
 from .parts import DATA_PARTS_SOFT, PARTS_FULL
-from .placement import cached_part_full
 
 MIN_SOFT_K = 5
 SOFT_PERIODS = 3
@@ -133,6 +139,29 @@ XOR_OWN_PART = {1: 6, 2: 1, 3: 4}
 XOR_NEXT_PART = {1: 3, 2: 5, 3: 1}
 
 
+def _decode_plans(k: int, actions: dict[int, TxAction], heard: tuple[int, ...]) -> dict[int, DecodePlan | None]:
+    """Each receiver's plan, read off its period's actions and the ``heard`` offsets. A receiver
+    whose own Tx is active decodes it, cancels every other heard Tx that sends a direct part
+    and strips the side of an XOR meant for the next receiver. A receiver whose own Tx is
+    silent decodes its side of the previous Tx's XOR, and without one it gets nothing."""
+    ring = lambda node: (node - 1) % k + 1
+    plans: dict[int, DecodePlan | None] = {}
+    for rx in range(1, k + 1):
+        own, prev = actions[rx], ring(rx - 1)
+        if isinstance(own, Silent):
+            pair = actions[prev]
+            xor = isinstance(pair, XorPair)
+            plans[rx] = DecodePlan(prev, (), (pair.file_a, pair.part_a), (pair.file_b, pair.part_b)) if xor else None
+            continue
+        others = [(tx, actions[tx]) for tx in (ring(rx + off) for off in heard if off)]
+        cancel = tuple((tx, a.file, a.part) for tx, a in others if isinstance(a, Direct))
+        if isinstance(own, XorPair):
+            plans[rx] = DecodePlan(rx, cancel, (own.file_b, own.part_b), (own.file_a, own.part_a))
+        else:
+            plans[rx] = DecodePlan(rx, cancel, None, (own.file, own.part))
+    return plans
+
+
 def delivery_schedule_soft(k: int, demands: DemandVector) -> DeliverySchedule:
     """Three-period schedule for the soft-handoff scheme; Tx K stays silent throughout."""
     if k < MIN_SOFT_K:
@@ -153,41 +182,7 @@ def delivery_schedule_soft(k: int, demands: DemandVector) -> DeliverySchedule:
                 actions[tx] = Direct(d(tx), DIRECT_PART[p])
             else:
                 actions[tx] = XorPair(d(tx), XOR_OWN_PART[p], d(tx + 1), XOR_NEXT_PART[p])
-
-        plans: dict[int, DecodePlan | None] = {}
-        for rx in range(1, k + 1):
-            cls = rx % 3
-            prev = rx - 1 if rx > 1 else k
-            if cls == silent:
-                # Hears only the previous transmitter's XOR codeword.
-                if prev == k:
-                    plans[rx] = None
-                else:
-                    plans[rx] = DecodePlan(
-                        source=prev,
-                        cancel=(),
-                        strip=(d(prev), XOR_OWN_PART[p]),
-                        target=(d(rx), XOR_NEXT_PART[p]),
-                    )
-            elif cls == first:
-                if rx == k:
-                    plans[rx] = None
-                else:
-                    plans[rx] = DecodePlan(
-                        source=rx, cancel=(), strip=None, target=(d(rx), DIRECT_PART[p])
-                    )
-            else:
-                if rx == k:
-                    plans[rx] = None
-                else:
-                    cancel = () if prev == k else ((prev, d(prev), DIRECT_PART[p]),)
-                    plans[rx] = DecodePlan(
-                        source=rx,
-                        cancel=cancel,
-                        strip=(d(rx + 1), XOR_NEXT_PART[p]),
-                        target=(d(rx), XOR_OWN_PART[p]),
-                    )
-        periods.append(PeriodSchedule(p, silent, actions, plans))
+        periods.append(PeriodSchedule(p, silent, actions, _decode_plans(k, actions, HEARD[Variant.SOFT_HANDOFF])))
     return DeliverySchedule(Variant.SOFT_HANDOFF, k, demands, tuple(periods))
 
 
@@ -202,18 +197,7 @@ def delivery_schedule_full(k: int, demands: DemandVector) -> DeliverySchedule:
     actions: dict[int, TxAction] = {
         tx: Direct(d(tx), 2 if tx % 2 == 1 else 1) for tx in range(1, k + 1)
     }
-    plans: dict[int, DecodePlan | None] = {}
-    for rx in range(1, k + 1):
-        prev = rx - 1 if rx > 1 else k
-        nxt = rx + 1 if rx < k else 1
-        neighbour_part = cached_part_full(rx)  # neighbours have opposite parity
-        plans[rx] = DecodePlan(
-            source=rx,
-            cancel=((prev, d(prev), neighbour_part), (nxt, d(nxt), neighbour_part)),
-            strip=None,
-            target=(d(rx), 2 if rx % 2 == 1 else 1),
-        )
-    period = PeriodSchedule(1, None, actions, plans)
+    period = PeriodSchedule(1, None, actions, _decode_plans(k, actions, HEARD[Variant.FULL]))
     return DeliverySchedule(Variant.FULL, k, demands, (period,))
 
 

@@ -4,10 +4,12 @@ Curves are functions of the normalized cache size x = mu/D, so the library
 size never enters the evaluation. Breakpoints are kept in exact rational
 arithmetic; floats appear only when sampling for export.
 
-Soft handoff:  achievable 2/3 + (3/2)x up to x = 2/3, then 1 + x;
-               upper bound min{2/3 + 3x, 1 + x}; tight for x >= 2/3.
-Full model:    achievable 2/3 + (4/3)x up to x = 1, then 1 + x;
-               upper bound min{2/3 + 6x, 1 + x}; tight for x >= 1.
+Every curve is min{2/3 + c*x, 1 + x}, with its corner at x = (1/3)/(c - 1):
+
+Soft handoff:  achievable c = 3/2 (corner 2/3), upper bound c = 3;
+               tight for x >= 2/3.
+Full model:    achievable c = 4/3 (corner 1), upper bound c = 6;
+               tight for x >= 1.
 """
 
 from __future__ import annotations
@@ -39,36 +41,42 @@ def _ratio(x: Ratio) -> Fraction:
     return f
 
 
-def s_soft_ach(x: Ratio) -> Fraction:
+# the slope c of each curve's cache-limited piece, 2/3 + c*x
+_SLOPES = {
+    (Variant.SOFT_HANDOFF, ACHIEVABLE): Fraction(3, 2),
+    (Variant.SOFT_HANDOFF, UPPER_BOUND): Fraction(3),
+    (Variant.FULL, ACHIEVABLE): Fraction(4, 3),
+    (Variant.FULL, UPPER_BOUND): Fraction(6),
+}
+
+
+def _mg(variant: Variant, kind: str, x: Ratio) -> Fraction:
     r = _ratio(x)
-    if r <= Fraction(2, 3):
-        return Fraction(2, 3) + Fraction(3, 2) * r
-    return 1 + r
+    return min(Fraction(2, 3) + _SLOPES[variant, kind] * r, 1 + r)
+
+
+def s_soft_ach(x: Ratio) -> Fraction:
+    return _mg(Variant.SOFT_HANDOFF, ACHIEVABLE, x)
 
 
 def s_soft_ub(x: Ratio) -> Fraction:
-    r = _ratio(x)
-    return min(Fraction(2, 3) + 3 * r, 1 + r)
+    return _mg(Variant.SOFT_HANDOFF, UPPER_BOUND, x)
 
 
 def s_full_ach(x: Ratio) -> Fraction:
-    r = _ratio(x)
-    if r <= 1:
-        return Fraction(2, 3) + Fraction(4, 3) * r
-    return 1 + r
+    return _mg(Variant.FULL, ACHIEVABLE, x)
 
 
 def s_full_ub(x: Ratio) -> Fraction:
-    r = _ratio(x)
-    return min(Fraction(2, 3) + 6 * r, 1 + r)
+    return _mg(Variant.FULL, UPPER_BOUND, x)
 
 
 def achievable(variant: Variant, x: Ratio) -> Fraction:
-    return s_soft_ach(x) if variant is Variant.SOFT_HANDOFF else s_full_ach(x)
+    return _mg(variant, ACHIEVABLE, x)
 
 
 def upper_bound(variant: Variant, x: Ratio) -> Fraction:
-    return s_soft_ub(x) if variant is Variant.SOFT_HANDOFF else s_full_ub(x)
+    return _mg(variant, UPPER_BOUND, x)
 
 
 def empirical_mg(rate: float, power: float) -> float:
@@ -80,16 +88,11 @@ def empirical_mg(rate: float, power: float) -> float:
 
 def breakpoints(variant: Variant, kind: str) -> tuple[tuple[Fraction, Fraction], ...]:
     """Exact (x, S) corners of the requested piecewise-linear curve."""
-    if kind == ACHIEVABLE:
-        if variant is Variant.SOFT_HANDOFF:
-            return ((Fraction(0), Fraction(2, 3)), (Fraction(2, 3), Fraction(5, 3)))
-        return ((Fraction(0), Fraction(2, 3)), (Fraction(1), Fraction(2)))
-    if kind == UPPER_BOUND:
-        # The crossing of the two affine pieces: 2/3 + c*x = 1 + x.
-        slope = 3 if variant is Variant.SOFT_HANDOFF else 6
-        x_cross = Fraction(1, 3) / (slope - 1)
-        return ((Fraction(0), Fraction(2, 3)), (x_cross, 1 + x_cross))
-    raise SimError(f"unknown curve kind {kind!r}")
+    if (variant, kind) not in _SLOPES:
+        raise SimError(f"unknown curve kind {kind!r}")
+    # the crossing of the two affine pieces: 2/3 + c*x = 1 + x
+    corner = Fraction(1, 3) / (_SLOPES[variant, kind] - 1)
+    return ((Fraction(0), Fraction(2, 3)), (corner, 1 + corner))
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ def curve(variant: Variant, kind: str, n_points: int, x_max: Ratio) -> TradeoffC
     if n_points < 2:
         raise SimError(f"need at least 2 sample points, got {n_points}")
     x_hi = _ratio(x_max)
-    fn = achievable if kind == ACHIEVABLE else upper_bound
     grid = {Fraction(i) * x_hi / (n_points - 1) for i in range(n_points)}
     grid.update(x for x, _ in breakpoints(variant, kind) if x <= x_hi)
-    samples = tuple((float(x), float(fn(variant, x))) for x in sorted(grid))
+    samples = tuple((float(x), float(_mg(variant, kind, x))) for x in sorted(grid))
     return TradeoffCurve(variant, kind, samples)

@@ -22,6 +22,7 @@ from wynercache.harness import (
 from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
 from wynercache.model import (
     Bitstring,
+    ConfigError,
     DemandVector,
     NetworkConfig,
     SimError,
@@ -488,6 +489,18 @@ class TestLateFailuresRejected:
         )
         assert report.link_error_rate == 0.0
         assert report.guaranteed_success == 1.0
+
+    @pytest.mark.parametrize("model", ["soft", "full"])
+    def test_cross_gain_too_large_to_cancel(self, model):
+        # float64 cancels a cached codeword sent at |alpha| <= 2^40; above that the residual
+        # grows until MC reports wrong success rates, so such a gain is rejected by name
+        build = lambda alpha: (
+            NetworkConfig.soft_handoff(6, alpha, 1e4) if model == "soft" else NetworkConfig.full(6, alpha, 1e4)
+        )
+        report = run_experiment(_soft_spec(config=build(1e12), backend="mc", trials=4))
+        assert report.guaranteed_success == 1.0
+        for alpha in (2e12, 1e18, 1e300, -2e12):
+            _rejected_before_any_trial(_soft_spec(config=build(alpha), backend="mc"), ConfigError, match="alpha_1")
 
     def test_mc_runs_where_the_back_off_is_lost_to_rounding(self):
         config = NetworkConfig.soft_handoff(6, 1.0, 1e4, 1e-16)

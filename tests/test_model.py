@@ -92,6 +92,19 @@ class TestValidateConfig:
         assert all(type(g) is float for g in cfg.gains)
 
 
+    @pytest.mark.parametrize("model", ["soft", "full"])
+    @pytest.mark.parametrize("gain", [np.array(0.5), np.array(2), "111111", "0.5", b"123456", None])
+    def test_gain_input_is_a_real_scalar_or_rejected(self, model, gain):
+        # a 0-d array is a scalar; a str or bytes is not a sequence of gains, nor None a gain
+        build = NetworkConfig.soft_handoff if model == "soft" else NetworkConfig.full
+        if isinstance(gain, np.ndarray):
+            cfg = build(6, gain, 100.0)
+            assert cfg.gains == (float(gain),) * (6 if model == "soft" else 1)
+            assert all(type(g) is float for g in cfg.gains)
+        else:
+            with pytest.raises(ConfigError, match="cross gains"):
+                build(6, gain, 100.0)
+
 class TestRandomLibrary:
     def test_deterministic_given_seed(self):
         a = random_library(6, 40, seed=1)

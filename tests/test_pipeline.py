@@ -285,7 +285,8 @@ def _execute_compiled(cfg, scheme, demands, backend, bits_per_part, n_slot, sche
     label -> bits. ``schedule`` is the one ``scheme`` was compiled from, by default the builder's."""
     own = pipeline._sources(scheme, np.array([demands.entries]))
     seeds = [backend.seed] if isinstance(backend, MonteCarlo) else []
-    (values,), failures = pipeline._links(scheme, cfg, own, backend, n_slot, seeds)
+    gains = np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
+    (values,), failures = pipeline._links(scheme, cfg, own, backend, n_slot, seeds, gains)
     targets = [
         (rx, plan.target[1])
         for per in (schedule or _placed(cfg, scheme.library)[1]).periods
@@ -693,6 +694,38 @@ class TestCompiledMatchesDictWalk:
         assert all(full.success[rx] for rx in range(2, 6))
 
 
+@st.composite
+def _round_robin_blocks(draw):
+    """A round robin config at K=5..12, MC at powers where links fail and where they do not or
+    Ideal, a library and a block of demand vectors with one seed per trial for MC."""
+    k, mc = draw(st.integers(5, 12)), draw(st.booleans())
+    power = 10.0 ** draw(st.floats(-0.5, 2.0) if mc else st.floats(1.0, 8.0))
+    cfg = NetworkConfig.soft_handoff(k, draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k)), power)
+    num_files = draw(st.integers(2, 8))
+    lib = random_library(num_files, 5 * 8 * (k - 2), seed=draw(st.integers(0, 99)), allow_small_d=True)
+    rows = draw(st.lists(st.lists(st.integers(1, num_files), min_size=k, max_size=k), min_size=1, max_size=3))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(rows), max_size=len(rows))) if mc else []
+    return cfg, lib, np.array(rows), MonteCarlo(3 * draw(st.integers(1, 12))) if mc else Ideal(), seeds
+
+
+class TestRoundRobinRows:
+    """Round robin delivers each trial as K rows of its base plan; a block gives, trial by
+    trial, what the dict walk of the K rotated deliveries gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_round_robin_blocks())
+    def test_block_matches_the_rotated_dict_walks(self, case):
+        cfg, lib, demands, backend, seeds = case
+        block = round_robin_soft(cfg, lib, demands, backend, seeds)
+        links = failures = 0
+        for t, row in enumerate(demands.tolist()):
+            trial = backend if isinstance(backend, Ideal) else MonteCarlo(backend.n, seeds[t])
+            want = _round_robin_dict(cfg, lib, DemandVector(tuple(row)), trial)
+            assert block.success[t].tolist() == [want.success[rx] for rx in range(1, cfg.k + 1)]
+            links, failures = links + want.links_total, failures + want.link_failures
+        assert (block.links_total, block.link_failures) == (links, failures)
+
+
 class TestInputValidation:
     def test_wrong_variant(self):
         cfg = NetworkConfig.full(6, 0.7, 1e4)
@@ -1070,8 +1103,8 @@ class TestIdealRateCheck:
 
 
 class TestDecodeLayout:
-    """``_compile`` builds each period's MC decode layout once, and round robin's rotations share
-    the layout of their base period."""
+    """``_compile`` builds each period's MC decode layout once, and round robin delivers every
+    rotation through the periods of its base plan."""
 
     @pytest.mark.parametrize(
         "cfg, payload_bits",
@@ -1090,12 +1123,20 @@ class TestDecodeLayout:
 
     @pytest.mark.parametrize("k", [6, 12])
     def test_rotations_share_three_layouts(self, k):
+        # every rotation is delivered through the three periods of the base plan
         lib = random_library(6, 5 * 8 * (k - 2), seed=3)
         plan = pipeline._rotate(Variant.SOFT_HANDOFF, k, lib)
-        assert len(plan.periods) == 3 * k
-        assert all(per.cancel.shape == (k, 2) for per in plan.periods)
-        assert len({id(per.cancel) for per in plan.periods}) == 3
-        assert len({id(per.batches) for per in plan.periods}) == 3
+        coded = MessageLibrary(tuple(part for p in lib for part in mds_encode(list(p.split(k - 2)))))
+        base = pipeline._scheme.__wrapped__(Variant.SOFT_HANDOFF, k, coded)
+        assert len(plan.periods) == 3
+        for per, own in zip(plan.periods, base.periods, strict=True):
+            assert (per.index, per.links) == (own.index, own.links)
+            assert per.cancel.shape == (k, 2) and per.cancel.tolist() == own.cancel.tolist()
+            assert [[a.tolist() for a in batch] for batch in per.batches] == [
+                [a.tolist() for a in batch] for batch in own.batches
+            ]
+        for name in ("tx", "silent", "link_rx", "link_tx", "link_strip", "select", "plane"):
+            assert getattr(plan, name).tolist() == getattr(base, name).tolist()
 
 
 def _budget_plans():
@@ -1114,8 +1155,8 @@ def _budget_plans():
 
 
 class TestBlockBudget:
-    """``block_trials`` keeps a block's largest array, every trial's picks of label bytes
-    (T x ``select.size`` x nb), within ``BLOCK_BYTES``."""
+    """``block_trials`` keeps a block's largest array, every row's picks of label bytes
+    (rows x ``select.size`` x nb), within ``BLOCK_BYTES``; a round robin trial is K rows."""
 
     @pytest.mark.parametrize("budget", [pipeline.BLOCK_BYTES, 1 << 16, 5000])
     def test_largest_array_fits(self, monkeypatch, budget):
@@ -1123,7 +1164,8 @@ class TestBlockBudget:
         blocks = 0
         for cfg, payload_bits, round_robin, extra_bits, plan in _budget_plans():
             trials = pipeline.block_trials(cfg, payload_bits, round_robin, extra_bits)
+            rows = cfg.k if round_robin else 1
             if trials > 1:
                 blocks += 1
-                assert trials * plan.select.size * plan.plane.shape[-1] <= budget
+                assert trials * rows * plan.select.size * plan.plane.shape[-1] <= budget
         assert blocks  # some block of each budget holds more than one trial

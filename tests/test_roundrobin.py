@@ -65,29 +65,40 @@ class TestRoundRobin:
         res = run_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6, 2)))
         assert not res.success[1] and not res.success[k]
 
-    def test_bad_role_count_is_exactly_two(self):
-        # in the placed composite each rotation's periods hear the gains of the nodes
-        # playing its roles (``nodes``), and distinct gains name those nodes
+    def test_bad_role_count_is_exactly_two(self, monkeypatch):
+        # each rotation's periods hear the gains of the nodes playing its roles, and distinct
+        # gains name those nodes; the plan's pieces are the (rotation, role) pairs where a
+        # receiver plays a guaranteed role
+        heard = []
+
+        def recording(inputs, gains, noise_seed=0):
+            heard.append(tuple(gains))
+            return real(inputs, gains, noise_seed)
+
+        real = pipeline.transmit_soft
+        monkeypatch.setattr(pipeline, "transmit_soft", recording)
         for k in (5, 6, 7, 9):
             gains = tuple(1.0 + rx / 16 for rx in range(1, k + 1))
             cfg = NetworkConfig.soft_handoff(k, gains, 1e4)
             lib = random_library(6, 5 * 8 * (k - 2), seed=k, allow_small_d=True)
             plan = pipeline._rotate(cfg.variant, k, lib)
-            rotations = [per for per in plan.periods if per.index == 1]
-            keys = [((pipeline._SEED_SUPER, ell),) for ell in range(1, k + 1)]
-            assert [per.keys for per in rotations] == keys
+            heard.clear()
+            round_robin_soft(cfg, lib, DemandVector((1,) * k), MonteCarlo(n=3 * 16, seed=k))
+            rotations = heard[::3]  # three periods per rotation, rotation 1 first
+            assert len(rotations) == k and heard == [g for g in rotations for _ in range(3)]
             roles = {rx: [] for rx in range(1, k + 1)}
-            for per in rotations:
-                for role, gain in enumerate(np.array(cfg.gains)[per.nodes], start=1):
+            for rotation in rotations:
+                for role, gain in enumerate(rotation, start=1):
                     roles[gains.index(gain) + 1].append(role)
             collected = []
             for rx in range(1, k + 1):
                 assert sorted(roles[rx]) == list(range(1, k + 1))  # each role once
                 bad = sum(r in (1, k) for r in roles[rx])
                 assert bad == 2
-                guaranteed = tuple(ell for ell, r in enumerate(roles[rx], start=1) if r not in (1, k))
-                assert len(guaranteed) == k - 2
-                collected.append(guaranteed)
+                pieces = [(ell, r - 1) for ell, r in enumerate(roles[rx]) if r not in (1, k)]
+                assert plan.pieces[rx - 1].tolist() == [list(piece) for piece in pieces]
+                assert len(pieces) == k - 2
+                collected.append(tuple(ell + 1 for ell, _ in pieces))
             # the K-2 rotations it combines are those where it plays a guaranteed role: its
             # recipe decodes the coded parts of exactly those rotations
             data, coded = _coded(k, 3, seed=k)

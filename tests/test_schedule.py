@@ -23,7 +23,14 @@ from wynercache.schemes import (
     verify_schedule,
 )
 from wynercache.schemes.placement import cached_part_full, cached_parts_soft
-from wynercache.schemes.schedule import NEEDED, PERIODS, guaranteed_receivers
+from wynercache.schemes.schedule import (
+    DIRECT_PART,
+    NEEDED,
+    PERIODS,
+    XOR_NEXT_PART,
+    XOR_OWN_PART,
+    guaranteed_receivers,
+)
 
 
 def _soft_setup(k, d_files=6, demands=None, seed=0):
@@ -373,3 +380,82 @@ class TestTopologyTable:
             for v in verify_schedule(schedule, place(k, lib)) if v.kind in ("knowledge", "interference")
         ]
         assert got == want
+
+
+# --- oracle: each receiver's decode plan stated per receiver class ---------------
+#
+# The schedule builders read every receiver's plan off the transmit actions with one
+# rule. These are the plans stated case by case, as the builders once did.
+
+
+def _soft_plans_by_class(k, demands, p):
+    """Soft period ``p``: the plan of each receiver class (silent, first active, second active)."""
+    d, silent = demands.for_rx, p - 1
+    first = (silent + 1) % 3
+    plans = {}
+    for rx in range(1, k + 1):
+        cls = rx % 3
+        prev = rx - 1 if rx > 1 else k
+        if cls == silent:
+            # hears only the previous transmitter's XOR codeword
+            if prev == k:
+                plans[rx] = None
+            else:
+                plans[rx] = DecodePlan(
+                    source=prev, cancel=(), strip=(d(prev), XOR_OWN_PART[p]), target=(d(rx), XOR_NEXT_PART[p])
+                )
+        elif cls == first:
+            plans[rx] = None if rx == k else DecodePlan(rx, (), None, (d(rx), DIRECT_PART[p]))
+        elif rx == k:
+            plans[rx] = None
+        else:
+            cancel = () if prev == k else ((prev, d(prev), DIRECT_PART[p]),)
+            plans[rx] = DecodePlan(
+                source=rx, cancel=cancel, strip=(d(rx + 1), XOR_NEXT_PART[p]), target=(d(rx), XOR_OWN_PART[p])
+            )
+    return plans
+
+
+def _full_plans_by_receiver(k, demands):
+    """The full model's one period: each receiver cancels both neighbours from its cache."""
+    d = demands.for_rx
+    plans = {}
+    for rx in range(1, k + 1):
+        prev = rx - 1 if rx > 1 else k
+        nxt = rx + 1 if rx < k else 1
+        neighbour_part = cached_part_full(rx)  # neighbours have opposite parity
+        plans[rx] = DecodePlan(
+            source=rx,
+            cancel=((prev, d(prev), neighbour_part), (nxt, d(nxt), neighbour_part)),
+            strip=None,
+            target=(d(rx), 2 if rx % 2 == 1 else 1),
+        )
+    return plans
+
+
+@st.composite
+def _schedules(draw):
+    """A model, K and a demand vector over few files, so that files repeat."""
+    soft = draw(st.booleans())
+    k = draw(st.integers(5, 40)) if soft else 2 * draw(st.integers(2, 20))
+    files = draw(st.integers(1, 4))
+    demands = DemandVector(tuple(draw(st.lists(st.integers(1, files), min_size=k, max_size=k))))
+    return soft, k, demands
+
+
+class TestDecodeRule:
+    """Both builders read each receiver's plan off the transmit actions with one rule, and the
+    plans are those stated case by case per receiver class."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_schedules())
+    def test_builders_match_the_per_class_plans(self, case):
+        soft, k, demands = case
+        if soft:
+            schedule = delivery_schedule_soft(k, demands)
+            want = [_soft_plans_by_class(k, demands, p) for p in (1, 2, 3)]
+        else:
+            schedule = delivery_schedule_full(k, demands)
+            want = [_full_plans_by_receiver(k, demands)]
+        assert [per.rx_plans for per in schedule.periods] == want
+        assert list(schedule.periods[0].rx_plans) == list(range(1, k + 1))

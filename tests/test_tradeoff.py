@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wynercache.model import Variant
 from wynercache.tradeoff import (
@@ -146,3 +147,44 @@ class TestCurveSampling:
     def test_too_few_points(self):
         with pytest.raises(Exception):
             curve(Variant.SOFT_HANDOFF, ACHIEVABLE, 1, 2)
+
+
+# --- oracle: the four curves as hand-written formulas with hard-coded corners -------
+
+
+def _soft_ach(r):
+    if r <= Fraction(2, 3):
+        return Fraction(2, 3) + Fraction(3, 2) * r
+    return 1 + r
+
+
+def _full_ach(r):
+    if r <= 1:
+        return Fraction(2, 3) + Fraction(4, 3) * r
+    return 1 + r
+
+
+_FORMULAS = {
+    (Variant.SOFT_HANDOFF, ACHIEVABLE): (s_soft_ach, _soft_ach, Fraction(2, 3)),
+    (Variant.SOFT_HANDOFF, UPPER_BOUND): (s_soft_ub, lambda r: min(Fraction(2, 3) + 3 * r, 1 + r), Fraction(1, 6)),
+    (Variant.FULL, ACHIEVABLE): (s_full_ach, _full_ach, Fraction(1)),
+    (Variant.FULL, UPPER_BOUND): (s_full_ub, lambda r: min(Fraction(2, 3) + 6 * r, 1 + r), Fraction(1, 15)),
+}
+
+
+class TestSlopeTable:
+    """Every curve computed from its slope gives the hand-written formula's value, type and corners."""
+
+    @given(
+        st.sampled_from(sorted(_FORMULAS, key=str)),
+        st.fractions(min_value=0, max_value=3, max_denominator=1000),
+    )
+    def test_curves_match_the_formulas(self, curve_key, x):
+        variant, kind = curve_key
+        named, formula, corner = _FORMULAS[curve_key]
+        by_kind = achievable if kind == ACHIEVABLE else upper_bound
+        want = formula(x)
+        for got in (named(x), by_kind(variant, x)):
+            assert got == want and type(got) is type(want) is Fraction
+        assert breakpoints(variant, kind) == ((Fraction(0), Fraction(2, 3)), (corner, 1 + corner))
+        assert formula(corner) == named(corner)
