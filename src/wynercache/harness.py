@@ -1,14 +1,14 @@
 """Experiment orchestration: seeded trial batches, SNR sweeps, CSV export.
 
-Per-trial randomness (demand draws, codebooks, noise) is derived from
-(master_seed, trial_index, role) streams, so reports are reproducible and
-independent of evaluation order. ``run_experiment`` delivers the trials in
-blocks: each block's demand vectors go to the runner as one (T, K) array,
-with one MC seed per trial, and the receivers' success counts are summed over
-blocks as Python ints. The block size (``schemes.pipeline.block_trials``)
-bounds memory only; it changes no stream and no reported value. Wall-clock
-time appears in JSON reports only; CSV exports are byte-stable for replay
-comparison.
+Per-trial randomness (demand draws, codebooks, noise) is derived from (master_seed,
+trial_index, role) streams, so reports are reproducible and independent of evaluation order.
+Random trial t demands ``default_rng(SeedSequence((master_seed, t, tag))).integers(1, D + 1, K)``
+and the library is D successive ``rng.bytes`` draws; array steps draw both, with the same values.
+``run_experiment`` delivers the trials in blocks: each block's demand vectors go to the runner
+as one (T, K) array, with one MC seed per trial, and the receivers' success counts are summed
+over blocks as Python ints. The block size (``schemes.pipeline.block_trials``) bounds memory
+only; it changes no stream and no reported value. Wall-clock time appears in JSON reports only;
+CSV exports are byte-stable for replay comparison.
 """
 
 from __future__ import annotations
@@ -162,8 +162,15 @@ def _demands(spec: ExperimentSpec, trials: range) -> np.ndarray:
     k, d = spec.config.k, spec.num_files
     policy = spec.demand_policy
     if policy is DemandPolicy.RANDOM:
-        streams = (np.random.SeedSequence((spec.master_seed, t, _TAG_DEMANDS)) for t in trials)
-        return np.array([np.random.default_rng(s).integers(1, d + 1, k) for s in streams])
+        # Generator.integers' Lemire rule on the uint32 words, each 64-bit output's low half first
+        streams = [np.random.SeedSequence((spec.master_seed, t, _TAG_DEMANDS)) for t in trials]
+        raw = np.array([np.random.PCG64(s).random_raw((k + 1) // 2) for s in streams], dtype="<u8")
+        scaled = raw.view("<u4")[:, :k] * np.uint64(d % 2**32)
+        rows = (scaled >> np.uint64(32)).astype(np.int64) + 1
+        redraw = ((scaled & np.uint64(2**32 - 1)) < 2**32 % d).any(axis=1) | (d >= 2**32)
+        for i in np.flatnonzero(redraw):  # a rejected word, or D >= 2^32: the public draw
+            rows[i] = np.random.default_rng(streams[i]).integers(1, d + 1, k)
+        return rows
     if policy is DemandPolicy.EXHAUSTIVE:
         return np.arange(trials.start, trials.stop)[:, None] // d ** np.arange(k - 1, -1, -1) % d + 1
     rows = {DemandPolicy.DISTINCT: range(1, k + 1), DemandPolicy.ALL_EQUAL: (1,) * k}

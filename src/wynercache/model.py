@@ -125,9 +125,13 @@ def _real_gains(gains, count: int) -> tuple[float, ...]:
     """The cross gains as floats; a real scalar, 0-d arrays included, is shared ``count`` times."""
     if gains is None or isinstance(gains, (str, bytes, bytearray)):
         raise ConfigError(f"cross gains must be real numbers, got {gains!r}")
-    if isinstance(gains, numbers.Real) or isinstance(gains, np.ndarray) and gains.ndim == 0:
+    if _is_real(gains):
         return (float(gains),) * count
     return tuple(float(g) for g in gains)
+
+
+def _is_real(gain) -> bool:
+    return isinstance(gain, numbers.Real) or isinstance(gain, np.ndarray) and gain.ndim == 0
 
 
 def validate_config(cfg: NetworkConfig) -> None:
@@ -140,6 +144,8 @@ def validate_config(cfg: NetworkConfig) -> None:
             f"{cfg.variant.value} variant needs {expected} cross gain(s), got {len(cfg.gains)}"
         )
     for i, g in enumerate(cfg.gains, start=1):
+        if not _is_real(g):
+            raise ConfigError(f"cross gain alpha_{i} must be a real number, got {g!r}")
         if not math.isfinite(g):
             raise ConfigError(f"cross gain alpha_{i} must be finite, got {g}")
         if abs(g) > MAX_CROSS_GAIN:
@@ -177,12 +183,6 @@ class Bitstring:
     @classmethod
     def zeros(cls, length: int) -> "Bitstring":
         return cls(length, 0)
-
-    @classmethod
-    def random(cls, length: int, rng: np.random.Generator) -> "Bitstring":
-        nbytes = (length + 7) // 8
-        raw = int.from_bytes(rng.bytes(nbytes), "big") if nbytes else 0
-        return cls(length, raw & ((1 << length) - 1) if length else 0)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstring":
@@ -282,10 +282,13 @@ def check_library_size(num_files: int, payload_bits: int, allow_small_d: bool) -
 def random_library(
     num_files: int, payload_bits: int, seed: int, *, allow_small_d: bool = False
 ) -> MessageLibrary:
-    """Draw ``num_files`` uniform i.i.d. payloads of ``payload_bits`` bits each."""
+    """Draw ``num_files`` uniform payloads of ``payload_bits`` bits: file i is the big-endian i-th of
+    successive ``rng.bytes(nbytes)``, masked; each takes ceil(nbytes / 4) little-endian uint32s."""
     check_library_size(num_files, payload_bits, allow_small_d)
-    rng = np.random.default_rng(seed)
-    return MessageLibrary(tuple(Bitstring.random(payload_bits, rng) for _ in range(num_files)))
+    nbytes, mask = (payload_bits + 7) // 8, (1 << payload_bits) - 1
+    words = np.random.default_rng(seed).integers(0, 2**32, num_files * -(-nbytes // 4), np.uint32)
+    rows = words.astype("<u4").view(np.uint8).reshape(num_files, -1)[:, :nbytes]
+    return MessageLibrary(tuple(Bitstring(payload_bits, int.from_bytes(r, "big") & mask) for r in rows.tolist()))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from wynercache.schemes import (
     time_share,
     verify_schedule,
 )
-from wynercache.model import Bitstring
+from randbits import random_bits
 from wynercache.tradeoff import s_full_ach, s_full_ub, s_soft_ach, s_soft_ub
 
 EPS = 0.05
@@ -353,7 +353,7 @@ def test_criterion_9_mds_and_round_robin_rate():
     patterns_ok = True
     for k_total in (5, 7, 8):
         rng = np.random.default_rng(900 + k_total)
-        data = [Bitstring.random(40, rng) for _ in range(k_total - 2)]
+        data = [random_bits(40, rng) for _ in range(k_total - 2)]
         coded = mds_encode(data)
         for erased in itertools.combinations(range(1, k_total + 1), 2):
             available = {i: coded[i - 1] for i in range(1, k_total + 1) if i not in erased}

@@ -381,6 +381,56 @@ class TestBlocksMatchPerTrial:
             assert [tuple(row) for row in rows.tolist()] == vectors[start:stop]
 
 
+class TestDemandStreams:
+    """``_demands`` reads each trial's stream in array steps; the vectors are the public
+    ``default_rng(SeedSequence((master_seed, t, tag))).integers(1, D + 1, K)`` draws."""
+
+    @staticmethod
+    def _drawn(spec, trials):
+        """The block's rows and the streams that ``_demands`` redrew through ``default_rng``."""
+        redrawn, real = [], np.random.default_rng
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda s: redrawn.append(s) or real(s))
+            rows = harness._demands(spec, trials)
+        return rows, redrawn
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(3, 80),
+        st.integers(2, 300) | st.sampled_from([3 * 2**30, 2**31 + 11]),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 10**6) | st.just(0),
+        st.integers(1, 12),
+    )
+    def test_rows_are_the_per_trial_streams(self, k, d, seed, start, count):
+        spec = _soft_spec(config=NetworkConfig.soft_handoff(k, 1.0, 1e4), num_files=d, master_seed=seed)
+        trials = range(start, start + count)
+        rows, _ = self._drawn(spec, trials)
+        assert rows.dtype == np.int64 and rows.shape == (count, k)
+        assert [tuple(row) for row in rows.tolist()] == [_demands_for_trial(spec, t).entries for t in trials]
+
+    @pytest.mark.parametrize("d", [3 * 2**30, 2**31 + 11, 2**32, 2**40])
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_rejected_words_are_redrawn(self, k, d):
+        # a word is rejected with chance (2^32 mod D) / 2^32: 1/4 at 3 * 2^30, near 1/2 at
+        # 2^31 + 11, so at K = 3 a block mixes both branches; at D >= 2^32 every trial is redrawn
+        spec = _soft_spec(config=NetworkConfig.soft_handoff(k, 1.0, 1e4), num_files=d, master_seed=2**64 - 5)
+        trials = range(40, 80)
+        rows, redrawn = self._drawn(spec, trials)
+        assert [tuple(row) for row in rows.tolist()] == [_demands_for_trial(spec, t).entries for t in trials]
+        assert [s.entropy[1] for s in redrawn] == sorted({s.entropy[1] for s in redrawn})
+        assert redrawn
+        if d >= 2**32:
+            assert len(redrawn) == len(trials)
+        elif k == 3:
+            assert len(redrawn) < len(trials)
+
+    def test_small_d_draws_no_redraw(self):
+        # at D = 6 a word is rejected with chance 4 / 2^32: no trial here takes the slow branch
+        rows, redrawn = self._drawn(_soft_spec(trials=200), range(200))
+        assert redrawn == [] and rows.shape == (200, 6)
+
+
 class TestSpecValidation:
     def test_exhaustive_limit(self):
         spec = _soft_spec(
@@ -403,6 +453,14 @@ class TestSpecValidation:
     def test_round_robin_soft_only(self):
         spec = _soft_spec(config=NetworkConfig.full(6, 0.7, 1e4), round_robin=True)
         with pytest.raises(SimError):
+            spec.validate()
+
+    @pytest.mark.parametrize("variant, gains", [(Variant.SOFT_HANDOFF, "111111"), (Variant.FULL, (None,))])
+    def test_non_real_gains_of_a_direct_config(self, variant, gains):
+        # a NetworkConfig built without soft_handoff/full skips their gain check; validate_config
+        # checks each gain by the same rule
+        spec = _soft_spec(config=NetworkConfig(variant, 6, gains, 1e4))
+        with pytest.raises(ConfigError, match="alpha_1 must be a real number"):
             spec.validate()
 
     def test_unknown_backend(self):

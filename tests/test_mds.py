@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from randbits import random_bits
 from wynercache.model import Bitstring, LengthMismatch
 from wynercache.schemes import TooFewParts, mds, mds_decode, mds_encode
 
 
 def _random_parts(count, bits, seed):
     rng = np.random.default_rng(seed)
-    return [Bitstring.random(bits, rng) for _ in range(count)]
+    return [random_bits(bits, rng) for _ in range(count)]
 
 
 def _gf_mul(a, b):

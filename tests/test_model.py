@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from randbits import random_bits
 from wynercache.model import (
     BadEpsilon,
     Bitstring,
@@ -105,7 +106,21 @@ class TestValidateConfig:
             with pytest.raises(ConfigError, match="cross gains"):
                 build(6, gain, 100.0)
 
+
 class TestRandomLibrary:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 61), st.integers(1, 300), st.integers(0, 2**64 - 1))
+    @example(3, 5, 0)  # part of one byte, one uint32 word per file: files cross 64-bit outputs
+    @example(5, 40, 1)  # whole bytes, two words per file
+    @example(7, 65, 2)  # three words per file, the last holding one byte
+    @example(9, 95, 3)  # 12 bytes: three full words, the last byte partly masked
+    @example(2, 1000, 4)
+    def test_files_are_successive_byte_draws(self, num_files, bits, seed):
+        # file i is the i-th rng.bytes(ceil(bits / 8)) draw of the library's generator
+        rng = np.random.default_rng(seed)
+        want = tuple(random_bits(bits, rng) for _ in range(num_files))
+        assert random_library(num_files, bits, seed, allow_small_d=True).payloads == want
+
     def test_deterministic_given_seed(self):
         a = random_library(6, 40, seed=1)
         b = random_library(6, 40, seed=1)
@@ -165,7 +180,7 @@ class TestBitstring:
     def test_split_concat_roundtrip(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            s = Bitstring.random(30, rng)
+            s = random_bits(30, rng)
             assert Bitstring.concat_all(s.split(5)) == s
 
     def test_split_order_is_msb_first(self):
@@ -179,7 +194,7 @@ class TestBitstring:
 
     def test_hex_bytes_roundtrip(self):
         rng = np.random.default_rng(1)
-        s = Bitstring.random(24, rng)
+        s = random_bits(24, rng)
         assert Bitstring.from_bytes(s.to_bytes()) == s
 
     def test_value_out_of_range(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from randbits import random_bits
 from test_model import from_bits
 from wynercache.model import Bitstring
 from wynercache.schemes import (
@@ -27,7 +28,7 @@ class TestSplitSoft:
 
     def test_concat_recovers_message(self):
         rng = np.random.default_rng(0)
-        msg = Bitstring.random(40, rng)
+        msg = random_bits(40, rng)
         pm = split_soft(msg)
         assert Bitstring.concat_all(pm[:5]) == msg
 
@@ -40,7 +41,7 @@ class TestReconstructFive:
     def test_drop_any_label(self):
         rng = np.random.default_rng(1)
         for trial in range(10):
-            msg = Bitstring.random(30, rng)
+            msg = random_bits(30, rng)
             pm = split_soft(msg)
             labelled = {i: pm[i - 1] for i in range(1, 7)}
             for dropped in range(1, 7):
@@ -50,7 +51,7 @@ class TestReconstructFive:
     def test_missing_part_equals_xor_of_present(self):
         # a receiver holding parts {1,3,4,5,6} recovers part 2 as their xor
         rng = np.random.default_rng(2)
-        msg = Bitstring.random(30, rng)
+        msg = random_bits(30, rng)
         pm = split_soft(msg)
         present = {i: pm[i - 1] for i in (1, 3, 4, 5, 6)}
         expected_part2 = (

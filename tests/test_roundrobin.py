@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wynercache.schemes.pipeline as pipeline
-from wynercache.model import Bitstring, DemandVector, NetworkConfig, random_library
+from randbits import random_bits
+from wynercache.model import DemandVector, NetworkConfig, random_library
 from wynercache.schemes import (
     ConfigMismatch,
     Ideal,
@@ -33,7 +34,7 @@ def _byte_rows(parts):
 def _coded(k, part_bytes, seed):
     """K - 2 random data parts and their K coded parts."""
     rng = np.random.default_rng(seed)
-    data = [Bitstring.random(8 * part_bytes, rng) for _ in range(k - 2)]
+    data = [random_bits(8 * part_bytes, rng) for _ in range(k - 2)]
     return data, mds_encode(data)
 
 
