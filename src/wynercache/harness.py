@@ -119,6 +119,8 @@ class ExperimentSpec:
             if self.explicit_demands is None:
                 raise SimError("explicit demand policy needs a demand vector")
             DemandVector.checked(self.explicit_demands, cfg.k, self.num_files)
+        elif self.explicit_demands is not None:
+            raise SimError(f"explicit demands need the explicit demand policy, not {self.demand_policy.value!r}")
         if self.demand_policy is DemandPolicy.DISTINCT and self.num_files < self.config.k:
             raise SimError("distinct demands need at least K files")
         if self.demand_policy is DemandPolicy.EXHAUSTIVE:

@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -123,11 +123,13 @@ class NetworkConfig:
 
 def _real_gains(gains, count: int) -> tuple[float, ...]:
     """The cross gains as floats; a real scalar, 0-d arrays included, is shared ``count`` times."""
-    if gains is None or isinstance(gains, (str, bytes, bytearray)):
-        raise ConfigError(f"cross gains must be real numbers, got {gains!r}")
     if _is_real(gains):
         return (float(gains),) * count
-    return tuple(float(g) for g in gains)
+    if isinstance(gains, Iterable) and not isinstance(gains, (str, bytes, bytearray)):
+        gains = tuple(gains)
+        if all(map(_is_real, gains)):
+            return tuple(float(g) for g in gains)
+    raise ConfigError(f"cross gains must be real numbers, got {gains!r}")
 
 
 def _is_real(gain) -> bool:
@@ -138,6 +140,8 @@ def validate_config(cfg: NetworkConfig) -> None:
     """Raise the named ConfigError for the first violated invariant."""
     if cfg.k < 3:
         raise ConfigError(f"K must be at least 3, got {cfg.k}")
+    if not isinstance(cfg.gains, Sequence):
+        raise ConfigError(f"cross gains must be a sequence of real numbers, got {cfg.gains!r}")
     expected = cfg.k if cfg.variant is Variant.SOFT_HANDOFF else 1
     if len(cfg.gains) != expected:
         raise ConfigError(

@@ -16,9 +16,10 @@
   receiver. ``_rotate`` (round robin) keeps the soft plan placed over every
   MDS-coded part as it is and adds each receiver's K - 2 pieces, the
   (rotation, role) pairs in which it plays a guaranteed role, with their MDS
-  decode read off ``mds_decode`` once as a GF(256) ``_Recipe``. A plan depends
-  on the model, K and the library, not on the channel: it is memoised on them
-  and shared by every trial and every SNR point of a sweep.
+  decode as a GF(256) ``Recipe`` that ``decode_recipe`` states in closed form
+  for all receivers at once. A plan depends on the model, K and the library,
+  not on the channel: it is memoised on them and shared by every trial and
+  every SNR point of a sweep.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
   them with any plan at once: it gathers each row's source vectors from the
   plane (``_sources``), decodes the links (``_links``: gathers and XORs, and for
@@ -69,7 +70,8 @@ from ..model import (
     derive_seed,
     validate_config,
 )
-from .mds import MAX_K, gf_dot, mds_decode, mds_encode
+from .mds import MAX_K, Recipe, decode_recipe, mds_encode
+from .mds import mds_decode  # a name perfbench/tracing.py wraps
 from .parts import reconstruct_five, split_full, split_soft  # names perfbench/tracing.py wraps
 from .placement import cache_placement_full, cache_placement_soft
 from .points import check_ideal_rate
@@ -170,41 +172,6 @@ class _Period:
     batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # nn_decode (rows, rx, rx hears own Tx)
 
 
-@dataclass(frozen=True, eq=False)
-class _Recipe:
-    """Each receiver's MDS decode, fixed by the K - 2 coded parts it collects: its data part i is
-    its collected part ``keep[r, i]``, except the two data parts ``fix[r]``, which are GF(256)
-    combinations ``coef[r]`` of all its collected parts. A receiver misses at most two data
-    parts; one that misses fewer also rebuilds collected data parts, whose rows are unit rows."""
-
-    keep: np.ndarray  # (receivers, K - 2): the collected part each data part passes through from
-    fix: np.ndarray  # (receivers, 2): the data parts ``coef`` rebuilds
-    coef: np.ndarray  # (receivers, 2, K - 2), uint8
-
-    def apply(self, parts: np.ndarray) -> np.ndarray:
-        """The (..., receivers, K - 2, bytes) uint8 data parts of the collected coded parts, same shape."""
-        rx = np.arange(len(self.keep))[:, None]
-        data = parts[..., rx, self.keep, :]
-        data[..., rx, self.fix, :] = gf_dot(self.coef, parts[..., None, :, :])
-        return data
-
-
-def _recipe(collected: Sequence[Sequence[int]], k: int) -> _Recipe:
-    """The decode of each receiver's collected coded parts (1-based, ascending), read off
-    ``mds_decode``, which is linear byte by byte: collected part j as the byte row e_j gives
-    data part i with byte j equal to its coefficient on part j."""
-    unit = [Bitstring(8 * (k - 2), 1 << 8 * (k - 3 - j)) for j in range(k - 2)]
-    keep, fix, coef = [], [], []
-    for parts in collected:
-        rows = np.array([np.frombuffer(d.to_bytes(), np.uint8) for d in mds_decode(dict(zip(parts, unit)), k)])
-        held = [i for i in range(k - 2) if i + 1 in parts]
-        rebuilt = ([i for i in range(k - 2) if i + 1 not in parts] + held)[:2]
-        keep.append(rows.argmax(axis=1))  # a held data part's row is the unit row of its position
-        fix.append(rebuilt)
-        coef.append(rows[rebuilt])
-    return _Recipe(np.array(keep, dtype=np.intp), np.array(fix, dtype=np.intp), np.array(coef, dtype=np.uint8))
-
-
 def _byte_rows(values: Sequence[int], nb: int) -> np.ndarray:
     """Each int as ``nb`` big-endian bytes, one uint8 row per int."""
     return np.frombuffer(b"".join(v.to_bytes(nb, "big") for v in values), np.uint8).reshape(len(values), nb)
@@ -244,7 +211,7 @@ class _Plan:
     widths: tuple[int, ...]  # bits of each data part of a payload, the first the most significant
     scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
     pieces: np.ndarray | None = None  # round robin: (K, K - 2, 2) 0-based (rotation, role) of each piece
-    recipe: _Recipe | None = None  # round robin: each receiver's MDS decode of its pieces
+    recipe: Recipe | None = None  # round robin: each receiver's MDS decode of its pieces
 
 
 def _compile(library: MessageLibrary, placement: CachePlacement, schedule: DeliverySchedule) -> _Plan:
@@ -301,8 +268,8 @@ def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
     """Round robin: the soft plan placed once over the MDS-coded library, file (f - 1) * K + l
     coded part l of file f, and delivered K times by ``_deliver``: in rotation l, 0-based node
     n plays 0-based role (n - l) mod K. Receiver rx plays a guaranteed role in K - 2
-    rotations, fixed here as its pieces, and its ``_recipe`` decodes the coded parts of its
-    file that they carry."""
+    rotations, fixed here as its pieces, and its ``decode_recipe`` row decodes the coded parts
+    of its file that they carry."""
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
     # placed uncached: the one-slot ``_scheme`` cache keeps the plans the runners deliver with
     plan = _scheme.__wrapped__(variant, k, MessageLibrary(tuple(part for parts in coded for part in parts)))
@@ -317,7 +284,7 @@ def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
         # the code is systematic: data part i is coded part i, its data labels joined
         want=plan.want.reshape(-1, k, needed * nb)[:, : k - 2], served=plan.served[pieces[..., 1]].all(axis=1),
         scale=lambda rate: rate * (k - 2) / k, widths=(library.payload_bits // (k - 2),) * (k - 2),
-        pieces=pieces, recipe=_recipe((pieces[..., 0] + 1).tolist(), k),
+        pieces=pieces, recipe=decode_recipe(pieces[..., 0] + 1, k),
     )
 
 

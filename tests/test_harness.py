@@ -455,6 +455,15 @@ class TestSpecValidation:
         with pytest.raises(SimError):
             spec.validate()
 
+    @pytest.mark.parametrize("policy", [p for p in DemandPolicy if p is not DemandPolicy.EXPLICIT])
+    def test_explicit_demands_need_the_explicit_policy(self, policy):
+        # demands given under another policy would be ignored, and the run would draw its own
+        spec = _soft_spec(demand_policy=policy, explicit_demands=(1,) * 6)
+        with pytest.raises(SimError, match="explicit demands need the explicit demand policy"):
+            spec.validate()
+        with pytest.raises(SimError, match="explicit demands need the explicit demand policy"):
+            run_experiment(spec)
+
     @pytest.mark.parametrize("variant, gains", [(Variant.SOFT_HANDOFF, "111111"), (Variant.FULL, (None,))])
     def test_non_real_gains_of_a_direct_config(self, variant, gains):
         # a NetworkConfig built without soft_handoff/full skips their gain check; validate_config

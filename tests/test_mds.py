@@ -2,15 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mdsoracle import solve_decode
 from randbits import random_bits
 from wynercache.model import Bitstring, LengthMismatch
 from wynercache.schemes import TooFewParts, mds, mds_decode, mds_encode
+from wynercache.schemes.mds import MAX_K
 
 
 def _random_parts(count, bits, seed):
     rng = np.random.default_rng(seed)
     return [random_bits(bits, rng) for _ in range(count)]
+
+
+def _byte_rows(parts):
+    return np.array([np.frombuffer(p.to_bytes(), np.uint8) for p in parts])
 
 
 def _gf_mul(a, b):
@@ -98,3 +106,50 @@ class TestDecode:
         available[9] = coded[0]
         with pytest.raises(Exception):
             mds_decode(available, 5)
+
+    def test_no_erasure_still_checks_lengths(self):
+        # every data part held: the parts are decoded, so mixed or unaligned lengths are rejected
+        with pytest.raises(LengthMismatch):
+            mds_decode({1: Bitstring.zeros(8), 2: Bitstring.zeros(16), 3: Bitstring.zeros(8)}, 5)
+        with pytest.raises(LengthMismatch):
+            mds_decode({i: Bitstring.zeros(12) for i in range(1, 6)}, 5)
+
+    def test_more_parts_decode_from_the_lowest_labels(self):
+        # data part 1 erased, Q wrong: the K - 2 lowest labels (2..K-1) use P alone
+        data = _random_parts(4, 24, seed=6)
+        coded = mds_encode(data)
+        available = {i + 1: c for i, c in enumerate(coded) if i}
+        available[6] = Bitstring.zeros(24)
+        assert mds_decode(available, 6) == data
+
+
+@st.composite
+def _collections(draw):
+    """K and the coded parts (1-based, ascending) collected: any K - 2 of them, or more."""
+    k = draw(st.integers(3, 40))
+    erased = draw(st.sets(st.integers(1, k), min_size=0, max_size=2))
+    return k, tuple(i for i in range(1, k + 1) if i not in erased)
+
+
+class TestDecodeMatchesTheSolve:
+    """``mds_decode`` and the closed-form recipe decode what the part-by-part solve decodes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_collections(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @example((MAX_K, tuple(range(3, MAX_K + 1))), 6, 0)  # two data parts missing
+    @example((MAX_K, tuple(range(1, MAX_K - 1))), 1, 1)  # both parities missing
+    @example((MAX_K, tuple(i for i in range(1, MAX_K + 1) if i not in (7, MAX_K))), 3, 2)  # Q missing
+    @example((MAX_K, tuple(i for i in range(1, MAX_K + 1) if i not in (7, MAX_K - 1))), 2, 3)  # P missing
+    @example((MAX_K, tuple(range(2, MAX_K + 1))), 4, 4)  # one more than K - 2
+    @example((3, (3,)), 5, 5)  # K = 3: the one data part from Q
+    def test_decodes_match(self, collection, part_bytes, seed):
+        k, labels = collection
+        data = _random_parts(k - 2, 8 * part_bytes, seed)
+        coded = mds_encode(data)
+        rows = _byte_rows(coded)
+        want = solve_decode({i: rows[i - 1] for i in labels}, k)
+        assert want.tolist() == _byte_rows(data).tolist()
+        assert _byte_rows(mds_decode({i: coded[i - 1] for i in labels}, k)).tolist() == want.tolist()
+        lowest = np.array(labels[: k - 2])
+        (got,) = mds.decode_recipe([lowest], k).apply(rows[lowest - 1][None])
+        assert got.tolist() == want.tolist()

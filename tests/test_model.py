@@ -94,9 +94,13 @@ class TestValidateConfig:
 
 
     @pytest.mark.parametrize("model", ["soft", "full"])
-    @pytest.mark.parametrize("gain", [np.array(0.5), np.array(2), "111111", "0.5", b"123456", None])
+    @pytest.mark.parametrize(
+        "gain",
+        [np.array(0.5), np.array(2), "111111", "0.5", b"123456", None, [None] * 6, 1 + 2j, [1 + 2j] * 6, ["1"] * 6],
+    )
     def test_gain_input_is_a_real_scalar_or_rejected(self, model, gain):
-        # a 0-d array is a scalar; a str or bytes is not a sequence of gains, nor None a gain
+        # a 0-d array is a scalar; a str or bytes is not a sequence of gains, nor None, a complex
+        # number or a str a gain, alone or in a sequence
         build = NetworkConfig.soft_handoff if model == "soft" else NetworkConfig.full
         if isinstance(gain, np.ndarray):
             cfg = build(6, gain, 100.0)
@@ -105,6 +109,13 @@ class TestValidateConfig:
         else:
             with pytest.raises(ConfigError, match="cross gains"):
                 build(6, gain, 100.0)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("gains", [None, 1.0, np.ones(6)])
+    def test_direct_gains_must_be_a_sequence(self, variant, gains):
+        # a NetworkConfig built directly skips the constructors' gain rule; len() must not raise
+        with pytest.raises(ConfigError, match="cross gains must be a sequence"):
+            validate_config(NetworkConfig(variant, 6, gains, 1e4))
 
 
 class TestRandomLibrary:
