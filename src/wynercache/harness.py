@@ -4,6 +4,9 @@ Per-trial randomness (demand draws, codebooks, noise) is derived from (master_se
 trial_index, role) streams, so reports are reproducible and independent of evaluation order.
 Random trial t demands ``default_rng(SeedSequence((master_seed, t, tag))).integers(1, D + 1, K)``
 and the library is D successive ``rng.bytes`` draws; array steps draw both, with the same values.
+A block's demand streams are seeded in one pass: ``model.seed_states`` hashes every trial's
+``SeedSequence`` entropy at once, and each trial's ``PCG64`` takes its words through a small
+``ISeedSequence`` (``_state_seed``), so no ``SeedSequence`` is built per trial.
 ``run_experiment`` delivers the trials in blocks: each block's demand vectors go to the runner
 as one (T, K) array, with one MC seed per trial, and the receivers' success counts are summed
 over blocks as Python ints. The block size (``schemes.pipeline.block_trials``) bounds memory
@@ -14,6 +17,8 @@ CSV exports are byte-stable for replay comparison.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +36,9 @@ from .model import (
     Variant,
     check_library_size,
     derive_seed,
+    entropy_words,
     random_library,
+    seed_states,
     to_json,
 )
 from .schemes import (
@@ -63,6 +70,7 @@ EXHAUSTIVE_LIMIT = 10**6
 _TAG_LIBRARY = 0x11B
 _TAG_DEMANDS = 0xDE3
 _TAG_BACKEND = 0xBAC
+_INTEGER_FIELDS = ("num_files", "bits", "n", "trials", "master_seed", "prop1_extra_bits")
 
 
 class DemandPolicy(Enum):
@@ -90,8 +98,17 @@ class ExperimentSpec:
     prop1_extra_bits: int = 0
     allow_small_d: bool = False
 
+    def __post_init__(self) -> None:
+        # a numpy integer runs as the equal Python int; validate rejects every other non-int
+        for name in _INTEGER_FIELDS:
+            if isinstance(value := getattr(self, name), numbers.Integral) and not isinstance(value, bool):
+                object.__setattr__(self, name, int(value))
+
     def validate(self) -> None:
         cfg = self.config
+        for name in _INTEGER_FIELDS:
+            if type(value := getattr(self, name)) is not int:
+                raise SimError(f"{name} must be an integer, got {value!r}")
         if self.round_robin and self.prop1_extra_bits:
             raise SimError("round_robin runs no prop-1 placement; unset prop1_extra_bits")
         if self.bits < 1:
@@ -158,20 +175,46 @@ class ExperimentReport:
         return to_json(self)
 
 
+@functools.cache
+def _state_seed() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` a trial's precomputed ``generate_state(4, np.uint64)``
+    words. Made on first use: subclassing at import would import ``numpy.random`` with wynercache."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"the seed holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+            return self.state
+
+    return StateSeed
+
+
 def _demands(spec: ExperimentSpec, trials: range) -> np.ndarray:
     """The (trials, K) demand vectors of a block of trials; trial t of the exhaustive policy is
     the t-th vector of ``itertools.product``, the last receiver's demand changing fastest."""
     k, d = spec.config.k, spec.num_files
     policy = spec.demand_policy
     if policy is DemandPolicy.RANDOM:
-        # Generator.integers' Lemire rule on the uint32 words, each 64-bit output's low half first
-        streams = [np.random.SeedSequence((spec.master_seed, t, _TAG_DEMANDS)) for t in trials]
-        raw = np.array([np.random.PCG64(s).random_raw((k + 1) // 2) for s in streams], dtype="<u8")
+        # every trial's SeedSequence hashed in one pass (trial t < 2^32 is one word), each PCG64
+        # seeded with its words; Generator.integers' Lemire rule on the uint32 words, each 64-bit
+        # output's low half first
+        low = len(range(trials.start, min(trials.stop, 2**32)))
+        words = np.tile(np.array(entropy_words(spec.master_seed, 0, _TAG_DEMANDS), np.uint32)[:, None], low)
+        words[-2] = np.arange(trials.start, trials.start + low)
+        raw, seed, pcg64 = np.zeros((len(trials), (k + 1) // 2), dtype="<u8"), _state_seed(), np.random.PCG64
+        for i, state in enumerate(seed_states(words, 4)):
+            raw[i] = pcg64(seed(state)).random_raw((k + 1) // 2)
         scaled = raw.view("<u4")[:, :k] * np.uint64(d % 2**32)
         rows = (scaled >> np.uint64(32)).astype(np.int64) + 1
         redraw = ((scaled & np.uint64(2**32 - 1)) < 2**32 % d).any(axis=1) | (d >= 2**32)
+        redraw[low:] = True  # a trial index of two or more words: another layout
         for i in np.flatnonzero(redraw):  # a rejected word, or D >= 2^32: the public draw
-            rows[i] = np.random.default_rng(streams[i]).integers(1, d + 1, k)
+            stream = np.random.SeedSequence((spec.master_seed, trials[i], _TAG_DEMANDS))
+            rows[i] = np.random.default_rng(stream).integers(1, d + 1, k)
         return rows
     if policy is DemandPolicy.EXHAUSTIVE:
         return np.arange(trials.start, trials.stop)[:, None] // d ** np.arange(k - 1, -1, -1) % d + 1

@@ -133,7 +133,8 @@ def _real_gains(gains, count: int) -> tuple[float, ...]:
 
 
 def _is_real(gain) -> bool:
-    return isinstance(gain, numbers.Real) or isinstance(gain, np.ndarray) and gain.ndim == 0
+    # a plain float skips the ABC check, most of validate_config's time at large K
+    return type(gain) is float or isinstance(gain, numbers.Real) or isinstance(gain, np.ndarray) and gain.ndim == 0
 
 
 def validate_config(cfg: NetworkConfig) -> None:
@@ -271,6 +272,57 @@ class MessageLibrary:
 def derive_seed(*entropy: int) -> int:
     """64-bit seed of the stream keyed by ``entropy``; distinct tuples give independent streams."""
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence hash: a pool of 4 uint32 words, and its multipliers
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def entropy_words(*entropy: int) -> list[int]:
+    """The uint32 words ``SeedSequence(entropy)`` hashes: each int's little-endian 32-bit words,
+    0 being one word."""
+    return [v >> s & 0xFFFFFFFF for v in entropy for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^i mod 2^32 for i = 0..count, as a uint32 column: a run of hash constants."""
+    return np.cumprod(np.array([init] + [mult] * count, np.uint32), dtype=np.uint32)[:, None]
+
+
+def seed_states(words: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` of every column of the (W, T)
+    uint32 array ``words``, each column the ``entropy_words`` of its entropy, as (T, n_words)
+    uint64 words. The hash constants do not depend on the data, so they are the same for every
+    column and one pass hashes all T; the steps of one round that update different pool words
+    run as one array step."""
+    words = np.asarray(words, dtype=np.uint32)
+    const, used = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + max(len(words) - _POOL, 0))), 0
+
+    def hashmix(value: np.ndarray, count: int) -> np.ndarray:  # the next ``count`` hashes of value
+        nonlocal used
+        value = (value ^ const[used : used + count]) * const[used + 1 : used + count + 1]
+        used += count
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    pool = np.zeros((_POOL, words.shape[1]), np.uint32)  # entropy of fewer words is padded with 0
+    pool[: len(words)] = words[:_POOL]
+    pool = hashmix(pool, _POOL)
+    for src in range(_POOL):  # every pool word into each of the others
+        dst = np.arange(_POOL) != src
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for word in words[_POOL:]:  # each word past the pool into every pool word
+        pool = mix(pool, hashmix(word, _POOL))
+    const = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    state = (pool[np.arange(2 * n_words) % _POOL] ^ const[:-1]) * const[1:]
+    state ^= state >> 16
+    # as numpy builds them: each column's uint32 words, little-endian pairs read as uint64
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 def check_library_size(num_files: int, payload_bits: int, allow_small_d: bool) -> None:

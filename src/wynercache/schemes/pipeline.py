@@ -438,7 +438,8 @@ def _deliver(
         if len(seeds) != len(demands):
             raise ConfigMismatch(f"{len(seeds)} Monte-Carlo seed(s) for {len(demands)} trial(s)")
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
-    rows, gains = demands, np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
+    # receiver rx's cross gain ``cfg.gain_at(rx)``: the full model's one gain is every receiver's
+    rows, gains = demands, np.broadcast_to(np.array(cfg.gains), (1, cfg.k))
     if plan.pieces is not None:  # trial t's rotation l is row t * K + l - 1 of the base plan
         k, ell = cfg.k, np.arange(1, cfg.k + 1)[:, None]
         node = (np.arange(k) + ell) % k  # (rotation, role): the 0-based node playing the role

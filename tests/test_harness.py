@@ -2,7 +2,12 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,7 +387,9 @@ class TestBlocksMatchPerTrial:
 
 
 class TestDemandStreams:
-    """``_demands`` reads each trial's stream in array steps; the vectors are the public
+    """``_demands`` hashes every trial's ``SeedSequence((master_seed, t, tag))`` in one pass
+    (``seed_states``), seeds each trial's ``PCG64`` with its words through ``_state_seed``, and
+    reads the streams in array steps; the vectors are the public
     ``default_rng(SeedSequence((master_seed, t, tag))).integers(1, D + 1, K)`` draws."""
 
     @staticmethod
@@ -430,6 +437,43 @@ class TestDemandStreams:
         rows, redrawn = self._drawn(_soft_spec(trials=200), range(200))
         assert redrawn == [] and rows.shape == (200, 6)
 
+    def test_a_block_builds_no_seed_sequence(self):
+        spec = _soft_spec(config=NetworkConfig.soft_handoff(9, 1.0, 1e4), trials=200)
+        built, real = [], np.random.SeedSequence
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "SeedSequence", lambda *args, **kw: built.append(args) or real(*args, **kw))
+            rows = harness._demands(spec, range(200))
+        assert built == []
+        assert [tuple(row) for row in rows.tolist()] == [_demands_for_trial(spec, t).entries for t in range(200)]
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**70 + 3])
+    def test_trial_indices_past_one_word(self, seed):
+        # trial 2^32 and later split into two words, another layout: they take the public draw.
+        # At D = 8, 2^32 mod D = 0: Lemire's rule rejects no word, so only the layout redraws
+        spec = _soft_spec(master_seed=seed, num_files=8)
+        for trials in (range(2**32 - 2, 2**32 + 2), range(2**32 + 5, 2**32 + 7)):
+            rows, redrawn = self._drawn(spec, trials)
+            assert [tuple(row) for row in rows.tolist()] == [_demands_for_trial(spec, t).entries for t in trials]
+            assert [s.entropy[1] for s in redrawn] == [t for t in trials if t >= 2**32]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda s: s.generate_state(4), lambda s: s.generate_state(8, np.uint64), np.random.MT19937, np.random.SFC64],
+    )
+    def test_state_seed_gives_only_its_words(self, make):
+        state = np.arange(4, dtype=np.uint64)
+        seed = harness._state_seed()(state)
+        assert seed.generate_state(4, np.uint64) is state
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            make(seed)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the seed class is made on first use: importing wynercache must not import numpy.random
+        code = "import sys, wynercache, wynercache.cli; assert 'numpy.random' not in sys.modules, sorted(sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestSpecValidation:
     def test_exhaustive_limit(self):
@@ -471,6 +515,36 @@ class TestSpecValidation:
         spec = _soft_spec(config=NetworkConfig(variant, 6, gains, 1e4))
         with pytest.raises(ConfigError, match="alpha_1 must be a real number"):
             spec.validate()
+
+    # each integer field, with a valid value and a backend that reads it
+    INTEGER_FIELDS = {
+        "num_files": ({}, 6),
+        "bits": ({}, 8),
+        "n": ({"backend": "mc", "trials": 2}, 288),
+        "trials": ({}, 4),
+        "master_seed": ({}, 7),
+        "prop1_extra_bits": ({}, 8),
+    }
+
+    @pytest.mark.parametrize("bad", [8.0, True, np.bool_(True), "8", None], ids=repr)
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    def test_integer_fields_reject_other_types(self, field, bad):
+        # a float, bool, str or None used to fail mid-run with a bare TypeError, or to run
+        extra, _ = self.INTEGER_FIELDS[field]
+        spec = _soft_spec(**extra, **{field: bad})
+        for call in (spec.validate, lambda: run_experiment(spec)):  # anchored: no "trial t:" prefix
+            with pytest.raises(SimError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+                call()
+
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    def test_numpy_integer_fields_run_as_ints(self, field):
+        extra, value = self.INTEGER_FIELDS[field]
+        reports = []
+        for v in (value, np.int64(value), np.uint64(value)):
+            report = run_experiment(_soft_spec(**extra, **{field: v})).to_json()
+            del report["wall_clock_s"]
+            reports.append(json.dumps(report))
+        assert reports == reports[:1] * 3 and f'"{field}": {value},' in reports[0]
 
     def test_unknown_backend(self):
         spec = _soft_spec(backend="quantum")

@@ -20,7 +20,9 @@ from wynercache.model import (
     SimError,
     Variant,
     ZeroCrossGain,
+    entropy_words,
     random_library,
+    seed_states,
     to_json,
     validate_config,
 )
@@ -164,6 +166,35 @@ class TestRandomLibrary:
         b = MessageLibrary(tuple(Bitstring(p.length, p.value) for p in a))
         assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
         assert a != random_library(6, 40, seed=2)
+
+
+class TestSeedStates:
+    """``seed_states`` is numpy's ``SeedSequence`` hash and ``generate_state``, over columns
+    of entropy that split into the same number of words."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**130), min_size=1, max_size=4),
+        st.integers(1, 16),
+        st.integers(1, 3),
+    )
+    @example([0], 4, 1)  # 0 is one word
+    @example([2**32 - 1], 4, 2)
+    @example([2**32], 4, 2)  # two words
+    @example([2**64], 1, 1)
+    @example([2**96, 2**96], 16, 3)  # 8 words: four mixed in past the pool
+    @example([2**64, 0, 2**32 - 1], 5, 2)
+    def test_matches_seed_sequence(self, entropy, n_words, columns):
+        # column c flips the low bits of the first int: the same word count in every column
+        tuples = [(entropy[0] ^ c, *entropy[1:]) for c in range(columns)]
+        words = np.array([entropy_words(*e) for e in tuples], dtype=np.uint32).T
+        got = seed_states(words, n_words)
+        assert got.dtype == np.uint64 and got.shape == (columns, n_words)
+        for row, e in zip(got, tuples):
+            assert row.tolist() == np.random.SeedSequence(e).generate_state(n_words, np.uint64).tolist()
+            # low word first in each uint64, as generate_state's uint32 output
+            low_first = row.astype("<u8").view("<u4")
+            assert low_first.tolist() == np.random.SeedSequence(e).generate_state(2 * n_words).tolist()
 
 
 class TestBitstring:

@@ -726,6 +726,28 @@ class TestRoundRobinRows:
         assert (block.links_total, block.link_failures) == (links, failures)
 
 
+class TestGainsRow:
+    """A delivery hands ``_links`` every receiver's ``cfg.gain_at(rx)``, read off ``cfg.gains``
+    in one step: the full model's one gain is every receiver's."""
+
+    @pytest.mark.parametrize(
+        "cfg, bits",
+        [
+            (NetworkConfig.soft_handoff(6, [0.5, -0.7, 1.25, 0.9, -1.1, 0.6], 1e4), 40),
+            (NetworkConfig.full(6, 0.7, 1e4), 24),
+            (NetworkConfig(Variant.FULL, 6, (1,), 1e4), 24),  # an int gain: the same int row
+        ],
+    )
+    def test_every_receiver_hears_gain_at(self, cfg, bits):
+        run = run_soft if cfg.variant is Variant.SOFT_HANDOFF else run_full
+        seen, real = [], pipeline._links
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_links", lambda *args: seen.append(args[-1]) or real(*args))
+            run(cfg, random_library(6, bits, 3), np.ones((2, 6), dtype=np.intp), MonteCarlo(288), (1, 2))
+        want = np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
+        assert [(g.dtype, g.tolist()) for g in seen] == [(want.dtype, want.tolist())]
+
+
 class TestInputValidation:
     def test_wrong_variant(self):
         cfg = NetworkConfig.full(6, 0.7, 1e4)
