@@ -229,12 +229,12 @@ def _run_block(spec: ExperimentSpec, library: MessageLibrary, trials: range) -> 
         seeds = tuple(derive_seed(spec.master_seed, t, _TAG_BACKEND) for t in trials)
     demands = _demands(spec, trials)
     try:
-        if spec.config.variant is Variant.FULL:
-            return run_full(spec.config, library, demands, backend, seeds)
         if spec.round_robin:
             return round_robin_soft(spec.config, library, demands, backend, seeds)
         if spec.prop1_extra_bits:
             return run_soft_prop1(spec.config, library, demands, spec.prop1_extra_bits, backend, seeds)
+        if spec.config.variant is Variant.FULL:
+            return run_full(spec.config, library, demands, backend, seeds)
         return run_soft(spec.config, library, demands, backend, seeds)
     except SimError as exc:
         first, last = trials[0], trials[-1]

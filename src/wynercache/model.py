@@ -81,6 +81,11 @@ class NetworkConfig:
     power: float
     epsilon: float = DEFAULT_EPSILON
 
+    def __post_init__(self) -> None:
+        # a numpy integer K runs as the equal Python int; validate_config rejects every other non-int
+        if isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool):
+            object.__setattr__(self, "k", int(self.k))
+
     @classmethod
     def soft_handoff(
         cls,
@@ -110,11 +115,12 @@ class NetworkConfig:
             return self.gains[rx - 1]
         return self.gains[0]
 
-    @property
+    @cached_property
     def alpha_min(self) -> float:
         """min{1, |alpha_1|, ..., |alpha_K|}: the weakest link gain of a soft-handoff decoder,
         which hears its own Tx at gain 1 or a cross gain alone. A full-model decoder cancels
-        both cross terms and hears its own Tx at gain 1 (``check_ideal_rate``)."""
+        both cross terms and hears its own Tx at gain 1 (``check_ideal_rate``). Taken once per
+        config: each run reads it at validation and again per runner call."""
         return min(1.0, min(abs(g) for g in self.gains))
 
     def with_power(self, power: float) -> "NetworkConfig":
@@ -124,21 +130,30 @@ class NetworkConfig:
 def _real_gains(gains, count: int) -> tuple[float, ...]:
     """The cross gains as floats; a real scalar, 0-d arrays included, is shared ``count`` times."""
     if _is_real(gains):
+        if not isinstance(count, numbers.Integral):  # a soft K; validate_config rejects a bool one
+            raise ConfigError(f"K must be an integer, got {count!r}")
         return (float(gains),) * count
-    if isinstance(gains, Iterable) and not isinstance(gains, (str, bytes, bytearray)):
+    # a 0-d array that is no real scalar iterates no gains
+    if isinstance(gains, Iterable) and not isinstance(gains, (str, bytes, bytearray)) and getattr(gains, "ndim", 1):
         gains = tuple(gains)
         if all(map(_is_real, gains)):
             return tuple(float(g) for g in gains)
     raise ConfigError(f"cross gains must be real numbers, got {gains!r}")
 
 
-def _is_real(gain) -> bool:
-    # a plain float skips the ABC check, most of validate_config's time at large K
-    return type(gain) is float or isinstance(gain, numbers.Real) or isinstance(gain, np.ndarray) and gain.ndim == 0
+def _is_real(value) -> bool:
+    # a plain float skips the ABC check, most of validate_config's time at large K; a bool is no number
+    if type(value) is float:
+        return True
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def validate_config(cfg: NetworkConfig) -> None:
     """Raise the named ConfigError for the first violated invariant."""
+    if type(cfg.k) is not int:
+        raise ConfigError(f"K must be an integer, got {cfg.k!r}")
     if cfg.k < 3:
         raise ConfigError(f"K must be at least 3, got {cfg.k}")
     if not isinstance(cfg.gains, Sequence):
@@ -157,6 +172,9 @@ def validate_config(cfg: NetworkConfig) -> None:
             raise ConfigError(f"cross gain alpha_{i} = {g} exceeds 2^40, past which float64 cancellation fails")
         if g == 0:
             raise ZeroCrossGain(f"cross gain alpha_{i} must be nonzero")
+    for name in ("power", "epsilon"):
+        if not _is_real(value := getattr(cfg, name)):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(cfg.power):
         raise ConfigError(f"power must be finite, got {cfg.power}")
     if cfg.power <= 0:

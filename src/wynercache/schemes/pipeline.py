@@ -12,14 +12,14 @@
   bytes, ``want`` (each file's data parts as a delivery must decode them, read
   off the plane), the memory, and each period's MC decode layout. Two
   combinators reshape a compiled base plan into the other schemes.
-  ``_cache_tail`` (prop-1) adds every file's tail as a label cached at every
-  receiver. ``_rotate`` (round robin) keeps the soft plan placed over every
-  MDS-coded part as it is and adds each receiver's K - 2 pieces, the
-  (rotation, role) pairs in which it plays a guaranteed role, with their MDS
-  decode as a GF(256) ``Recipe`` that ``decode_recipe`` states in closed form
-  for all receivers at once. A plan depends on the model, K and the library,
-  not on the channel: it is memoised on them and shared by every trial and
-  every SNR point of a sweep.
+  ``_cache_tail`` (prop-1) adds every file's tail to the plan of either model,
+  as a label cached at every receiver. ``_rotate`` (round robin) keeps the soft
+  plan placed over every MDS-coded part as it is and adds each receiver's K - 2
+  pieces, the (rotation, role) pairs in which it plays a guaranteed role, with
+  their MDS decode as a GF(256) ``Recipe`` that ``decode_recipe`` states in
+  closed form for all receivers at once. A plan depends on the model, K and the
+  library, not on the channel: it is memoised on them and shared by every trial
+  and every SNR point of a sweep.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
   them with any plan at once: it gathers each row's source vectors from the
   plane (``_sources``), decodes the links (``_links``: gathers and XORs, and for
@@ -315,8 +315,8 @@ def check_scheme(cfg: NetworkConfig, payload_bits: int, round_robin: bool = Fals
     soft = cfg.variant is Variant.SOFT_HANDOFF
     if soft and cfg.k < MIN_SOFT_K:
         raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
-    if (round_robin or extra_bits) and not soft:
-        raise ConfigMismatch("round robin and the prop-1 tail apply to the soft-handoff scheme only")
+    if round_robin and not soft:
+        raise ConfigMismatch("round robin applies to the soft-handoff scheme only")
     if extra_bits < 0:
         raise ConfigMismatch(f"negative prop1_extra_bits {extra_bits}")
     base = payload_bits - extra_bits  # the main part of prop-1, or one MDS part of round robin
@@ -515,16 +515,14 @@ def run_soft_prop1(
     backend: Backend = Ideal(),
     seeds: Sequence[int] = (),
 ) -> SimResult | BlockResult:
-    """Soft-handoff run with an extra tail of every file cached at every receiver.
+    """A run of either model with an extra tail of every file cached at every receiver.
 
-    Each payload is (main || extra) with ``extra_bits`` trailing bits. The soft plan
-    of the main pieces gains the tail as one more label per file (``_cache_tail``),
-    lifting the operating point from (R, M) to (R + dR, M + D*dR).
+    Each payload is (main || extra) with ``extra_bits`` trailing bits. The plan of
+    ``cfg``'s model over the main pieces gains the tail as one more label per file
+    (``_cache_tail``), lifting the operating point from (R, M) to (R + dR, M + D*dR).
     """
-    if extra_bits == 0:
-        return run_soft(cfg, library, demands, backend, seeds)
-    plan = _cache_tail(*_checked(cfg, Variant.SOFT_HANDOFF, library, extra_bits=extra_bits), extra_bits)
-    return _run(cfg, plan, demands, backend, seeds)
+    key = _checked(cfg, cfg.variant, library, extra_bits=extra_bits)
+    return _run(cfg, _cache_tail(*key, extra_bits) if extra_bits else _scheme(*key), demands, backend, seeds)
 
 
 def round_robin_soft(

@@ -112,6 +112,13 @@ class TestSimulate:
         )
         assert code == EXIT_OK
 
+    def test_assert_all_success_passes_with_full_prop1(self, capsys):
+        # prop-1 caches a tail on the full plan too: every receiver is served past x = 1
+        flags = ["--model", "full", "--k", "6", "--prop1-delta-bits", "16", "--assert", "all-success"]
+        assert main(["simulate", *flags]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["guaranteed_success"] == 1.0 and doc["memory_bits_per_receiver"] == 6 * (8 + 16)
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
@@ -134,7 +141,7 @@ class TestSimulate:
             ["--model", "soft", "--k", "6", "--prop1-delta-bits", "-3"],
             ["--model", "soft", "--k", "7", "--round-robin", "--bits", "7"],
             ["--model", "full", "--k", "6", "--round-robin"],
-            ["--model", "full", "--k", "6", "--prop1-delta-bits", "8"],
+            ["--model", "full", "--k", "6", "--prop1-delta-bits", "-3"],
             ["--model", "soft", "--k", "6", "--demands", "explicit:1,2,3,4,5,9"],
         ],
     )

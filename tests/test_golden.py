@@ -28,6 +28,7 @@ import pytest
 from wynercache.cli import main
 from wynercache.harness import DemandPolicy, ExperimentSpec, export_csv, run_experiment, sweep_snr
 from wynercache.model import NetworkConfig
+from wynercache.schemes import rate_full
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +54,8 @@ CASES: dict[str, ExperimentSpec] = {
     "rr-mc": _soft(k=5, power=100.0, backend="mc", round_robin=True, trials=2, master_seed=18),
     "prop1-ideal": _soft(prop1_extra_bits=10, trials=6, master_seed=19),
     "prop1-mc": _soft(power=100.0, backend="mc", prop1_extra_bits=10, trials=3, master_seed=20),
+    "prop1-full-ideal": _full(prop1_extra_bits=10, trials=6, master_seed=22),
+    "prop1-full-mc": _full(power=100.0, backend="mc", prop1_extra_bits=10, trials=3, master_seed=23),
     "exhaustive-d2": _soft(
         k=5,
         num_files=2,
@@ -143,6 +146,15 @@ def test_tradeoff_replay(model, tmp_path):
 def test_schedule_replay(name, tmp_path):
     got = _schedule_json(SCHEDULE_CASES[name], tmp_path)
     assert got == (GOLDEN / f"{name}.json").read_bytes(), f"{name}.json changed"
+
+
+def test_prop1_full_ideal_is_the_closed_form():
+    # memory D * (L + delta), and the full rate lifted by the payload over its main part
+    spec, doc = CASES["prop1-full-ideal"], json.loads((GOLDEN / "prop1-full-ideal.json").read_text())
+    bits, delta = spec.bits, spec.prop1_extra_bits
+    assert doc["guaranteed_success"] == 1.0
+    assert doc["memory_bits_per_receiver"] == spec.num_files * (bits + delta)
+    assert doc["rate_per_user"] == pytest.approx(rate_full(spec.config) * (2 * bits + delta) / (2 * bits), rel=1e-12)
 
 
 def test_no_orphan_golden_files():

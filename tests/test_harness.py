@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import wynercache.harness as harness
 import wynercache.schemes.pipeline as pipeline
@@ -48,7 +48,7 @@ from wynercache.schemes import (
 )
 from wynercache.schemes.mds import MAX_K
 from wynercache.schemes.schedule import SOFT_PERIODS
-from wynercache.tradeoff import curve, ACHIEVABLE, upper_bound
+from wynercache.tradeoff import curve, ACHIEVABLE, achievable, upper_bound
 
 
 # --- oracle: the per-trial harness loop ---------------------------------------
@@ -79,12 +79,12 @@ def _run_single(spec, library, demands, trial):
         backend = Ideal()
     else:
         backend = MonteCarlo(spec.n, derive_seed(spec.master_seed, trial, harness._TAG_BACKEND))
-    if spec.config.variant is Variant.FULL:
-        return run_full(spec.config, library, demands, backend)
     if spec.round_robin:
         return round_robin_soft(spec.config, library, demands, backend)
     if spec.prop1_extra_bits:
         return run_soft_prop1(spec.config, library, demands, spec.prop1_extra_bits, backend)
+    if spec.config.variant is Variant.FULL:
+        return run_full(spec.config, library, demands, backend)
     return run_soft(spec.config, library, demands, backend)
 
 
@@ -325,12 +325,13 @@ class TestOncePerRun:
 def _specs(draw):
     """Specs of every scheme, backend and demand policy, at most 64 trials."""
     scheme = draw(st.sampled_from(["soft", "full", "round robin", "prop-1"]))
+    full = scheme == "full" or scheme == "prop-1" and draw(st.booleans())  # prop-1 on either model
     policy = draw(st.sampled_from(DemandPolicy))
     exhaustive = policy is DemandPolicy.EXHAUSTIVE
     mc = draw(st.booleans())
     # MC links fail at P = 0.3 and decode at P = 100
     power = draw(st.sampled_from([0.3, 100.0])) if mc else 1e4
-    if scheme == "full":
+    if full:
         k = 2 * draw(st.integers(2, 3 if exhaustive else 4))
         config = NetworkConfig.full(k, 0.7, power)
     else:
@@ -346,7 +347,7 @@ def _specs(draw):
         backend="mc" if mc else "ideal",
         num_files=num_files,
         bits=8 if scheme == "round robin" else draw(st.integers(1, 12)),
-        n=(1 if scheme == "full" else 3) * draw(st.integers(4, 40)),
+        n=(1 if full else 3) * draw(st.integers(4, 40)),
         trials=draw(st.integers(1, 40)),
         master_seed=draw(st.integers(0, 2**32)),
         demand_policy=policy,
@@ -508,7 +509,9 @@ class TestSpecValidation:
         with pytest.raises(SimError, match="explicit demands need the explicit demand policy"):
             run_experiment(spec)
 
-    @pytest.mark.parametrize("variant, gains", [(Variant.SOFT_HANDOFF, "111111"), (Variant.FULL, (None,))])
+    @pytest.mark.parametrize(
+        "variant, gains", [(Variant.SOFT_HANDOFF, "111111"), (Variant.FULL, (None,)), (Variant.SOFT_HANDOFF, (True,) * 6)]
+    )
     def test_non_real_gains_of_a_direct_config(self, variant, gains):
         # a NetworkConfig built without soft_handoff/full skips their gain check; validate_config
         # checks each gain by the same rule
@@ -545,6 +548,18 @@ class TestSpecValidation:
             del report["wall_clock_s"]
             reports.append(json.dumps(report))
         assert reports == reports[:1] * 3 and f'"{field}": {value},' in reports[0]
+
+    @pytest.mark.parametrize("model", ["soft", "full"])
+    def test_numpy_k_runs_as_an_int(self, model):
+        build = NetworkConfig.soft_handoff if model == "soft" else NetworkConfig.full
+        reports = []
+        for k in (6, np.int64(6), np.uint8(6)):
+            config = build(k, 0.5, 1e4)
+            assert type(config.k) is int
+            report = run_experiment(_soft_spec(config=config)).to_json()
+            del report["wall_clock_s"]
+            reports.append(json.dumps(report))
+        assert reports == reports[:1] * 3 and '"k": 6,' in reports[0]
 
     def test_unknown_backend(self):
         spec = _soft_spec(backend="quantum")
@@ -585,6 +600,20 @@ def _rejected_before_any_trial(spec, error, match=None):
 
 
 class TestLateFailuresRejected:
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (NetworkConfig(Variant.SOFT_HANDOFF, 6.0, (1.0,) * 6, 1e4), "K"),
+            (NetworkConfig(Variant.SOFT_HANDOFF, 6, (1.0,) * 6, True), "power"),
+            (NetworkConfig(Variant.FULL, 6, (0.5,), 1e4, True), "epsilon"),
+            (NetworkConfig(Variant.SOFT_HANDOFF, 6, (True,) * 6, 1e4), "cross gain alpha_1"),
+        ],
+        ids=["float-k", "bool-power", "bool-epsilon", "bool-gain"],
+    )
+    def test_config_field_types(self, config, field):
+        # K = 6.0 used to pass validation and fail mid-run with a bare TypeError; a bool ran as 1
+        _rejected_before_any_trial(_soft_spec(config=config, trials=2), ConfigError, match=f"^{field} ")
+
     def test_mc_codebook_bits_capped(self):
         _rejected_before_any_trial(
             _soft_spec(backend="mc", bits=MAX_CODEBOOK_BITS + 1), TooManyWords
@@ -698,7 +727,7 @@ class TestLateFailuresRejected:
         _rejected_before_any_trial(_soft_spec(master_seed=-1), SimError, match="master_seed")
         _soft_spec(master_seed=0).validate()
 
-    @pytest.mark.parametrize("extra", [{"round_robin": True}, {"prop1_extra_bits": 8}])
+    @pytest.mark.parametrize("extra", [{"round_robin": True}])
     def test_soft_only_schemes_on_full(self, extra):
         spec = _soft_spec(config=NetworkConfig.full(6, 0.7, 1e4), **extra)
         _rejected_before_any_trial(spec, ConfigMismatch, match="soft-handoff scheme only")
@@ -766,6 +795,29 @@ class TestSweep:
     def test_grid_must_increase(self):
         with pytest.raises(SimError):
             sweep_snr(_soft_spec(), [40, 20])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(Variant.SOFT_HANDOFF, k) for k in (5, 6, 9)] + [(Variant.FULL, k) for k in (4, 6, 10)]),
+        st.sampled_from(["K", "K+3", "2K"]),
+        st.sampled_from([1, 3, 8]),
+        st.sampled_from([0, 1, 7, 40, 200]),
+    )
+    @example((Variant.FULL, 10), "2K", 1, 200)  # the largest x, near 1 + delta / L = 201
+    @example((Variant.SOFT_HANDOFF, 5), "K", 8, 1)
+    def test_ideal_prop1_point_meets_the_curves(self, model, files, bits, extra_bits):
+        # past x = 1 the full model reaches 1 + x only through prop-1's extra caching
+        variant, k = model
+        soft = variant is Variant.SOFT_HANDOFF
+        config = NetworkConfig.soft_handoff(k, 1.0, 1e4) if soft else NetworkConfig.full(k, 0.5, 1e4)
+        num_files = {"K": k, "K+3": k + 3, "2K": 2 * k}[files]
+        spec = _soft_spec(
+            config=config, num_files=num_files, bits=bits, prop1_extra_bits=extra_bits, trials=2, allow_small_d=True
+        )
+        (row,) = sweep_snr(spec, [80.0]).rows  # P = 10^8
+        assert row.guaranteed_success == 1.0
+        assert row.empirical_mg <= float(upper_bound(variant, row.x))
+        assert row.empirical_mg == pytest.approx(float(achievable(variant, row.x)), abs=0.02)
 
     @pytest.mark.parametrize(
         "overrides, x_limit",

@@ -87,6 +87,10 @@ class TestValidateConfig:
         cfg = NetworkConfig.soft_handoff(4, [2.0, -0.5, 1.0, 3.0], 100.0)
         assert cfg.alpha_min == 0.5
         assert NetworkConfig.soft_handoff(4, 2.0, 100.0).alpha_min == 1.0
+        # taken once, and no field: equality, hash and JSON are those of a config never read
+        assert vars(cfg)["alpha_min"] == 0.5
+        fresh = NetworkConfig.soft_handoff(4, [2.0, -0.5, 1.0, 3.0], 100.0)
+        assert cfg == fresh and hash(cfg) == hash(fresh) and to_json(cfg) == to_json(fresh)
 
     @pytest.mark.parametrize("gain", [2, 0.5, np.int64(2), np.float32(0.5), np.float64(0.5)])
     def test_any_real_scalar_gain_is_shared(self, gain):
@@ -98,19 +102,39 @@ class TestValidateConfig:
     @pytest.mark.parametrize("model", ["soft", "full"])
     @pytest.mark.parametrize(
         "gain",
-        [np.array(0.5), np.array(2), "111111", "0.5", b"123456", None, [None] * 6, 1 + 2j, [1 + 2j] * 6, ["1"] * 6],
+        [
+            np.array(0.5), np.array(2), "111111", "0.5", b"123456", None, [None] * 6, 1 + 2j, [1 + 2j] * 6, ["1"] * 6,
+            True, np.True_, [True] * 6, np.array(True), np.array(1 + 2j),
+        ],
     )
     def test_gain_input_is_a_real_scalar_or_rejected(self, model, gain):
-        # a 0-d array is a scalar; a str or bytes is not a sequence of gains, nor None, a complex
-        # number or a str a gain, alone or in a sequence
+        # a 0-d real array is a scalar; a str or bytes is not a sequence of gains, nor None, a
+        # complex number, a bool or a str a gain, alone or in a sequence
         build = NetworkConfig.soft_handoff if model == "soft" else NetworkConfig.full
-        if isinstance(gain, np.ndarray):
+        if isinstance(gain, np.ndarray) and gain.dtype.kind in "iuf":
             cfg = build(6, gain, 100.0)
             assert cfg.gains == (float(gain),) * (6 if model == "soft" else 1)
             assert all(type(g) is float for g in cfg.gains)
         else:
             with pytest.raises(ConfigError, match="cross gains"):
                 build(6, gain, 100.0)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize(
+        "attr, value", [("k", 6.0), ("k", True), ("k", "6"), ("power", True), ("power", "1e4"), ("epsilon", True)]
+    )
+    def test_field_types_named(self, variant, attr, value):
+        # a bool is no number; K must be an int, and power and epsilon real
+        gains = (0.5,) * (6 if variant is Variant.SOFT_HANDOFF else 1)
+        cfg = NetworkConfig(**{"variant": variant, "k": 6, "gains": gains, "power": 1e4, attr: value})
+        with pytest.raises(ConfigError, match=f"^{'K' if attr == 'k' else attr} must be"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("k", [6.0, "6"])
+    def test_soft_constructor_names_a_non_int_k(self, k):
+        # sharing a scalar gain K times needs K; a float K used to fail there with a bare TypeError
+        with pytest.raises(ConfigError, match="^K must be an integer"):
+            NetworkConfig.soft_handoff(k, 1.0, 1e4)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("gains", [None, 1.0, np.ones(6)])

@@ -47,8 +47,9 @@ def _trial_roots(tracer):
         {"prop1_extra_bits": 3},
         {"config": NetworkConfig.full(6, 0.5, 1e4)},
         {"config": NetworkConfig.soft_handoff(6, 1.0, 0.3), "backend": "mc", "n": 288},
+        {"config": NetworkConfig.full(6, 0.5, 1e4), "prop1_extra_bits": 3},
     ],
-    ids=["soft", "round-robin", "prop-1", "full", "soft-mc"],
+    ids=["soft", "round-robin", "prop-1", "full", "soft-mc", "prop-1-full"],
 )
 def test_traced_run_reads_links_off_its_trial_roots(overrides):
     # a traced benchmark run divides by the links it reads off the trial roots' results

@@ -632,10 +632,11 @@ def _deliveries(draw):
     """(run, oracle, cfg, library, demands, backend): soft, full, prop-1 or round robin,
     parts up to 70 bits."""
     scheme = draw(st.sampled_from(["soft", "full", "prop-1", "round robin"]))
+    full = scheme == "full" or scheme == "prop-1" and draw(st.booleans())  # prop-1 on either model
     mc = draw(st.booleans())
     # MC at powers where links fail and where they do not; Ideal above its rate check
     power = 10.0 ** draw(st.floats(-0.5, 2.0) if mc else st.floats(1.0, 8.0))
-    if scheme == "full":
+    if full:
         k = 2 * draw(st.integers(2, 5))
         cfg = NetworkConfig.full(k, draw(st.floats(0.1, 2.0)), power)
     else:
@@ -649,7 +650,7 @@ def _deliveries(draw):
         "soft": (5 * bits, run_soft, _base_dict),
         "full": (2 * bits, run_full, _base_dict),
         "prop-1": (
-            5 * bits + extra,
+            (2 if full else 5) * bits + extra,
             lambda *args: run_soft_prop1(*args[:3], extra, args[3]),
             lambda *args: _prop1_dict(*args[:3], extra, args[3]),
         ),
@@ -658,7 +659,7 @@ def _deliveries(draw):
     num_files = draw(st.integers(2, k + 2))
     lib = random_library(num_files, payload_bits, seed=draw(st.integers(0, 99)), allow_small_d=True)
     demands = DemandVector(tuple(draw(st.lists(st.integers(1, num_files), min_size=k, max_size=k))))
-    periods = 1 if scheme == "full" else 3
+    periods = 1 if full else 3
     backend = MonteCarlo(periods * draw(st.integers(1, 40)), draw(st.integers(0, 2**32))) if mc else Ideal()
     return run, oracle, cfg, lib, demands, backend
 
@@ -803,6 +804,7 @@ class TestPlaceOnce:
             dict(config=NetworkConfig.full(6, 0.5, 1e4)),
             dict(config=_soft_cfg(power=100.0), backend="mc"),
             dict(config=_soft_cfg(), prop1_extra_bits=10),
+            dict(config=NetworkConfig.full(6, 0.5, 1e4), prop1_extra_bits=10),
         ],
     )
     def test_one_placement_per_experiment(self, monkeypatch, kwargs):
@@ -841,8 +843,9 @@ class TestPlaceOnce:
             dict(config=NetworkConfig.full(6, 0.5, 1e4)),
             dict(config=_soft_cfg(), prop1_extra_bits=10),
             dict(config=_soft_cfg(k=7), round_robin=True),
+            dict(config=NetworkConfig.full(6, 0.5, 1e4), prop1_extra_bits=10),
         ],
-        ids=["soft", "full", "prop-1", "round-robin"],
+        ids=["soft", "full", "prop-1", "round-robin", "prop-1-full"],
     )
     def test_one_placement_per_sweep(self, monkeypatch, kwargs):
         # the plan depends on the model, K and the library; every SNR point shares it
@@ -897,13 +900,14 @@ class TestPlaceOnce:
 def _channel_pairs(draw):
     """Two specs of one scheme, backend, K and library over two channels (power and gains)."""
     scheme = draw(st.sampled_from(["soft", "full", "prop-1", "round robin"]))
+    full = scheme == "full" or scheme == "prop-1" and draw(st.booleans())  # prop-1 on either model
     mc = draw(st.booleans())
-    k = 2 * draw(st.integers(2, 4)) if scheme == "full" else draw(st.integers(5, 8))
+    k = 2 * draw(st.integers(2, 4)) if full else draw(st.integers(5, 8))
 
     def config():
         # MC at powers where links fail and where they do not; Ideal above its rate check
         power = 10.0 ** draw(st.floats(-0.5, 2.0) if mc else st.floats(1.0, 8.0))
-        if scheme == "full":
+        if full:
             return NetworkConfig.full(k, draw(st.floats(0.1, 2.0)), power)
         return NetworkConfig.soft_handoff(k, draw(st.lists(st.floats(0.3, 3.0), min_size=k, max_size=k)), power)
 
@@ -1174,6 +1178,8 @@ def _budget_plans():
     for k in (6, 10):
         lib = random_library(6, 2 * 24, seed=k)
         yield NetworkConfig.full(k, 0.5, 1e4), 2 * 24, False, 0, pipeline._scheme(Variant.FULL, k, lib)
+        lib = random_library(6, 2 * 24 + 40, seed=k)
+        yield NetworkConfig.full(k, 0.5, 1e4), 2 * 24 + 40, False, 40, pipeline._cache_tail(Variant.FULL, k, lib, 40)
 
 
 class TestBlockBudget:
