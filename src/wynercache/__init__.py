@@ -37,7 +37,7 @@ from .schemes import (
     time_share,
     verify_schedule,
 )
-from .tradeoff import empirical_mg, s_full_ach, s_full_ub, s_soft_ach, s_soft_ub
+from .tradeoff import empirical_mg
 
 __version__ = "0.1.0"
 
@@ -68,10 +68,6 @@ __all__ = [
     "run_full",
     "run_soft",
     "run_soft_prop1",
-    "s_full_ach",
-    "s_full_ub",
-    "s_soft_ach",
-    "s_soft_ub",
     "time_share",
     "validate_config",
     "verify_schedule",

@@ -92,8 +92,13 @@ def _coords(cb: Codebooks, count: int) -> np.ndarray:
     g = cb.rng.standard_normal((count, 1 << cb.bits, min(cb.n_uses, 2)))
     if cb.n_uses == 1:
         return np.copysign(cb.radius, g)
-    scale = 2.0 * cb.rng.standard_gamma((cb.n_uses - 2) / 2, size=g.shape[:2])
-    scale += np.einsum("...i,...i->...", g, g)
+    # chi^2 = 2 gamma((n - 2) / 2), plus g0^2 + g1^2: two floats per word besides g
+    norm2 = g[..., 0] * g[..., 0]
+    scale = g[..., 1] * g[..., 1]
+    norm2 += scale
+    cb.rng.standard_gamma((cb.n_uses - 2) / 2, out=scale)
+    scale *= 2.0
+    scale += norm2
     np.divide(cb.radius, np.sqrt(scale, out=scale), out=scale)
     g *= scale[..., None]
     return g
@@ -126,7 +131,10 @@ def nn_decode(
         part = slice(at, at + chunk)
         coords = _coords(cb, len(rows[part]))[..., : r.shape[1]]
         for col in range(g.shape[1]):
-            dist = (coords @ r[part, :, col, None])[..., 0]
+            if r.shape[1] == 1:  # one frame axis: a product, not a (2^L x 1) @ (1 x 1) matmul
+                dist = coords[..., 0] * r[part, 0, col, None]
+            else:
+                dist = (coords @ r[part, :, col, None])[..., 0]
             dist *= 2.0 * g[part, col, None]
             np.subtract(base[part, col, None], dist, out=dist)
             dist[np.arange(len(dist)), cb.sent[rows[part]]] = sent_dist[part, col]

@@ -40,6 +40,7 @@ from .model import (
     random_library,
     seed_states,
     to_json,
+    validate_config,
 )
 from .schemes import (
     BlockResult,
@@ -115,6 +116,7 @@ class ExperimentSpec:
             raise SimError("bits per submessage must be at least 1")
         if self.master_seed < 0:
             raise SimError(f"master_seed must be non-negative, got {self.master_seed}")
+        validate_config(cfg)  # before payload_bits, which reads the variant's part count
         check_scheme(cfg, self.payload_bits(), self.round_robin, self.prop1_extra_bits)
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")

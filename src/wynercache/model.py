@@ -1,5 +1,9 @@
 """Core domain types: network configuration, message library, demands, caches, bitstrings.
 
+A message library is its files' byte rows, one uint8 array from ``random_library``'s draw
+to the part planes of the schemes; ``Bitstring`` payloads are built only where the API
+hands them out.
+
 Conventions used throughout the package:
 
 * transmitters and receivers are numbered 1..K around the circle,
@@ -152,6 +156,8 @@ def _is_real(value) -> bool:
 
 def validate_config(cfg: NetworkConfig) -> None:
     """Raise the named ConfigError for the first violated invariant."""
+    if not isinstance(cfg.variant, Variant):
+        raise ConfigError(f"variant must be a Variant, got {cfg.variant!r}")
     if type(cfg.k) is not int:
         raise ConfigError(f"K must be an integer, got {cfg.k!r}")
     if cfg.k < 3:
@@ -248,26 +254,39 @@ class Bitstring:
         )
 
 
-@dataclass(frozen=True)
 class MessageLibrary:
-    """The D file payloads, all of identical bit length."""
+    """The D file payloads of ``payload_bits`` bits each, as the read-only (D, ceil(L / 8)) uint8
+    array ``rows``: file f is row f - 1, big-endian and right-aligned, its pad bits zero.
 
-    payloads: tuple[Bitstring, ...]
+    ``MessageLibrary(payloads)`` builds one from ``Bitstring``s; ``random_library`` and the
+    schemes work on the rows alone, and ``payloads`` are built on first use. Equality and the
+    hash are those of (``payload_bits``, the rows' bytes), so a library drawn again from one
+    seed looks its plan up as the first did.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.payloads) < 2:
+    def __init__(self, payloads: Iterable[Bitstring]) -> None:
+        payloads = tuple(payloads)
+        if len(payloads) < 2:
             raise SimError("library needs at least 2 files")
-        lengths = {p.length for p in self.payloads}
-        if len(lengths) != 1:
+        if len(lengths := {p.length for p in payloads}) != 1:
             raise SimError(f"library payloads have mixed lengths {sorted(lengths)}")
+        bits, nb = payloads[0].length, -(-payloads[0].length // 8)
+        rows = np.frombuffer(b"".join(p.value.to_bytes(nb, "big") for p in payloads), np.uint8)
+        self.rows, self.payload_bits, self.payloads = rows.reshape(len(payloads), nb), bits, payloads
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, payload_bits: int) -> "MessageLibrary":
+        library = cls.__new__(cls)
+        library.rows, library.payload_bits = rows, payload_bits
+        return library
+
+    @cached_property
+    def payloads(self) -> tuple[Bitstring, ...]:
+        return tuple(Bitstring(self.payload_bits, int.from_bytes(r.tobytes(), "big")) for r in self.rows)
 
     @property
     def num_files(self) -> int:
-        return len(self.payloads)
-
-    @property
-    def payload_bits(self) -> int:
-        return self.payloads[0].length
+        return len(self.rows)
 
     def payload(self, file_index: int) -> Bitstring:
         """Payload of file ``file_index`` (1-based)."""
@@ -279,12 +298,15 @@ class MessageLibrary:
         return iter(self.payloads)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash(self.payloads)
+    def _key(self) -> tuple[int, bytes]:
+        # taken once: the runners look their plan up by library on every delivery
+        return self.payload_bits, self.rows.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MessageLibrary) and self._key == other._key
 
     def __hash__(self) -> int:
-        # hashed once: the runners look their placement up by library on every delivery
-        return self._hash
+        return hash(self._key)  # a bytes object caches its hash
 
 
 def derive_seed(*entropy: int) -> int:
@@ -357,12 +379,18 @@ def random_library(
     num_files: int, payload_bits: int, seed: int, *, allow_small_d: bool = False
 ) -> MessageLibrary:
     """Draw ``num_files`` uniform payloads of ``payload_bits`` bits: file i is the big-endian i-th of
-    successive ``rng.bytes(nbytes)``, masked; each takes ceil(nbytes / 4) little-endian uint32s."""
+    successive ``rng.bytes(nbytes)`` of ``rng = default_rng(seed)``, masked; each takes
+    ceil(nbytes / 4) little-endian uint32s. One draw of the generator's raw words gives every
+    row of the library; no per-file object is built."""
     check_library_size(num_files, payload_bits, allow_small_d)
-    nbytes, mask = (payload_bits + 7) // 8, (1 << payload_bits) - 1
-    words = np.random.default_rng(seed).integers(0, 2**32, num_files * -(-nbytes // 4), np.uint32)
-    rows = words.astype("<u4").view(np.uint8).reshape(num_files, -1)[:, :nbytes]
-    return MessageLibrary(tuple(Bitstring(payload_bits, int.from_bytes(r, "big") & mask) for r in rows.tolist()))
+    nbytes, words = (payload_bits + 7) // 8, num_files * -(-payload_bits // 32)
+    # default_rng(seed).integers(0, 2**32, words, np.uint32), as PCG64 makes it: the 64-bit
+    # outputs' little-endian bytes, each output's low half first
+    raw = np.random.PCG64(seed).random_raw(-(-words // 2)).astype("<u8").view(np.uint8)
+    rows = raw[: 4 * words].reshape(num_files, -1)[:, :nbytes].copy()
+    rows[:, 0] &= 0xFF >> (8 * nbytes - payload_bits)
+    rows.flags.writeable = False
+    return MessageLibrary._of_rows(rows, payload_bits)
 
 
 @dataclass(frozen=True)

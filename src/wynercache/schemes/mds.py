@@ -11,7 +11,9 @@ pattern alone, so it is stated once, in closed form, as a ``Recipe``: each
 data part is one collected part or a GF(256) combination of them (``gf_dot``).
 ``decode_recipe`` builds the recipes of many patterns in one array step; round
 robin fixes its receivers' at placement and applies them to every delivery,
-and ``mds_decode`` applies one to ``Bitstring`` parts.
+and ``mds_decode`` applies one to ``Bitstring`` parts. The encode is one array
+step too: ``mds_rows`` codes the byte rows of every file at once, and
+``mds_encode`` codes ``Bitstring`` parts through it.
 """
 
 from __future__ import annotations
@@ -78,10 +80,15 @@ def mds_encode(data_parts: Sequence[Bitstring]) -> list[Bitstring]:
     k_total = len(data_parts) + 2
     if k_total > MAX_K:
         raise SimError(f"K={k_total} exceeds the GF(256) limit of {MAX_K}")
-    rows = _as_byte_rows(data_parts)
-    p_parity = np.bitwise_xor.reduce(rows, axis=0)
-    q_parity = gf_dot(_gen_pow(np.arange(len(rows))), rows)
+    *_, p_parity, q_parity = mds_rows(_as_byte_rows(data_parts))
     return [*data_parts, Bitstring.from_bytes(p_parity.tobytes()), Bitstring.from_bytes(q_parity.tobytes())]
+
+
+def mds_rows(data: np.ndarray) -> np.ndarray:
+    """The K coded parts of (..., K - 2, bytes) uint8 data parts: the data, then P and Q."""
+    p_parity = np.bitwise_xor.reduce(data, axis=-2)
+    q_parity = gf_dot(_gen_pow(np.arange(data.shape[-2])), data)
+    return np.concatenate((data, p_parity[..., None, :], q_parity[..., None, :]), axis=-2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,25 +1,24 @@
 """End-to-end scheme execution in the paper's two phases.
 
-* Placement, once per (model, K, library): ``check_scheme`` holds every rule a
-  run must pass before any demand is known; each runner calls it on the config
-  it is handed, and ``ExperimentSpec.validate`` calls it too. ``_scheme`` builds
-  the demand-free ``CachePlacement``, which splits every file once, and the
-  delivery schedule for the demands (1, ..., K), in which file j stands for
-  "the file receiver j demands"; ``verify_schedule`` checks it against the
-  cached labels once, and a broken schedule raises ``InvalidSchedule``.
-  ``_compile`` is the one place that turns these objects into a ``_Plan`` of
-  arrays: index arrays over the sources, the plane of every part value as uint8
-  bytes, ``want`` (each file's data parts as a delivery must decode them, read
-  off the plane), the memory, and each period's MC decode layout. Two
-  combinators reshape a compiled base plan into the other schemes.
-  ``_cache_tail`` (prop-1) adds every file's tail to the plan of either model,
-  as a label cached at every receiver. ``_rotate`` (round robin) keeps the soft
-  plan placed over every MDS-coded part as it is and adds each receiver's K - 2
-  pieces, the (rotation, role) pairs in which it plays a guaranteed role, with
-  their MDS decode as a GF(256) ``Recipe`` that ``decode_recipe`` states in
-  closed form for all receivers at once. A plan depends on the model, K and the
-  library, not on the channel: it is memoised on them and shared by every trial
-  and every SNR point of a sweep.
+* Placement, in two halves, after ``validate_config`` and ``check_scheme``, which hold every
+  rule a run must pass before any demand is known; each runner checks the config it is
+  handed with both, and ``ExperimentSpec.validate`` does too. The library-free half is the
+  skeleton, built once per (model, K) in a process (``_skeleton``): the labels that each
+  receiver caches and the delivery schedule for the demands (1, ..., K), in which file j
+  stands for "the file receiver j demands". ``verify_labels`` checks the schedule against
+  the labels once, and a broken schedule raises ``InvalidSchedule``. ``_compile`` turns them
+  into index arrays over the sources, each receiver's picks of its data parts and each
+  period's MC decode layout. The per-library half (``_place``) is the plane of every part
+  value as uint8 bytes, cut from the library's byte rows in array steps (unpack the bits,
+  split them, pad each part to whole bytes, pack), with ``want`` (each file's data parts as
+  a delivery must decode them) and the memory. Prop-1 (``_cache_tail``) cuts every file's
+  tail as one more label, cached at every receiver, on the skeleton of either model. Round
+  robin (``_rotated``) keeps the soft skeleton as it is and adds each receiver's K - 2
+  pieces, the (rotation, role) pairs in which it plays a guaranteed role, with their MDS
+  decode as a GF(256) ``Recipe`` that ``decode_recipe`` states in closed form for all
+  receivers at once; its plane is that of the MDS-coded library (``mds_rows``). A plan
+  depends on the model, K and the library, not on the channel: it is memoised on them and
+  shared by every trial and every SNR point of a sweep.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
   them with any plan at once: it gathers each row's source vectors from the
   plane (``_sources``), decodes the links (``_links``: gathers and XORs, and for
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -60,7 +59,6 @@ from ..channel import cancel_known, check_power, transmit_full, transmit_soft
 from ..codec import draw_codebook, nn_decode
 from ..model import (
     Bitstring,
-    CachePlacement,
     ConfigMismatch,
     DemandVector,
     MessageLibrary,
@@ -70,12 +68,14 @@ from ..model import (
     derive_seed,
     validate_config,
 )
-from .mds import MAX_K, Recipe, decode_recipe, mds_encode
-from .mds import mds_decode  # a name perfbench/tracing.py wraps
+from .mds import MAX_K, Recipe, decode_recipe, mds_rows
+from .mds import mds_decode, mds_encode  # names perfbench/tracing.py wraps
 from .parts import reconstruct_five, split_full, split_soft  # names perfbench/tracing.py wraps
-from .placement import cache_placement_full, cache_placement_soft
+from .placement import cache_placement_full, cache_placement_soft  # names perfbench/tracing.py wraps
+from .placement import cached_part_full, cached_parts_soft
 from .points import check_ideal_rate
 from .schedule import (
+    LABELS,
     MIN_SOFT_K,
     NEEDED,
     DeliverySchedule,
@@ -86,7 +86,7 @@ from .schedule import (
     delivery_schedule_full,
     delivery_schedule_soft,
     guaranteed_receivers,
-    verify_schedule,
+    verify_labels,
 )
 
 _SEED_CODEBOOK = 0xC0DE
@@ -172,34 +172,21 @@ class _Period:
     batches: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # nn_decode (rows, rx, rx hears own Tx)
 
 
-def _byte_rows(values: Sequence[int], nb: int) -> np.ndarray:
-    """Each int as ``nb`` big-endian bytes, one uint8 row per int."""
-    return np.frombuffer(b"".join(v.to_bytes(nb, "big") for v in values), np.uint8).reshape(len(values), nb)
-
-
 @dataclass(frozen=True, eq=False)
-class _Plan:
-    """A placed scheme as index arrays into each delivery's source vectors; ``_deliver`` walks it.
-
-    It depends on the model, K and the library; each delivery brings the channel. ``plane``
-    holds label p of file f at [p - 1, f - 1] as nb big-endian bytes, right-aligned, nb
-    fitting the widest label, so any L takes one path. A row's source vector is a 0, then
-    each label's column of the receivers' demands, then every link's decoded part in
-    reverse: receiver j's label p is at (p - 1) * K + j, link i at ~i, and an absent XOR
-    side or strip names the 0, so a new label appends without moving a position. The data
-    parts that ``select[rx - 1]`` XORs are receiver rx's payload cut into ``widths``. In
-    round robin they are one coded part, its data labels joined byte by byte, and receiver
-    rx's K - 2 ``pieces`` are the coded parts its ``recipe`` decodes into its payload.
+class _Skeleton:
+    """A placed scheme without its files: index arrays into each delivery's source vectors, which
+    depend on the model and K alone. A row's source vector is a 0, then each label's column of the
+    receivers' demands, then every link's decoded part in reverse: receiver j's label p is at
+    (p - 1) * K + j, link i at ~i, and an absent XOR side or strip names the 0, so a new label
+    appends without moving a position. Receiver rx's data parts are the XORs of the sources that
+    ``select[rx - 1]`` picks; in round robin, its K - 2 ``pieces`` are the coded parts that its
+    ``recipe`` decodes into its payload.
     """
 
-    library: MessageLibrary  # the files each receiver's payload is checked against
     guaranteed: tuple[int, ...]
-    base_bits: int  # payload of one base delivery; MC rate base_bits / (base_periods * n_slot)
+    labels: int  # part labels of a file: its data parts, then the soft parity
+    cached: int  # labels that each receiver caches of every file
     base_periods: int  # periods of one base delivery, each n // base_periods channel uses
-    part_bits: int  # bits per scheduled part, the MC codebook size
-    plane: np.ndarray  # (labels, files, nb) uint8: every part value
-    want: np.ndarray  # (files, data parts, bytes) uint8: each file's data parts as ``_deliver`` decodes them
-    memory_bits: int  # cache bits per receiver
     tx: np.ndarray  # (2, periods * K): source positions of both sides of each Tx action
     silent: np.ndarray  # (periods * K,)
     link_rx: np.ndarray  # (links,): 0-based receiver role in its period
@@ -208,19 +195,35 @@ class _Plan:
     periods: tuple[_Period, ...]
     select: np.ndarray  # (K, data parts, picks)
     served: np.ndarray  # (K,): the receiver holds every label its data parts (or pieces) need
-    widths: tuple[int, ...]  # bits of each data part of a payload, the first the most significant
-    scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
     pieces: np.ndarray | None = None  # round robin: (K, K - 2, 2) 0-based (rotation, role) of each piece
     recipe: Recipe | None = None  # round robin: each receiver's MDS decode of its pieces
 
 
-def _compile(library: MessageLibrary, placement: CachePlacement, schedule: DeliverySchedule) -> _Plan:
-    """A placed schedule as arrays, which depend on the placement alone: file j in ``schedule``
-    is the file receiver j demands, and a receiver XORs ``NEEDED`` labels into it."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class _Plan(_Skeleton):
+    """A skeleton placed over a library; ``_deliver`` walks it. ``plane`` holds label p of file f
+    at [p - 1, f - 1] as nb big-endian bytes, right-aligned, nb fitting the widest label, so any
+    L takes one path. The data parts that ``select[rx - 1]`` XORs are receiver rx's payload cut
+    into ``widths``; in round robin they are one coded part, its data labels joined byte by byte.
+    """
+
+    library: MessageLibrary  # the files each receiver's payload is checked against
+    base_bits: int  # payload of one base delivery; MC rate base_bits / (base_periods * n_slot)
+    part_bits: int  # bits per scheduled part, the MC codebook size
+    plane: np.ndarray  # (labels, files, nb) uint8: every part value
+    want: np.ndarray  # (files, data parts, bytes) uint8: each file's data parts as ``_deliver`` decodes them
+    memory_bits: int  # cache bits per receiver
+    widths: tuple[int, ...]  # bits of each data part of a payload, the first the most significant
+    scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
+
+
+def _compile(labels: Mapping[int, tuple[int, ...]], schedule: DeliverySchedule) -> _Skeleton:
+    """A schedule over the cache ``labels`` as index arrays: file j in ``schedule`` is the file
+    receiver j demands, and a receiver XORs ``NEEDED`` labels into it."""
     k, needed = schedule.k, NEEDED[schedule.variant]
     at = lambda ref, part: (part - 1) * k + ref  # source position of a part
     # each receiver's part labels -> source position; cached parts first, links override
-    held = {rx: {p: at(rx, p) for p in placement.labels.get(rx, ())} for rx in range(1, k + 1)}
+    held = {rx: {p: at(rx, p) for p in labels.get(rx, ())} for rx in range(1, k + 1)}
     sides, silent, links, periods = [], [], [], []
     for per in schedule.periods:
         tx0 = len(silent)
@@ -252,66 +255,109 @@ def _compile(library: MessageLibrary, placement: CachePlacement, schedule: Deliv
         for s in range(1, needed + 1) if served[rx - 1] else ():
             picks = [chosen[s]] if s in chosen else list(chosen.values())
             select[rx - 1, s - 1, : len(picks)] = picks
-    files = [placement.parts[f] for f in sorted(placement.parts)]
-    bits, nb = files[0][0].length, -(-max(p.length for p in files[0]) // 8)
-    plane = _byte_rows([p.value for label in zip(*files) for p in label], nb).reshape(-1, len(files), nb)
-    return _Plan(
-        library, guaranteed_receivers(schedule.variant, k), library.payload_bits, len(periods), bits,
-        plane, plane[:needed].swapaxes(0, 1), placement.bits_per_receiver,
+    return _Skeleton(
+        guaranteed_receivers(schedule.variant, k), LABELS[schedule.variant], len(labels[1]), len(periods),
         np.array(sides, dtype=np.intp).T, np.array(silent),
-        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served, (bits,) * needed,
+        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served,
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
-    """Round robin: the soft plan placed once over the MDS-coded library, file (f - 1) * K + l
-    coded part l of file f, and delivered K times by ``_deliver``: in rotation l, 0-based node
-    n plays 0-based role (n - l) mod K. Receiver rx plays a guaranteed role in K - 2
-    rotations, fixed here as its pieces, and its ``decode_recipe`` row decodes the coded parts
-    of its file that they carry."""
-    coded = [mds_encode(list(p.split(k - 2))) for p in library]
-    # placed uncached: the one-slot ``_scheme`` cache keeps the plans the runners deliver with
-    plan = _scheme.__wrapped__(variant, k, MessageLibrary(tuple(part for parts in coded for part in parts)))
+@functools.cache
+def _skeleton(variant: Variant, k: int) -> _Skeleton:
+    """Placement phase without the files, built once per (model, K) in a process: the cache
+    labels and the schedule for the demands (1, ..., K), checked against each other once, as
+    index arrays. The caller has checked the run with ``check_scheme``."""
+    soft = variant is Variant.SOFT_HANDOFF
+    labels = {rx: cached_parts_soft(rx) if soft else (cached_part_full(rx),) for rx in range(1, k + 1)}
+    # every builder is looked up by name per call, so tracers see it
+    schedule = (delivery_schedule_soft if soft else delivery_schedule_full)(k, DemandVector(tuple(range(1, k + 1))))
+    violations = verify_labels(schedule, labels, LABELS[variant])
+    if violations:
+        first = violations[0]
+        raise InvalidSchedule(f"{len(violations)} violation(s), first {first.kind}: {first.detail}")
+    return _compile(labels, schedule)
+
+
+@functools.cache
+def _rotated(variant: Variant, k: int) -> _Skeleton:
+    """Round robin's skeleton: the soft one, delivered K times. In rotation l, 0-based node n plays
+    0-based role (n - l) mod K. Receiver rx plays a guaranteed role in K - 2 rotations, fixed here
+    as its pieces, and its ``decode_recipe`` row decodes the coded parts of its file they carry."""
+    base = _skeleton(variant, k)
     role = lambda rx, ell: (rx - ell - 1) % k  # 0-based, played by node rx in rotation ell
     pieces = np.array([
-        [(ell - 1, role(rx, ell)) for ell in range(1, k + 1) if role(rx, ell) + 1 in plan.guaranteed]
+        [(ell - 1, role(rx, ell)) for ell in range(1, k + 1) if role(rx, ell) + 1 in base.guaranteed]
         for rx in range(1, k + 1)
     ])
-    _, needed, nb = plan.want.shape
     return replace(
-        plan, library=library, guaranteed=tuple(range(1, k + 1)),
-        # the code is systematic: data part i is coded part i, its data labels joined
-        want=plan.want.reshape(-1, k, needed * nb)[:, : k - 2], served=plan.served[pieces[..., 1]].all(axis=1),
-        scale=lambda rate: rate * (k - 2) / k, widths=(library.payload_bits // (k - 2),) * (k - 2),
+        base, guaranteed=tuple(range(1, k + 1)), served=base.served[pieces[..., 1]].all(axis=1),
         pieces=pieces, recipe=decode_recipe(pieces[..., 0] + 1, k),
     )
 
 
+def _place(skel: _Skeleton, library: MessageLibrary, rows: np.ndarray, bits: int, extra_bits: int = 0) -> _Plan:
+    """``skel`` placed over ``library``, whose files are the (files, bytes) uint8 ``rows`` of
+    ``bits`` bits, big-endian and right-aligned, in array steps. The leading bits of a row split
+    into the data parts, part 1 the most significant, followed by their XOR parity where the
+    skeleton has one more label. With prop-1's ``extra_bits``, the trailing bits are one more
+    label, the tail, cached at every receiver, never among the needed labels and appended to
+    each payload."""
+    k, needed, main = len(skel.served), skel.select.shape[1], bits - extra_bits
+    part = main // needed
+    nb = -(-max(part, extra_bits) // 8)
+    # unpacked and packed flat: along an axis, numpy packs each row in a call of its own
+    stream = np.unpackbits(rows).reshape(len(rows), -1)[:, rows.shape[1] * 8 - bits :]
+    labels = np.zeros((skel.labels + (extra_bits > 0), len(rows), 8 * nb), np.uint8)
+    labels[:needed, :, 8 * nb - part :] = stream[:, :main].reshape(len(rows), needed, part).swapaxes(0, 1)
+    fields = {}
+    if extra_bits:
+        labels[-1, :, 8 * nb - extra_bits :] = stream[:, main:]
+        tail = np.zeros((k, 1, skel.select.shape[-1]), dtype=np.intp)
+        tail[:, 0, 0] = skel.labels * k + np.arange(1, k + 1)
+        fields = dict(select=np.concatenate((skel.select, tail), axis=-2), scale=lambda rate: rate * (bits / main))
+    plane = np.packbits(labels).reshape(len(labels), len(rows), nb)
+    if skel.labels > needed:  # the soft parity; a label's pad bits are zero, so its bytes XOR as its bits
+        plane[needed] = np.bitwise_xor.reduce(plane[:needed])
+    return _Plan(
+        **vars(skel) | fields, library=library, base_bits=main, part_bits=part, plane=plane,
+        want=np.concatenate((plane[:needed], plane[skel.labels :])).swapaxes(0, 1),
+        memory_bits=len(rows) * skel.cached * part + library.num_files * extra_bits,
+        widths=(part,) * needed + (extra_bits,) * (extra_bits > 0),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _scheme(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
+    """The plan of a run of the ``variant`` scheme on K nodes: its skeleton and the library's
+    plane. The caller has checked the run with ``check_scheme``."""
+    return _place(_skeleton(variant, k), library, library.rows, library.payload_bits)
+
+
 @functools.lru_cache(maxsize=1)
 def _cache_tail(variant: Variant, k: int, library: MessageLibrary, extra_bits: int) -> _Plan:
-    """Prop-1: the plan of the leading bits of each file, plus one more label, the tail,
-    cached at every receiver, never among the needed labels and appended to each payload."""
-    mains = MessageLibrary(tuple(Bitstring(p.length - extra_bits, p.value >> extra_bits) for p in library))
-    plan = _scheme.__wrapped__(variant, k, mains)  # uncached, as in ``_rotate``
-    width, nb = len(plan.plane), max(plan.plane.shape[-1], -(-extra_bits // 8))
-    tails = _byte_rows([p.value & ((1 << extra_bits) - 1) for p in library], nb)[:, None]  # (files, 1, nb)
-    pad = lambda parts: np.pad(parts, ((0, 0), (0, 0), (nb - parts.shape[-1], 0)))
-    tail = np.zeros((k, 1, plan.select.shape[-1]), dtype=np.intp)
-    tail[:, 0, 0] = width * k + np.arange(1, k + 1)
+    """Prop-1: the plan of the leading bits of each file with every file's tail as one more label."""
+    return _place(_skeleton(variant, k), library, library.rows, library.payload_bits, extra_bits)
+
+
+@functools.lru_cache(maxsize=1)
+def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
+    """Round robin: its skeleton placed over the MDS-coded library, file (f - 1) * K + l coded
+    part l of file f, each coded part one whole-byte K - 2-th of the payload or a parity."""
+    files, width = library.num_files, library.payload_bits // (k - 2)
+    coded = mds_rows(library.rows.reshape(files, k - 2, -1)).reshape(files * k, -1)
+    plan = _place(_rotated(variant, k), library, coded, width)
+    _, needed, nb = plan.want.shape
     return replace(
-        plan, library=library, plane=np.concatenate((pad(plan.plane), tails.swapaxes(0, 1))),
-        want=np.concatenate((pad(plan.want), tails), axis=1),
-        memory_bits=plan.memory_bits + library.num_files * extra_bits,
-        scale=lambda rate: rate * (library.payload_bits / mains.payload_bits),
-        select=np.concatenate((plan.select, tail), axis=-2), widths=(*plan.widths, extra_bits),
+        # the code is systematic: data part i is coded part i, its data labels joined
+        plan, want=plan.want.reshape(files, k, needed * nb)[:, : k - 2],
+        scale=lambda rate: rate * (k - 2) / k, widths=(width,) * (k - 2),
     )
 
 
 def check_scheme(cfg: NetworkConfig, payload_bits: int, round_robin: bool = False, extra_bits: int = 0) -> None:
-    """Raise the named ``SimError`` for the first placement rule that a run of ``cfg`` on
-    ``payload_bits``-bit files breaks, round robin or with a prop-1 tail of ``extra_bits``."""
-    validate_config(cfg)
+    """Raise the named ``SimError`` for the first placement rule that a run of ``cfg``, a config
+    that ``validate_config`` passes, on ``payload_bits``-bit files breaks, round robin or with a
+    prop-1 tail of ``extra_bits``."""
     soft = cfg.variant is Variant.SOFT_HANDOFF
     if soft and cfg.k < MIN_SOFT_K:
         raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
@@ -347,25 +393,11 @@ def _checked(
     cfg: NetworkConfig, variant: Variant, library: MessageLibrary, round_robin: bool = False, extra_bits: int = 0
 ) -> tuple[Variant, int, MessageLibrary]:
     """The plan key (model, K, library) of a run of the ``variant`` scheme that passes every rule."""
+    validate_config(cfg)
     if cfg.variant is not variant:
         raise ConfigMismatch(f"config is {cfg.variant.value}, scheme needs {variant.value}")
     check_scheme(cfg, library.payload_bits, round_robin, extra_bits)
     return variant, cfg.k, library
-
-
-@functools.lru_cache(maxsize=1)
-def _scheme(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
-    """Placement phase: everything about a run of the ``variant`` scheme on K nodes that neither
-    the demands nor the channel change. The caller has checked the run with ``check_scheme``."""
-    soft = variant is Variant.SOFT_HANDOFF
-    # every builder is looked up by name per call, so tracers see it
-    placement = (cache_placement_soft if soft else cache_placement_full)(k, library)
-    schedule = (delivery_schedule_soft if soft else delivery_schedule_full)(k, DemandVector(tuple(range(1, k + 1))))
-    violations = verify_schedule(schedule, placement)
-    if violations:
-        first = violations[0]
-        raise InvalidSchedule(f"{len(violations)} violation(s), first {first.kind}: {first.detail}")
-    return _compile(library, placement, schedule)
 
 
 def _sources(plan: _Plan, demands: np.ndarray) -> np.ndarray:

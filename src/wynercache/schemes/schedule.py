@@ -1,7 +1,7 @@
 """Delivery schedules: per-period transmitter actions and receiver decode plans,
 a mechanical validity checker, and each model's periods, parts needed,
-guaranteed receivers and topology (``PERIODS``, ``NEEDED``,
-``guaranteed_receivers``, ``HEARD``).
+part labels, guaranteed receivers and topology (``PERIODS``, ``NEEDED``,
+``LABELS``, ``guaranteed_receivers``, ``HEARD``).
 
 A builder states what each transmitter sends per period; ``_decode_plans``
 reads every receiver's plan off those actions and ``HEARD``, for both models.
@@ -26,13 +26,14 @@ cached parts:
 
 The full model needs a single period: every transmitter sends the part its own
 receiver is missing, and each receiver cancels both neighbours from cache.
-``verify_schedule`` reads the cache labels from the placement it is given.
+``verify_schedule`` reads the cache labels and the part count from the placement it
+is given; ``verify_labels`` takes them as they are, so a plan is checked without files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Mapping, Union
 
 from ..model import (
     CachePlacement,
@@ -41,12 +42,13 @@ from ..model import (
     Variant,
     to_json,
 )
-from .parts import DATA_PARTS_SOFT, PARTS_FULL
+from .parts import DATA_PARTS_SOFT, PARTS_FULL, TOTAL_PARTS_SOFT
 
 MIN_SOFT_K = 5
 SOFT_PERIODS = 3
 PERIODS = {Variant.SOFT_HANDOFF: SOFT_PERIODS, Variant.FULL: 1}
 NEEDED = {Variant.SOFT_HANDOFF: DATA_PARTS_SOFT, Variant.FULL: PARTS_FULL}
+LABELS = {Variant.SOFT_HANDOFF: TOTAL_PARTS_SOFT, Variant.FULL: PARTS_FULL}  # NEEDED, then the soft parity
 # the transmitters each receiver hears, as offsets from its own at 0; a cognitive Tx
 # knows the files of exactly the receivers that hear it
 HEARD = {Variant.SOFT_HANDOFF: (-1, 0), Variant.FULL: (-1, 0, 1)}
@@ -211,11 +213,18 @@ class Violation:
 
 def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> list[Violation]:
     """Mechanically check a schedule against a placement; an empty list means it is valid.
+    The check reads the placement's cache labels and its files' part count alone
+    (``verify_labels``)."""
+    return verify_labels(schedule, placement.labels, min(len(parts) for parts in placement.parts.values()))
 
-    Receiver rx caches ``placement.labels[rx]`` of every file, and its decoded parts are
-    those of its file in ``schedule.demands``. Each guaranteed receiver must end up
-    holding exactly ``NEEDED`` distinct labels of its file, all in 1..parts: no label
-    is decoded twice, and none is both cached and decoded.
+
+def verify_labels(schedule: DeliverySchedule, labels: Mapping[int, tuple[int, ...]], parts: int) -> list[Violation]:
+    """Check a schedule against the cache labels of files of ``parts`` labels each.
+
+    Receiver rx caches ``labels[rx]`` of every file, and its decoded parts are those of
+    its file in ``schedule.demands``. Each guaranteed receiver must end up holding exactly
+    ``NEEDED`` distinct labels of its file, all in 1..parts: no label is decoded twice,
+    and none is both cached and decoded.
     """
     k, demands, heard = schedule.k, schedule.demands, HEARD[schedule.variant]
     ring = lambda node: (node - 1) % k + 1
@@ -243,7 +252,7 @@ def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> li
         for rx, plan in per.rx_plans.items():
             if plan is None:
                 continue
-            cached = placement.labels.get(rx, ())
+            cached = labels.get(rx, ())
             # (b) every cancellation key's label is cached and matches the interferer's action
             for tx, f, p in plan.cancel:
                 action = sends.get(tx)
@@ -278,11 +287,11 @@ def verify_schedule(schedule: DeliverySchedule, placement: CachePlacement) -> li
 
     # (c) part accounting at the receivers the scheme guarantees; a label decoded twice,
     # or both cached and decoded, leaves fewer held labels than cached plus decoded
-    top, needed = min(len(parts) for parts in placement.parts.values()), NEEDED[schedule.variant]
+    needed = NEEDED[schedule.variant]
     for rx in guaranteed_receivers(schedule.variant, k):
-        cached, decoded = set(placement.labels.get(rx, ())), decoded_parts[rx]
+        cached, decoded = set(labels.get(rx, ())), decoded_parts[rx]
         held = cached | set(decoded)
-        if not len(held) == len(cached) + len(decoded) == needed or not held <= set(range(1, top + 1)):
+        if not len(held) == len(cached) + len(decoded) == needed or not held <= set(range(1, parts + 1)):
             flag("part_count", 0, rx, f"Rx {rx} decodes parts {sorted(decoded)} against cached "
-                 f"{sorted(cached)}, needs {needed} distinct labels in 1..{top}")
+                 f"{sorted(cached)}, needs {needed} distinct labels in 1..{parts}")
     return violations

@@ -55,22 +55,6 @@ def _mg(variant: Variant, kind: str, x: Ratio) -> Fraction:
     return min(Fraction(2, 3) + _SLOPES[variant, kind] * r, 1 + r)
 
 
-def s_soft_ach(x: Ratio) -> Fraction:
-    return _mg(Variant.SOFT_HANDOFF, ACHIEVABLE, x)
-
-
-def s_soft_ub(x: Ratio) -> Fraction:
-    return _mg(Variant.SOFT_HANDOFF, UPPER_BOUND, x)
-
-
-def s_full_ach(x: Ratio) -> Fraction:
-    return _mg(Variant.FULL, ACHIEVABLE, x)
-
-
-def s_full_ub(x: Ratio) -> Fraction:
-    return _mg(Variant.FULL, UPPER_BOUND, x)
-
-
 def achievable(variant: Variant, x: Ratio) -> Fraction:
     return _mg(variant, ACHIEVABLE, x)
 

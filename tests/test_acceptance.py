@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -15,6 +16,7 @@ from wynercache.model import (
     DemandVector,
     NetworkConfig,
     OddKForFullModel,
+    Variant,
     random_library,
 )
 from wynercache.codec import capacity
@@ -39,7 +41,13 @@ from wynercache.schemes import (
     verify_schedule,
 )
 from randbits import random_bits
-from wynercache.tradeoff import s_full_ach, s_full_ub, s_soft_ach, s_soft_ub
+from wynercache.tradeoff import achievable, upper_bound
+
+# each curve by name, through achievable and upper_bound
+s_soft_ach = functools.partial(achievable, Variant.SOFT_HANDOFF)
+s_soft_ub = functools.partial(upper_bound, Variant.SOFT_HANDOFF)
+s_full_ach = functools.partial(achievable, Variant.FULL)
+s_full_ub = functools.partial(upper_bound, Variant.FULL)
 
 EPS = 0.05
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -29,6 +30,7 @@ from wynercache.model import (
     Bitstring,
     ConfigError,
     DemandVector,
+    MessageLibrary,
     NetworkConfig,
     SimError,
     Variant,
@@ -215,24 +217,29 @@ class TestOncePerRun:
         ids=["soft", "round-robin", "prop-1", "full"],
     )
     def test_each_payload_hashed_once(self, monkeypatch, overrides):
-        # every trial looks its placement up by library; the library's hash is computed once
-        libraries, hashes = [], Counter()
-        real_library, real_hash = harness.random_library, Bitstring.__hash__
+        # every block looks its plan up by library: the library's rows are hashed once, as one
+        # bytes key, and the run builds and hashes no payload Bitstring
+        libraries, keys, built, hashes = [], Counter(), [], []
+        real_library, real_key = harness.random_library, MessageLibrary._key.func
 
         def drawn(*args, **kwargs):
             libraries.append(real_library(*args, **kwargs))
-            hashes.clear()
             return libraries[-1]
 
-        def counted(self):
-            hashes[id(self)] += 1
-            return real_hash(self)
+        def counted_key(self):
+            keys[id(self)] += 1
+            return real_key(self)
 
+        key = functools.cached_property(counted_key)
+        key.__set_name__(MessageLibrary, "_key")
         monkeypatch.setattr(harness, "random_library", drawn)
-        monkeypatch.setattr(Bitstring, "__hash__", counted)
+        monkeypatch.setattr(MessageLibrary, "_key", key)
+        monkeypatch.setattr(Bitstring, "__post_init__", lambda self: built.append(self.length))
+        monkeypatch.setattr(Bitstring, "__hash__", lambda self: hashes.append(self.length) or 0)
         run_experiment(_soft_spec(trials=24, **overrides))
         (library,) = libraries
-        assert [hashes[id(p)] for p in library] == [1] * library.num_files
+        assert keys == {id(library): 1}
+        assert built == hashes == []
 
     @pytest.mark.parametrize("block, blocks", [(None, 1), (5, 5)], ids=["one-block", "five-blocks"])
     @pytest.mark.parametrize(
@@ -607,8 +614,9 @@ class TestLateFailuresRejected:
             (NetworkConfig(Variant.SOFT_HANDOFF, 6, (1.0,) * 6, True), "power"),
             (NetworkConfig(Variant.FULL, 6, (0.5,), 1e4, True), "epsilon"),
             (NetworkConfig(Variant.SOFT_HANDOFF, 6, (True,) * 6, 1e4), "cross gain alpha_1"),
+            (NetworkConfig("soft", 6, (1.0,), 1e4), "variant"),
         ],
-        ids=["float-k", "bool-power", "bool-epsilon", "bool-gain"],
+        ids=["float-k", "bool-power", "bool-epsilon", "bool-gain", "str-variant"],
     )
     def test_config_field_types(self, config, field):
         # K = 6.0 used to pass validation and fail mid-run with a bare TypeError; a bool ran as 1

@@ -130,6 +130,12 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"^{'K' if attr == 'k' else attr} must be"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("variant", ["soft", "full", None, 0])
+    def test_variant_must_be_a_variant(self, variant):
+        # a NetworkConfig built directly may carry any variant; "soft" is a str, not the enum
+        with pytest.raises(ConfigError, match="^variant must be a Variant"):
+            validate_config(NetworkConfig(variant, 6, (1.0,) * 6, 1e4))
+
     @pytest.mark.parametrize("k", [6.0, "6"])
     def test_soft_constructor_names_a_non_int_k(self, k):
         # sharing a scalar gain K times needs K; a float K used to fail there with a bare TypeError
@@ -182,6 +188,22 @@ class TestRandomLibrary:
             random_library(1, 40, seed=0, allow_small_d=True)
         with pytest.raises(SimError):
             random_library(6, 0, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 20), st.integers(1, 200), st.integers(0, 2**64 - 1))
+    @example(2, 8, 0)  # whole bytes: no pad bits
+    @example(3, 1, 1)  # one bit per file, seven pad bits
+    def test_rows_are_the_payloads(self, num_files, bits, seed):
+        # a drawn library is its byte rows; built again from its payloads it is the same library
+        lib = random_library(num_files, bits, seed, allow_small_d=True)
+        rebuilt = MessageLibrary(lib.payloads)
+        nb = -(-bits // 8)
+        assert lib.rows.dtype == np.uint8 and lib.rows.shape == (num_files, nb)
+        assert (lib.rows[:, 0] >> (bits - 8 * (nb - 1)) == 0).all()  # pad bits zero
+        assert not lib.rows.flags.writeable
+        assert (rebuilt.payload_bits, rebuilt.rows.tobytes()) == (lib.payload_bits, lib.rows.tobytes())
+        assert lib == rebuilt and hash(lib) == hash(rebuilt) and {lib: 1}[rebuilt] == 1
+        assert [lib.payload(f) for f in range(1, num_files + 1)] == list(rebuilt) == list(lib.payloads)
 
     def test_equal_libraries_hash_equal(self):
         # the hash is cached per library; equality still compares the payloads

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import wynercache.harness as harness
 import wynercache.schemes.pipeline as pipeline
@@ -88,7 +88,9 @@ def _needed(cfg):
 
 def _recompiled(cfg, plan, schedule):
     """The base ``plan`` on ``cfg`` with ``schedule`` in place of its placed schedule."""
-    return pipeline._compile(plan.library, _placed(cfg, plan.library)[0], schedule)
+    library = plan.library
+    skeleton = pipeline._compile(_placed(cfg, library)[0].labels, schedule)
+    return pipeline._place(skeleton, library, library.rows, library.payload_bits)
 
 
 def _result(library, demands, decoded, **fields):
@@ -709,6 +711,71 @@ def _round_robin_blocks(draw):
     return cfg, lib, np.array(rows), MonteCarlo(3 * draw(st.integers(1, 12))) if mc else Ideal(), seeds
 
 
+def _byte_rows(values, nb):
+    """Each int as ``nb`` big-endian bytes, one uint8 row per int."""
+    return np.frombuffer(b"".join(v.to_bytes(nb, "big") for v in values), np.uint8).reshape(len(values), nb)
+
+
+def _split_plane(variant, k, library, round_robin=False, extra_bits=0):
+    """Oracle: the (labels, files, nb) plane and the cache bits per receiver of a plan, from
+    ``Bitstring`` splits. ``cache_placement_*`` splits every file (for prop-1 its leading bits,
+    for round robin each of its ``mds_encode`` coded parts as a file), each part becomes nb
+    big-endian bytes, nb fitting the widest label, and prop-1's tails follow as one more label."""
+    files = library
+    if round_robin:
+        files = MessageLibrary(tuple(part for p in library for part in mds_encode(list(p.split(k - 2)))))
+    elif extra_bits:
+        files = MessageLibrary(tuple(Bitstring(p.length - extra_bits, p.value >> extra_bits) for p in library))
+    placed = (cache_placement_soft if variant is Variant.SOFT_HANDOFF else cache_placement_full)(k, files)
+    parts = [placed.parts[f] for f in sorted(placed.parts)]
+    nb = -(-max(parts[0][0].length, extra_bits) // 8)
+    plane = _byte_rows([p.value for label in zip(*parts) for p in label], nb).reshape(-1, len(parts), nb)
+    if extra_bits:
+        tails = _byte_rows([p.value & ((1 << extra_bits) - 1) for p in library], nb)
+        plane = np.concatenate((plane, tails[None]))
+    return plane, placed.bits_per_receiver + library.num_files * extra_bits
+
+
+@st.composite
+def _placed_libraries(draw):
+    """(variant, K, library, round robin, prop-1 tail bits): soft, full, prop-1 on either model or
+    round robin, parts of 1 to 20 bits (round robin: 1 to 3 whole bytes), tails of 1 to 33."""
+    scheme = draw(st.sampled_from(["soft", "full", "prop-1", "round robin"]))
+    full = scheme == "full" or scheme == "prop-1" and draw(st.booleans())
+    k = 2 * draw(st.integers(2, 5)) if full else draw(st.integers(5, 12))
+    extra = draw(st.integers(1, 33)) if scheme == "prop-1" else 0
+    if scheme == "round robin":
+        payload_bits = 5 * 8 * draw(st.integers(1, 3)) * (k - 2)
+    else:
+        payload_bits = (2 if full else 5) * draw(st.integers(1, 20)) + extra
+    num_files = draw(st.integers(2, 9))
+    lib = random_library(num_files, payload_bits, seed=draw(st.integers(0, 2**32)), allow_small_d=True)
+    return Variant.FULL if full else Variant.SOFT_HANDOFF, k, lib, scheme == "round robin", extra
+
+
+class TestArrayPlane:
+    """A plan's part plane, cut from the library's rows in array steps, is the plane of the
+    ``Bitstring`` splits of ``cache_placement_*`` (and ``mds_encode``), byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_placed_libraries())
+    @example((Variant.SOFT_HANDOFF, 6, random_library(6, 5, seed=1), False, 0))  # 1-bit parts
+    @example((Variant.FULL, 6, random_library(6, 16, seed=2), False, 0))  # byte-aligned parts
+    @example((Variant.SOFT_HANDOFF, 5, random_library(6, 5 + 33, seed=3), False, 33))  # tail wider than a part
+    def test_plane_equals_the_split_plane(self, case):
+        variant, k, lib, round_robin, extra = case
+        if round_robin:
+            plan = pipeline._rotate.__wrapped__(variant, k, lib)
+        elif extra:
+            plan = pipeline._cache_tail.__wrapped__(variant, k, lib, extra)
+        else:
+            plan = pipeline._scheme.__wrapped__(variant, k, lib)
+        plane, memory_bits = _split_plane(variant, k, lib, round_robin, extra)
+        assert plan.plane.dtype == np.uint8 and plan.plane.shape == plane.shape
+        assert plan.plane.tolist() == plane.tolist()
+        assert plan.memory_bits == memory_bits
+
+
 class TestRoundRobinRows:
     """Round robin delivers each trial as K rows of its base plan; a block gives, trial by
     trial, what the dict walk of the K rotated deliveries gives."""
@@ -778,11 +845,13 @@ class TestInputValidation:
 PLACEMENTS = ("cache_placement_soft", "cache_placement_full")
 SCHEDULES = ("delivery_schedule_soft", "delivery_schedule_full")
 PLAN_CACHES = (pipeline._scheme, pipeline._rotate, pipeline._cache_tail)
+SKELETONS = (pipeline._skeleton, pipeline._rotated)
 
 
 class TestPlaceOnce:
-    """Placement and the schedule build run once per (model, K, library), not once per trial,
-    per SNR point or per round robin rotation."""
+    """Placement is a skeleton built once per (model, K) in a process, and a plane of part values
+    placed once per library: not once per trial, per SNR point or per round robin rotation. No
+    run places ``Bitstring`` parts (``cache_placement_*``, ``split_*``)."""
 
     @staticmethod
     def _count(monkeypatch, *names, module=pipeline):
@@ -797,6 +866,25 @@ class TestPlaceOnce:
             monkeypatch.setattr(module, name, counted)
         return calls
 
+    def _counts(self, monkeypatch):
+        """Cleared plan and skeleton caches, and the calls of each placement step from now on:
+        skeleton schedules and their checks, planes, and ``Bitstring`` placements."""
+        for cache in PLAN_CACHES + SKELETONS:
+            cache.cache_clear()
+        return {
+            "schedules": self._count(monkeypatch, *SCHEDULES),
+            "checks": self._count(monkeypatch, "verify_labels"),
+            "skeletons": self._count(monkeypatch, "_compile"),
+            "planes": self._count(monkeypatch, "_place"),
+            "placements": self._count(monkeypatch, *PLACEMENTS),
+        }
+
+    @staticmethod
+    def _lengths(counts):
+        return {name: len(calls) for name, calls in counts.items()}
+
+    ONCE = {"schedules": 1, "checks": 1, "skeletons": 1, "planes": 1, "placements": 0}
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -808,33 +896,31 @@ class TestPlaceOnce:
         ],
     )
     def test_one_placement_per_experiment(self, monkeypatch, kwargs):
-        placements = self._count(monkeypatch, *PLACEMENTS)
-        schedules = self._count(monkeypatch, *SCHEDULES)
-        checks = self._count(monkeypatch, "verify_schedule")
+        counts = self._counts(monkeypatch)
         assert run_experiment(ExperimentSpec(**kwargs, trials=5, master_seed=90210)).trials == 5
-        assert len(placements) == 1
-        assert len(schedules) == 1
-        assert len(checks) == 1
+        assert self._lengths(counts) == self.ONCE
 
     def test_each_file_split_once(self, monkeypatch):
+        # the D=6 files are split in one array step, their plane; no Bitstring split runs
+        counts = self._counts(monkeypatch)
         splits = [
             self._count(monkeypatch, "split_soft", "split_full", module=module)
             for module in (pipeline, placement)
         ]
         spec = ExperimentSpec(config=_soft_cfg(), trials=5, master_seed=90212)
         assert run_experiment(spec).trials == 5
-        assert sum(map(len, splits)) == 6  # D=6 files
+        assert sum(map(len, splits)) == 0
+        ((_, library, rows, bits),) = counts["planes"]
+        assert rows.shape == (6, 5) and bits == 40 and rows is library.rows
 
     def test_round_robin_places_each_rotation_once(self, monkeypatch):
-        # all K rotations share one plan, placed over every coded part of every file
-        placements = self._count(monkeypatch, *PLACEMENTS)
-        schedules = self._count(monkeypatch, *SCHEDULES)
-        checks = self._count(monkeypatch, "verify_schedule")
+        # all K rotations share one skeleton and one plane, over every coded part of every file
+        counts = self._counts(monkeypatch)
         spec = ExperimentSpec(config=_soft_cfg(k=7), round_robin=True, trials=5, master_seed=90211)
         assert run_experiment(spec).trials == 5
-        assert len(placements) == 1
-        assert len(schedules) == 1
-        assert len(checks) == 1
+        assert self._lengths(counts) == self.ONCE
+        ((_, _, rows, _),) = counts["planes"]
+        assert len(rows) == 6 * 7
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -849,16 +935,10 @@ class TestPlaceOnce:
     )
     def test_one_placement_per_sweep(self, monkeypatch, kwargs):
         # the plan depends on the model, K and the library; every SNR point shares it
-        for cache in PLAN_CACHES:
-            cache.cache_clear()
-        placements = self._count(monkeypatch, *PLACEMENTS)
-        schedules = self._count(monkeypatch, *SCHEDULES)
-        checks = self._count(monkeypatch, "verify_schedule")
+        counts = self._counts(monkeypatch)
         result = harness.sweep_snr(ExperimentSpec(**kwargs, trials=3, master_seed=90213), [20, 30, 40, 50])
         assert len(result.rows) == 4
-        assert len(placements) == 1
-        assert len(schedules) == 1
-        assert len(checks) == 1
+        assert self._lengths(counts) == self.ONCE
 
     @pytest.mark.parametrize(
         "combined, payload_bits",
@@ -866,15 +946,31 @@ class TestPlaceOnce:
         ids=["round-robin", "prop-1"],
     )
     def test_combinators_keep_the_soft_plan(self, monkeypatch, combined, payload_bits):
-        # round robin and prop-1 place their base plans uncached: alternating with the soft
-        # scheme on one library places each plan once
-        for cache in PLAN_CACHES:
-            cache.cache_clear()
-        placements = self._count(monkeypatch, *PLACEMENTS)
+        # round robin and prop-1 cache their plans apart from the soft scheme's, on the soft
+        # skeleton: alternating with the soft scheme on one library builds one skeleton and
+        # places each plan once
+        counts = self._counts(monkeypatch)
         cfg, lib = _soft_cfg(), random_library(6, payload_bits, seed=4)
         for run in (run_soft, combined, run_soft, combined):
             assert run(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6))).link_failures == 0
-        assert len(placements) == 2
+        assert self._lengths(counts) == self.ONCE | {"planes": 2}
+
+    def test_skeleton_built_once_per_model_and_k(self, monkeypatch):
+        # across libraries, SNR points and schemes, a process builds one skeleton per (model, K)
+        counts = self._counts(monkeypatch)
+        specs = [
+            ExperimentSpec(config=_soft_cfg(), trials=2, master_seed=seed) for seed in (1, 2, 3)
+        ] + [
+            ExperimentSpec(config=_soft_cfg(power=10.0**p), trials=2, prop1_extra_bits=5) for p in (2, 3)
+        ] + [
+            ExperimentSpec(config=NetworkConfig.full(6, 0.5, 1e4), trials=2, master_seed=seed) for seed in (1, 2)
+        ] + [ExperimentSpec(config=_soft_cfg(k=7), trials=2, round_robin=rr) for rr in (False, True)]
+        for spec in specs:
+            run_experiment(spec)
+        keys = [(schedule.variant, schedule.k) for (schedule, _, _) in counts["checks"]]
+        assert keys == [(Variant.SOFT_HANDOFF, 6), (Variant.FULL, 6), (Variant.SOFT_HANDOFF, 7)]
+        assert len(counts["skeletons"]) == len(counts["schedules"]) == 3
+        assert len(counts["planes"]) == 3 + 1 + 2 + 2  # one per library: prop-1 is one plan at both powers
 
     def test_invalid_schedule_rejected_at_placement(self, monkeypatch):
         # a template whose rx-2 plan cancels part 5, which rx 2 (class 2: parts 3, 4)
@@ -890,7 +986,8 @@ class TestPlaceOnce:
             return schedule
 
         monkeypatch.setattr(pipeline, "delivery_schedule_soft", broken)
-        pipeline._scheme.cache_clear()
+        for cache in PLAN_CACHES + SKELETONS:
+            cache.cache_clear()
         lib = random_library(6, 40, seed=5)
         with pytest.raises(InvalidSchedule, match=r"^1 violation\(s\), first cancel_key: Rx 2 lacks"):
             run_soft(_soft_cfg(), lib, DemandVector((1, 2, 3, 4, 5, 6)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wynercache.model import DemandVector, NetworkConfig, SimError, random_library
+from wynercache.model import DemandVector, NetworkConfig, SimError, Variant, random_library
 from wynercache.schemes import (
     SchemePoint,
     augment_prop1,
@@ -54,7 +54,7 @@ class TestAugmentProp1:
 
     def test_traces_achievable_curve_beyond_corner(self):
         # lifting the soft corner point by any delta stays on the 1 + x branch
-        from wynercache.tradeoff import s_soft_ach
+        from wynercache.tradeoff import achievable
 
         d_files = 6
         corner = SchemePoint(Fraction(5, 3), Fraction(2, 3) * d_files)
@@ -62,7 +62,7 @@ class TestAugmentProp1:
             lifted = augment_prop1(corner, delta, d_files)
             x = Fraction(lifted.memory) / d_files
             assert x >= Fraction(2, 3)
-            assert Fraction(lifted.rate) == s_soft_ach(x)
+            assert Fraction(lifted.rate) == achievable(Variant.SOFT_HANDOFF, x)
 
     def test_simulated_augmentation(self):
         cfg = NetworkConfig.soft_handoff(6, 1.0, 1e4)

@@ -14,12 +14,25 @@ from wynercache.tradeoff import (
     breakpoints,
     curve,
     empirical_mg,
-    s_full_ach,
-    s_full_ub,
-    s_soft_ach,
-    s_soft_ub,
     upper_bound,
 )
+
+
+# each curve by name, through achievable and upper_bound
+def s_soft_ach(x):
+    return achievable(Variant.SOFT_HANDOFF, x)
+
+
+def s_soft_ub(x):
+    return upper_bound(Variant.SOFT_HANDOFF, x)
+
+
+def s_full_ach(x):
+    return achievable(Variant.FULL, x)
+
+
+def s_full_ub(x):
+    return upper_bound(Variant.FULL, x)
 
 
 def _crossing(intercept_a, slope_a, intercept_b, slope_b):
