@@ -9,9 +9,9 @@ A block's demand streams are seeded in one pass: ``model.seed_states`` hashes ev
 ``ISeedSequence`` (``_state_seed``), so no ``SeedSequence`` is built per trial.
 ``run_experiment`` delivers the trials in blocks: each block's demand vectors go to the runner
 as one (T, K) array, with one MC seed per trial, and the receivers' success counts are summed
-over blocks as Python ints. The block size (``schemes.pipeline.block_trials``) bounds memory
-only; it changes no stream and no reported value. Wall-clock time appears in JSON reports only;
-CSV exports are byte-stable for replay comparison.
+over blocks as Python ints. A spec reads its payload and periods off the run's skeleton, and
+its block size off the plan (``schemes.pipeline.block_trials``: memory only, no stream or
+value changes). Wall-clock time appears in JSON reports only; CSV exports are byte-stable.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from .schemes import (
     run_soft,
     run_soft_prop1,
 )
-from .schemes.pipeline import block_trials, check_scheme
-from .schemes.schedule import NEEDED, PERIODS
+from .schemes.pipeline import block_trials, layout, placed, skeleton
 from .tradeoff import (
     ACHIEVABLE,
     UPPER_BOUND,
@@ -116,8 +115,8 @@ class ExperimentSpec:
             raise SimError("bits per submessage must be at least 1")
         if self.master_seed < 0:
             raise SimError(f"master_seed must be non-negative, got {self.master_seed}")
-        validate_config(cfg)  # before payload_bits, which reads the variant's part count
-        check_scheme(cfg, self.payload_bits(), self.round_robin, self.prop1_extra_bits)
+        validate_config(cfg)  # before the skeleton, which reads the variant
+        layout(skel := skeleton(cfg, self.round_robin), self.payload_bits(), self.prop1_extra_bits)
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
         if self.backend == "ideal":
@@ -132,7 +131,7 @@ class ExperimentSpec:
                 raise TooManyWords(
                     f"codebook of 2^{self.bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap"
                 )
-            if self.n < (periods := PERIODS[cfg.variant]):
+            if self.n < (periods := skel.base_periods):
                 raise ConfigMismatch(f"block length {self.n} too short for {periods} period(s)")
         if self.demand_policy is DemandPolicy.EXPLICIT:
             if self.explicit_demands is None:
@@ -150,9 +149,10 @@ class ExperimentSpec:
                 )
 
     def payload_bits(self) -> int:
-        # round robin (soft only) sends K - 2 soft payloads, one per MDS data part
-        pieces = self.config.k - 2 if self.round_robin else 1
-        return NEEDED[self.config.variant] * self.bits * pieces + self.prop1_extra_bits
+        # bits per data part of a base delivery; round robin's pieces are its K - 2 MDS data parts
+        skel = skeleton(self.config, self.round_robin)
+        pieces = 1 if skel.pieces is None else skel.pieces.shape[1]
+        return skel.select.shape[1] * self.bits * pieces + self.prop1_extra_bits
 
     def to_json(self) -> dict:
         return to_json(self)
@@ -259,7 +259,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     exhaustive = spec.demand_policy is DemandPolicy.EXHAUSTIVE
     trials = spec.num_files**k if exhaustive else spec.trials
-    step = block_trials(spec.config, spec.payload_bits(), spec.round_robin, spec.prop1_extra_bits)
+    step = block_trials(placed(skeleton(spec.config, spec.round_robin), library, spec.prop1_extra_bits))
     success, links, failures = np.zeros(k, dtype=np.int64), 0, 0
     for start in range(0, trials, step):
         block = _run_block(spec, library, range(start, min(start + step, trials)))

@@ -1,24 +1,23 @@
 """End-to-end scheme execution in the paper's two phases.
 
-* Placement, in two halves, after ``validate_config`` and ``check_scheme``, which hold every
-  rule a run must pass before any demand is known; each runner checks the config it is
-  handed with both, and ``ExperimentSpec.validate`` does too. The library-free half is the
-  skeleton, built once per (model, K) in a process (``_skeleton``): the labels that each
-  receiver caches and the delivery schedule for the demands (1, ..., K), in which file j
-  stands for "the file receiver j demands". ``verify_labels`` checks the schedule against
-  the labels once, and a broken schedule raises ``InvalidSchedule``. ``_compile`` turns them
-  into index arrays over the sources, each receiver's picks of its data parts and each
-  period's MC decode layout. The per-library half (``_place``) is the plane of every part
-  value as uint8 bytes, cut from the library's byte rows in array steps (unpack the bits,
-  split them, pad each part to whole bytes, pack), with ``want`` (each file's data parts as
-  a delivery must decode them) and the memory. Prop-1 (``_cache_tail``) cuts every file's
-  tail as one more label, cached at every receiver, on the skeleton of either model. Round
-  robin (``_rotated``) keeps the soft skeleton as it is and adds each receiver's K - 2
-  pieces, the (rotation, role) pairs in which it plays a guaranteed role, with their MDS
-  decode as a GF(256) ``Recipe`` that ``decode_recipe`` states in closed form for all
-  receivers at once; its plane is that of the MDS-coded library (``mds_rows``). A plan
-  depends on the model, K and the library, not on the channel: it is memoised on them and
-  shared by every trial and every SNR point of a sweep.
+* Placement, in two halves. The library-free half is the skeleton, built once per (model, K)
+  in a process (``_skeleton``): the labels that each receiver caches and the delivery schedule
+  for the demands (1, ..., K), in which file j stands for "the file receiver j demands",
+  checked against each other once (``verify_labels``; a broken schedule raises
+  ``InvalidSchedule``) and compiled into index arrays over the sources (``_compile``). Round
+  robin (``_rotated``) keeps the soft skeleton and adds each receiver's K - 2 pieces, the
+  (rotation, role) pairs in which it plays a guaranteed role, with their MDS decode as a
+  GF(256) ``Recipe`` that ``decode_recipe`` states in closed form for all receivers at once.
+  The per-library half (``placed``) is the plane of every part value as uint8 bytes, cut from
+  the library's byte rows in array steps (``_place``: unpack the bits, split them, pad each
+  part to whole bytes, pack), or from the MDS-coded rows (``mds_rows``) in round robin, with
+  ``want`` and the memory; prop-1 cuts every file's tail as one more label, cached at every
+  receiver. Each placement rule is stated once, in the step that needs it: the soft K in
+  ``delivery_schedule_soft``, round robin's model and K in ``_rotated``, the tail and the
+  payload split in ``layout``, which ``ExperimentSpec.validate`` runs too. ``placed``
+  memoises a plan on its skeleton, library and tail, not on the channel, so every trial and
+  every SNR point of a sweep shares it; each runner reaches it through ``_plan``, which
+  checks the config first.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
   them with any plan at once: it gathers each row's source vectors from the
   plane (``_sources``), decodes the links (``_links``: gathers and XORs, and for
@@ -50,6 +49,7 @@ Two interchangeable backends drive the same plans:
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence, Union
 
@@ -76,11 +76,9 @@ from .placement import cached_part_full, cached_parts_soft
 from .points import check_ideal_rate
 from .schedule import (
     LABELS,
-    MIN_SOFT_K,
     NEEDED,
     DeliverySchedule,
     Direct,
-    KTooSmall,
     Silent,
     XorPair,
     delivery_schedule_full,
@@ -94,8 +92,8 @@ _SEED_NOISE = 0x401E
 _SEED_SUPER = 0x50BE
 
 # A delivery block's largest array gathers, per row and receiver, the picks of every data
-# part: at most 6 parts x 5 picks of nb label bytes, and a round robin trial is K rows. A block
-# of ``block_trials`` trials keeps it within 4 MiB; like codec's chunk, it bounds memory only.
+# part (``select``) of nb label bytes, and a round robin trial is K rows. A block of
+# ``block_trials`` trials keeps it within 4 MiB; like codec's chunk, it bounds memory only.
 BLOCK_BYTES = 1 << 22
 
 
@@ -127,6 +125,11 @@ class MonteCarlo:
 
     n: int
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        ints = all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (self.n, self.seed))
+        if not ints or self.seed < 0:
+            raise ConfigMismatch(f"MonteCarlo needs an integer n and a non-negative integer seed, got {self}")
 
 
 Backend = Union[Ideal, MonteCarlo]
@@ -266,7 +269,7 @@ def _compile(labels: Mapping[int, tuple[int, ...]], schedule: DeliverySchedule) 
 def _skeleton(variant: Variant, k: int) -> _Skeleton:
     """Placement phase without the files, built once per (model, K) in a process: the cache
     labels and the schedule for the demands (1, ..., K), checked against each other once, as
-    index arrays. The caller has checked the run with ``check_scheme``."""
+    index arrays. A soft K below 5 raises ``KTooSmall`` from the soft schedule."""
     soft = variant is Variant.SOFT_HANDOFF
     labels = {rx: cached_parts_soft(rx) if soft else (cached_part_full(rx),) for rx in range(1, k + 1)}
     # every builder is looked up by name per call, so tracers see it
@@ -283,6 +286,10 @@ def _rotated(variant: Variant, k: int) -> _Skeleton:
     """Round robin's skeleton: the soft one, delivered K times. In rotation l, 0-based node n plays
     0-based role (n - l) mod K. Receiver rx plays a guaranteed role in K - 2 rotations, fixed here
     as its pieces, and its ``decode_recipe`` row decodes the coded parts of its file they carry."""
+    if variant is not Variant.SOFT_HANDOFF:
+        raise ConfigMismatch("round robin applies to the soft-handoff scheme only")
+    if k > MAX_K:
+        raise ConfigMismatch(f"round robin's GF(256) MDS code allows K <= {MAX_K}, got K={k}")
     base = _skeleton(variant, k)
     role = lambda rx, ell: (rx - ell - 1) % k  # 0-based, played by node rx in rotation ell
     pieces = np.array([
@@ -293,6 +300,31 @@ def _rotated(variant: Variant, k: int) -> _Skeleton:
         base, guaranteed=tuple(range(1, k + 1)), served=base.served[pieces[..., 1]].all(axis=1),
         pieces=pieces, recipe=decode_recipe(pieces[..., 0] + 1, k),
     )
+
+
+def skeleton(cfg: NetworkConfig, round_robin: bool = False) -> _Skeleton:
+    """The skeleton of a run on ``cfg``, round robin's or its model's own; building it raises the
+    named ``SimError`` of the first rule on the model and K that the run breaks."""
+    return (_rotated if round_robin else _skeleton)(cfg.variant, cfg.k)
+
+
+def layout(skel: _Skeleton, payload_bits: int, extra_bits: int) -> int:
+    """The payload bits of one base delivery of ``skel`` on ``payload_bits``-bit files with a
+    prop-1 tail of ``extra_bits``: a file's leading bits, or one of round robin's K - 2 MDS data
+    parts. Raises the named ``ConfigMismatch`` where the payload does not split that way."""
+    if extra_bits < 0:
+        raise ConfigMismatch(f"negative prop1_extra_bits {extra_bits}")
+    base, needed = payload_bits - extra_bits, skel.select.shape[1]
+    if skel.pieces is not None:
+        base, rest = divmod(payload_bits, pieces := skel.pieces.shape[1])
+        if rest or base % 8:  # the MDS code works byte-wise on each of the K-2 data parts
+            raise ConfigMismatch(
+                f"round robin needs the {payload_bits}-bit payload split into K-2={pieces} "
+                f"whole-byte MDS parts; use a multiple of 8 for bits"
+            )
+    if base <= 0 or base % needed:
+        raise ConfigMismatch(f"payload of {base} bits is not divisible into {needed} parts")
+    return base
 
 
 def _place(skel: _Skeleton, library: MessageLibrary, rows: np.ndarray, bits: int, extra_bits: int = 0) -> _Plan:
@@ -326,78 +358,42 @@ def _place(skel: _Skeleton, library: MessageLibrary, rows: np.ndarray, bits: int
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _scheme(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
-    """The plan of a run of the ``variant`` scheme on K nodes: its skeleton and the library's
-    plane. The caller has checked the run with ``check_scheme``."""
-    return _place(_skeleton(variant, k), library, library.rows, library.payload_bits)
-
-
-@functools.lru_cache(maxsize=1)
-def _cache_tail(variant: Variant, k: int, library: MessageLibrary, extra_bits: int) -> _Plan:
-    """Prop-1: the plan of the leading bits of each file with every file's tail as one more label."""
-    return _place(_skeleton(variant, k), library, library.rows, library.payload_bits, extra_bits)
-
-
-@functools.lru_cache(maxsize=1)
-def _rotate(variant: Variant, k: int, library: MessageLibrary) -> _Plan:
-    """Round robin: its skeleton placed over the MDS-coded library, file (f - 1) * K + l coded
-    part l of file f, each coded part one whole-byte K - 2-th of the payload or a parity."""
-    files, width = library.num_files, library.payload_bits // (k - 2)
+@functools.lru_cache(maxsize=3)
+def placed(skel: _Skeleton, library: MessageLibrary, extra_bits: int) -> _Plan:
+    """``skel`` placed over ``library`` with a prop-1 tail of ``extra_bits`` bits, once its
+    ``layout`` holds; memoised on all three. Round robin's skeleton is placed over the MDS-coded
+    library, file (f - 1) * K + l coded part l of file f, each coded part one whole-byte K - 2-th
+    of the payload or a parity."""
+    base = layout(skel, library.payload_bits, extra_bits)
+    if skel.pieces is None:
+        return _place(skel, library, library.rows, library.payload_bits, extra_bits)
+    files, k = library.num_files, len(skel.pieces)
     coded = mds_rows(library.rows.reshape(files, k - 2, -1)).reshape(files * k, -1)
-    plan = _place(_rotated(variant, k), library, coded, width)
+    plan = _place(skel, library, coded, base)
     _, needed, nb = plan.want.shape
     return replace(
         # the code is systematic: data part i is coded part i, its data labels joined
         plan, want=plan.want.reshape(files, k, needed * nb)[:, : k - 2],
-        scale=lambda rate: rate * (k - 2) / k, widths=(width,) * (k - 2),
+        scale=lambda rate: rate * (k - 2) / k, widths=(base,) * (k - 2),
     )
 
 
-def check_scheme(cfg: NetworkConfig, payload_bits: int, round_robin: bool = False, extra_bits: int = 0) -> None:
-    """Raise the named ``SimError`` for the first placement rule that a run of ``cfg``, a config
-    that ``validate_config`` passes, on ``payload_bits``-bit files breaks, round robin or with a
-    prop-1 tail of ``extra_bits``."""
-    soft = cfg.variant is Variant.SOFT_HANDOFF
-    if soft and cfg.k < MIN_SOFT_K:
-        raise KTooSmall(f"soft-handoff schedule needs K >= {MIN_SOFT_K}, got {cfg.k}")
-    if round_robin and not soft:
-        raise ConfigMismatch("round robin applies to the soft-handoff scheme only")
-    if extra_bits < 0:
-        raise ConfigMismatch(f"negative prop1_extra_bits {extra_bits}")
-    base = payload_bits - extra_bits  # the main part of prop-1, or one MDS part of round robin
-    if round_robin:
-        if cfg.k > MAX_K:
-            raise ConfigMismatch(f"round robin's GF(256) MDS code allows K <= {MAX_K}, got K={cfg.k}")
-        base, rest = divmod(payload_bits, cfg.k - 2)
-        if rest or base % 8:  # the MDS code works byte-wise on each of the K-2 data parts
-            raise ConfigMismatch(
-                f"round robin needs the {payload_bits}-bit payload split into K-2={cfg.k - 2} "
-                f"whole-byte MDS parts; use a multiple of 8 for bits"
-            )
-    if base <= 0 or base % NEEDED[cfg.variant]:
-        raise ConfigMismatch(f"payload of {base} bits is not divisible into {NEEDED[cfg.variant]} parts")
+def block_trials(plan: _Plan) -> int:
+    """Trials per delivery block of ``plan``: its largest array, every row's picks of label bytes,
+    fits ``BLOCK_BYTES``, and a block holds at least one trial. A round robin trial is K rows."""
+    rows = 1 if plan.pieces is None else len(plan.pieces)
+    return max(1, BLOCK_BYTES // (rows * plan.select.size * plan.plane.shape[-1]))
 
 
-def block_trials(cfg: NetworkConfig, payload_bits: int, round_robin: bool = False, extra_bits: int = 0) -> int:
-    """Trials per delivery block of a run that ``check_scheme`` passes: its largest array fits
-    ``BLOCK_BYTES``, and a block holds at least one trial. A round robin trial is K rows of
-    its base plan, whose labels are those of one of the K - 2 MDS parts."""
-    needed, pieces = NEEDED[cfg.variant], cfg.k - 2 if round_robin else 1
-    nb = -(-max((payload_bits - extra_bits) // (needed * pieces), extra_bits) // 8)
-    rows = cfg.k if round_robin else 1
-    return max(1, BLOCK_BYTES // (rows * cfg.k * (needed + 1) * needed * nb))
-
-
-def _checked(
+def _plan(
     cfg: NetworkConfig, variant: Variant, library: MessageLibrary, round_robin: bool = False, extra_bits: int = 0
-) -> tuple[Variant, int, MessageLibrary]:
-    """The plan key (model, K, library) of a run of the ``variant`` scheme that passes every rule."""
+) -> _Plan:
+    """The plan of a run of the ``variant`` scheme on ``cfg``, or the named ``SimError`` of the
+    first rule that the run breaks."""
     validate_config(cfg)
     if cfg.variant is not variant:
         raise ConfigMismatch(f"config is {cfg.variant.value}, scheme needs {variant.value}")
-    check_scheme(cfg, library.payload_bits, round_robin, extra_bits)
-    return variant, cfg.k, library
+    return placed(skeleton(cfg, round_robin), library, extra_bits)
 
 
 def _sources(plan: _Plan, demands: np.ndarray) -> np.ndarray:
@@ -463,12 +459,16 @@ def _deliver(
         if len(seeds):
             raise ConfigMismatch(f"an Ideal delivery draws nothing; {len(seeds)} Monte-Carlo seed(s) given")
         rate, n_slot = plan.scale(check_ideal_rate(cfg)), 0
+    elif not isinstance(backend, MonteCarlo):
+        raise ConfigMismatch(f"backend must be Ideal() or MonteCarlo(n, seed), got {backend!r}")
     else:
         n_slot = backend.n // plan.base_periods
         if n_slot < 1:
             raise ConfigMismatch(f"block length {backend.n} too short for the period count")
         if len(seeds) != len(demands):
             raise ConfigMismatch(f"{len(seeds)} Monte-Carlo seed(s) for {len(demands)} trial(s)")
+        for seed in seeds:  # each trial's seed, as the backend's own
+            replace(backend, seed=seed)
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
     # receiver rx's cross gain ``cfg.gain_at(rx)``: the full model's one gain is every receiver's
     rows, gains = demands, np.broadcast_to(np.array(cfg.gains), (1, cfg.k))
@@ -525,7 +525,7 @@ def run_soft(
     int array of demand vectors, with one MC seed per trial in ``seeds`` in place of
     ``backend.seed``, and returns their ``BlockResult``.
     """
-    return _run(cfg, _scheme(*_checked(cfg, Variant.SOFT_HANDOFF, library)), demands, backend, seeds)
+    return _run(cfg, _plan(cfg, Variant.SOFT_HANDOFF, library), demands, backend, seeds)
 
 
 def run_full(
@@ -536,7 +536,7 @@ def run_full(
     seeds: Sequence[int] = (),
 ) -> SimResult | BlockResult:
     """One delivery round of the full-model scheme (all K receivers guaranteed)."""
-    return _run(cfg, _scheme(*_checked(cfg, Variant.FULL, library)), demands, backend, seeds)
+    return _run(cfg, _plan(cfg, Variant.FULL, library), demands, backend, seeds)
 
 
 def run_soft_prop1(
@@ -551,10 +551,9 @@ def run_soft_prop1(
 
     Each payload is (main || extra) with ``extra_bits`` trailing bits. The plan of
     ``cfg``'s model over the main pieces gains the tail as one more label per file
-    (``_cache_tail``), lifting the operating point from (R, M) to (R + dR, M + D*dR).
+    (``placed``), lifting the operating point from (R, M) to (R + dR, M + D*dR).
     """
-    key = _checked(cfg, cfg.variant, library, extra_bits=extra_bits)
-    return _run(cfg, _cache_tail(*key, extra_bits) if extra_bits else _scheme(*key), demands, backend, seeds)
+    return _run(cfg, _plan(cfg, cfg.variant, library, extra_bits=extra_bits), demands, backend, seeds)
 
 
 def round_robin_soft(
@@ -567,8 +566,8 @@ def round_robin_soft(
     """Rotate the soft-handoff scheme over K super-periods so all K receivers decode.
 
     Each message is erasure-coded into K parts of which any K-2 reconstruct it.
-    Super-period l delivers coded part l with every role shifted by l (``_rotate``),
+    Super-period l delivers coded part l with every role shifted by l (``_rotated``),
     so every receiver plays a bad edge role exactly twice and still collects K-2
     parts. The per-user rate shrinks by the factor (K-2)/K.
     """
-    return _run(cfg, _rotate(*_checked(cfg, Variant.SOFT_HANDOFF, library, round_robin=True)), demands, backend, seeds)
+    return _run(cfg, _plan(cfg, Variant.SOFT_HANDOFF, library, round_robin=True), demands, backend, seeds)

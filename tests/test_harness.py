@@ -49,7 +49,7 @@ from wynercache.schemes import (
     run_soft_prop1,
 )
 from wynercache.schemes.mds import MAX_K
-from wynercache.schemes.schedule import SOFT_PERIODS
+from wynercache.schemes.schedule import NEEDED, PERIODS, SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE, achievable, upper_bound
 
 
@@ -131,6 +131,12 @@ def _per_trial_report(spec):
     ).to_json()
     del report["wall_clock_s"]
     return report
+
+
+def _flag_payload_bits(spec):
+    """A spec's payload from its flags, as the harness stated it before it read the skeleton."""
+    pieces = spec.config.k - 2 if spec.round_robin else 1
+    return NEEDED[spec.config.variant] * spec.bits * pieces + spec.prop1_extra_bits
 
 
 def _soft_spec(**overrides):
@@ -741,6 +747,65 @@ class TestLateFailuresRejected:
         _rejected_before_any_trial(spec, ConfigMismatch, match="soft-handoff scheme only")
 
 
+def _outcome(call):
+    try:
+        call()
+    except SimError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_SOFT_K = "soft-handoff schedule needs K >= 5, got {}"
+_MDS_K = "round robin's GF(256) MDS code allows K <= 257, got K=258"
+_RR_SOFT = "round robin applies to the soft-handoff scheme only"
+_RR_TAIL = "round_robin runs no prop-1 placement; unset prop1_extra_bits"
+_BYTES = "round robin needs the {}-bit payload split into K-2=5 whole-byte MDS parts; use a multiple of 8 for bits"
+_soft, _full = (lambda k: NetworkConfig.soft_handoff(k, 1.0, 1e4)), (lambda k: NetworkConfig.full(k, 0.7, 1e4))
+# (id, spec overrides, library bits for the runner (None: the spec's payload), validate(), runner)
+_RULE_CASES = [
+    ("soft-k3", dict(config=_soft(3)), None, (KTooSmall, _SOFT_K.format(3)), (KTooSmall, _SOFT_K.format(3))),
+    ("soft-k4", dict(config=_soft(4)), None, (KTooSmall, _SOFT_K.format(4)), (KTooSmall, _SOFT_K.format(4))),
+    ("rr-full", dict(config=_full(6), round_robin=True), None,
+     (ConfigMismatch, _RR_SOFT), (ConfigMismatch, "config is full, scheme needs soft")),
+    ("rr-k257", dict(config=_soft(257), round_robin=True), None, None, None),
+    ("rr-k258", dict(config=_soft(258), round_robin=True), None, (ConfigMismatch, _MDS_K), (ConfigMismatch, _MDS_K)),
+    ("rr-bits7", dict(config=_soft(7), round_robin=True, bits=7), None,
+     (ConfigMismatch, _BYTES.format(175)), (ConfigMismatch, _BYTES.format(175))),
+    ("rr-bits8", dict(config=_soft(7), round_robin=True, bits=8), None, None, None),
+    *(
+        (f"{model}-tail{tail}", dict(config=config, prop1_extra_bits=tail), None, outcome, outcome)
+        for model, config in [("soft", _soft(6)), ("full", _full(6))]
+        for tail, outcome in [(-1, (ConfigMismatch, "negative prop1_extra_bits -1")), (0, None), (3, None)]
+    ),
+    ("rr-tail3", dict(config=_soft(7), round_robin=True, prop1_extra_bits=3), None, (SimError, _RR_TAIL), None),
+    ("mc-soft-n2", dict(backend="mc", n=2), None, (ConfigMismatch, "block length 2 too short for 3 period(s)"),
+     (ConfigMismatch, "block length 2 too short for the period count")),
+    ("mc-soft-n3", dict(backend="mc", n=3), None, None, None),
+    ("mc-full-n0", dict(config=_full(6), backend="mc", n=0), None,
+     (ConfigMismatch, "block length 0 too short for 1 period(s)"),
+     (ConfigMismatch, "block length 0 too short for the period count")),
+    ("mc-full-n1", dict(config=_full(6), backend="mc", n=1), None, None, None),
+    ("soft-k4-tail-1", dict(config=_soft(4), prop1_extra_bits=-1), None,
+     (KTooSmall, _SOFT_K.format(4)), (KTooSmall, _SOFT_K.format(4))),
+    ("soft-k4-rr", dict(config=_soft(4), round_robin=True), None,
+     (KTooSmall, _SOFT_K.format(4)), (KTooSmall, _SOFT_K.format(4))),
+    ("soft-k4-mc-n2", dict(config=_soft(4), backend="mc", n=2), None,
+     (KTooSmall, _SOFT_K.format(4)), (KTooSmall, _SOFT_K.format(4))),
+    ("rr-k258-bits7", dict(config=_soft(258), round_robin=True, bits=7), None,
+     (ConfigMismatch, _MDS_K), (ConfigMismatch, _MDS_K)),
+    ("rr-full-bits7", dict(config=_full(6), round_robin=True, bits=7), None,
+     (ConfigMismatch, _RR_SOFT), (ConfigMismatch, "config is full, scheme needs soft")),
+    ("rr-k258-tail3", dict(config=_soft(258), round_robin=True, prop1_extra_bits=3), None, (SimError, _RR_TAIL), None),
+    ("full-tail-1-mc-n0", dict(config=_full(6), prop1_extra_bits=-1, backend="mc", n=0), None,
+     (ConfigMismatch, "negative prop1_extra_bits -1"), (ConfigMismatch, "negative prop1_extra_bits -1")),
+    ("soft-library-41", {}, 41, None, (ConfigMismatch, "payload of 41 bits is not divisible into 5 parts")),
+    ("full-library-3", dict(config=_full(6)), 3, None, (ConfigMismatch, "payload of 3 bits is not divisible into 2 parts")),
+    ("tail-fills-library", dict(prop1_extra_bits=40), 40, None,
+     (ConfigMismatch, "payload of 0 bits is not divisible into 5 parts")),
+    ("rr-library-208", dict(config=_soft(7), round_robin=True), 208, None, (ConfigMismatch, _BYTES.format(208))),
+]
+
+
 class TestValidateMatchesTheRun:
     """``ExperimentSpec.validate`` and the runners state each rule once, so they agree."""
 
@@ -779,7 +844,27 @@ class TestValidateMatchesTheRun:
             spec.validate()  # any exception but a SimError fails the property
         except SimError:
             return
+        # the skeleton states what the flags used to: the payload and the MC period rule
+        assert spec.payload_bits() == _flag_payload_bits(spec)
+        periods, mc = PERIODS[variant], lambda n: dataclasses.replace(spec, backend="mc", n=n)
+        with pytest.raises(ConfigMismatch, match=f"^block length {periods - 1} too short for {periods} period"):
+            mc(periods - 1).validate()
+        mc(periods).validate()
         run_experiment(spec)
+
+    @pytest.mark.parametrize("case", _RULE_CASES, ids=[case[0] for case in _RULE_CASES])
+    def test_each_rule_raises_as_before(self, case):
+        # each input's (class, message) from validate() and from the runner it maps to, recorded
+        # before the placement rules moved onto the skeleton; None runs. The last four inputs
+        # are libraries that no spec draws, so validate() passes and only the runner judges them
+        _, overrides, library_bits, validated, ran = case
+        spec = _soft_spec(**overrides)
+        assert _outcome(spec.validate) == validated
+        if spec.round_robin and spec.prop1_extra_bits:
+            return  # no runner takes a round robin tail
+        lib = random_library(spec.num_files, library_bits or _flag_payload_bits(spec), seed=1)
+        demands = DemandVector((1,) * spec.config.k)
+        assert _outcome(lambda: _run_single(spec, lib, demands, 0)) == ran
 
 
 class TestSweep:

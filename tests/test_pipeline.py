@@ -86,6 +86,12 @@ def _needed(cfg):
     return 5 if cfg.variant is Variant.SOFT_HANDOFF else 2
 
 
+def _scheme(variant, k, library, extra_bits=0, round_robin=False):
+    """The memoised plan of a scheme on K nodes over ``library``."""
+    skeleton = (pipeline._rotated if round_robin else pipeline._skeleton)(variant, k)
+    return pipeline.placed(skeleton, library, extra_bits)
+
+
 def _recompiled(cfg, plan, schedule):
     """The base ``plan`` on ``cfg`` with ``schedule`` in place of its placed schedule."""
     library = plan.library
@@ -215,7 +221,7 @@ def _prop1_dict(cfg, library, demands, extra_bits, backend):
     main_bits = library.payload_bits - extra_bits
     mains = MessageLibrary(tuple(Bitstring(main_bits, p.value >> extra_bits) for p in library))
     tails = tuple(Bitstring(extra_bits, p.value & ((1 << extra_bits) - 1)) for p in library)
-    main = _deliver_dict(cfg, pipeline._scheme(cfg.variant, cfg.k, mains), demands, backend)
+    main = _deliver_dict(cfg, _scheme(cfg.variant, cfg.k, mains), demands, backend)
     decoded = {
         rx: None if guess is None else guess.concat(tails[demands.for_rx(rx) - 1])
         for rx, guess in main.decoded.items()
@@ -252,7 +258,7 @@ def _round_robin_dict(cfg, library, demands, backend):
     for ell in range(1, k + 1):
         gains = tuple(cfg.gain_at(_physical_of(r, ell, k)) for r in range(1, k + 1))
         rotated = NetworkConfig.soft_handoff(k, gains, cfg.power, cfg.epsilon)
-        scheme = pipeline._scheme(rotated.variant, k, MessageLibrary(tuple(parts[ell - 1] for parts in coded)))
+        scheme = _scheme(rotated.variant, k, MessageLibrary(tuple(parts[ell - 1] for parts in coded)))
         sub_demands = DemandVector(tuple(demands.for_rx(_physical_of(r, ell, k)) for r in range(1, k + 1)))
         sub_backend = backend
         if isinstance(backend, MonteCarlo):
@@ -544,7 +550,6 @@ class TestMonteCarlo:
         import copy
         import dataclasses
 
-        from wynercache.schemes.pipeline import _scheme
         from wynercache.schemes.schedule import SILENT
 
         cfg = _soft_cfg(power=0.3)
@@ -582,7 +587,7 @@ class TestBatchedMatchesPerTx:
             return run(cfg, scheme, demands, backend, *args)
 
         def run_soft(cfg, library, demands, backend):
-            return _deliver_dict(cfg, pipeline._scheme(cfg.variant, cfg.k, library), demands, backend, per_tx)
+            return _deliver_dict(cfg, _scheme(cfg.variant, cfg.k, library), demands, backend, per_tx)
 
         monkeypatch.setattr(harness, "run_soft", _blockwise(run_soft))
         spec = ExperimentSpec(config=_soft_cfg(power=0.3), backend="mc", trials=4, master_seed=15)
@@ -601,7 +606,7 @@ class TestBatchedMatchesPerTx:
     )
     def test_link_error_rates_agree(self, cfg, payload_bits, n, trials):
         lib = random_library(6, payload_bits, seed=3)
-        scheme, (_, schedule) = pipeline._scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
+        scheme, (_, schedule) = _scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
         n_slot, bits = n // len(scheme.periods), payload_bits // _needed(cfg)
         rng = np.random.default_rng(1)
         links = Counter()  # per number of receivers decoding the link's codebook
@@ -626,7 +631,7 @@ class TestBatchedMatchesPerTx:
 
 
 def _base_dict(cfg, library, demands, backend):
-    return _deliver_dict(cfg, pipeline._scheme(cfg.variant, cfg.k, library), demands, backend)
+    return _deliver_dict(cfg, _scheme(cfg.variant, cfg.k, library), demands, backend)
 
 
 @st.composite
@@ -679,7 +684,7 @@ class TestCompiledMatchesDictWalk:
         # the same muted schedule as test_out_of_subnet_transmitter_is_irrelevant:
         # without a recompiled plan that test would compare a schedule with itself
         cfg = _soft_cfg()
-        scheme = pipeline._scheme(cfg.variant, cfg.k, random_library(6, 40, seed=8))
+        scheme = _scheme(cfg.variant, cfg.k, random_library(6, 40, seed=8))
         muted = delivery_schedule_soft(6, DemandVector((1, 2, 3, 4, 5, 6)))
         muted.periods[0].tx_actions[4] = SILENT
         muted.periods[0].tx_actions[5] = SILENT
@@ -764,12 +769,8 @@ class TestArrayPlane:
     @example((Variant.SOFT_HANDOFF, 5, random_library(6, 5 + 33, seed=3), False, 33))  # tail wider than a part
     def test_plane_equals_the_split_plane(self, case):
         variant, k, lib, round_robin, extra = case
-        if round_robin:
-            plan = pipeline._rotate.__wrapped__(variant, k, lib)
-        elif extra:
-            plan = pipeline._cache_tail.__wrapped__(variant, k, lib, extra)
-        else:
-            plan = pipeline._scheme.__wrapped__(variant, k, lib)
+        skeleton = (pipeline._rotated if round_robin else pipeline._skeleton)(variant, k)
+        plan = pipeline.placed.__wrapped__(skeleton, lib, extra)
         plane, memory_bits = _split_plane(variant, k, lib, round_robin, extra)
         assert plan.plane.dtype == np.uint8 and plan.plane.shape == plane.shape
         assert plan.plane.tolist() == plane.tolist()
@@ -841,10 +842,30 @@ class TestInputValidation:
         with pytest.raises(ConfigMismatch):
             run_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 7)))
 
+    @pytest.mark.parametrize(
+        "run, match",
+        [
+            (lambda cfg, lib: run_soft(cfg, lib, DemandVector((1,) * 6), MonteCarlo(288, seed=-1)), "seed=-1"),
+            (lambda cfg, lib: run_soft(cfg, lib, np.ones((2, 6), np.int64), MonteCarlo(288), (-1, 2)), "seed=-1"),
+            (lambda cfg, lib: run_soft(cfg, lib, DemandVector((1,) * 6), MonteCarlo(288.0)), "n=288.0"),
+            (lambda cfg, lib: run_soft(cfg, lib, DemandVector((1,) * 6), MonteCarlo(288, seed=1.5)), "seed=1.5"),
+            (lambda cfg, lib: run_soft(cfg, lib, DemandVector((1,) * 6), "mc"), "^backend must be Ideal"),
+        ],
+        ids=["negative-seed", "negative-block-seed", "float-n", "float-seed", "str-backend"],
+    )
+    def test_backend_named_before_any_draw(self, monkeypatch, run, match):
+        # numpy's bare ValueError, a TypeError or an AttributeError before these were checked
+        def refuse(*args):
+            raise AssertionError("a codebook drawn for a bad backend")
+
+        monkeypatch.setattr(pipeline, "draw_codebook", refuse)
+        with pytest.raises(ConfigMismatch, match=match):
+            run(_soft_cfg(), random_library(6, 40, seed=1))
+
 
 PLACEMENTS = ("cache_placement_soft", "cache_placement_full")
 SCHEDULES = ("delivery_schedule_soft", "delivery_schedule_full")
-PLAN_CACHES = (pipeline._scheme, pipeline._rotate, pipeline._cache_tail)
+PLAN_CACHES = (pipeline.placed,)
 SKELETONS = (pipeline._skeleton, pipeline._rotated)
 
 
@@ -910,8 +931,8 @@ class TestPlaceOnce:
         spec = ExperimentSpec(config=_soft_cfg(), trials=5, master_seed=90212)
         assert run_experiment(spec).trials == 5
         assert sum(map(len, splits)) == 0
-        ((_, library, rows, bits),) = counts["planes"]
-        assert rows.shape == (6, 5) and bits == 40 and rows is library.rows
+        ((_, library, rows, bits, extra_bits),) = counts["planes"]
+        assert rows.shape == (6, 5) and bits == 40 and extra_bits == 0 and rows is library.rows
 
     def test_round_robin_places_each_rotation_once(self, monkeypatch):
         # all K rotations share one skeleton and one plane, over every coded part of every file
@@ -1087,7 +1108,7 @@ class TestPlacedSchedule:
         num_files = k + 3  # random demands reach file ids above K
         lib = random_library(num_files, payload_bits, seed=k, allow_small_d=True)
         template = _placed(cfg, lib)[1]
-        assert len(pipeline._scheme(cfg.variant, k, lib).periods) == len(template.periods)
+        assert len(_scheme(cfg.variant, k, lib).periods) == len(template.periods)
         rng = np.random.default_rng(k)
         vectors = [tuple(range(1, k + 1)), (num_files,) * k] + [
             tuple(int(x) for x in rng.integers(1, num_files + 1, size=k)) for _ in range(20)
@@ -1160,7 +1181,7 @@ class TestIdealRateCheck:
         assert rate >= 0
         # the per-link rule the delivery loop used to apply, as the reference
         lib = random_library(6, 40, seed=1)
-        scheme, (_, schedule) = pipeline._scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
+        scheme, (_, schedule) = _scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
         link_rate = len(scheme.periods) * rate / _needed(cfg)
         for per in schedule.periods:
             for rx, plan in per.rx_plans.items():
@@ -1236,7 +1257,7 @@ class TestDecodeLayout:
     )
     def test_cancel_names_each_receivers_interferers(self, cfg, payload_bits):
         lib = random_library(6, payload_bits, seed=3)
-        plan, (_, schedule) = pipeline._scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
+        plan, (_, schedule) = _scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
         for per, placed in zip(plan.periods, schedule.periods, strict=True):
             assert per.cancel.shape == (cfg.k, 2)
             # K names the zero row that pads a receiver with fewer than two interferers
@@ -1248,9 +1269,9 @@ class TestDecodeLayout:
     def test_rotations_share_three_layouts(self, k):
         # every rotation is delivered through the three periods of the base plan
         lib = random_library(6, 5 * 8 * (k - 2), seed=3)
-        plan = pipeline._rotate(Variant.SOFT_HANDOFF, k, lib)
+        plan = _scheme(Variant.SOFT_HANDOFF, k, lib, round_robin=True)
         coded = MessageLibrary(tuple(part for p in lib for part in mds_encode(list(p.split(k - 2)))))
-        base = pipeline._scheme.__wrapped__(Variant.SOFT_HANDOFF, k, coded)
+        base = pipeline.placed.__wrapped__(pipeline._skeleton(Variant.SOFT_HANDOFF, k), coded, 0)
         assert len(plan.periods) == 3
         for per, own in zip(plan.periods, base.periods, strict=True):
             assert (per.index, per.links) == (own.index, own.links)
@@ -1266,17 +1287,17 @@ def _budget_plans():
     """(cfg, payload bits, round robin, prop-1 tail bits, plan) of each scheme at two K."""
     for k in (6, 9):
         lib = random_library(6, 5 * 24, seed=k)
-        yield _soft_cfg(k=k), 5 * 24, False, 0, pipeline._scheme(Variant.SOFT_HANDOFF, k, lib)
+        yield _soft_cfg(k=k), 5 * 24, False, 0, _scheme(Variant.SOFT_HANDOFF, k, lib)
         # the tail, 40 bits, is wider than a label, 24 bits
         lib = random_library(6, 5 * 24 + 40, seed=k)
-        yield _soft_cfg(k=k), 5 * 24 + 40, False, 40, pipeline._cache_tail(Variant.SOFT_HANDOFF, k, lib, 40)
+        yield _soft_cfg(k=k), 5 * 24 + 40, False, 40, _scheme(Variant.SOFT_HANDOFF, k, lib, 40)
         lib = random_library(6, 5 * 16 * (k - 2), seed=k)
-        yield _soft_cfg(k=k), 5 * 16 * (k - 2), True, 0, pipeline._rotate(Variant.SOFT_HANDOFF, k, lib)
+        yield _soft_cfg(k=k), 5 * 16 * (k - 2), True, 0, _scheme(Variant.SOFT_HANDOFF, k, lib, round_robin=True)
     for k in (6, 10):
         lib = random_library(6, 2 * 24, seed=k)
-        yield NetworkConfig.full(k, 0.5, 1e4), 2 * 24, False, 0, pipeline._scheme(Variant.FULL, k, lib)
+        yield NetworkConfig.full(k, 0.5, 1e4), 2 * 24, False, 0, _scheme(Variant.FULL, k, lib)
         lib = random_library(6, 2 * 24 + 40, seed=k)
-        yield NetworkConfig.full(k, 0.5, 1e4), 2 * 24 + 40, False, 40, pipeline._cache_tail(Variant.FULL, k, lib, 40)
+        yield NetworkConfig.full(k, 0.5, 1e4), 2 * 24 + 40, False, 40, _scheme(Variant.FULL, k, lib, 40)
 
 
 class TestBlockBudget:
@@ -1288,7 +1309,7 @@ class TestBlockBudget:
         monkeypatch.setattr(pipeline, "BLOCK_BYTES", budget)
         blocks = 0
         for cfg, payload_bits, round_robin, extra_bits, plan in _budget_plans():
-            trials = pipeline.block_trials(cfg, payload_bits, round_robin, extra_bits)
+            trials = pipeline.block_trials(plan)
             rows = cfg.k if round_robin else 1
             if trials > 1:
                 blocks += 1

@@ -83,7 +83,7 @@ class TestRoundRobin:
             gains = tuple(1.0 + rx / 16 for rx in range(1, k + 1))
             cfg = NetworkConfig.soft_handoff(k, gains, 1e4)
             lib = random_library(6, 5 * 8 * (k - 2), seed=k, allow_small_d=True)
-            plan = pipeline._rotate(cfg.variant, k, lib)
+            plan = pipeline.placed(pipeline._rotated(cfg.variant, k), lib, 0)
             heard.clear()
             round_robin_soft(cfg, lib, DemandVector((1,) * k), MonteCarlo(n=3 * 16, seed=k))
             rotations = heard[::3]  # three periods per rotation, rotation 1 first
@@ -178,8 +178,8 @@ class TestDecodeRecipe:
         lib = random_library(6, 5 * 8 * (k - 2), seed=2)
         calls = []
         monkeypatch.setattr(pipeline, "mds_decode", lambda *args: calls.append(args) or mds_decode(*args))
-        pipeline._rotate.cache_clear()
-        pipeline._rotate(cfg.variant, k, lib)
+        pipeline.placed.cache_clear()
+        pipeline.placed(pipeline._rotated(cfg.variant, k), lib, 0)
         assert len(calls) == 0
 
         def refuse(*args):
