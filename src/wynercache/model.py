@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -326,9 +326,13 @@ def entropy_words(*entropy: int) -> list[int]:
     return [v >> s & 0xFFFFFFFF for v in entropy for s in range(0, max(v.bit_length(), 1), 32)]
 
 
+@cache
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult^i mod 2^32 for i = 0..count, as a uint32 column: a run of hash constants."""
-    return np.cumprod(np.array([init] + [mult] * count, np.uint32), dtype=np.uint32)[:, None]
+    """init * mult^i mod 2^32 for i = 0..count, as a read-only uint32 column: a run of hash
+    constants, made once per run length."""
+    const = np.cumprod(np.array([init] + [mult] * count, np.uint32), dtype=np.uint32)[:, None]
+    const.flags.writeable = False
+    return const
 
 
 def seed_states(words: np.ndarray, n_words: int) -> np.ndarray:

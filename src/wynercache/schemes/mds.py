@@ -13,7 +13,8 @@ data part is one collected part or a GF(256) combination of them (``gf_dot``).
 robin fixes its receivers' at placement and applies them to every delivery,
 and ``mds_decode`` applies one to ``Bitstring`` parts. The encode is one array
 step too: ``mds_rows`` codes the byte rows of every file at once, and
-``mds_encode`` codes ``Bitstring`` parts through it.
+``mds_encode`` codes ``Bitstring`` parts through it. ``gf_dot`` multiplies
+whole arrays by one ``np.take`` on the flat 64 KiB ``_MUL``, a * b at a << 8 | b.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _GENERATOR = 2
 
 _EXP = np.zeros(512, dtype=np.uint8)
 _LOG = np.zeros(256, dtype=np.int32)
-_MUL = np.zeros((256, 256), dtype=np.uint8)  # _MUL[a][b] = a * b; _MUL[c][vec] scales a byte vector
+_MUL = np.zeros((256, 256), dtype=np.uint8)  # _MUL[a][b] = a * b, flat at a << 8 | b
 
 
 def _init_tables() -> None:
@@ -59,9 +60,9 @@ def _gen_pow(exponent: int | np.ndarray) -> np.uint8 | np.ndarray:
     return _EXP[(_LOG[_GENERATOR] * exponent) % 255]
 
 
-def gf_dot(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """XOR over j of coefficients[..., j] * rows[..., j, :] in GF(256), both uint8 and broadcast."""
-    return np.bitwise_xor.reduce(_MUL[coefficients[..., None], rows], axis=-2)
+def gf_dot(coefficients: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
+    """XOR along ``axis`` of coefficients * rows in GF(256), both uint8 and broadcast."""
+    return np.bitwise_xor.reduce(np.take(_MUL, coefficients.astype(np.uint16) << 8 | rows), axis=axis)
 
 
 def _as_byte_rows(parts: Sequence[Bitstring]) -> np.ndarray:
@@ -87,26 +88,26 @@ def mds_encode(data_parts: Sequence[Bitstring]) -> list[Bitstring]:
 def mds_rows(data: np.ndarray) -> np.ndarray:
     """The K coded parts of (..., K - 2, bytes) uint8 data parts: the data, then P and Q."""
     p_parity = np.bitwise_xor.reduce(data, axis=-2)
-    q_parity = gf_dot(_gen_pow(np.arange(data.shape[-2])), data)
+    q_parity = gf_dot(_gen_pow(np.arange(data.shape[-2]))[:, None], data, axis=-2)
     return np.concatenate((data, p_parity[..., None, :], q_parity[..., None, :]), axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
 class Recipe:
-    """Each receiver's decode, fixed by the K - 2 coded parts it collects: its data part i is its
-    collected part ``keep[r, i]``, except the data parts ``fix[r]``, which are GF(256)
-    combinations ``coef[r]`` of all its collected parts. A receiver misses at most two data
+    """Each receiver's decode, fixed by the K - 2 coded parts it collects: receiver r's data part i
+    is its collected part ``keep[i, r]``, except the data parts ``fix[:, r]``, which are GF(256)
+    combinations ``coef[:, :, r]`` of all its collected parts. A receiver misses at most two data
     parts; one that misses fewer also rebuilds held data parts, whose rows are unit rows."""
 
-    keep: np.ndarray  # (receivers, K - 2): the collected part each data part passes through from
-    fix: np.ndarray  # (receivers, min(2, K - 2)): its missing data parts, then its held ones
-    coef: np.ndarray  # (receivers, min(2, K - 2), K - 2), uint8
+    keep: np.ndarray  # (K - 2, receivers): the collected part each data part passes through from
+    fix: np.ndarray  # (min(2, K - 2), receivers): its missing data parts, then its held ones
+    coef: np.ndarray  # (K - 2, min(2, K - 2), receivers) uint8: collected part j's weight in fix row m
 
     def apply(self, parts: np.ndarray) -> np.ndarray:
-        """The (..., receivers, K - 2, bytes) uint8 data parts of the collected coded parts, same shape."""
-        rx = np.arange(len(self.keep))[:, None]
-        data = parts[..., rx, self.keep, :]
-        data[..., rx, self.fix, :] = gf_dot(self.coef, parts[..., None, :, :])
+        """The (..., K - 2, receivers, bytes) uint8 data parts of the collected coded parts, same shape."""
+        rx = np.arange(parts.shape[-2])
+        data = parts[..., self.keep, rx, :]
+        data[..., self.fix, rx, :] = gf_dot(self.coef[..., None], parts[..., None, :, :], axis=-4)
         return data
 
 
@@ -132,7 +133,7 @@ def decode_recipe(collected: Sequence[Sequence[int]] | np.ndarray, k: int) -> Re
     coef = _MUL[lam_p[..., None], in_p[:, None]] ^ _MUL[lam_q[..., None], in_q[:, None]]
     coef = np.where(held[rx, fix + 1][..., None], labels[:, None] == fix[..., None] + 1, coef)  # held: unit rows
     keep = (held[:, 1 : n + 1].cumsum(axis=1) - 1).clip(0)
-    return Recipe(keep, fix, coef)
+    return Recipe(keep.T.copy(), fix.T.copy(), coef.transpose(2, 1, 0).copy())
 
 
 def mds_decode(available: Mapping[int, Bitstring], k_total: int) -> list[Bitstring]:
@@ -146,5 +147,5 @@ def mds_decode(available: Mapping[int, Bitstring], k_total: int) -> list[Bitstri
     if bad := [idx for idx in available if not 1 <= idx <= k_total]:
         raise SimError(f"part index {bad[0]} outside 1..{k_total}")
     order = sorted(available)[:n_data]
-    (data,) = decode_recipe([order], k_total).apply(_as_byte_rows([available[i] for i in order])[None])
-    return [Bitstring.from_bytes(row.tobytes()) for row in data]
+    data = decode_recipe([order], k_total).apply(_as_byte_rows([available[i] for i in order])[:, None])
+    return [Bitstring.from_bytes(row.tobytes()) for row in data[:, 0]]

@@ -18,22 +18,21 @@
   memoises a plan on its skeleton, library and tail, not on the channel, so every trial and
   every SNR point of a sweep shares it; each runner reaches it through ``_plan``, which
   checks the config first.
-* Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of
-  them with any plan at once: it gathers each row's source vectors from the
-  plane (``_sources``), decodes the links (``_links``: gathers and XORs, and for
-  MC one codebook draw and decode per row and period, from that row's seed),
-  XOR-reduces each receiver's selected labels into its data parts and compares
-  them with ``want``. Round robin delivers trial t as K rows of its base plan:
-  in rotation l the role played by node n demands coded part l of node n's
-  file, hears node n's cross gain and draws from the seed keyed by
-  (``_SEED_SUPER``, l). Each receiver's pieces are then gathered from its rows
-  and decoded by its recipe, for every trial in one array step. No Python code
-  runs per receiver or per Ideal trial. The MC links read power, epsilon and
-  gains from the runner's config, and an Ideal delivery runs at the rate
-  ``check_ideal_rate`` passes once per runner call, so only MC links fail here.
-  The runners take a block and return its ``BlockResult``, or one
-  ``DemandVector`` and return its ``SimResult``, the one-trial block with the
-  decoded payloads (``_run``).
+* Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of them with any
+  plan at once, source-major: an array holds a source, link or data part per step of its
+  leading axis and the block's delivery rows behind it, so a gather is one ``np.take`` of whole
+  rows and an XOR reduce runs over a leading axis. It takes the rows' sources from the plane
+  (``_sources``), decodes the links (``_links``: gathers and XORs, and for MC one codebook draw
+  and decode per row and period, from that row's seed) and XORs each receiver's selected
+  sources into its data parts, checked against ``want``. Round robin delivers rotation l of
+  trial t as row (l - 1) * T + t of its base plan: the role played by node n demands coded part
+  l of node n's file, hears node n's cross gain and draws from the seed keyed by
+  (``_SEED_SUPER``, l). Each receiver's pieces are then gathered from those rows and decoded by
+  its recipe, for every trial in one array step. No Python code runs per receiver or per Ideal
+  trial. The MC links read power, epsilon and gains from the runner's config, and an Ideal
+  delivery runs at the rate ``check_ideal_rate`` passes once per runner call, so only MC links
+  fail here. The runners take a block and return its ``BlockResult``, or one ``DemandVector``
+  and return its ``SimResult``, the one-trial block with the decoded payloads (``_run``).
 
 Two interchangeable backends drive the same plans:
 
@@ -177,13 +176,13 @@ class _Period:
 
 @dataclass(frozen=True, eq=False)
 class _Skeleton:
-    """A placed scheme without its files: index arrays into each delivery's source vectors, which
-    depend on the model and K alone. A row's source vector is a 0, then each label's column of the
-    receivers' demands, then every link's decoded part in reverse: receiver j's label p is at
-    (p - 1) * K + j, link i at ~i, and an absent XOR side or strip names the 0, so a new label
-    appends without moving a position. Receiver rx's data parts are the XORs of the sources that
-    ``select[rx - 1]`` picks; in round robin, its K - 2 ``pieces`` are the coded parts that its
-    ``recipe`` decodes into its payload.
+    """A placed scheme without its files: index arrays into a delivery's sources, which depend on
+    the model and K alone. The sources of R delivery rows are one (sources, R, nb) array; along
+    its leading axis come the 0, each label's K columns of the receivers' demands, then every
+    link's decoded part in reverse: receiver j's label p is at (p - 1) * K + j, link i at ~i, and an
+    absent XOR side or strip names the 0, so a new label appends without moving a position.
+    Receiver rx's data parts are the XORs of the sources that ``select[:, :, rx - 1]`` picks; in
+    round robin, its K - 2 ``pieces`` are the coded parts that its ``recipe`` decodes.
     """
 
     guaranteed: tuple[int, ...]
@@ -196,25 +195,26 @@ class _Skeleton:
     link_tx: np.ndarray  # (links,): its source's index in ``tx``
     link_strip: np.ndarray  # (links,): source position of the cached part it XORs out
     periods: tuple[_Period, ...]
-    select: np.ndarray  # (K, data parts, picks)
+    select: np.ndarray  # (picks, data parts, K)
     served: np.ndarray  # (K,): the receiver holds every label its data parts (or pieces) need
     pieces: np.ndarray | None = None  # round robin: (K, K - 2, 2) 0-based (rotation, role) of each piece
     recipe: Recipe | None = None  # round robin: each receiver's MDS decode of its pieces
+    nodes: np.ndarray | None = None  # round robin: (K, K) 0-based node playing each (role, rotation)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class _Plan(_Skeleton):
     """A skeleton placed over a library; ``_deliver`` walks it. ``plane`` holds label p of file f
     at [p - 1, f - 1] as nb big-endian bytes, right-aligned, nb fitting the widest label, so any
-    L takes one path. The data parts that ``select[rx - 1]`` XORs are receiver rx's payload cut
-    into ``widths``; in round robin they are one coded part, its data labels joined byte by byte.
+    L takes one path. The data parts that ``select[:, :, rx - 1]`` XORs are receiver rx's payload
+    cut into ``widths``; in round robin each width is a coded part, its data labels' bytes in turn.
     """
 
     library: MessageLibrary  # the files each receiver's payload is checked against
     base_bits: int  # payload of one base delivery; MC rate base_bits / (base_periods * n_slot)
     part_bits: int  # bits per scheduled part, the MC codebook size
     plane: np.ndarray  # (labels, files, nb) uint8: every part value
-    want: np.ndarray  # (files, data parts, bytes) uint8: each file's data parts as ``_deliver`` decodes them
+    want: np.ndarray  # (data parts, files, bytes) uint8, round robin's (labels, K - 2, files, nb): as decoded
     memory_bits: int  # cache bits per receiver
     widths: tuple[int, ...]  # bits of each data part of a payload, the first the most significant
     scale: Callable[[float], float] = lambda rate: rate  # base rate -> reported rate
@@ -251,13 +251,13 @@ def _compile(labels: Mapping[int, tuple[int, ...]], schedule: DeliverySchedule) 
             batches.append((src, rxs, rxs == src[:, None]))
         periods.append(_Period(per.index, slice(start, len(links)), cancel, tuple(batches)))
     # data part s is its own label, or the XOR of the five labels held (soft parity repair)
-    select, served = np.zeros((k, needed, needed), dtype=np.intp), np.zeros(k, dtype=bool)
+    select, served = np.zeros((needed, needed, k), dtype=np.intp), np.zeros(k, dtype=bool)
     for rx in range(1, k + 1):
         chosen = dict(sorted(held[rx].items())[:needed])
         served[rx - 1] = len(chosen) == needed
         for s in range(1, needed + 1) if served[rx - 1] else ():
             picks = [chosen[s]] if s in chosen else list(chosen.values())
-            select[rx - 1, s - 1, : len(picks)] = picks
+            select[: len(picks), s - 1, rx - 1] = picks
     return _Skeleton(
         guaranteed_receivers(schedule.variant, k), LABELS[schedule.variant], len(labels[1]), len(periods),
         np.array(sides, dtype=np.intp).T, np.array(silent),
@@ -299,6 +299,7 @@ def _rotated(variant: Variant, k: int) -> _Skeleton:
     return replace(
         base, guaranteed=tuple(range(1, k + 1)), served=base.served[pieces[..., 1]].all(axis=1),
         pieces=pieces, recipe=decode_recipe(pieces[..., 0] + 1, k),
+        nodes=(np.arange(k)[:, None] + np.arange(1, k + 1)) % k,  # role r in rotation l: node (r + l) mod K
     )
 
 
@@ -312,6 +313,8 @@ def layout(skel: _Skeleton, payload_bits: int, extra_bits: int) -> int:
     """The payload bits of one base delivery of ``skel`` on ``payload_bits``-bit files with a
     prop-1 tail of ``extra_bits``: a file's leading bits, or one of round robin's K - 2 MDS data
     parts. Raises the named ``ConfigMismatch`` where the payload does not split that way."""
+    if not isinstance(extra_bits, numbers.Integral) or isinstance(extra_bits, bool):
+        raise ConfigMismatch(f"prop1_extra_bits must be an int, got {extra_bits!r}")
     if extra_bits < 0:
         raise ConfigMismatch(f"negative prop1_extra_bits {extra_bits}")
     base, needed = payload_bits - extra_bits, skel.select.shape[1]
@@ -344,15 +347,15 @@ def _place(skel: _Skeleton, library: MessageLibrary, rows: np.ndarray, bits: int
     fields = {}
     if extra_bits:
         labels[-1, :, 8 * nb - extra_bits :] = stream[:, main:]
-        tail = np.zeros((k, 1, skel.select.shape[-1]), dtype=np.intp)
-        tail[:, 0, 0] = skel.labels * k + np.arange(1, k + 1)
-        fields = dict(select=np.concatenate((skel.select, tail), axis=-2), scale=lambda rate: rate * (bits / main))
+        tail = np.zeros((len(skel.select), 1, k), dtype=np.intp)
+        tail[0, 0] = skel.labels * k + np.arange(1, k + 1)
+        fields = dict(select=np.concatenate((skel.select, tail), axis=1), scale=lambda rate: rate * (bits / main))
     plane = np.packbits(labels).reshape(len(labels), len(rows), nb)
     if skel.labels > needed:  # the soft parity; a label's pad bits are zero, so its bytes XOR as its bits
         plane[needed] = np.bitwise_xor.reduce(plane[:needed])
     return _Plan(
         **vars(skel) | fields, library=library, base_bits=main, part_bits=part, plane=plane,
-        want=np.concatenate((plane[:needed], plane[skel.labels :])).swapaxes(0, 1),
+        want=np.concatenate((plane[:needed], plane[skel.labels :])),
         memory_bits=len(rows) * skel.cached * part + library.num_files * extra_bits,
         widths=(part,) * needed + (extra_bits,) * (extra_bits > 0),
     )
@@ -370,10 +373,10 @@ def placed(skel: _Skeleton, library: MessageLibrary, extra_bits: int) -> _Plan:
     files, k = library.num_files, len(skel.pieces)
     coded = mds_rows(library.rows.reshape(files, k - 2, -1)).reshape(files * k, -1)
     plan = _place(skel, library, coded, base)
-    _, needed, nb = plan.want.shape
+    needed, _, nb = plan.want.shape
     return replace(
-        # the code is systematic: data part i is coded part i, its data labels joined
-        plan, want=plan.want.reshape(files, k, needed * nb)[:, : k - 2],
+        # the code is systematic: data part i is coded part i, its data labels in turn
+        plan, want=plan.want.reshape(needed, files, k, nb)[:, :, : k - 2].transpose(0, 2, 1, 3).copy(),
         scale=lambda rate: rate * (k - 2) / k, widths=(base,) * (k - 2),
     )
 
@@ -396,34 +399,34 @@ def _plan(
     return placed(skeleton(cfg, round_robin), library, extra_bits)
 
 
-def _sources(plan: _Plan, demands: np.ndarray) -> np.ndarray:
-    """The (T, sources, nb) source vectors of the (T, K) ``demands``, without the links."""
-    labels, t = plan.plane[:, demands - 1], len(demands)  # (labels, T, K, nb)
-    nb = labels.shape[-1]
-    return np.concatenate((np.zeros((t, 1, nb), np.uint8), labels.swapaxes(0, 1).reshape(t, -1, nb)), axis=1)
+def _sources(plan: _Plan, columns: np.ndarray) -> np.ndarray:
+    """The (sources, R, nb) sources of R demand rows, their (K, R) ``columns``, without the links."""
+    labels = np.take(plan.plane, columns - 1, axis=1)  # (labels, K, R, nb)
+    return np.concatenate((np.zeros((1, *labels.shape[2:]), np.uint8), labels.reshape(-1, *labels.shape[2:])))
 
 
 def _links(
     plan: _Plan, cfg: NetworkConfig, own: np.ndarray, backend: Backend, n_slot: int, seeds: Sequence[int],
     gains: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Every link's decoded part (T, links, nb), given the source vectors ``own``, and the count
-    of wrong links. Row t's MC streams come from ``seeds[t]``, over the channel of ``cfg`` with
-    the cross gains ``gains[t % len(gains)]``, one per receiver. The schedule was checked at
-    placement and the Ideal rate by the runner: only an MC link can fail."""
-    sent = own[:, plan.tx[0]] ^ own[:, plan.tx[1]]
+    """Every link's decoded part (links, R, nb), given the sources ``own``, and the count of wrong
+    links. Row t's MC streams come from ``seeds[t]``, over the channel of ``cfg`` with the cross
+    gains ``gains[t % len(gains)]``, one per receiver. The schedule was checked at placement and
+    the Ideal rate by the runner: only an MC link can fail."""
+    sent = np.take(own, plan.tx[0], axis=0) ^ np.take(own, plan.tx[1], axis=0)  # (Tx actions, R, nb)
+    strip = np.take(own, plan.link_strip, axis=0)
     if isinstance(backend, Ideal):
-        return sent[:, plan.link_tx] ^ own[:, plan.link_strip], 0
+        return np.take(sent, plan.link_tx, axis=0) ^ strip, 0
     failures = 0
     # a codeword index has at most MAX_CODEBOOK_BITS (22) bits, so its part's last bytes hold
     # it; draw_codebook rejects a longer part before it reads a word
     places = 8 * np.arange(min(own.shape[-1], 7))[::-1]
     words = (sent[..., -len(places):].astype(np.int64) << places).sum(axis=-1)
-    rows = np.where(plan.silent, -1, words)  # a silent Tx sends zeros
-    guess = np.empty((len(own), len(plan.link_tx)), dtype=np.int64)
+    words[plan.silent] = -1  # a silent Tx sends zeros
+    guess = np.empty((len(plan.link_tx), own.shape[1]), dtype=np.int64)
     for t, seed in enumerate(seeds):
         gain = gains[t % len(gains)]
-        for per, sends in zip(plan.periods, rows[t].reshape(-1, cfg.k)):
+        for per, sends in zip(plan.periods, words[:, t].reshape(-1, cfg.k)):
             cb = draw_codebook(  # row r - 1 is the codebook of Tx r
                 n_slot, plan.part_bits, cfg.power - cfg.epsilon, derive_seed(seed, _SEED_CODEBOOK, per.index),
                 sends, cfg.power,
@@ -442,19 +445,17 @@ def _links(
             guesses = np.zeros(cfg.k, dtype=np.int64)
             for src, rxs, own_tx in per.batches:
                 guesses[rxs] = nn_decode(cb, src, y[rxs], np.where(own_tx, 1.0, gain[rxs]))
-            guess[t, per.links] = got = guesses[plan.link_rx[per.links]]
-            failures += np.count_nonzero(got != rows[t, plan.link_tx[per.links]])
-    strip = own[:, plan.link_strip]
-    decoded = np.zeros_like(strip)
-    decoded[..., -len(places):] = (guess[..., None] >> places) & 0xFF
-    return decoded ^ strip, int(failures)
+            guess[per.links, t] = got = guesses[plan.link_rx[per.links]]
+            failures += np.count_nonzero(got != words[plan.link_tx[per.links], t])
+    strip[..., -len(places):] ^= (guess[..., None] >> places & 0xFF).astype(np.uint8)
+    return strip, int(failures)
 
 
 def _deliver(
     plan: _Plan, cfg: NetworkConfig, demands: np.ndarray, backend: Backend, seeds: Sequence[int]
 ) -> tuple[BlockResult, np.ndarray]:
     """Delivery phase: serve a checked (T, K) block of demand vectors with a placed plan over the
-    channel of ``cfg``; also returns every receiver's data parts, (T, K, data parts, bytes) uint8."""
+    channel of ``cfg``; also returns the data parts, receiver rx's of trial t at [..., rx - 1, t, :]."""
     if isinstance(backend, Ideal):
         if len(seeds):
             raise ConfigMismatch(f"an Ideal delivery draws nothing; {len(seeds)} Monte-Carlo seed(s) given")
@@ -471,21 +472,20 @@ def _deliver(
             replace(backend, seed=seed)
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
     # receiver rx's cross gain ``cfg.gain_at(rx)``: the full model's one gain is every receiver's
-    rows, gains = demands, np.broadcast_to(np.array(cfg.gains), (1, cfg.k))
-    if plan.pieces is not None:  # trial t's rotation l is row t * K + l - 1 of the base plan
-        k, ell = cfg.k, np.arange(1, cfg.k + 1)[:, None]
-        node = (np.arange(k) + ell) % k  # (rotation, role): the 0-based node playing the role
-        rows, gains = ((demands[:, node] - 1) * k + ell).reshape(-1, k), gains[0, node]
-        seeds = [derive_seed(seed, _SEED_SUPER, rotation) for seed in seeds for rotation in range(1, k + 1)]
-    own = _sources(plan, rows)
+    k, t, columns, gains = cfg.k, len(demands), demands.T, np.broadcast_to(np.array(cfg.gains), (1, cfg.k))
+    if plan.pieces is not None:  # trial t's rotation l is row (l - 1) * T + t of the base plan
+        columns = ((demands.T[plan.nodes] - 1) * k + np.arange(1, k + 1)[:, None]).reshape(k, -1)
+        gains = np.repeat(gains[0, plan.nodes.T], t, axis=0)
+        seeds = [derive_seed(seed, _SEED_SUPER, rotation) for rotation in range(1, k + 1) for seed in seeds]
+    own = _sources(plan, columns)
     links, failures = _links(plan, cfg, own, backend, n_slot, seeds, gains)
-    picks = np.concatenate((own, links[:, ::-1]), axis=1)[:, plan.select]
-    data = np.bitwise_xor.reduce(picks, axis=-2)
+    data = np.bitwise_xor.reduce(np.take(np.concatenate((own, links[::-1])), plan.select, axis=0))
     if plan.pieces is not None:  # any K-2 of a file's K coded parts give its K-2 data parts
-        pieces = data.reshape(len(demands), cfg.k, *data.shape[1:])[:, plan.pieces[..., 0], plan.pieces[..., 1]]
-        data = plan.recipe.apply(pieces.reshape(*pieces.shape[:3], -1))
-    success = plan.served & (data == plan.want[demands - 1]).all(axis=(-2, -1))
-    block = BlockResult(success, plan.guaranteed, len(rows) * len(plan.link_tx), failures, rate, plan.memory_bits)
+        at = plan.pieces[..., 1].T * k + plan.pieces[..., 0].T  # (K - 2, K): (role, rotation) of each piece
+        pieces = np.take(data.reshape(len(data), k * k, -1), at, axis=1)  # (labels, K - 2, K, T * nb)
+        data = plan.recipe.apply(pieces).reshape(*pieces.shape[:3], t, -1)
+    wrong = (data != np.take(plan.want, demands.T - 1, axis=-2)).reshape(-1, k, t, data.shape[-1]).any(axis=(0, 3))
+    block = BlockResult(plan.served & ~wrong.T, plan.guaranteed, links[..., 0].size, failures, rate, plan.memory_bits)
     return block, data
 
 
@@ -502,11 +502,11 @@ def _run(
         raise ConfigMismatch(f"one DemandVector runs on backend.seed; {len(seeds)} seed(s) are for a (T, K) block")
     DemandVector.checked(demands, cfg.k, library.num_files)
     seeds = (backend.seed,) if isinstance(backend, MonteCarlo) else ()
-    block, (data,) = _deliver(plan, cfg, np.array([demands.entries], dtype=np.intp), backend, seeds)
+    block, data = _deliver(plan, cfg, np.array([demands.entries], dtype=np.intp), backend, seeds)
     decoded = {}
-    for rx, (parts, served) in enumerate(zip(data, plan.served), start=1):
-        value = 0
-        for width, part in zip(plan.widths, parts):
+    for rx, served in enumerate(plan.served, start=1):
+        value, parts = 0, np.moveaxis(data[..., rx - 1, 0, :], 0, -2)  # round robin: (K - 2, labels, nb)
+        for width, part in zip(plan.widths, parts.reshape(len(plan.widths), -1)):
             value = value << width | int.from_bytes(part.tobytes(), "big")
         decoded[rx] = Bitstring(library.payload_bits, value) if served else None
     return SimResult(decoded=decoded, **vars(block) | {"success": dict(enumerate(block.success[0].tolist(), 1))})

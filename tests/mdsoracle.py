@@ -26,7 +26,7 @@ def solve_decode(available: dict[int, np.ndarray], k: int) -> np.ndarray:
     # Q' = sum of g^(i-1) d_i over the missing i
     p_acc = np.bitwise_xor.reduce(rows[data | (labels == k - 1)], axis=0)
     weights = np.where(data, mds._gen_pow(labels - 1), labels == k).astype(np.uint8)
-    q_acc = mds.gf_dot(weights, rows)
+    q_acc = mds.gf_dot(weights[:, None], rows, axis=0)
     recovered = {}
     if len(missing) == 1:
         (a,) = missing

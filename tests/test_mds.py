@@ -151,5 +151,5 @@ class TestDecodeMatchesTheSolve:
         assert want.tolist() == _byte_rows(data).tolist()
         assert _byte_rows(mds_decode({i: coded[i - 1] for i in labels}, k)).tolist() == want.tolist()
         lowest = np.array(labels[: k - 2])
-        (got,) = mds.decode_recipe([lowest], k).apply(rows[lowest - 1][None])
+        got = mds.decode_recipe([lowest], k).apply(rows[lowest - 1][:, None])[:, 0]
         assert got.tolist() == want.tolist()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from randbits import random_bits
+from wynercache import model
 from wynercache.model import (
     BadEpsilon,
     Bitstring,
@@ -241,6 +242,16 @@ class TestSeedStates:
             # low word first in each uint64, as generate_state's uint32 output
             low_first = row.astype("<u8").view("<u4")
             assert low_first.tolist() == np.random.SeedSequence(e).generate_state(2 * n_words).tolist()
+
+    def test_hash_constants_made_once_read_only(self):
+        # every call shares one column per (init, mult, count); a caller cannot write into it
+        const = model._hash_constants(model._INIT_B, model._MULT_B, 8)
+        assert const is model._hash_constants(model._INIT_B, model._MULT_B, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            const[0] = 0
+        words = np.array([entropy_words(7, 0, 3)] * 2, dtype=np.uint32).T
+        want = np.random.SeedSequence((7, 0, 3)).generate_state(4, np.uint64).tolist()
+        assert seed_states(words, 4).tolist() == seed_states(words, 4).tolist() == [want] * 2
 
 
 class TestBitstring:

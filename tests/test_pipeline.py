@@ -291,10 +291,10 @@ def _round_robin_dict(cfg, library, demands, backend):
 def _execute_compiled(cfg, scheme, demands, backend, bits_per_part, n_slot, schedule=None):
     """``pipeline._links`` of a one-trial block, keyed as the oracles key it: per-rx decoded part
     label -> bits. ``schedule`` is the one ``scheme`` was compiled from, by default the builder's."""
-    own = pipeline._sources(scheme, np.array([demands.entries]))
+    own = pipeline._sources(scheme, np.array([demands.entries]).T)
     seeds = [backend.seed] if isinstance(backend, MonteCarlo) else []
     gains = np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
-    (values,), failures = pipeline._links(scheme, cfg, own, backend, n_slot, seeds, gains)
+    values, failures = pipeline._links(scheme, cfg, own, backend, n_slot, seeds, gains)
     targets = [
         (rx, plan.target[1])
         for per in (schedule or _placed(cfg, scheme.library)[1]).periods
@@ -302,7 +302,7 @@ def _execute_compiled(cfg, scheme, demands, backend, bits_per_part, n_slot, sche
         if plan is not None
     ]
     decoded = {rx: {} for rx in range(1, cfg.k + 1)}
-    for (rx, label), value in zip(targets, values, strict=True):
+    for (rx, label), value in zip(targets, values[:, 0], strict=True):
         decoded[rx][label] = Bitstring(bits_per_part, int.from_bytes(value.tobytes(), "big"))
     return decoded, failures, len(targets)
 
@@ -671,6 +671,34 @@ def _deliveries(draw):
     return run, oracle, cfg, lib, demands, backend
 
 
+def _at_power(cfg, power):
+    return dataclasses.replace(cfg, power=power)
+
+
+def _scale_cases():
+    """(id, run, oracle, cfg, library, backend) at the sizes the source-major layout is for: soft
+    K=600 with 8-bit parts, soft K=60 with 64-bit parts (nb = 8; its MC case a prop-1 tail of 60
+    bits over 8-bit parts, also nb = 8), full K=24 and round robin K=48, each on Ideal and MC.
+    The soft cross gains differ per receiver; the MC cases run at powers where some links fail."""
+    prop1 = (lambda *a: run_soft_prop1(*a[:3], 60, *a[3:]), lambda *a: _prop1_dict(*a[:3], 60, a[3]))
+    base = (run_soft, _base_dict)
+    full, rr = (run_full, _base_dict), (round_robin_soft, _round_robin_dict)
+    soft = lambda k: NetworkConfig.soft_handoff(k, tuple(np.random.default_rng(k).uniform(0.5, 1.5, k)), 1e4)
+    soft600, soft60, full24, rr48 = soft(600), soft(60), NetworkConfig.full(24, 0.5, 1e4), soft(48)
+    lib600, lib24 = random_library(600, 5 * 8, seed=1), random_library(24, 2 * 8, seed=3)
+    lib48 = random_library(48, 5 * 8 * 46, seed=4)
+    return [
+        ("soft-k600", *base, soft600, lib600, Ideal()),
+        ("soft-k600-mc", *base, _at_power(soft600, 0.5), lib600, MonteCarlo(30)),
+        ("soft-k60-nb8", *base, soft60, random_library(60, 5 * 64, seed=2), Ideal()),
+        ("soft-k60-nb8-mc", *prop1, _at_power(soft60, 1.0), random_library(60, 5 * 8 + 60, seed=2), MonteCarlo(48)),
+        ("full-k24", *full, full24, lib24, Ideal()),
+        ("full-k24-mc", *full, _at_power(full24, 0.5), lib24, MonteCarlo(16)),
+        ("rr-k48", *rr, rr48, lib48, Ideal()),
+        ("rr-k48-mc", *rr, _at_power(rr48, 1.0), lib48, MonteCarlo(24)),
+    ]
+
+
 class TestCompiledMatchesDictWalk:
     """Every scheme compiled into one plan delivers what the dict walk and its assembly deliver."""
 
@@ -700,6 +728,52 @@ class TestCompiledMatchesDictWalk:
         # rx 4 and 5 lose their period-1 part and with it a fifth label
         assert [rx for rx in range(2, 6) if cut.success[rx]] == [2, 3]
         assert all(full.success[rx] for rx in range(2, 6))
+
+    @pytest.mark.parametrize("case", _scale_cases(), ids=lambda case: case[0])
+    def test_large_block_matches(self, case):
+        # one block of distinct, equal and random demand rows against the oracle row by row,
+        # and the last row's SimResult, payloads included, on its own
+        _, run, oracle, cfg, lib, backend = case
+        k = cfg.k
+        rows = np.array([range(1, k + 1), [k // 2] * k, np.random.default_rng(k).integers(1, k + 1, k)])
+        seeds = (5, 6, 7) if isinstance(backend, MonteCarlo) else ()
+        backends = [MonteCarlo(backend.n, seed) for seed in seeds] or [backend] * 3
+        want = [oracle(cfg, lib, DemandVector(tuple(row)), b) for row, b in zip(rows.tolist(), backends)]
+        block = run(cfg, lib, rows, backend, seeds)
+        assert block.success.tolist() == [[w.success[rx] for rx in range(1, k + 1)] for w in want]
+        assert block.links_total == sum(w.links_total for w in want)
+        assert block.link_failures == sum(w.link_failures for w in want)
+        assert (block.link_failures > 0) == isinstance(backend, MonteCarlo)
+        assert run(cfg, lib, DemandVector(tuple(rows[-1].tolist())), backends[-1]) == want[-1]
+
+    @pytest.mark.parametrize(
+        "cfg, lib, round_robin, extra_bits",
+        [
+            (_soft_cfg(k=8), random_library(8, 5 * 8, seed=5), False, 0),
+            (NetworkConfig.full(8, 0.5, 1e4), random_library(8, 2 * 12, seed=5), False, 0),
+            (_soft_cfg(k=8), random_library(8, 5 * 8 + 7, seed=5), False, 7),
+            (_soft_cfg(k=9), random_library(9, 5 * 8 * 7, seed=5), True, 0),
+        ],
+        ids=["soft", "full", "prop-1", "round-robin"],
+    )
+    def test_flipped_plane_byte_fails_its_file(self, cfg, lib, round_robin, extra_bits):
+        # the check reads the plan's want, fixed at placement: a delivery from a plane with one
+        # byte flipped fails some served receiver that demands the file the byte belongs to, and
+        # no served receiver that demands another file, which reads the byte only on both sides
+        # of an XOR
+        plan = pipeline._plan(cfg, cfg.variant, lib, round_robin, extra_bits)
+        rng = np.random.default_rng(cfg.k)
+        for _ in range(20):
+            label, file, byte = (int(rng.integers(n)) for n in plan.plane.shape)
+            plane = plan.plane.copy()
+            plane[label, file, byte] ^= 0xFF
+            flipped = dataclasses.replace(plan, plane=plane)
+            demanded = 1 + file // (cfg.k if round_robin else 1)  # round robin's file f codes into K rows
+            rows = np.array([[demanded] * cfg.k, rng.integers(1, lib.num_files + 1, cfg.k)])
+            assert pipeline._deliver(plan, cfg, rows, Ideal(), ())[0].success[:, plan.served].all()
+            got = pipeline._deliver(flipped, cfg, rows, Ideal(), ())[0].success
+            assert not got[0, plan.served].all()
+            assert got[(rows != demanded) & plan.served].all()
 
 
 @st.composite
@@ -841,6 +915,15 @@ class TestInputValidation:
         lib = random_library(6, 40, seed=1)
         with pytest.raises(ConfigMismatch):
             run_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 7)))
+
+    @pytest.mark.parametrize(
+        "extra_bits, payload_bits", [(3.0, 43), ("3", 43), (True, 41)], ids=["float", "str", "bool"]
+    )
+    def test_non_int_prop1_tail_named(self, extra_bits, payload_bits):
+        # a float or a str tail raised a bare TypeError mid-placement, and True ran as a 1-bit tail
+        lib = random_library(6, payload_bits, seed=1)
+        with pytest.raises(ConfigMismatch, match=re.escape(f"prop1_extra_bits must be an int, got {extra_bits!r}")):
+            run_soft_prop1(_soft_cfg(), lib, DemandVector((1,) * 6), extra_bits)
 
     @pytest.mark.parametrize(
         "run, match",

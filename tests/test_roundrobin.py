@@ -40,8 +40,9 @@ def _coded(k, part_bytes, seed):
 
 
 def _recipe_decodes(recipe, collected, coded):
-    """The recipe applied to each receiver's collected coded parts (1-based indices)."""
-    return recipe.apply(np.array([_byte_rows([coded[i - 1] for i in parts]) for parts in collected]))
+    """The recipe applied to each receiver's collected coded parts (1-based indices), per receiver."""
+    parts = np.array([_byte_rows([coded[i - 1] for i in parts]) for parts in collected])
+    return recipe.apply(parts.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 class TestRoundRobin:
