@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on validation errors (diagnostic on stderr,
 never a stack trace), 2 when a requested --assert condition is violated.
 Every run prints its effective configuration, so any result can be replayed
-from the output alone.
+from the output alone. verify-schedule checks the schedule against the model's
+cache labels, as the skeleton does, and draws no library, so D bounds the
+demands alone and costs nothing.
 """
 
 from __future__ import annotations
@@ -27,16 +29,11 @@ from .model import (
     NetworkConfig,
     SimError,
     Variant,
-    random_library,
     to_json,
 )
-from .schemes import (
-    cache_placement_full,
-    cache_placement_soft,
-    delivery_schedule_full,
-    delivery_schedule_soft,
-    verify_schedule,
-)
+from .schemes import delivery_schedule_full, delivery_schedule_soft
+from .schemes.placement import cache_labels
+from .schemes.schedule import LABELS, verify_labels
 from .tradeoff import ACHIEVABLE, curve
 
 EXIT_OK = 0
@@ -232,14 +229,13 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 def _cmd_verify_schedule(args: argparse.Namespace) -> int:
     policy, explicit = _parse_demands(args.demands)
-    # Schedules and placements depend on K and the demands only, so any
-    # valid gains and power will do; demands resolve as in trial 0 at seed 0.
-    if args.model == "full":
-        cfg = NetworkConfig.full(args.k, 1.0, 1e4)
-        build, place = delivery_schedule_full, cache_placement_full
+    # validity rests on K, the demands and the cache labels, not on the D files or the channel:
+    # no file is drawn, and any valid gains and power will do. Demands resolve as trial 0's at seed 0
+    variant = Variant(args.model)
+    if variant is Variant.FULL:
+        cfg, build = NetworkConfig.full(args.k, 1.0, 1e4), delivery_schedule_full
     else:
-        cfg = NetworkConfig.soft_handoff(args.k, 1.0, 1e4)
-        build, place = delivery_schedule_soft, cache_placement_soft
+        cfg, build = NetworkConfig.soft_handoff(args.k, 1.0, 1e4), delivery_schedule_soft
     spec = ExperimentSpec(
         config=cfg,
         num_files=args.d,
@@ -248,10 +244,8 @@ def _cmd_verify_schedule(args: argparse.Namespace) -> int:
         allow_small_d=args.allow_small_d,
     )
     spec.validate()
-    demands = DemandVector(tuple(_demands(spec, range(1))[0].tolist()))
-    library = random_library(args.d, spec.payload_bits(), seed=0, allow_small_d=args.allow_small_d)
-    schedule = build(args.k, demands)
-    violations = verify_schedule(schedule, place(args.k, library))
+    schedule = build(args.k, DemandVector(tuple(_demands(spec, range(1))[0].tolist())))
+    violations = verify_labels(schedule, cache_labels(variant, args.k), LABELS[variant])
     _print_json(schedule.to_json() | {"violations": to_json(violations)}, args.out)
     if violations:
         print(f"{len(violations)} violation(s) found", file=sys.stderr)

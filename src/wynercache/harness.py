@@ -44,7 +44,6 @@ from .model import (
 )
 from .schemes import (
     BlockResult,
-    ConfigMismatch,
     Ideal,
     InfeasibleRate,  # re-exported: callers of run_experiment catch it from here
     MonteCarlo,
@@ -54,7 +53,7 @@ from .schemes import (
     run_soft,
     run_soft_prop1,
 )
-from .schemes.pipeline import block_trials, layout, placed, skeleton
+from .schemes.pipeline import block_trials, layout, placed, skeleton, slot_length
 from .tradeoff import (
     ACHIEVABLE,
     UPPER_BOUND,
@@ -131,8 +130,7 @@ class ExperimentSpec:
                 raise TooManyWords(
                     f"codebook of 2^{self.bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap"
                 )
-            if self.n < (periods := skel.base_periods):
-                raise ConfigMismatch(f"block length {self.n} too short for {periods} period(s)")
+            slot_length(skel, self.n)
         if self.demand_policy is DemandPolicy.EXPLICIT:
             if self.explicit_demands is None:
                 raise SimError("explicit demand policy needs a demand vector")

@@ -155,7 +155,10 @@ def _is_real(value) -> bool:
 
 
 def validate_config(cfg: NetworkConfig) -> None:
-    """Raise the named ConfigError for the first violated invariant."""
+    """Raise the named ConfigError for the first violated invariant. A pass on tuple gains is
+    recorded on the frozen config, as ``alpha_min`` is; list gains are checked on every call."""
+    if "_valid" in vars(cfg):  # a later check reads no field
+        return
     if not isinstance(cfg.variant, Variant):
         raise ConfigError(f"variant must be a Variant, got {cfg.variant!r}")
     if type(cfg.k) is not int:
@@ -194,6 +197,8 @@ def validate_config(cfg: NetworkConfig) -> None:
             f"full variant requires an even K (odd/even caching is circularly "
             f"inconsistent for K={cfg.k})"
         )
+    if type(cfg.gains) is tuple:
+        vars(cfg)["_valid"] = True
 
 
 @dataclass(frozen=True)
@@ -216,9 +221,6 @@ class Bitstring:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstring":
         return cls(8 * len(data), int.from_bytes(data, "big"))
-
-    def bits(self) -> str:
-        return format(self.value, f"0{self.length}b") if self.length else ""
 
     def to_bytes(self) -> bytes:
         if self.length % 8 != 0:

@@ -71,7 +71,7 @@ from .mds import MAX_K, Recipe, decode_recipe, mds_rows
 from .mds import mds_decode, mds_encode  # names perfbench/tracing.py wraps
 from .parts import reconstruct_five, split_full, split_soft  # names perfbench/tracing.py wraps
 from .placement import cache_placement_full, cache_placement_soft  # names perfbench/tracing.py wraps
-from .placement import cached_part_full, cached_parts_soft
+from .placement import cache_labels
 from .points import check_ideal_rate
 from .schedule import (
     LABELS,
@@ -270,8 +270,7 @@ def _skeleton(variant: Variant, k: int) -> _Skeleton:
     """Placement phase without the files, built once per (model, K) in a process: the cache
     labels and the schedule for the demands (1, ..., K), checked against each other once, as
     index arrays. A soft K below 5 raises ``KTooSmall`` from the soft schedule."""
-    soft = variant is Variant.SOFT_HANDOFF
-    labels = {rx: cached_parts_soft(rx) if soft else (cached_part_full(rx),) for rx in range(1, k + 1)}
+    soft, labels = variant is Variant.SOFT_HANDOFF, cache_labels(variant, k)
     # every builder is looked up by name per call, so tracers see it
     schedule = (delivery_schedule_soft if soft else delivery_schedule_full)(k, DemandVector(tuple(range(1, k + 1))))
     violations = verify_labels(schedule, labels, LABELS[variant])
@@ -381,6 +380,13 @@ def placed(skel: _Skeleton, library: MessageLibrary, extra_bits: int) -> _Plan:
     )
 
 
+def slot_length(skel: _Skeleton, n: int) -> int:
+    """The channel uses per period of ``skel`` in an MC block of ``n``, at least one, or ``ConfigMismatch``."""
+    if (n_slot := n // skel.base_periods) < 1:
+        raise ConfigMismatch(f"block length {n} too short for {skel.base_periods} period(s)")
+    return n_slot
+
+
 def block_trials(plan: _Plan) -> int:
     """Trials per delivery block of ``plan``: its largest array, every row's picks of label bytes,
     fits ``BLOCK_BYTES``, and a block holds at least one trial. A round robin trial is K rows."""
@@ -407,12 +413,12 @@ def _sources(plan: _Plan, columns: np.ndarray) -> np.ndarray:
 
 def _links(
     plan: _Plan, cfg: NetworkConfig, own: np.ndarray, backend: Backend, n_slot: int, seeds: Sequence[int],
-    gains: np.ndarray,
+    gains: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
     """Every link's decoded part (links, R, nb), given the sources ``own``, and the count of wrong
     links. Row t's MC streams come from ``seeds[t]``, over the channel of ``cfg`` with the cross
-    gains ``gains[t % len(gains)]``, one per receiver. The schedule was checked at placement and
-    the Ideal rate by the runner: only an MC link can fail."""
+    gains ``gains[t % len(gains)]``, one per receiver, None for Ideal. The schedule was checked at
+    placement and the Ideal rate by the runner: only an MC link can fail."""
     sent = np.take(own, plan.tx[0], axis=0) ^ np.take(own, plan.tx[1], axis=0)  # (Tx actions, R, nb)
     strip = np.take(own, plan.link_strip, axis=0)
     if isinstance(backend, Ideal):
@@ -456,26 +462,25 @@ def _deliver(
 ) -> tuple[BlockResult, np.ndarray]:
     """Delivery phase: serve a checked (T, K) block of demand vectors with a placed plan over the
     channel of ``cfg``; also returns the data parts, receiver rx's of trial t at [..., rx - 1, t, :]."""
+    k, t, columns = cfg.k, len(demands), demands.T
     if isinstance(backend, Ideal):
         if len(seeds):
             raise ConfigMismatch(f"an Ideal delivery draws nothing; {len(seeds)} Monte-Carlo seed(s) given")
-        rate, n_slot = plan.scale(check_ideal_rate(cfg)), 0
+        rate, n_slot, gains = plan.scale(check_ideal_rate(cfg)), 0, None  # Ideal links hear no channel
     elif not isinstance(backend, MonteCarlo):
         raise ConfigMismatch(f"backend must be Ideal() or MonteCarlo(n, seed), got {backend!r}")
     else:
-        n_slot = backend.n // plan.base_periods
-        if n_slot < 1:
-            raise ConfigMismatch(f"block length {backend.n} too short for the period count")
+        n_slot = slot_length(plan, backend.n)
         if len(seeds) != len(demands):
             raise ConfigMismatch(f"{len(seeds)} Monte-Carlo seed(s) for {len(demands)} trial(s)")
         for seed in seeds:  # each trial's seed, as the backend's own
             replace(backend, seed=seed)
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
-    # receiver rx's cross gain ``cfg.gain_at(rx)``: the full model's one gain is every receiver's
-    k, t, columns, gains = cfg.k, len(demands), demands.T, np.broadcast_to(np.array(cfg.gains), (1, cfg.k))
+        # receiver rx's cross gain ``cfg.gain_at(rx)``; a rotation's row hears the nodes playing its roles
+        row = np.broadcast_to(np.array(cfg.gains), k)  # the full model's one gain is every receiver's
+        gains = row[None] if plan.pieces is None else np.repeat(row[plan.nodes.T], t, axis=0)
     if plan.pieces is not None:  # trial t's rotation l is row (l - 1) * T + t of the base plan
         columns = ((demands.T[plan.nodes] - 1) * k + np.arange(1, k + 1)[:, None]).reshape(k, -1)
-        gains = np.repeat(gains[0, plan.nodes.T], t, axis=0)
         seeds = [derive_seed(seed, _SEED_SUPER, rotation) for rotation in range(1, k + 1) for seed in seeds]
     own = _sources(plan, columns)
     links, failures = _links(plan, cfg, own, backend, n_slot, seeds, gains)

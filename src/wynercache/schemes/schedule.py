@@ -27,7 +27,9 @@ cached parts:
 The full model needs a single period: every transmitter sends the part its own
 receiver is missing, and each receiver cancels both neighbours from cache.
 ``verify_schedule`` reads the cache labels and the part count from the placement it
-is given; ``verify_labels`` takes them as they are, so a plan is checked without files.
+is given; ``verify_labels`` takes them as they are. The skeleton and ``wynercache
+verify-schedule`` pass it ``placement.cache_labels`` and ``LABELS``: placement ignores the
+demands, so a schedule's validity rests on K and the labels, and no file is needed.
 """
 
 from __future__ import annotations

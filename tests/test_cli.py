@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from wynercache import cli
 from wynercache.cli import EXIT_ASSERTION, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from wynercache.model import Bitstring
 from wynercache.schemes import Violation
 
 
@@ -282,10 +284,25 @@ class TestVerifyScheduleCommand:
 
     def test_violations_serialized_in_field_order(self, capsys, monkeypatch):
         found = Violation("cancel_key", 2, 4, "Rx 4 lacks cached (3, 1) needed to cancel Tx 3")
-        monkeypatch.setattr(cli, "verify_schedule", lambda *args: [found])
+        monkeypatch.setattr(cli, "verify_labels", lambda *args: [found])
         code = main(["verify-schedule", "--k", "6"])
         assert code == EXIT_VALIDATION
         doc = json.loads(capsys.readouterr().out)
         assert [list(v.items()) for v in doc["violations"]] == [
             [("kind", "cancel_key"), ("period", 2), ("actor", 4), ("detail", found.detail)]
         ]
+
+    def test_draws_and_splits_no_library(self, monkeypatch, capsys):
+        # the check reads K, the demands and the cache labels, so a million files cost nothing:
+        # no library is drawn, placed or split into Bitstring parts, in any module's binding
+        def fail(*args, **kwargs):
+            pytest.fail("verify-schedule built a library or a part")
+
+        for name in ("random_library", "cache_placement_soft", "cache_placement_full"):
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "wynercache"]:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(Bitstring, "__post_init__", fail)
+        assert main(["verify-schedule", "--k", "9", "--d", "1000000"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == [] and doc["demands"] == list(range(1, 10))

@@ -779,11 +779,11 @@ _RULE_CASES = [
     ),
     ("rr-tail3", dict(config=_soft(7), round_robin=True, prop1_extra_bits=3), None, (SimError, _RR_TAIL), None),
     ("mc-soft-n2", dict(backend="mc", n=2), None, (ConfigMismatch, "block length 2 too short for 3 period(s)"),
-     (ConfigMismatch, "block length 2 too short for the period count")),
+     (ConfigMismatch, "block length 2 too short for 3 period(s)")),
     ("mc-soft-n3", dict(backend="mc", n=3), None, None, None),
     ("mc-full-n0", dict(config=_full(6), backend="mc", n=0), None,
      (ConfigMismatch, "block length 0 too short for 1 period(s)"),
-     (ConfigMismatch, "block length 0 too short for the period count")),
+     (ConfigMismatch, "block length 0 too short for 1 period(s)")),
     ("mc-full-n1", dict(config=_full(6), backend="mc", n=1), None, None, None),
     ("soft-k4-tail-1", dict(config=_soft(4), prop1_extra_bits=-1), None,
      (KTooSmall, _SOFT_K.format(4)), (KTooSmall, _SOFT_K.format(4))),
@@ -855,8 +855,10 @@ class TestValidateMatchesTheRun:
     @pytest.mark.parametrize("case", _RULE_CASES, ids=[case[0] for case in _RULE_CASES])
     def test_each_rule_raises_as_before(self, case):
         # each input's (class, message) from validate() and from the runner it maps to, recorded
-        # before the placement rules moved onto the skeleton; None runs. The last four inputs
-        # are libraries that no spec draws, so validate() passes and only the runner judges them
+        # before the placement rules moved onto the skeleton; None runs. The two MC block-length
+        # runner rows read validate()'s message, the rule's one statement (``slot_length``). The
+        # last four inputs are libraries that no spec draws, so validate() passes and only the
+        # runner judges them
         _, overrides, library_bits, validated, ran = case
         spec = _soft_spec(**overrides)
         assert _outcome(spec.validate) == validated

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,11 @@ from wynercache.model import (
 def from_bits(bits: str) -> Bitstring:
     """The bitstring written out in ``bits``, most significant bit first."""
     return Bitstring(len(bits), int(bits, 2) if bits else 0)
+
+
+def to_bits(b: Bitstring) -> str:
+    """``b`` written out, most significant bit first: the inverse of ``from_bits``."""
+    return format(b.value, f"0{b.length}b") if b.length else ""
 
 
 class TestValidateConfig:
@@ -92,6 +98,40 @@ class TestValidateConfig:
         assert vars(cfg)["alpha_min"] == 0.5
         fresh = NetworkConfig.soft_handoff(4, [2.0, -0.5, 1.0, 3.0], 100.0)
         assert cfg == fresh and hash(cfg) == hash(fresh) and to_json(cfg) == to_json(fresh)
+
+    def test_a_passed_config_is_checked_once(self, monkeypatch):
+        # the verdict is recorded on the frozen config: its second check reads no gain, and a
+        # dataclasses.replace copy is a new config, checked again
+        cfg = NetworkConfig.soft_handoff(60, 0.5, 1e4)
+        validate_config(cfg)
+        seen, real = [], model._is_real
+        monkeypatch.setattr(model, "_is_real", lambda value: seen.append(value) or real(value))
+        validate_config(cfg)
+        assert seen == []
+        validate_config(dataclasses.replace(cfg, power=100.0))
+        assert len(seen) == 60 + 2  # every gain, power and epsilon
+        with pytest.raises(NonPositivePower, match="^power must be positive, got -1.0$"):
+            validate_config(dataclasses.replace(cfg, power=-1.0))
+        # a record, not a field: equality, hash and JSON are those of a config never checked
+        fresh = NetworkConfig.soft_handoff(60, 0.5, 1e4)
+        assert cfg == fresh and hash(cfg) == hash(fresh) and to_json(cfg) == to_json(fresh)
+
+    def test_list_gains_are_checked_every_call(self, monkeypatch):
+        gains = [1.0] * 6
+        cfg = NetworkConfig(Variant.SOFT_HANDOFF, 6, gains, 1e4)
+        validate_config(cfg)
+        gains[2] = 0.0  # a list can change after a pass
+        with pytest.raises(ZeroCrossGain, match="alpha_3"):
+            validate_config(cfg)
+
+    def test_a_failing_config_fails_alike_every_call(self):
+        cfg = NetworkConfig.soft_handoff(6, 1.0, 1e4, 2.0)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(BadEpsilon) as info:
+                validate_config(cfg)
+            errors.append((type(info.value), str(info.value)))
+        assert errors == errors[:1] * 3
 
     @pytest.mark.parametrize("gain", [2, 0.5, np.int64(2), np.float32(0.5), np.float64(0.5)])
     def test_any_real_scalar_gain_is_shared(self, gain):
@@ -264,7 +304,7 @@ class TestBitstring:
         assert s ^ Bitstring.zeros(8) == s
 
     def test_xor_definition(self):
-        assert (from_bits("1010") ^ from_bits("0110")).bits() == "1100"
+        assert to_bits(from_bits("1010") ^ from_bits("0110")) == "1100"
 
     def test_xor_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -285,7 +325,7 @@ class TestBitstring:
     def test_split_order_is_msb_first(self):
         s = from_bits("11110000")
         hi, lo = s.split(2)
-        assert hi.bits() == "1111" and lo.bits() == "0000"
+        assert to_bits(hi) == "1111" and to_bits(lo) == "0000"
 
     def test_split_requires_divisibility(self):
         with pytest.raises(LengthMismatch):

@@ -890,6 +890,16 @@ class TestGainsRow:
         want = np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
         assert [(g.dtype, g.tolist()) for g in seen] == [(want.dtype, want.tolist())]
 
+    def test_ideal_delivery_builds_no_gains(self):
+        # an Ideal link reads no channel, so neither the gain row nor round robin's per-rotation
+        # gains are built for it
+        cfg, seen, real = NetworkConfig.soft_handoff(7, [0.5, -0.7, 1.25, 0.9, -1.1, 0.6, 0.8], 1e4), [], pipeline._links
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_links", lambda *args: seen.append(args[-1]) or real(*args))
+            run_soft(cfg, random_library(7, 40, 3), np.ones((2, 7), dtype=np.intp))
+            round_robin_soft(cfg, random_library(7, 200, 3), np.ones((2, 7), dtype=np.intp))
+        assert [gains is None for gains in seen] == [True, True]
+
 
 class TestInputValidation:
     def test_wrong_variant(self):

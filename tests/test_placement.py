@@ -1,9 +1,9 @@
 import pytest
 
-from wynercache.model import OddKForFullModel, random_library
+from wynercache.model import OddKForFullModel, Variant, random_library
 from wynercache.schemes import cache_placement_full, cache_placement_soft
 from wynercache.schemes.parts import split_full, split_soft
-from wynercache.schemes.placement import cached_part_full, cached_parts_soft
+from wynercache.schemes.placement import cache_labels
 
 
 def _cached(placement, rx):
@@ -20,7 +20,7 @@ class TestSoftPlacement:
         assert _cached(placement, 4) == {(f, p) for f in range(1, 7) for p in (1, 2)}
         # rx 3 (3 mod 3 = 0) stores parts {5, 6}
         assert set(placement.labels[3]) == {5, 6}
-        assert cached_parts_soft(5) == (3, 4)
+        assert cache_labels(Variant.SOFT_HANDOFF, 6)[5] == (3, 4)
 
     def test_memory_is_two_parts_per_file(self):
         lib = random_library(6, 40, seed=0)  # L = 8
@@ -42,7 +42,7 @@ class TestFullPlacement:
         placement = cache_placement_full(6, lib)
         # rx 5 is odd: part 1 of every file
         assert _cached(placement, 5) == {(f, 1) for f in range(1, 7)}
-        assert cached_part_full(4) == 2
+        assert cache_labels(Variant.FULL, 6)[4] == (2,)
 
     def test_memory_is_one_part_per_file(self):
         lib = random_library(6, 16, seed=2)  # L = 8
@@ -70,7 +70,7 @@ class TestFullPlacement:
             for rx in range(1, k + 1):
                 for tx in ((rx - 2) % k + 1, rx % k + 1):
                     sent = 2 if tx % 2 == 1 else 1  # part the neighbour transmits
-                    if cached_part_full(rx) != sent:
+                    if cache_labels(Variant.FULL, k)[rx] != (sent,):
                         bad.append((rx, tx))
             return bad
 

@@ -22,7 +22,7 @@ from wynercache.schemes import (
     delivery_schedule_soft,
     verify_schedule,
 )
-from wynercache.schemes.placement import cached_part_full, cached_parts_soft
+from wynercache.schemes.placement import cache_labels
 from wynercache.schemes.schedule import (
     DIRECT_PART,
     NEEDED,
@@ -207,14 +207,14 @@ def _per_model_part_count(variant, k, decoded):
     flagged = set()
     if variant is Variant.SOFT_HANDOFF:
         for rx in range(2, k):
-            cached, distinct = set(cached_parts_soft(rx)), set(decoded[rx])
+            cached, distinct = set(cache_labels(variant, k)[rx]), set(decoded[rx])
             if len(decoded[rx]) != 3 or len(distinct) != 3 or distinct & cached:
                 flagged.add(rx)
             elif len(distinct | cached) < 5:
                 flagged.add(rx)
     else:
         for rx in range(1, k + 1):
-            if set(decoded[rx]) != {1, 2} - {cached_part_full(rx)}:
+            if set(decoded[rx]) != {1, 2} - set(cache_labels(variant, k)[rx]):
                 flagged.add(rx)
     return flagged
 
@@ -423,7 +423,7 @@ def _full_plans_by_receiver(k, demands):
     for rx in range(1, k + 1):
         prev = rx - 1 if rx > 1 else k
         nxt = rx + 1 if rx < k else 1
-        neighbour_part = cached_part_full(rx)  # neighbours have opposite parity
+        (neighbour_part,) = cache_labels(Variant.FULL, k)[rx]  # neighbours have opposite parity
         plans[rx] = DecodePlan(
             source=rx,
             cancel=((prev, d(prev), neighbour_part), (nxt, d(nxt), neighbour_part)),
