@@ -41,6 +41,12 @@ class TooManyWords(SimError):
     pass
 
 
+def check_codebook_bits(bits: int) -> None:
+    """Raise ``TooManyWords`` for a codebook of more than 2^MAX_CODEBOOK_BITS words."""
+    if bits > MAX_CODEBOOK_BITS:
+        raise TooManyWords(f"codebook of 2^{bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap")
+
+
 @dataclass(frozen=True, eq=False)
 class Codebooks:
     """A shell codebook of 2^bits words per row, of which only the sent word is drawn yet."""
@@ -69,8 +75,7 @@ def draw_codebook(
     ``cap``: where rounding puts it above, the radius steps down one float at a time.
     """
     sent = np.asarray(sent, dtype=np.int64)
-    if bits > MAX_CODEBOOK_BITS:
-        raise TooManyWords(f"codebook of 2^{bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap")
+    check_codebook_bits(bits)
     if n_uses < 1 or bits < 1 or sent.ndim != 1 or np.any((sent < -1) | (sent >> bits > 0)):
         raise SimError(f"need n_uses, bits >= 1 and sent < 2^bits, got {n_uses}, {bits}, {sent}")
     if not 0 <= power <= cap:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import MAX_CODEBOOK_BITS, TooManyWords
+from .codec import check_codebook_bits
 from .model import (
     DemandVector,
     MessageLibrary,
@@ -120,16 +120,13 @@ class ExperimentSpec:
             raise SimError(f"unknown backend {self.backend!r}")
         if self.backend == "ideal":
             # an Ideal run sends at the scheme rate
-            check_ideal_rate(cfg)
+            check_ideal_rate(cfg, skel)
         if self.trials < 1:
             raise SimError("trials must be at least 1")
         check_library_size(self.num_files, self.payload_bits(), self.allow_small_d)
         if self.backend == "mc":
             # every codebook has 2^bits words, and every period gets n // periods uses
-            if self.bits > MAX_CODEBOOK_BITS:
-                raise TooManyWords(
-                    f"codebook of 2^{self.bits} words exceeds the 2^{MAX_CODEBOOK_BITS} cap"
-                )
+            check_codebook_bits(self.bits)
             slot_length(skel, self.n)
         if self.demand_policy is DemandPolicy.EXPLICIT:
             if self.explicit_demands is None:
@@ -150,7 +147,7 @@ class ExperimentSpec:
         # bits per data part of a base delivery; round robin's pieces are its K - 2 MDS data parts
         skel = skeleton(self.config, self.round_robin)
         pieces = 1 if skel.pieces is None else skel.pieces.shape[1]
-        return skel.select.shape[1] * self.bits * pieces + self.prop1_extra_bits
+        return skel.needed * self.bits * pieces + self.prop1_extra_bits
 
     def to_json(self) -> dict:
         return to_json(self)

@@ -113,20 +113,6 @@ class NetworkConfig:
             raise ConfigError("alpha is only defined for the full variant")
         return self.gains[0]
 
-    def gain_at(self, rx: int) -> float:
-        """Cross gain heard by receiver ``rx`` from its neighbours."""
-        if self.variant is Variant.SOFT_HANDOFF:
-            return self.gains[rx - 1]
-        return self.gains[0]
-
-    @cached_property
-    def alpha_min(self) -> float:
-        """min{1, |alpha_1|, ..., |alpha_K|}: the weakest link gain of a soft-handoff decoder,
-        which hears its own Tx at gain 1 or a cross gain alone. A full-model decoder cancels
-        both cross terms and hears its own Tx at gain 1 (``check_ideal_rate``). Taken once per
-        config: each run reads it at validation and again per runner call."""
-        return min(1.0, min(abs(g) for g in self.gains))
-
     def with_power(self, power: float) -> "NetworkConfig":
         return replace(self, power=power)
 
@@ -155,8 +141,8 @@ def _is_real(value) -> bool:
 
 
 def validate_config(cfg: NetworkConfig) -> None:
-    """Raise the named ConfigError for the first violated invariant. A pass on tuple gains is
-    recorded on the frozen config, as ``alpha_min`` is; list gains are checked on every call."""
+    """Raise the named ConfigError for the first violated invariant of the config alone. A pass
+    on tuple gains is recorded on the frozen config; list gains are checked on every call."""
     if "_valid" in vars(cfg):  # a later check reads no field
         return
     if not isinstance(cfg.variant, Variant):

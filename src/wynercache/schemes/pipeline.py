@@ -30,9 +30,10 @@
   (``_SEED_SUPER``, l). Each receiver's pieces are then gathered from those rows and decoded by
   its recipe, for every trial in one array step. No Python code runs per receiver or per Ideal
   trial. The MC links read power, epsilon and gains from the runner's config, and an Ideal
-  delivery runs at the rate ``check_ideal_rate`` passes once per runner call, so only MC links
-  fail here. The runners take a block and return its ``BlockResult``, or one ``DemandVector``
-  and return its ``SimResult``, the one-trial block with the decoded payloads (``_run``).
+  delivery runs at the rate ``check_ideal_rate`` passes once per runner call, read off the
+  plan's weakest scheduled link (``heard``), so only MC links fail here. The runners take a
+  block and return its ``BlockResult``, or one ``DemandVector`` and return its ``SimResult``,
+  the one-trial block with the decoded payloads (``_run``).
 
 Two interchangeable backends drive the same plans:
 
@@ -187,6 +188,7 @@ class _Skeleton:
 
     guaranteed: tuple[int, ...]
     labels: int  # part labels of a file: its data parts, then the soft parity
+    needed: int  # data parts of a payload, each the XOR of the sources ``select`` picks
     cached: int  # labels that each receiver caches of every file
     base_periods: int  # periods of one base delivery, each n // base_periods channel uses
     tx: np.ndarray  # (2, periods * K): source positions of both sides of each Tx action
@@ -194,6 +196,7 @@ class _Skeleton:
     link_rx: np.ndarray  # (links,): 0-based receiver role in its period
     link_tx: np.ndarray  # (links,): its source's index in ``tx``
     link_strip: np.ndarray  # (links,): source position of the cached part it XORs out
+    heard: tuple[int, ...]  # 0-based receivers of a link from a Tx not their own, at their cross gain
     periods: tuple[_Period, ...]
     select: np.ndarray  # (picks, data parts, K)
     served: np.ndarray  # (K,): the receiver holds every label its data parts (or pieces) need
@@ -259,9 +262,9 @@ def _compile(labels: Mapping[int, tuple[int, ...]], schedule: DeliverySchedule) 
             picks = [chosen[s]] if s in chosen else list(chosen.values())
             select[: len(picks), s - 1, rx - 1] = picks
     return _Skeleton(
-        guaranteed_receivers(schedule.variant, k), LABELS[schedule.variant], len(labels[1]), len(periods),
-        np.array(sides, dtype=np.intp).T, np.array(silent),
-        *np.array(links, dtype=np.intp).reshape(-1, 3).T, tuple(periods), select, served,
+        guaranteed_receivers(schedule.variant, k), LABELS[schedule.variant], needed, len(labels[1]), len(periods),
+        np.array(sides, dtype=np.intp).T, np.array(silent), *np.array(links, dtype=np.intp).reshape(-1, 3).T,
+        tuple(sorted({rx for rx, tx, _ in links if tx % k != rx})), tuple(periods), select, served,
     )
 
 
@@ -295,10 +298,11 @@ def _rotated(variant: Variant, k: int) -> _Skeleton:
         [(ell - 1, role(rx, ell)) for ell in range(1, k + 1) if role(rx, ell) + 1 in base.guaranteed]
         for rx in range(1, k + 1)
     ])
+    nodes = (np.arange(k)[:, None] + np.arange(1, k + 1)) % k  # role r in rotation l: node (r + l) mod K
     return replace(
         base, guaranteed=tuple(range(1, k + 1)), served=base.served[pieces[..., 1]].all(axis=1),
-        pieces=pieces, recipe=decode_recipe(pieces[..., 0] + 1, k),
-        nodes=(np.arange(k)[:, None] + np.arange(1, k + 1)) % k,  # role r in rotation l: node (r + l) mod K
+        pieces=pieces, recipe=decode_recipe(pieces[..., 0] + 1, k), nodes=nodes,
+        heard=tuple(sorted(set(nodes[list(base.heard)].ravel().tolist()))),  # the nodes playing a heard role
     )
 
 
@@ -316,7 +320,7 @@ def layout(skel: _Skeleton, payload_bits: int, extra_bits: int) -> int:
         raise ConfigMismatch(f"prop1_extra_bits must be an int, got {extra_bits!r}")
     if extra_bits < 0:
         raise ConfigMismatch(f"negative prop1_extra_bits {extra_bits}")
-    base, needed = payload_bits - extra_bits, skel.select.shape[1]
+    base, needed = payload_bits - extra_bits, skel.needed
     if skel.pieces is not None:
         base, rest = divmod(payload_bits, pieces := skel.pieces.shape[1])
         if rest or base % 8:  # the MDS code works byte-wise on each of the K-2 data parts
@@ -336,7 +340,7 @@ def _place(skel: _Skeleton, library: MessageLibrary, rows: np.ndarray, bits: int
     skeleton has one more label. With prop-1's ``extra_bits``, the trailing bits are one more
     label, the tail, cached at every receiver, never among the needed labels and appended to
     each payload."""
-    k, needed, main = len(skel.served), skel.select.shape[1], bits - extra_bits
+    k, needed, main = len(skel.served), skel.needed, bits - extra_bits
     part = main // needed
     nb = -(-max(part, extra_bits) // 8)
     # unpacked and packed flat: along an axis, numpy packs each row in a call of its own
@@ -466,7 +470,7 @@ def _deliver(
     if isinstance(backend, Ideal):
         if len(seeds):
             raise ConfigMismatch(f"an Ideal delivery draws nothing; {len(seeds)} Monte-Carlo seed(s) given")
-        rate, n_slot, gains = plan.scale(check_ideal_rate(cfg)), 0, None  # Ideal links hear no channel
+        rate, n_slot, gains = plan.scale(check_ideal_rate(cfg, plan)), 0, None  # Ideal links hear no channel
     elif not isinstance(backend, MonteCarlo):
         raise ConfigMismatch(f"backend must be Ideal() or MonteCarlo(n, seed), got {backend!r}")
     else:
@@ -476,7 +480,7 @@ def _deliver(
         for seed in seeds:  # each trial's seed, as the backend's own
             replace(backend, seed=seed)
         rate = plan.scale(plan.base_bits / (plan.base_periods * n_slot))
-        # receiver rx's cross gain ``cfg.gain_at(rx)``; a rotation's row hears the nodes playing its roles
+        # receiver rx's cross gain is ``cfg.gains[rx - 1]``; a rotation's row hears the nodes playing its roles
         row = np.broadcast_to(np.array(cfg.gains), k)  # the full model's one gain is every receiver's
         gains = row[None] if plan.pieces is None else np.repeat(row[plan.nodes.T], t, axis=0)
     if plan.pieces is not None:  # trial t's rotation l is row (l - 1) * T + t of the base plan

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..codec import capacity
 from ..model import NetworkConfig, SimError, Variant
-from .schedule import NEEDED, PERIODS
+
+if TYPE_CHECKING:
+    from .pipeline import _Skeleton
 
 
-def rate_soft(cfg: NetworkConfig) -> float:
-    """Per-user message rate of the soft-handoff scheme:
-    (5/3) * 0.5*log2(1 + alpha_min^2 * (P - eps)) - 5*eps."""
-    snr = cfg.alpha_min**2 * (cfg.power - cfg.epsilon)
-    return (5.0 / 3.0) * 0.5 * math.log2(1.0 + snr) - 5.0 * cfg.epsilon
+def rate_soft(cfg: NetworkConfig, gain: float) -> float:
+    """Per-user message rate of the soft-handoff scheme whose weakest scheduled link has ``gain``:
+    (5/3) * 0.5*log2(1 + gain^2 * (P - eps)) - 5*eps."""
+    snr = gain**2 * (cfg.power - cfg.epsilon)
+    return float((5.0 / 3.0) * 0.5 * math.log2(1.0 + snr) - 5.0 * cfg.epsilon)
 
 
 def rate_full(cfg: NetworkConfig) -> float:
@@ -32,19 +35,21 @@ class InfeasibleRate(SimError):
     """Some Ideal link of the scheme fails at this power and epsilon."""
 
 
-def check_ideal_rate(cfg: NetworkConfig) -> float:
-    """Return the scheme's rate, or raise ``InfeasibleRate`` if an Ideal link would fail.
-    Every link runs at periods * rate / needed, and the weakest has gain alpha_min
-    (soft: each link has gain 1 or a cross gain alpha_rx) or 1 (full)."""
-    soft = cfg.variant is Variant.SOFT_HANDOFF
-    rate = rate_soft(cfg) if soft else rate_full(cfg)
+def check_ideal_rate(cfg: NetworkConfig, skel: _Skeleton) -> float:
+    """The scheme's rate on the run's skeleton or plan ``skel``, or ``InfeasibleRate`` where an Ideal
+    link fails. A link carries one of a payload's ``needed`` parts in one of ``base_periods`` periods,
+    at periods * rate / needed, and hears its own Tx at gain 1 or, at a receiver in ``skel.heard``,
+    the previous Tx at its cross gain: the weakest scheduled link sets the rate, not an unheard gain."""
+    cross = [abs(cfg.gains[rx]) for rx in skel.heard]
+    gain = min([1.0, *cross])
+    rate = rate_soft(cfg, gain) if cfg.variant is Variant.SOFT_HANDOFF else rate_full(cfg)
+    if rate >= 0 and skel.base_periods * rate / skel.needed < capacity(gain, cfg.power - cfg.epsilon):
+        return rate
     at = f"{cfg.variant.value} scheme rate {rate:.6g} at P={cfg.power:g}, eps={cfg.epsilon:g}"
     if rate < 0:
         raise InfeasibleRate(f"{at} is negative; raise the power or lower epsilon")
-    link_rate = PERIODS[cfg.variant] * rate / NEEDED[cfg.variant]
-    if not link_rate < capacity(cfg.alpha_min if soft else 1.0, cfg.power - cfg.epsilon):
-        raise InfeasibleRate(f"{at} puts its weakest link at capacity: eps is lost to rounding")
-    return rate
+    link = f"into receiver {skel.heard[cross.index(gain)] + 1} at gain {gain:g}" if gain < 1 else "at gain 1"
+    raise InfeasibleRate(f"{at} puts its weakest link, {link}, at capacity: eps is lost to rounding")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Delivery schedules: per-period transmitter actions and receiver decode plans,
-a mechanical validity checker, and each model's periods, parts needed,
-part labels, guaranteed receivers and topology (``PERIODS``, ``NEEDED``,
-``LABELS``, ``guaranteed_receivers``, ``HEARD``).
+a mechanical validity checker, and each model's parts needed, part labels,
+guaranteed receivers and topology (``NEEDED``, ``LABELS``,
+``guaranteed_receivers``, ``HEARD``); a schedule's periods are its own.
 
 A builder states what each transmitter sends per period; ``_decode_plans``
 reads every receiver's plan off those actions and ``HEARD``, for both models.
@@ -40,6 +40,7 @@ from typing import ClassVar, Mapping, Union
 from ..model import (
     CachePlacement,
     DemandVector,
+    OddKForFullModel,
     SimError,
     Variant,
     to_json,
@@ -48,7 +49,6 @@ from .parts import DATA_PARTS_SOFT, PARTS_FULL, TOTAL_PARTS_SOFT
 
 MIN_SOFT_K = 5
 SOFT_PERIODS = 3
-PERIODS = {Variant.SOFT_HANDOFF: SOFT_PERIODS, Variant.FULL: 1}
 NEEDED = {Variant.SOFT_HANDOFF: DATA_PARTS_SOFT, Variant.FULL: PARTS_FULL}
 LABELS = {Variant.SOFT_HANDOFF: TOTAL_PARTS_SOFT, Variant.FULL: PARTS_FULL}  # NEEDED, then the soft parity
 # the transmitters each receiver hears, as offsets from its own at 0; a cognitive Tx
@@ -193,7 +193,7 @@ def delivery_schedule_soft(k: int, demands: DemandVector) -> DeliverySchedule:
 def delivery_schedule_full(k: int, demands: DemandVector) -> DeliverySchedule:
     """Single-period schedule for the full model: everyone transmits, both neighbours cancelled."""
     if k % 2 != 0:
-        raise SimError(f"full-model schedule needs even K, got {k}")
+        raise OddKForFullModel(f"full-model schedule needs even K, got {k}")
     if len(demands) != k:
         raise SimError(f"demand vector length {len(demands)} != K={k}")
     d = demands.for_rx

@@ -40,6 +40,7 @@ from wynercache.schemes import (
     time_share,
     verify_schedule,
 )
+from gainoracle import alpha_min
 from randbits import random_bits
 from wynercache.tradeoff import achievable, upper_bound
 
@@ -177,10 +178,10 @@ def test_criterion_4_rate_memory_formulas():
     lib = random_library(6, 40, seed=400)  # L = 8
     lib_full = random_library(6, 16, seed=401)
     for power in (1e2, 1e4, 1e8):
-        for alpha_min in (0.5, 1.0):
-            cfg = NetworkConfig.soft_handoff(6, alpha_min, power, EPS)
+        for alpha in (0.5, 1.0):
+            cfg = NetworkConfig.soft_handoff(6, alpha, power, EPS)
             res = run_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6)))
-            oracle = (5 / 3) * 0.5 * math.log2(1 + alpha_min**2 * (power - EPS)) - 5 * EPS
+            oracle = (5 / 3) * 0.5 * math.log2(1 + alpha**2 * (power - EPS)) - 5 * EPS
             ok &= abs(res.rate_per_user - oracle) <= 1e-12
             ok &= res.memory_bits_per_receiver == 2 * 6 * 8
         cfgf = NetworkConfig.full(6, 0.7, power, EPS)
@@ -275,7 +276,7 @@ def test_criterion_7_monte_carlo_sanity():
 
     # below 0.8x the weakest-link capacity: block success must reach 98%
     cfg_good = NetworkConfig.soft_handoff(6, 1.0, 100.0, EPS)
-    weakest = capacity(cfg_good.alpha_min, cfg_good.power - cfg_good.epsilon)
+    weakest = capacity(alpha_min(cfg_good), cfg_good.power - cfg_good.epsilon)
     assert link_rate <= 0.8 * weakest
     lib = random_library(6, 5 * bits, seed=700)
     rng = np.random.default_rng(701)
@@ -371,7 +372,7 @@ def test_criterion_9_mds_and_round_robin_rate():
     cfg = NetworkConfig.soft_handoff(k, 1.0, 1e4, EPS)
     lib = random_library(6, 5 * 8 * (k - 2), seed=910)
     res = round_robin_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6, 1)))
-    rate_ok = res.rate_per_user == rate_soft(cfg) * (k - 2) / k
+    rate_ok = res.rate_per_user == rate_soft(cfg, alpha_min(cfg)) * (k - 2) / k
 
     _report(
         9,

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import wynercache.harness as harness
 import wynercache.schemes.pipeline as pipeline
+from gainoracle import PERIODS
 from wynercache.harness import (
     DemandPolicy,
     ExperimentSpec,
@@ -49,7 +50,7 @@ from wynercache.schemes import (
     run_soft_prop1,
 )
 from wynercache.schemes.mds import MAX_K
-from wynercache.schemes.schedule import NEEDED, PERIODS, SOFT_PERIODS
+from wynercache.schemes.schedule import NEEDED, SOFT_PERIODS
 from wynercache.tradeoff import curve, ACHIEVABLE, achievable, upper_bound
 
 

@@ -28,6 +28,8 @@ from wynercache.model import (
     to_json,
     validate_config,
 )
+from wynercache.schemes import check_ideal_rate, rate_soft
+from wynercache.schemes.pipeline import skeleton
 
 
 def from_bits(bits: str) -> Bitstring:
@@ -91,12 +93,15 @@ class TestValidateConfig:
             validate_config(cfg)
 
     def test_alpha_min(self):
-        cfg = NetworkConfig.soft_handoff(4, [2.0, -0.5, 1.0, 3.0], 100.0)
-        assert cfg.alpha_min == 0.5
-        assert NetworkConfig.soft_handoff(4, 2.0, 100.0).alpha_min == 1.0
-        # taken once, and no field: equality, hash and JSON are those of a config never read
-        assert vars(cfg)["alpha_min"] == 0.5
-        fresh = NetworkConfig.soft_handoff(4, [2.0, -0.5, 1.0, 3.0], 100.0)
+        # the weakest gain min{1, |alpha_rx|} is read by the rate check, over the receivers whose
+        # cross gain a link hears (alpha_2..alpha_K in soft handoff), not kept on the config
+        cfg = NetworkConfig.soft_handoff(6, [2.0, 3.0, -0.5, 1.0, 3.0, 2.0], 100.0)
+        assert check_ideal_rate(cfg, skeleton(cfg)) == rate_soft(cfg, 0.5)
+        strong = NetworkConfig.soft_handoff(6, 2.0, 100.0)
+        assert check_ideal_rate(strong, skeleton(strong)) == rate_soft(strong, 1.0)
+        # no field: equality, hash and JSON are those of a config never read
+        assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)}
+        fresh = NetworkConfig.soft_handoff(6, [2.0, 3.0, -0.5, 1.0, 3.0, 2.0], 100.0)
         assert cfg == fresh and hash(cfg) == hash(fresh) and to_json(cfg) == to_json(fresh)
 
     def test_a_passed_config_is_checked_once(self, monkeypatch):

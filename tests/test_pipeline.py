@@ -13,6 +13,7 @@ import wynercache.harness as harness
 import wynercache.schemes.pipeline as pipeline
 import wynercache.schemes.placement as placement
 import wynercache.schemes.points as points
+from gainoracle import by_model_check, gain_at, ideal_rate, scheduled_gain
 from test_codec import LinkBudget, _z, ideal_link
 from wynercache.channel import cancel_known, transmit_full, transmit_soft
 from wynercache.codec import capacity, draw_codebook, nn_decode
@@ -142,7 +143,7 @@ def _execute_dict(cfg, scheme, demands, backend, bits_per_part, n_slot):
     for per in schedule.periods:
         if isinstance(backend, MonteCarlo):
             plans = {rx: plan for rx, plan in per.rx_plans.items() if plan is not None}
-            gain = np.array([cfg.gain_at(rx) for rx in range(1, cfg.k + 1)])
+            gain = np.array([gain_at(cfg, rx) for rx in range(1, cfg.k + 1)])
             cb = draw_codebook(
                 n_slot,
                 bits_per_part,
@@ -183,21 +184,22 @@ def _execute_dict(cfg, scheme, demands, backend, bits_per_part, n_slot):
     return decoded, failures, links
 
 
-def _deliver_dict(cfg, scheme, demands, backend, execute=_execute_dict):
-    """``pipeline._deliver`` over ``execute``, combining each receiver's labelled parts."""
+def _deliver_dict(cfg, scheme, demands, backend, execute=_execute_dict, gain=None):
+    """``pipeline._deliver`` over ``execute``, combining each receiver's labelled parts. An Ideal
+    delivery runs at the rate of its weakest ``gain``, by default that of its schedule's links."""
     library = scheme.library
     DemandVector.checked(demands, cfg.k, library.num_files)
     periods, needed = len(scheme.periods), _needed(cfg)
     bits_per_part = library.payload_bits // needed
+    placement, schedule = _placed(cfg, library)
     if isinstance(backend, Ideal):
-        rate, n_slot = points.check_ideal_rate(cfg), 0
+        rate, n_slot = ideal_rate(cfg, scheduled_gain(cfg, schedule) if gain is None else gain), 0
     else:
         n_slot = backend.n // periods
         rate = library.payload_bits / (periods * n_slot)
     got, failures, links = execute(cfg, scheme, demands, backend, bits_per_part, n_slot)
     soft = cfg.variant is Variant.SOFT_HANDOFF
     combine = reconstruct_five if soft else lambda parts: Bitstring.concat_all(parts.values())
-    placement, _ = _placed(cfg, library)
     decoded = {}
     for rx, parts in got.items():
         cached = placement.parts[demands.for_rx(rx)]
@@ -255,15 +257,22 @@ def _round_robin_dict(cfg, library, demands, backend):
     coded = [mds_encode(list(p.split(k - 2))) for p in library]
     collected = {rx: {} for rx in range(1, k + 1)}
     failures = links = memory = 0
-    for ell in range(1, k + 1):
-        gains = tuple(cfg.gain_at(_physical_of(r, ell, k)) for r in range(1, k + 1))
-        rotated = NetworkConfig.soft_handoff(k, gains, cfg.power, cfg.epsilon)
+    rotations = [
+        NetworkConfig.soft_handoff(
+            k, tuple(gain_at(cfg, _physical_of(r, ell, k)) for r in range(1, k + 1)), cfg.power, cfg.epsilon
+        )
+        for ell in range(1, k + 1)
+    ]
+    # every rotation runs at the rate of the weakest link of any rotation
+    schedule = delivery_schedule_soft(k, DemandVector(tuple(range(1, k + 1))))
+    gain = min(scheduled_gain(rotated, schedule) for rotated in rotations)
+    for ell, rotated in enumerate(rotations, start=1):
         scheme = _scheme(rotated.variant, k, MessageLibrary(tuple(parts[ell - 1] for parts in coded)))
         sub_demands = DemandVector(tuple(demands.for_rx(_physical_of(r, ell, k)) for r in range(1, k + 1)))
         sub_backend = backend
         if isinstance(backend, MonteCarlo):
             sub_backend = MonteCarlo(backend.n, derive_seed(backend.seed, pipeline._SEED_SUPER, ell))
-        sub = _deliver_dict(rotated, scheme, sub_demands, sub_backend)
+        sub = _deliver_dict(rotated, scheme, sub_demands, sub_backend, gain=gain)
         failures, links = failures + sub.link_failures, links + sub.links_total
         memory += sub.memory_bits_per_receiver
         for rx in range(1, k + 1):
@@ -293,7 +302,7 @@ def _execute_compiled(cfg, scheme, demands, backend, bits_per_part, n_slot, sche
     label -> bits. ``schedule`` is the one ``scheme`` was compiled from, by default the builder's."""
     own = pipeline._sources(scheme, np.array([demands.entries]).T)
     seeds = [backend.seed] if isinstance(backend, MonteCarlo) else []
-    gains = np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
+    gains = np.array([[gain_at(cfg, rx) for rx in range(1, cfg.k + 1)]])
     values, failures = pipeline._links(scheme, cfg, own, backend, n_slot, seeds, gains)
     targets = [
         (rx, plan.target[1])
@@ -361,8 +370,8 @@ def _execute_per_tx(cfg, scheme, demands, backend, bits_per_part, n_slot):
             if plan is not None:
                 y_rx = y[rx - 1]
                 for tx, _, _ in plan.cancel:
-                    y_rx = cancel_known(y_rx, cfg.gain_at(rx), codebooks[tx].word[0])
-                gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
+                    y_rx = cancel_known(y_rx, gain_at(cfg, rx), codebooks[tx].word[0])
+                gain = 1.0 if plan.source == rx else gain_at(cfg, rx)
                 decoders.setdefault(plan.source, []).append((rx, y_rx, gain))
         for tx, group in decoders.items():
             rxs, ys, gains = zip(*group)
@@ -870,7 +879,7 @@ class TestRoundRobinRows:
 
 
 class TestGainsRow:
-    """A delivery hands ``_links`` every receiver's ``cfg.gain_at(rx)``, read off ``cfg.gains``
+    """A delivery hands ``_links`` every receiver's ``gain_at(cfg, rx)``, read off ``cfg.gains``
     in one step: the full model's one gain is every receiver's."""
 
     @pytest.mark.parametrize(
@@ -887,7 +896,7 @@ class TestGainsRow:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "_links", lambda *args: seen.append(args[-1]) or real(*args))
             run(cfg, random_library(6, bits, 3), np.ones((2, 6), dtype=np.intp), MonteCarlo(288), (1, 2))
-        want = np.array([[cfg.gain_at(rx) for rx in range(1, cfg.k + 1)]])
+        want = np.array([[gain_at(cfg, rx) for rx in range(1, cfg.k + 1)]])
         assert [(g.dtype, g.tolist()) for g in seen] == [(want.dtype, want.tolist())]
 
     def test_ideal_delivery_builds_no_gains(self):
@@ -1265,21 +1274,22 @@ class TestIdealRateCheck:
     @given(_ideal_configs())
     def test_check_passes_iff_every_link_does(self, cfg):
         soft = cfg.variant is Variant.SOFT_HANDOFF
-        rate = rate_soft(cfg) if soft else rate_full(cfg)
+        lib = random_library(6, 40, seed=1)
+        scheme, (_, schedule) = _scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
+        # the weakest gain of a link the schedule decodes sets the rate
+        rate = rate_soft(cfg, scheduled_gain(cfg, schedule)) if soft else rate_full(cfg)
         try:
-            assert check_ideal_rate(cfg) == rate
+            assert check_ideal_rate(cfg, pipeline.skeleton(cfg)) == rate
         except InfeasibleRate:
             assert rate < 0
             return
         assert rate >= 0
         # the per-link rule the delivery loop used to apply, as the reference
-        lib = random_library(6, 40, seed=1)
-        scheme, (_, schedule) = _scheme(cfg.variant, cfg.k, lib), _placed(cfg, lib)
         link_rate = len(scheme.periods) * rate / _needed(cfg)
         for per in schedule.periods:
             for rx, plan in per.rx_plans.items():
                 if plan is not None:
-                    gain = 1.0 if plan.source == rx else cfg.gain_at(rx)
+                    gain = 1.0 if plan.source == rx else gain_at(cfg, rx)
                     assert ideal_link(LinkBudget(gain, link_rate, cfg.power - cfg.epsilon))
 
     @pytest.mark.parametrize(
@@ -1289,6 +1299,8 @@ class TestIdealRateCheck:
             (run_soft, _soft_cfg(alpha=(1, 0.5, 1, 1, 1, 1), eps=1e-16)),
             (round_robin_soft, _soft_cfg(eps=1e-16)),
             (run_full, NetworkConfig.full(6, 1.0, 1e4, 1e-16)),
+            # the tail is one more data part of the plan, not one more part a link carries
+            (lambda *args: run_soft_prop1(*args, 10), _soft_cfg(eps=1e-16)),
         ],
     )
     def test_back_off_lost_to_rounding_rejected_by_direct_runs(self, run, cfg):
@@ -1299,19 +1311,82 @@ class TestIdealRateCheck:
     @settings(max_examples=60, deadline=None)
     @given(_ideal_configs().filter(lambda cfg: cfg.variant is Variant.SOFT_HANDOFF))
     def test_check_ignores_rotation(self, cfg):
-        # round robin checks the physical config once: each rotation only permutes the gains
-        try:
-            rate = check_ideal_rate(cfg)
-        except InfeasibleRate as exc:
-            rate = str(exc)
+        # round robin checks the physical config once: each rotation only permutes the gains. A
+        # refusal names a receiver at the weakest gain, which a rotation renumbers
+        def outcome(cfg):
+            try:
+                return check_ideal_rate(cfg, pipeline.skeleton(cfg, round_robin=True))
+            except InfeasibleRate as exc:
+                if named := re.search(r"into receiver (\d+) at gain", str(exc)):
+                    assert abs(cfg.gains[int(named[1]) - 1]) == min(abs(g) for g in cfg.gains)
+                return re.sub(r"receiver \d+", "receiver", str(exc))
+
+        rate = outcome(cfg)
         for shift in range(1, cfg.k):
             gains = cfg.gains[shift:] + cfg.gains[:shift]
-            rotated = NetworkConfig.soft_handoff(cfg.k, gains, cfg.power, cfg.epsilon)
-            if isinstance(rate, str):
-                with pytest.raises(InfeasibleRate, match=re.escape(rate)):
-                    check_ideal_rate(rotated)
-            else:
-                assert check_ideal_rate(rotated) == rate
+            assert outcome(NetworkConfig.soft_handoff(cfg.k, gains, cfg.power, cfg.epsilon)) == rate
+
+    @pytest.mark.parametrize("k", range(5, 14))
+    def test_skeleton_records_the_receivers_of_cross_links(self, k):
+        # soft handoff keeps Tx K silent, so no link hears alpha_1; round robin hears every gain
+        # as some rotation's role, and every full-model link is from its receiver's own Tx
+        base = pipeline._skeleton(Variant.SOFT_HANDOFF, k)
+        schedule = delivery_schedule_soft(k, DemandVector(tuple(range(1, k + 1))))
+        cross = {rx - 1 for per in schedule.periods for rx, plan in per.rx_plans.items() if plan and plan.source != rx}
+        assert base.heard == tuple(sorted(cross)) == tuple(range(1, k))
+        assert pipeline._rotated(Variant.SOFT_HANDOFF, k).heard == tuple(range(k))
+        if k % 2 == 0:
+            assert pipeline._skeleton(Variant.FULL, k).heard == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _ideal_configs().filter(
+            lambda cfg: cfg.variant is Variant.FULL or abs(cfg.gains[0]) >= min([1.0] + [abs(g) for g in cfg.gains[1:]])
+        ),
+        st.sampled_from(["base", "prop-1", "round robin"]),
+    )
+    @example(_soft_cfg(alpha=(1, 0.5, 1, 1, 1, 1)), "base")
+    @example(_soft_cfg(alpha=(0.5, 2, 0.5, 1, 1, 1)), "prop-1")
+    @example(_soft_cfg(alpha=(0.5, 2, 0.5, 1, 1, 1), eps=1e-16), "round robin")
+    @example(NetworkConfig.full(6, 0.25, 1e4, 1e-16), "prop-1")
+    def test_same_verdict_as_the_by_model_check(self, cfg, scheme):
+        # where alpha_1 is not the strict weakest gain, reading the heard gains off the skeleton
+        # changes no verdict and no bit of a rate; a prop-1 runner checks its plan, whose tail is
+        # one more data part but no more link
+        assume(scheme != "round robin" or cfg.variant is Variant.SOFT_HANDOFF)
+        skel = pipeline.skeleton(cfg, scheme == "round robin")
+        if scheme == "prop-1":
+            skel = pipeline.placed(skel, random_library(6, 8 * skel.needed + 10, seed=1), 10)
+
+        def verdict(check):
+            try:
+                return check().hex()
+            except InfeasibleRate:
+                return "infeasible"
+
+        assert verdict(lambda: check_ideal_rate(cfg, skel)) == verdict(lambda: by_model_check(cfg))
+
+    def test_a_gain_no_link_hears_sets_no_rate(self):
+        # soft gains (0.3, 1, ..., 1) run at the unit-gain rate, where alpha_1 once set 7.93, and
+        # alpha_1 = 1e-3 once made the Ideal rate negative; Monte Carlo serves both as before
+        weak = _soft_cfg(alpha=(0.3, 1, 1, 1, 1, 1))
+        report = run_experiment(ExperimentSpec(weak, trials=5))
+        assert (report.rate_per_user, report.empirical_mg) == (10.823207857557154, 1.6290374210506227)
+        assert report.guaranteed_success == 1.0
+        for backend in ({"trials": 5}, {"backend": "mc", "n": 600, "bits": 6, "trials": 20}):
+            report = run_experiment(ExperimentSpec(_soft_cfg(alpha=(1e-3, 1, 1, 1, 1, 1)), **backend))
+            assert (report.guaranteed_success, report.link_error_rate) == (1.0, 0.0)
+        # round robin hears alpha_1 in some rotation: it still sets that rate
+        report = run_experiment(ExperimentSpec(weak, bits=32, round_robin=True, trials=5))
+        assert report.rate_per_user == 5.2863200501813425
+
+    def test_refusal_names_the_weakest_link(self):
+        soft = _soft_cfg(alpha=(0.25, 1, -0.5, 1, 1, 1), eps=1e-16)
+        with pytest.raises(InfeasibleRate, match="weakest link, into receiver 3 at gain 0.5, at capacity"):
+            check_ideal_rate(soft, pipeline.skeleton(soft))
+        full = NetworkConfig.full(6, 0.5, 1e4, 1e-16)
+        with pytest.raises(InfeasibleRate, match="weakest link, at gain 1, at capacity"):
+            check_ideal_rate(full, pipeline.skeleton(full))
 
     @pytest.mark.parametrize(
         "kwargs, placed",

@@ -1,26 +1,31 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gainoracle import alpha_min
 from wynercache.model import DemandVector, NetworkConfig, SimError, Variant, random_library
 from wynercache.schemes import (
     SchemePoint,
     augment_prop1,
+    check_ideal_rate,
     rate_full,
     rate_soft,
     run_soft_prop1,
     time_share,
 )
+from wynercache.schemes.pipeline import skeleton
 
 
 class TestRateFormulas:
-    @pytest.mark.parametrize("alpha_min", [0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize("power", [1e2, 1e4, 1e8])
-    def test_soft_rate(self, alpha_min, power):
-        cfg = NetworkConfig.soft_handoff(6, alpha_min, power, 0.05)
-        oracle = (5 / 3) * 0.5 * math.log2(1 + alpha_min**2 * (power - 0.05)) - 5 * 0.05
-        assert rate_soft(cfg) == pytest.approx(oracle, abs=1e-12)
+    def test_soft_rate(self, alpha, power):
+        cfg = NetworkConfig.soft_handoff(6, alpha, power, 0.05)
+        oracle = (5 / 3) * 0.5 * math.log2(1 + alpha**2 * (power - 0.05)) - 5 * 0.05
+        assert rate_soft(cfg, alpha) == pytest.approx(oracle, abs=1e-12)
+        assert type(rate_soft(cfg, np.float64(alpha))) is float
 
     @pytest.mark.parametrize("power", [1e2, 1e4, 1e8])
     def test_full_rate(self, power):
@@ -32,7 +37,7 @@ class TestRateFormulas:
         # gains above 1 do not help: the own link has unit gain
         strong = NetworkConfig.soft_handoff(6, 3.0, 1e4, 0.05)
         unit = NetworkConfig.soft_handoff(6, 1.0, 1e4, 0.05)
-        assert rate_soft(strong) == rate_soft(unit)
+        assert check_ideal_rate(strong, skeleton(strong)) == check_ideal_rate(unit, skeleton(unit))
 
 
 class TestAugmentProp1:
@@ -73,7 +78,7 @@ class TestAugmentProp1:
         for rx in range(2, 6):
             assert res.decoded[rx] == lib.payload(DemandVector((1, 2, 3, 4, 5, 6)).for_rx(rx))
         # delivered bits grow from 40 to 50, so the rate scales by 50/40
-        assert res.rate_per_user == pytest.approx(rate_soft(cfg) * 50 / 40)
+        assert res.rate_per_user == pytest.approx(rate_soft(cfg, alpha_min(cfg)) * 50 / 40)
         assert res.memory_bits_per_receiver == 2 * 6 * 8 + 6 * extra
 
 

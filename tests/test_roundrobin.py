@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wynercache.schemes.pipeline as pipeline
+from gainoracle import alpha_min
 from mdsoracle import solve_decode
 from randbits import random_bits
 from wynercache.model import DemandVector, NetworkConfig, random_library
@@ -112,7 +113,7 @@ class TestRoundRobin:
         k = 7
         cfg, lib = _setup(k)
         res = round_robin_soft(cfg, lib, DemandVector((1, 2, 3, 4, 5, 6, 1)))
-        assert res.rate_per_user == rate_soft(cfg) * (k - 2) / k
+        assert res.rate_per_user == rate_soft(cfg, alpha_min(cfg)) * (k - 2) / k
 
     def test_memory_accounting(self):
         k, bits = 6, 8

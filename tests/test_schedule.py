@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wynercache.model import CachePlacement, DemandVector, Variant, random_library, to_json
+from gainoracle import PERIODS
+from wynercache.model import CachePlacement, DemandVector, OddKForFullModel, Variant, random_library, to_json
 from wynercache.schemes import (
     DecodePlan,
     DeliverySchedule,
@@ -26,7 +27,6 @@ from wynercache.schemes.placement import cache_labels
 from wynercache.schemes.schedule import (
     DIRECT_PART,
     NEEDED,
-    PERIODS,
     XOR_NEXT_PART,
     XOR_OWN_PART,
     guaranteed_receivers,
@@ -191,6 +191,12 @@ class TestFullSchedule:
         assert per.tx_actions[2] == Direct(2, 1)
         plan = per.rx_plans[1]
         assert plan.cancel == ((6, 6, 1), (2, 2, 1))
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_odd_k_rejected(self, k):
+        # the rule validate_config and cache_placement_full state, under their class
+        with pytest.raises(OddKForFullModel, match=f"^full-model schedule needs even K, got {k}$"):
+            delivery_schedule_full(k, DemandVector((1,) * k))
 
     def test_verifier_passes(self):
         lib = random_library(6, 16, seed=4)
