@@ -41,6 +41,10 @@ class TooManyWords(SimError):
     pass
 
 
+class FloatOverflow(SimError):
+    """A Monte-Carlo run whose codewords or decoder scores overflow float64."""
+
+
 def check_codebook_bits(bits: int) -> None:
     """Raise ``TooManyWords`` for a codebook of more than 2^MAX_CODEBOOK_BITS words."""
     if bits > MAX_CODEBOOK_BITS:
@@ -72,7 +76,8 @@ def draw_codebook(
     """Draw a codebook of 2^bits shell codewords of power ``power`` per entry of ``sent``.
 
     Row i sends word ``sent[i]``, or zeros for -1, at a block power of at most
-    ``cap``: where rounding puts it above, the radius steps down one float at a time.
+    ``cap``: where rounding puts it above, the radius steps down one float at a time. A radius
+    past float64 raises ``FloatOverflow``.
     """
     sent = np.asarray(sent, dtype=np.int64)
     check_codebook_bits(bits)
@@ -84,6 +89,8 @@ def draw_codebook(
     direction = rng.standard_normal((len(sent), n_uses))
     direction /= np.sqrt(np.einsum("ij,ij->i", direction, direction))[:, None]
     radius = math.sqrt(n_uses * power)
+    if not math.isfinite(radius):
+        raise FloatOverflow(f"codewords of power {power:g} over {n_uses} uses have a radius past float64")
     step = np.where(sent[:, None] < 0, 0.0, radius)
     word = step * direction
     while (over := ~check_power(word, cap).ok).any():

@@ -125,9 +125,10 @@ class ExperimentSpec:
             raise SimError("trials must be at least 1")
         check_library_size(self.num_files, self.payload_bits(), self.allow_small_d)
         if self.backend == "mc":
-            # every codebook has 2^bits words, and every period gets n // periods uses
+            # every codebook has 2^bits words, every period gets n // periods uses, and the
+            # gains and the float range are those MC can run
             check_codebook_bits(self.bits)
-            slot_length(skel, self.n)
+            slot_length(cfg, skel, self.n)
         if self.demand_policy is DemandPolicy.EXPLICIT:
             if self.explicit_demands is None:
                 raise SimError("explicit demand policy needs a demand vector")
@@ -306,27 +307,18 @@ class SweepResult:
 
 
 def sweep_snr(spec: ExperimentSpec, p_db_list: Sequence[float]) -> SweepResult:
-    """Rerun the experiment across an increasing SNR grid."""
+    """Rerun the experiment across an increasing SNR grid; every point is validated before any runs."""
     if any(b <= a for a, b in zip(p_db_list, p_db_list[1:])):
         raise SimError("SNR grid must be strictly increasing")
+    subs = [dataclasses.replace(spec, config=spec.config.with_power(power_from_db(p_db))) for p_db in p_db_list]
+    for sub in subs:
+        sub.validate()
     rows = []
-    for p_db in p_db_list:
-        power = power_from_db(p_db)
-        if power <= spec.config.epsilon:
-            raise SimError(f"power {power} at {p_db} dB does not exceed epsilon")
-        sub = dataclasses.replace(spec, config=spec.config.with_power(power))
-        report = run_experiment(sub)
+    for p_db, sub in zip(p_db_list, subs):
+        power, report = sub.config.power, run_experiment(sub)
         cache_rate = report.memory_bits_per_receiver * report.rate_per_user / sub.payload_bits()
-        rows.append(
-            SweepRow(
-                p_db=p_db,
-                p_linear=power,
-                x=empirical_mg(cache_rate, power) / spec.num_files,
-                rate_per_user=report.rate_per_user,
-                empirical_mg=report.empirical_mg,
-                guaranteed_success=report.guaranteed_success,
-            )
-        )
+        x = empirical_mg(cache_rate, power) / spec.num_files
+        rows.append(SweepRow(p_db, power, x, report.rate_per_user, report.empirical_mg, report.guaranteed_success))
     return SweepResult(tuple(rows))
 
 
@@ -350,17 +342,8 @@ def export_csv(obj: "ExperimentReport | SweepResult | TradeoffCurve", path: str)
                 )
         elif isinstance(obj, SweepResult):
             writer.writerow(["p_db", "p_linear", "x", "rate", "empirical_mg", "success_rate"])
-            for row in obj.rows:
-                writer.writerow(
-                    [
-                        _fmt(row.p_db),
-                        _fmt(row.p_linear),
-                        _fmt(row.x),
-                        _fmt(row.rate_per_user),
-                        _fmt(row.empirical_mg),
-                        _fmt(row.guaranteed_success),
-                    ]
-                )
+            for row in obj.rows:  # the columns are SweepRow's fields, in order
+                writer.writerow([_fmt(v) for v in dataclasses.astuple(row)])
         elif isinstance(obj, TradeoffCurve):
             writer.writerow(["x", "s_ach", "s_ub", "gap"])
             # both columns are exported, so the corners of both curves are sampled

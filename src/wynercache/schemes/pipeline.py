@@ -13,11 +13,11 @@
   part to whole bytes, pack), or from the MDS-coded rows (``mds_rows``) in round robin, with
   ``want`` and the memory; prop-1 cuts every file's tail as one more label, cached at every
   receiver. Each placement rule is stated once, in the step that needs it: the soft K in
-  ``delivery_schedule_soft``, round robin's model and K in ``_rotated``, the tail and the
-  payload split in ``layout``, which ``ExperimentSpec.validate`` runs too. ``placed``
-  memoises a plan on its skeleton, library and tail, not on the channel, so every trial and
-  every SNR point of a sweep shares it; each runner reaches it through ``_plan``, which
-  checks the config first.
+  ``delivery_schedule_soft``, the full model's even K in ``cache_labels``, round robin's model
+  and K in ``_rotated``, the tail and the payload split in ``layout``, which
+  ``ExperimentSpec.validate`` runs too. ``placed`` memoises a plan on its skeleton, library
+  and tail, not on the channel, so every trial and every SNR point of a sweep shares it; each
+  runner reaches it through ``_plan``, which checks the config first.
 * Delivery, per block of demand vectors: ``_deliver`` serves a (T, K) array of them with any
   plan at once, source-major: an array holds a source, link or data part per step of its
   leading axis and the block's delivery rows behind it, so a gather is one ``np.take`` of whole
@@ -44,11 +44,15 @@ Two interchangeable backends drive the same plans:
   and the noise of every receiver, each from one generator, runs the noisy
   channel, cancels known interferers from cache, and decodes each codebook by
   nearest neighbor at all its receivers at once, one batch per receiver count.
+  Its pre-flight, ``slot_length``, which ``ExperimentSpec.validate`` runs too,
+  states its limits once: a period of at least one channel use, cross gains that
+  float64 cancels (|alpha| <= 2^40), and finite codewords and decoder scores.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence, Union
@@ -56,9 +60,10 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from ..channel import cancel_known, check_power, transmit_full, transmit_soft
-from ..codec import draw_codebook, nn_decode
+from ..codec import FloatOverflow, draw_codebook, nn_decode
 from ..model import (
     Bitstring,
+    ConfigError,
     ConfigMismatch,
     DemandVector,
     MessageLibrary,
@@ -90,6 +95,10 @@ from .schedule import (
 _SEED_CODEBOOK = 0xC0DE
 _SEED_NOISE = 0x401E
 _SEED_SUPER = 0x50BE
+
+# A receiver cancels a cached codeword sent at cross gain alpha; the float64 residual, about
+# |alpha| * 2^-53 of a codeword entry, stays below 2^-13 up to this bound.
+MAX_CROSS_GAIN = 2.0**40
 
 # A delivery block's largest array gathers, per row and receiver, the picks of every data
 # part (``select``) of nb label bytes, and a round robin trial is K rows. A block of
@@ -384,10 +393,20 @@ def placed(skel: _Skeleton, library: MessageLibrary, extra_bits: int) -> _Plan:
     )
 
 
-def slot_length(skel: _Skeleton, n: int) -> int:
-    """The channel uses per period of ``skel`` in an MC block of ``n``, at least one, or ``ConfigMismatch``."""
+def slot_length(cfg: NetworkConfig, skel: _Skeleton, n: int) -> int:
+    """The MC pre-flight of ``skel`` on ``cfg`` in blocks of ``n``: the channel uses per period, at least
+    one, or the named ``SimError`` of the first MC limit broken. Every gain cancels in float64, and the
+    largest intermediate is finite: ||y||^2 <= n_slot P (1 + 2 max|alpha|)^2 up to the noise, a score
+    ||y||^2 + alpha^2 ||c||^2 - 2 alpha <c, y> at most 9/4 of that, and four times it must be finite."""
     if (n_slot := n // skel.base_periods) < 1:
         raise ConfigMismatch(f"block length {n} too short for {skel.base_periods} period(s)")
+    alpha = float(max(map(abs, cfg.gains)))
+    if alpha > MAX_CROSS_GAIN:
+        i = [abs(g) for g in cfg.gains].index(alpha)
+        at = f"cross gain alpha_{i + 1} = {cfg.gains[i]}"
+        raise ConfigError(f"{at} exceeds 2^40, past which float64 cancellation fails")
+    if not math.isfinite(4.0 * n_slot * float(cfg.power) * (1.0 + 2.0 * alpha) ** 2):
+        raise FloatOverflow(f"MC scores overflow float64 at P={cfg.power:g}, n={n} and max|alpha|={alpha:g}")
     return n_slot
 
 
@@ -474,7 +493,7 @@ def _deliver(
     elif not isinstance(backend, MonteCarlo):
         raise ConfigMismatch(f"backend must be Ideal() or MonteCarlo(n, seed), got {backend!r}")
     else:
-        n_slot = slot_length(plan, backend.n)
+        n_slot = slot_length(cfg, plan, backend.n)
         if len(seeds) != len(demands):
             raise ConfigMismatch(f"{len(seeds)} Monte-Carlo seed(s) for {len(demands)} trial(s)")
         for seed in seeds:  # each trial's seed, as the backend's own

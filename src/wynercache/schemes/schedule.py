@@ -25,7 +25,8 @@ cached parts:
       3           2              2            (4, 1)
 
 The full model needs a single period: every transmitter sends the part its own
-receiver is missing, and each receiver cancels both neighbours from cache.
+receiver's cache labels (``placement.cache_labels``, with the even-K rule) lack,
+and each receiver cancels both neighbours from cache.
 ``verify_schedule`` reads the cache labels and the part count from the placement it
 is given; ``verify_labels`` takes them as they are. The skeleton and ``wynercache
 verify-schedule`` pass it ``placement.cache_labels`` and ``LABELS``: placement ignores the
@@ -37,15 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Union
 
-from ..model import (
-    CachePlacement,
-    DemandVector,
-    OddKForFullModel,
-    SimError,
-    Variant,
-    to_json,
-)
+from ..model import CachePlacement, DemandVector, SimError, Variant, to_json
 from .parts import DATA_PARTS_SOFT, PARTS_FULL, TOTAL_PARTS_SOFT
+from .placement import cache_labels
 
 MIN_SOFT_K = 5
 SOFT_PERIODS = 3
@@ -191,15 +186,14 @@ def delivery_schedule_soft(k: int, demands: DemandVector) -> DeliverySchedule:
 
 
 def delivery_schedule_full(k: int, demands: DemandVector) -> DeliverySchedule:
-    """Single-period schedule for the full model: everyone transmits, both neighbours cancelled."""
-    if k % 2 != 0:
-        raise OddKForFullModel(f"full-model schedule needs even K, got {k}")
+    """Single-period schedule for the full model: each Tx sends the one part its receiver's cache
+    labels lack, and every receiver cancels both neighbours. An odd K raises ``OddKForFullModel``."""
+    labels = cache_labels(Variant.FULL, k)
     if len(demands) != k:
         raise SimError(f"demand vector length {len(demands)} != K={k}")
     d = demands.for_rx
-
     actions: dict[int, TxAction] = {
-        tx: Direct(d(tx), 2 if tx % 2 == 1 else 1) for tx in range(1, k + 1)
+        tx: Direct(d(tx), *set(range(1, PARTS_FULL + 1)).difference(labels[tx])) for tx in range(1, k + 1)
     }
     period = PeriodSchedule(1, None, actions, _decode_plans(k, actions, HEARD[Variant.FULL]))
     return DeliverySchedule(Variant.FULL, k, demands, (period,))

@@ -154,6 +154,26 @@ class TestSimulate:
         assert err.startswith("ConfigMismatch: ")
         assert "trial" not in err
 
+    def test_failing_interior_assertion(self, capsys):
+        # MC at P = 0.1 loses every interior link
+        flags = ["--backend", "mc", "--snr-db", "-10", "--trials", "5", "--assert", "interior-success"]
+        assert main(["simulate", "--model", "soft", "--k", "6", *flags]) == EXIT_ASSERTION
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["interior_success"] == 0.0
+        assert captured.err == "assertion failed: interior success 0.0\n"
+
+    def test_unknown_demand_policy(self, capsys):
+        assert main(["simulate", "--model", "soft", "--k", "6", "--demands", "all"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "SimError: unknown demand policy 'all'\n"
+
+    def test_mc_power_past_float64_is_rejected(self, capsys):
+        # named before any trial: a run would start the codebook radius at inf
+        code = main(["simulate", "--model", "soft", "--k", "6", "--backend", "mc", "--snr-db", "3070"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "FloatOverflow: MC scores overflow float64 at P=1e+307, n=288 and max|alpha|=1\n"
+
     def test_bad_alpha_list(self, capsys):
         code = main(
             ["simulate", "--model", "soft", "--k", "6", "--alpha", "1,2,3"]
@@ -227,6 +247,12 @@ class TestTradeoffCommand:
         assert rows["0"][1] == "0.666666666667"
         assert rows["1"][1] == "2" and rows["1"][2] == "2"
 
+    def test_plot_script(self, tmp_path):
+        out, script = tmp_path / "curve.csv", tmp_path / "plot.py"
+        assert main(["tradeoff", "--model", "soft", "--out", str(out), "--plot-script", str(script)]) == EXIT_OK
+        text = script.read_text()
+        assert f"CURVE_CSV = {str(out)!r}" in text and "POINTS_CSV = None" in text
+
     def test_stdout_mode(self, capsys):
         code = main(["tradeoff", "--model", "soft", "--points", "5", "--x-max", "1"])
         assert code == EXIT_OK
@@ -255,6 +281,21 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("p_db,")
         assert len(lines) == 3
+
+    def test_sweep_plot_script(self, tmp_path):
+        out, script = tmp_path / "sweep.csv", tmp_path / "plot.py"
+        flags = ["--snr-db", "20,40", "--out", str(out), "--plot-script", str(script)]
+        assert main(["sweep", "--model", "soft", "--k", "6", *flags]) == EXIT_OK
+        text = script.read_text()
+        assert f"CURVE_CSV = {str(out)!r}" in text and f"POINTS_CSV = {str(out)!r}" in text
+
+    def test_sweep_stdout_rows(self, capsys):
+        assert main(["sweep", "--model", "soft", "--k", "6", "--snr-db", "20,40", "--demands", "distinct"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert rows == [
+            "P=20 dB  rate=5.297914  MG=1.591393  success=1.0000",
+            "P=40 dB  rate=10.823208  MG=1.629037  success=1.0000",
+        ]
 
 
 class TestVerifyScheduleCommand:

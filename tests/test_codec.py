@@ -11,6 +11,7 @@ import wynercache.codec as codec
 from wynercache.channel import block_power, check_power
 from wynercache.codec import (
     MAX_CODEBOOK_BITS,
+    FloatOverflow,
     TooManyWords,
     capacity,
     draw_codebook,
@@ -116,6 +117,13 @@ def decode_explicit(y: np.ndarray, cb: ExplicitCodebook, gain: float) -> int:
 
 
 class TestDrawCodebook:
+    def test_radius_past_float64_raises(self):
+        # n_uses * power overflows to an infinite radius, which the step-down to the power cap
+        # would walk down one float per pass from the largest float
+        with pytest.raises(FloatOverflow, match="^codewords of power 1e\\+307 over 200 uses have a radius past float64$"):
+            draw_codebook(200, 4, 1e307, 0, [0], 1e307)
+        assert draw_codebook(200, 4, 1e305, 0, [0], 1e305).radius == math.sqrt(200 * 1e305)
+
     def test_shell_power_exact(self):
         cb = draw_explicit(96, 8, power=9.95, seed=3)
         assert cb.num_words == 256
@@ -453,6 +461,10 @@ class TestCapacity:
         assert capacity(1.0, 3.0) == pytest.approx(1.0)
         assert capacity(2.5, 0.0) == 0.0
         assert capacity(0.5, 12.0) == pytest.approx(1.0)
+
+    def test_negative_power(self):
+        with pytest.raises(SimError, match="^negative power -1.0$"):
+            capacity(1.0, -1.0)
 
 
 class TestIdealLink:

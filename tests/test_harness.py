@@ -26,13 +26,14 @@ from wynercache.harness import (
     run_experiment,
     sweep_snr,
 )
-from wynercache.codec import MAX_CODEBOOK_BITS, TooManyWords
+from wynercache.codec import MAX_CODEBOOK_BITS, FloatOverflow, TooManyWords
 from wynercache.model import (
     Bitstring,
     ConfigError,
     DemandVector,
     MessageLibrary,
     NetworkConfig,
+    OddKForFullModel,
     SimError,
     Variant,
     derive_seed,
@@ -687,6 +688,52 @@ class TestLateFailuresRejected:
         for alpha in (2e12, 1e18, 1e300, -2e12):
             _rejected_before_any_trial(_soft_spec(config=build(alpha), backend="mc"), ConfigError, match="alpha_1")
 
+    @pytest.mark.parametrize("model", ["soft", "full"])
+    def test_ideal_takes_any_finite_gain(self, model):
+        # an Ideal link hears a cross gain only as min(1, |alpha|), so the 2^40 cap that MC's
+        # float64 cancellation needs does not bound it; MC still rejects the gain by name
+        build = lambda alpha: (
+            NetworkConfig.soft_handoff(6, alpha, 1e4) if model == "soft" else NetworkConfig.full(6, alpha, 1e4)
+        )
+        reports = [run_experiment(_soft_spec(config=build(alpha))) for alpha in (1.0, 2.0**41, -(2.0**41), 1e300)]
+        assert [r.guaranteed_success for r in reports] == [1.0] * 4
+        assert [r.rate_per_user for r in reports] == [reports[0].rate_per_user] * 4
+        _rejected_before_any_trial(
+            _soft_spec(config=build(2.0**41), backend="mc"), ConfigError,
+            match=r"^cross gain alpha_1 = 2199023255552.0 exceeds 2\^40, past which float64 cancellation fails$",
+        )
+
+    @pytest.mark.parametrize("model, periods", [("soft", 3), ("full", 1)])
+    def test_mc_float_range(self, model, periods):
+        # the largest MC intermediate, a decoder score, is at most 4 n_slot P (1 + 2 max|alpha|)^2.
+        # Past float64 the codebook radius is inf, which the power cap would step down one float at
+        # a time, or the scores overflow into wrong decisions that read as link errors. Both sides
+        # of the bound run under numpy's overflow warnings, which the tests turn into errors
+        build = lambda alpha, power: (
+            NetworkConfig.soft_handoff(6, alpha, power) if model == "soft" else NetworkConfig.full(6, alpha, power)
+        )
+        spec = lambda alpha, power: _soft_spec(config=build(alpha, power), backend="mc", n=600, trials=2)
+        for alpha, power in ((1.0, 1e307), (2.0**40, 1e305), (-3.0, 1e308)):
+            _rejected_before_any_trial(
+                spec(alpha, power), FloatOverflow,
+                match=re.escape(f"at P={power:g}, n=600 and max|alpha|={abs(alpha):g}"),
+            )
+        assert run_experiment(spec(1.0, 1e300)).guaranteed_success == 1.0
+        for alpha in (1.0, 2.0**40):
+            edge = sys.float_info.max / (4 * (600 // periods) * (1 + 2 * alpha) ** 2)
+            assert run_experiment(spec(alpha, edge * 0.999)).guaranteed_success == 1.0
+            _rejected_before_any_trial(spec(alpha, edge * 1.001), FloatOverflow)
+
+    def test_full_odd_k_rejected_before_any_trial(self):
+        # validate_config passes the channel; the skeleton's cache labels refuse the full scheme
+        spec = _soft_spec(config=NetworkConfig.full(7, 0.5, 1e4))
+        _rejected_before_any_trial(spec, OddKForFullModel, match="^full-model caching needs even K, got 7: ")
+
+    def test_trials_at_least_one(self):
+        for call in (_soft_spec(trials=0).validate, lambda: run_experiment(_soft_spec(trials=0))):
+            with pytest.raises(SimError, match="^trials must be at least 1$"):
+                call()
+
     def test_mc_runs_where_the_back_off_is_lost_to_rounding(self):
         config = NetworkConfig.soft_handoff(6, 1.0, 1e4, 1e-16)
         report = run_experiment(_soft_spec(config=config, backend="mc", trials=1))
@@ -888,6 +935,22 @@ class TestSweep:
             oracle = 2 - 2 * 0.05 / (0.5 * math.log2(1 + row.p_linear))
             assert row.empirical_mg == pytest.approx(oracle, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "overrides, grid, error, match",
+        [
+            ({}, [10, 20, 4000], SimError, "^power of 4000 dB overflows a float$"),
+            ({"backend": "mc", "n": 600}, [10, 20, 3070], FloatOverflow, "^MC scores overflow float64 at P=1e\\+307"),
+        ],
+    )
+    def test_every_point_validated_before_any_runs(self, monkeypatch, overrides, grid, error, match):
+        calls, real = [], harness.run_experiment
+        monkeypatch.setattr(harness, "run_experiment", lambda spec: calls.append(spec) or real(spec))
+        with pytest.raises(error, match=match):
+            sweep_snr(_soft_spec(trials=1, **overrides), grid)
+        assert calls == []
+        sweep_snr(_soft_spec(trials=1, **overrides), grid[:-1])
+        assert len(calls) == 2
+
     def test_grid_must_increase(self):
         with pytest.raises(SimError):
             sweep_snr(_soft_spec(), [40, 20])
@@ -958,6 +1021,11 @@ class TestExport:
         script = script_path.read_text()
         for name in ("s_ach", "s_ub", "empirical_mg", "matplotlib"):
             assert name in script
+
+    def test_unknown_type_not_exported(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(SimError, match="^cannot export dict as CSV$"):
+            export_csv({"rows": []}, str(path))
 
     def test_curve_csv_breakpoint_row(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mdsoracle import solve_decode
 from randbits import random_bits
-from wynercache.model import Bitstring, LengthMismatch
+from wynercache.model import Bitstring, LengthMismatch, SimError
 from wynercache.schemes import TooFewParts, mds, mds_decode, mds_encode
 from wynercache.schemes.mds import MAX_K
 
@@ -98,6 +98,15 @@ class TestDecode:
         coded = mds_encode(data)
         with pytest.raises(TooFewParts):
             mds_decode({1: coded[0], 2: coded[1]}, 5)
+
+    def test_encode_k_within_the_field(self):
+        with pytest.raises(SimError, match=f"^K={MAX_K + 1} exceeds the GF\\(256\\) limit of {MAX_K}$"):
+            mds_encode([Bitstring.zeros(8)] * (MAX_K - 1))
+
+    @pytest.mark.parametrize("k_total", [2, MAX_K + 1])
+    def test_decode_k_within_the_field(self, k_total):
+        with pytest.raises(SimError, match=f"^K={k_total} outside 3..{MAX_K}$"):
+            mds_decode({1: Bitstring.zeros(8)}, k_total)
 
     def test_bad_index(self):
         data = _random_parts(3, 16, seed=5)

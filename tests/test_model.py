@@ -54,9 +54,12 @@ class TestValidateConfig:
             validate_config(cfg)
 
     def test_odd_k_for_full_model(self):
+        # the channel is well defined on odd K; only the full scheme's caching needs an even K, and
+        # the run's skeleton, which reads the cache labels, rejects it
         cfg = NetworkConfig.full(7, 0.5, 100.0, 0.05)
-        with pytest.raises(OddKForFullModel):
-            validate_config(cfg)
+        validate_config(cfg)
+        with pytest.raises(OddKForFullModel, match="^full-model caching needs even K, got 7: "):
+            skeleton(cfg)
 
     def test_non_positive_power(self):
         cfg = NetworkConfig.soft_handoff(6, 1.0, 0.0, 0.05)
@@ -82,6 +85,11 @@ class TestValidateConfig:
         for cfg, error, field in cases:
             with pytest.raises(error, match=field):
                 validate_config(cfg)
+
+    def test_alpha_is_the_full_variants(self):
+        assert NetworkConfig.full(6, -0.5, 100.0).alpha == -0.5
+        with pytest.raises(ConfigError, match="^alpha is only defined for the full variant$"):
+            NetworkConfig.soft_handoff(6, 0.5, 100.0).alpha
 
     def test_k_too_small(self):
         with pytest.raises(ConfigError):
@@ -344,6 +352,31 @@ class TestBitstring:
     def test_value_out_of_range(self):
         with pytest.raises(SimError):
             Bitstring(3, 8)
+
+    def test_negative_length(self):
+        with pytest.raises(SimError, match="^negative bitstring length -1$"):
+            Bitstring(-1, 0)
+
+    def test_to_bytes_needs_whole_bytes(self):
+        with pytest.raises(LengthMismatch, match="^length 12 is not byte aligned$"):
+            Bitstring.zeros(12).to_bytes()
+
+
+class TestMessageLibraryRules:
+    def test_at_least_two_files(self):
+        with pytest.raises(SimError, match="^library needs at least 2 files$"):
+            MessageLibrary([Bitstring.zeros(8)])
+
+    def test_one_payload_length(self):
+        with pytest.raises(SimError, match=r"^library payloads have mixed lengths \[8, 16\]$"):
+            MessageLibrary([Bitstring.zeros(16), Bitstring.zeros(8)])
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_payload_index_in_range(self, index):
+        library = MessageLibrary([Bitstring.zeros(8), Bitstring(8, 5)])
+        assert library.payload(2) == Bitstring(8, 5)
+        with pytest.raises(SimError, match=f"^file index {index} outside 1..2$"):
+            library.payload(index)
 
 
 class TestDemandVector:

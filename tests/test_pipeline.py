@@ -488,6 +488,12 @@ class TestRunFullIdeal:
 
 
 class TestMonteCarlo:
+    def test_one_seed_per_trial(self):
+        cfg, lib = _soft_cfg(), random_library(6, 40, seed=8)
+        demands = np.ones((3, 6), dtype=np.intp)
+        with pytest.raises(ConfigMismatch, match=r"^2 Monte-Carlo seed\(s\) for 3 trial\(s\)$"):
+            run_soft(cfg, lib, demands, MonteCarlo(n=288), seeds=(1, 2))
+
     def test_soft_reproducible(self):
         cfg = _soft_cfg(power=100.0)
         lib = random_library(6, 40, seed=8)

@@ -64,15 +64,19 @@ class TestFullPlacement:
     def test_odd_k_breaks_neighbour_cancellation(self):
         # exhaustive walk of the circle: every receiver must hold the part its
         # neighbours transmit in order to cancel them; with odd K the wrap
-        # pair (1, K) shares a parity and the rule fails exactly there
+        # pair (1, K) shares a parity and the rule fails exactly there. The odd/even rule is
+        # written out here, since cache_labels refuses an odd K for this reason
         def uncancellable_pairs(k):
             bad = []
             for rx in range(1, k + 1):
                 for tx in ((rx - 2) % k + 1, rx % k + 1):
                     sent = 2 if tx % 2 == 1 else 1  # part the neighbour transmits
-                    if cache_labels(Variant.FULL, k)[rx] != (sent,):
+                    if (1 if rx % 2 == 1 else 2,) != (sent,):
                         bad.append((rx, tx))
             return bad
 
         assert uncancellable_pairs(6) == []
         assert uncancellable_pairs(7) == [(1, 7), (7, 1)]
+        assert all(cache_labels(Variant.FULL, 6)[rx] == (1 if rx % 2 == 1 else 2,) for rx in range(1, 7))
+        with pytest.raises(OddKForFullModel, match="neighbours 7 and 1 cache the same half"):
+            cache_labels(Variant.FULL, 7)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gainoracle import PERIODS
-from wynercache.model import CachePlacement, DemandVector, OddKForFullModel, Variant, random_library, to_json
+from wynercache.model import CachePlacement, DemandVector, OddKForFullModel, SimError, Variant, random_library, to_json
 from wynercache.schemes import (
     DecodePlan,
     DeliverySchedule,
@@ -26,10 +27,12 @@ from wynercache.schemes import (
 from wynercache.schemes.placement import cache_labels
 from wynercache.schemes.schedule import (
     DIRECT_PART,
+    LABELS,
     NEEDED,
     XOR_NEXT_PART,
     XOR_OWN_PART,
     guaranteed_receivers,
+    verify_labels,
 )
 
 
@@ -194,9 +197,18 @@ class TestFullSchedule:
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_odd_k_rejected(self, k):
-        # the rule validate_config and cache_placement_full state, under their class
-        with pytest.raises(OddKForFullModel, match=f"^full-model schedule needs even K, got {k}$"):
+        # the rule cache_labels states once, read by the builder before the demands
+        with pytest.raises(OddKForFullModel, match=f"^full-model caching needs even K, got {k}: "):
             delivery_schedule_full(k, DemandVector((1,) * k))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_demand_length_must_be_k(self, variant):
+        build = delivery_schedule_soft if variant is Variant.SOFT_HANDOFF else delivery_schedule_full
+        with pytest.raises(SimError, match="^demand vector length 5 != K=6$"):
+            build(6, DemandVector((1,) * 5))
+        schedule = dataclasses.replace(build(6, DemandVector((1,) * 6)), demands=DemandVector((1,) * 5))
+        with pytest.raises(SimError, match="^demand vector length 5 != K=6$"):
+            verify_labels(schedule, cache_labels(variant, 6), LABELS[variant])
 
     def test_verifier_passes(self):
         lib = random_library(6, 16, seed=4)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wynercache.model import Variant
+from wynercache.model import SimError, Variant
 from wynercache.tradeoff import (
     ACHIEVABLE,
     UPPER_BOUND,
     NegativeRatio,
+    TradeoffCurve,
     achievable,
     breakpoints,
     curve,
@@ -139,6 +140,14 @@ class TestCurveSampling:
     def test_full_achievable_breakpoints(self):
         pts = breakpoints(Variant.FULL, ACHIEVABLE)
         assert pts == ((Fraction(0), Fraction(2, 3)), (Fraction(1), Fraction(2)))
+
+    def test_unknown_curve_kind(self):
+        with pytest.raises(SimError, match="^unknown curve kind 'lower'$"):
+            breakpoints(Variant.SOFT_HANDOFF, "lower")
+
+    def test_samples_must_be_sorted(self):
+        with pytest.raises(SimError, match="^curve samples must be sorted by x$"):
+            TradeoffCurve(Variant.FULL, ACHIEVABLE, ((0.5, 1.0), (0.0, 2 / 3)))
 
     def test_upper_bound_breakpoints(self):
         assert breakpoints(Variant.SOFT_HANDOFF, UPPER_BOUND)[1][0] == Fraction(1, 6)
