@@ -315,10 +315,19 @@ def sweep_snr(spec: ExperimentSpec, p_db_list: Sequence[float]) -> SweepResult:
         sub.validate()
     rows = []
     for p_db, sub in zip(p_db_list, subs):
-        power, report = sub.config.power, run_experiment(sub)
+        power = sub.config.power
+        report = run_experiment(sub)
         cache_rate = report.memory_bits_per_receiver * report.rate_per_user / sub.payload_bits()
-        x = empirical_mg(cache_rate, power) / spec.num_files
-        rows.append(SweepRow(p_db, power, x, report.rate_per_user, report.empirical_mg, report.guaranteed_success))
+        rows.append(
+            SweepRow(
+                p_db=p_db,
+                p_linear=power,
+                x=empirical_mg(cache_rate, power) / spec.num_files,
+                rate_per_user=report.rate_per_user,
+                empirical_mg=report.empirical_mg,
+                guaranteed_success=report.guaranteed_success,
+            )
+        )
     return SweepResult(tuple(rows))
 
 
@@ -342,8 +351,17 @@ def export_csv(obj: "ExperimentReport | SweepResult | TradeoffCurve", path: str)
                 )
         elif isinstance(obj, SweepResult):
             writer.writerow(["p_db", "p_linear", "x", "rate", "empirical_mg", "success_rate"])
-            for row in obj.rows:  # the columns are SweepRow's fields, in order
-                writer.writerow([_fmt(v) for v in dataclasses.astuple(row)])
+            for row in obj.rows:
+                writer.writerow(
+                    [
+                        _fmt(row.p_db),
+                        _fmt(row.p_linear),
+                        _fmt(row.x),
+                        _fmt(row.rate_per_user),
+                        _fmt(row.empirical_mg),
+                        _fmt(row.guaranteed_success),
+                    ]
+                )
         elif isinstance(obj, TradeoffCurve):
             writer.writerow(["x", "s_ach", "s_ub", "gap"])
             # both columns are exported, so the corners of both curves are sampled

@@ -400,12 +400,14 @@ def slot_length(cfg: NetworkConfig, skel: _Skeleton, n: int) -> int:
     ||y||^2 + alpha^2 ||c||^2 - 2 alpha <c, y> at most 9/4 of that, and four times it must be finite."""
     if (n_slot := n // skel.base_periods) < 1:
         raise ConfigMismatch(f"block length {n} too short for {skel.base_periods} period(s)")
-    alpha = float(max(map(abs, cfg.gains)))
-    if alpha > MAX_CROSS_GAIN:
-        i = [abs(g) for g in cfg.gains].index(alpha)
-        at = f"cross gain alpha_{i + 1} = {cfg.gains[i]}"
-        raise ConfigError(f"{at} exceeds 2^40, past which float64 cancellation fails")
-    if not math.isfinite(4.0 * n_slot * float(cfg.power) * (1.0 + 2.0 * alpha) ** 2):
+    alphas = [abs(g) for g in cfg.gains]
+    alpha = float(max(alphas))
+    cancels = alpha <= MAX_CROSS_GAIN
+    if not (cancels and math.isfinite(4.0 * n_slot * float(cfg.power) * (1.0 + 2.0 * alpha) ** 2)):
+        if not cancels:
+            i = alphas.index(alpha)
+            at = f"cross gain alpha_{i + 1} = {cfg.gains[i]}"
+            raise ConfigError(f"{at} exceeds 2^40, past which float64 cancellation fails")
         raise FloatOverflow(f"MC scores overflow float64 at P={cfg.power:g}, n={n} and max|alpha|={alpha:g}")
     return n_slot
 
