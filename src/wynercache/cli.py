@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--k", type=int, required=True)
     ver.add_argument("--d", type=int, default=6)
     ver.add_argument("--demands", default="distinct")
-    ver.add_argument("--allow-small-d", action="store_true")
     ver.add_argument("--out", default=None, help="write the schedule JSON here")
     return parser
 
@@ -123,7 +122,7 @@ def _parse_list(text: str, flag: str, kind: type = float) -> list:
 
 
 def _build_config(args: argparse.Namespace) -> NetworkConfig:
-    """The config of the flags; ``ExperimentSpec.validate`` checks it, the --alpha count included."""
+    """The config of the flags, checked as it is built, the --alpha count included."""
     variant = Variant(args.model)
     power = power_from_db(_parse_list(args.snr_db, "--snr-db")[0])
     gains = _parse_list(args.alpha, "--alpha")
@@ -229,8 +228,8 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 
 def _cmd_verify_schedule(args: argparse.Namespace) -> int:
     policy, explicit = _parse_demands(args.demands)
-    # validity rests on K, the demands and the cache labels, not on the D files or the channel:
-    # no file is drawn, and any valid gains and power will do. Demands resolve as trial 0's at seed 0
+    # validity rests on K, the demands and the cache labels, not on the D files or the channel: no file is
+    # drawn, so no library floor applies, and any valid gains will do. Demands resolve as trial 0's at seed 0
     variant = Variant(args.model)
     if variant is Variant.FULL:
         cfg, build = NetworkConfig.full(args.k, 1.0, 1e4), delivery_schedule_full
@@ -241,7 +240,7 @@ def _cmd_verify_schedule(args: argparse.Namespace) -> int:
         num_files=args.d,
         demand_policy=policy,
         explicit_demands=explicit,
-        allow_small_d=args.allow_small_d,
+        allow_small_d=True,
     )
     spec.validate()
     schedule = build(args.k, DemandVector(tuple(_demands(spec, range(1))[0].tolist())))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .codec import check_codebook_bits
 from .model import (
+    ConfigError,
     DemandVector,
     MessageLibrary,
     NetworkConfig,
@@ -40,7 +41,6 @@ from .model import (
     random_library,
     seed_states,
     to_json,
-    validate_config,
 )
 from .schemes import (
     BlockResult,
@@ -104,6 +104,7 @@ class ExperimentSpec:
                 object.__setattr__(self, name, int(value))
 
     def validate(self) -> None:
+        """Raise the named SimError of the first rule the spec breaks; a built config passed the channel's."""
         cfg = self.config
         for name in _INTEGER_FIELDS:
             if type(value := getattr(self, name)) is not int:
@@ -114,7 +115,8 @@ class ExperimentSpec:
             raise SimError("bits per submessage must be at least 1")
         if self.master_seed < 0:
             raise SimError(f"master_seed must be non-negative, got {self.master_seed}")
-        validate_config(cfg)  # before the skeleton, which reads the variant
+        if not isinstance(cfg, NetworkConfig):  # before the skeleton, which reads the variant
+            raise ConfigError(f"config must be a NetworkConfig, got {type(cfg).__name__}")
         layout(skel := skeleton(cfg, self.round_robin), self.payload_bits(), self.prop1_extra_bits)
         if self.backend not in ("ideal", "mc"):
             raise SimError(f"unknown backend {self.backend!r}")
@@ -341,6 +343,8 @@ def export_csv(obj: "ExperimentReport | SweepResult | TradeoffCurve", path: str)
     """Write a byte-stable CSV with a header row; dispatches on the object type."""
     import csv as _csv
 
+    if not isinstance(obj, (ExperimentReport, SweepResult, TradeoffCurve)):  # before open empties path
+        raise SimError(f"cannot export {type(obj).__name__} as CSV")
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         if isinstance(obj, ExperimentReport):
@@ -362,7 +366,7 @@ def export_csv(obj: "ExperimentReport | SweepResult | TradeoffCurve", path: str)
                         _fmt(row.guaranteed_success),
                     ]
                 )
-        elif isinstance(obj, TradeoffCurve):
+        else:
             writer.writerow(["x", "s_ach", "s_ub", "gap"])
             # both columns are exported, so the corners of both curves are sampled
             x_max = Fraction(obj.samples[-1][0])
@@ -376,8 +380,6 @@ def export_csv(obj: "ExperimentReport | SweepResult | TradeoffCurve", path: str)
                 ach = float(achievable(obj.variant, x))
                 ub = float(upper_bound(obj.variant, x))
                 writer.writerow([_fmt(x), _fmt(ach), _fmt(ub), _fmt(ub - ach)])
-        else:
-            raise SimError(f"cannot export {type(obj).__name__} as CSV")
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3

@@ -2,8 +2,8 @@
 
 A message library is its files' byte rows, one uint8 array from ``random_library``'s draw
 to the part planes of the schemes; ``Bitstring`` payloads are built only where the API
-hands them out. ``validate_config`` checks the physical channel alone; a scheme's or a
-backend's limit is checked by the step that needs it.
+hands them out. A ``NetworkConfig`` is checked when it is built: ``validate_config`` states the
+physical channel's rules, and a scheme's or a backend's limit is checked by the step that needs it.
 
 Conventions used throughout the package:
 
@@ -84,9 +84,12 @@ class NetworkConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        # a numpy integer K runs as the equal Python int; validate_config rejects every other non-int
+        # a numpy integer K runs as the equal int and a gain sequence as a tuple; validate_config rejects the rest
         if isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool):
             object.__setattr__(self, "k", int(self.k))
+        if isinstance(self.gains, Sequence):
+            object.__setattr__(self, "gains", tuple(self.gains))
+        validate_config(self)
 
     @classmethod
     def soft_handoff(
@@ -140,10 +143,8 @@ def _is_real(value) -> bool:
 
 def validate_config(cfg: NetworkConfig) -> None:
     """Raise the named ConfigError for the first violated invariant of the channel alone: variant,
-    K >= 3, gains, power, epsilon; a scheme's or backend's limits are its own step's. A pass on
-    tuple gains is recorded on the frozen config; list gains are checked on every call."""
-    if "_valid" in vars(cfg):  # a later check reads no field
-        return
+    K >= 3, gains, power, epsilon; a scheme's or backend's limits are its own step's. Every
+    ``NetworkConfig`` runs it when it is built, so a config that exists passes it."""
     if not isinstance(cfg.variant, Variant):
         raise ConfigError(f"variant must be a Variant, got {cfg.variant!r}")
     if type(cfg.k) is not int:
@@ -175,8 +176,6 @@ def validate_config(cfg: NetworkConfig) -> None:
         raise BadEpsilon(
             f"epsilon must satisfy 0 < eps < min(P, 1), got eps={cfg.epsilon}, P={cfg.power}"
         )
-    if type(cfg.gains) is tuple:
-        vars(cfg)["_valid"] = True
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,7 @@ def check_library_size(num_files: int, payload_bits: int, allow_small_d: bool) -
         raise SimError(f"need num_files >= 2 and payload_bits >= 1, got {num_files}, {payload_bits}")
     if num_files < MIN_LIBRARY_FILES and not allow_small_d:
         raise SimError(
-            f"library size {num_files} < {MIN_LIBRARY_FILES}; pass allow_small_d=True to permit"
+            f"library size {num_files} < {MIN_LIBRARY_FILES}; pass allow_small_d=True (--allow-small-d) to permit"
         )
 
 

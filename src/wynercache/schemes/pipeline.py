@@ -71,7 +71,6 @@ from ..model import (
     SimError,
     Variant,
     derive_seed,
-    validate_config,
 )
 from .mds import MAX_K, Recipe, decode_recipe, mds_rows
 from .mds import mds_decode, mds_encode  # names perfbench/tracing.py wraps
@@ -423,8 +422,9 @@ def _plan(
     cfg: NetworkConfig, variant: Variant, library: MessageLibrary, round_robin: bool = False, extra_bits: int = 0
 ) -> _Plan:
     """The plan of a run of the ``variant`` scheme on ``cfg``, or the named ``SimError`` of the
-    first rule that the run breaks."""
-    validate_config(cfg)
+    first rule that the run breaks; a built ``NetworkConfig`` has passed the channel's rules."""
+    if not isinstance(cfg, NetworkConfig):
+        raise ConfigError(f"config must be a NetworkConfig, got {type(cfg).__name__}")
     if cfg.variant is not variant:
         raise ConfigMismatch(f"config is {cfg.variant.value}, scheme needs {variant.value}")
     return placed(skeleton(cfg, round_robin), library, extra_bits)

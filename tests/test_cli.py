@@ -180,6 +180,13 @@ class TestSimulate:
         )
         assert code == EXIT_VALIDATION
 
+    def test_small_library_names_the_flag(self, capsys):
+        assert main(["simulate", "--model", "soft", "--k", "6", "--d", "3"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "SimError: library size 3 < 6; pass allow_small_d=True (--allow-small-d) to permit\n"
+        )
+        assert main(["simulate", "--model", "soft", "--k", "6", "--d", "3", "--allow-small-d"]) == EXIT_OK
+
     @pytest.mark.parametrize("model, alpha", [("soft", "1,2,3"), ("full", "1,2")])
     def test_alpha_count_is_checked_by_the_config(self, capsys, model, alpha):
         assert main(["simulate", "--model", model, "--k", "6", "--alpha", alpha]) == EXIT_VALIDATION
@@ -332,6 +339,18 @@ class TestVerifyScheduleCommand:
         assert [list(v.items()) for v in doc["violations"]] == [
             [("kind", "cancel_key"), ("period", 2), ("actor", 4), ("detail", found.detail)]
         ]
+
+    def test_no_library_floor(self, capsys):
+        # D bounds the demands alone: no library is drawn, so D < 6 needs no flag, and the flag is gone
+        assert main(["verify-schedule", "--k", "6", "--d", "3", "--demands", "random"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == [] and set(doc["demands"]) <= {1, 2, 3}
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-schedule", "--k", "6", "--d", "3", "--allow-small-d"])
+        assert exc.value.code == EXIT_VALIDATION
+        # D >= 2 still holds
+        assert main(["verify-schedule", "--k", "6", "--d", "1", "--demands", "equal"]) == EXIT_VALIDATION
+        assert "need num_files >= 2" in capsys.readouterr().err
 
     def test_draws_and_splits_no_library(self, monkeypatch, capsys):
         # the check reads K, the demands and the cache labels, so a million files cost nothing:

@@ -528,11 +528,10 @@ class TestSpecValidation:
         "variant, gains", [(Variant.SOFT_HANDOFF, "111111"), (Variant.FULL, (None,)), (Variant.SOFT_HANDOFF, (True,) * 6)]
     )
     def test_non_real_gains_of_a_direct_config(self, variant, gains):
-        # a NetworkConfig built without soft_handoff/full skips their gain check; validate_config
-        # checks each gain by the same rule
-        spec = _soft_spec(config=NetworkConfig(variant, 6, gains, 1e4))
+        # a NetworkConfig built without soft_handoff/full skips their gain check; its construction
+        # checks each gain by the same rule, before a spec can hold it
         with pytest.raises(ConfigError, match="alpha_1 must be a real number"):
-            spec.validate()
+            NetworkConfig(variant, 6, gains, 1e4)
 
     # each integer field, with a valid value and a backend that reads it
     INTEGER_FIELDS = {
@@ -616,19 +615,30 @@ def _rejected_before_any_trial(spec, error, match=None):
 
 class TestLateFailuresRejected:
     @pytest.mark.parametrize(
-        "config, field",
+        "fields, field",
         [
-            (NetworkConfig(Variant.SOFT_HANDOFF, 6.0, (1.0,) * 6, 1e4), "K"),
-            (NetworkConfig(Variant.SOFT_HANDOFF, 6, (1.0,) * 6, True), "power"),
-            (NetworkConfig(Variant.FULL, 6, (0.5,), 1e4, True), "epsilon"),
-            (NetworkConfig(Variant.SOFT_HANDOFF, 6, (True,) * 6, 1e4), "cross gain alpha_1"),
-            (NetworkConfig("soft", 6, (1.0,), 1e4), "variant"),
+            ((Variant.SOFT_HANDOFF, 6.0, (1.0,) * 6, 1e4), "K"),
+            ((Variant.SOFT_HANDOFF, 6, (1.0,) * 6, True), "power"),
+            ((Variant.FULL, 6, (0.5,), 1e4, True), "epsilon"),
+            ((Variant.SOFT_HANDOFF, 6, (True,) * 6, 1e4), "cross gain alpha_1"),
+            (("soft", 6, (1.0,), 1e4), "variant"),
         ],
         ids=["float-k", "bool-power", "bool-epsilon", "bool-gain", "str-variant"],
     )
-    def test_config_field_types(self, config, field):
-        # K = 6.0 used to pass validation and fail mid-run with a bare TypeError; a bool ran as 1
-        _rejected_before_any_trial(_soft_spec(config=config, trials=2), ConfigError, match=f"^{field} ")
+    def test_config_field_types(self, fields, field):
+        # K = 6.0 used to pass validation and fail mid-run with a bare TypeError; a bool ran as 1.
+        # Such a config is refused where it is built, before any spec or trial can hold it
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            NetworkConfig(*fields)
+
+    @pytest.mark.parametrize("config, name", [(None, "NoneType"), ({"k": 6}, "dict")])
+    def test_a_non_config_is_named(self, config, name):
+        # a spec or a runner given no NetworkConfig names its type, not a bare TypeError mid-check
+        match = f"^config must be a NetworkConfig, got {name}$"
+        _rejected_before_any_trial(_soft_spec(config=config, trials=2), ConfigError, match=match)
+        library = random_library(6, 40, seed=0)
+        with pytest.raises(ConfigError, match=match):
+            run_soft(config, library, DemandVector((1, 2, 3, 4, 5, 6)))
 
     def test_mc_codebook_bits_capped(self):
         _rejected_before_any_trial(
@@ -870,7 +880,10 @@ class TestValidateMatchesTheRun:
         draw = lambda *values: data.draw(st.just(values[0]) | st.sampled_from(values))
         variant, k = draw(*Variant), draw(6, *range(3, 10))
         gains = (1.0,) * k if variant is Variant.SOFT_HANDOFF else (0.7,)
-        config = NetworkConfig(variant, k, gains, draw(1e4, 10.0, 0.05), draw(0.05, 1e-16))
+        try:
+            config = NetworkConfig(variant, k, gains, draw(1e4, 10.0, 0.05), draw(0.05, 1e-16))
+        except SimError:
+            return  # a bad channel is refused where it is built
         num_files, policy = draw(6, 1, 2, 3, 8), draw(*DemandPolicy)
         explicit = None
         if policy is DemandPolicy.EXPLICIT:
@@ -1023,9 +1036,12 @@ class TestExport:
             assert name in script
 
     def test_unknown_type_not_exported(self, tmp_path):
+        # the type is checked before the file is opened, so a refused export leaves it as it was
         path = tmp_path / "x.csv"
+        path.write_bytes(b"keep me\n")
         with pytest.raises(SimError, match="^cannot export dict as CSV$"):
             export_csv({"rows": []}, str(path))
+        assert path.read_bytes() == b"keep me\n"
 
     def test_curve_csv_breakpoint_row(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from wynercache.model import (
     to_json,
     validate_config,
 )
-from wynercache.schemes import check_ideal_rate, rate_soft
-from wynercache.schemes.pipeline import skeleton
+from wynercache.harness import ExperimentSpec
+from wynercache.schemes import InfeasibleRate, check_ideal_rate, rate_full, rate_soft, run_soft
+from wynercache.schemes.pipeline import skeleton, slot_length
 
 
 def from_bits(bits: str) -> Bitstring:
@@ -45,13 +47,12 @@ def to_bits(b: Bitstring) -> str:
 class TestValidateConfig:
     def test_valid_soft_config(self):
         cfg = NetworkConfig.soft_handoff(6, 1.0, 100.0, 0.05)
-        validate_config(cfg)  # no exception
+        validate_config(cfg)  # a built config passes again: no exception
 
     def test_zero_cross_gain(self):
         gains = [1.0, 1.0, 0.0, 1.0, 1.0, 1.0]
-        cfg = NetworkConfig.soft_handoff(6, gains, 100.0, 0.05)
         with pytest.raises(ZeroCrossGain):
-            validate_config(cfg)
+            NetworkConfig.soft_handoff(6, gains, 100.0, 0.05)
 
     def test_odd_k_for_full_model(self):
         # the channel is well defined on odd K; only the full scheme's caching needs an even K, and
@@ -62,29 +63,28 @@ class TestValidateConfig:
             skeleton(cfg)
 
     def test_non_positive_power(self):
-        cfg = NetworkConfig.soft_handoff(6, 1.0, 0.0, 0.05)
         with pytest.raises(NonPositivePower):
-            validate_config(cfg)
+            NetworkConfig.soft_handoff(6, 1.0, 0.0, 0.05)
 
     def test_bad_epsilon(self):
         with pytest.raises(BadEpsilon):
-            validate_config(NetworkConfig.soft_handoff(6, 1.0, 100.0, 1.5))
+            NetworkConfig.soft_handoff(6, 1.0, 100.0, 1.5)
         with pytest.raises(BadEpsilon):
-            validate_config(NetworkConfig.soft_handoff(6, 1.0, 0.04, 0.05))
+            NetworkConfig.soft_handoff(6, 1.0, 0.04, 0.05)
         with pytest.raises(BadEpsilon):
-            validate_config(NetworkConfig.soft_handoff(6, 1.0, 100.0, 0.0))
+            NetworkConfig.soft_handoff(6, 1.0, 100.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_named(self, bad):
         cases = [
-            (NetworkConfig.soft_handoff(6, [1, bad, 1, 1, 1, 1], 100.0), ConfigError, "alpha_2"),
-            (NetworkConfig.full(6, bad, 100.0), ConfigError, "alpha_1"),
-            (NetworkConfig.soft_handoff(6, 1.0, bad), ConfigError, "power"),
-            (NetworkConfig.soft_handoff(6, 1.0, 100.0, bad), BadEpsilon, "eps"),
+            (lambda: NetworkConfig.soft_handoff(6, [1, bad, 1, 1, 1, 1], 100.0), ConfigError, "alpha_2"),
+            (lambda: NetworkConfig.full(6, bad, 100.0), ConfigError, "alpha_1"),
+            (lambda: NetworkConfig.soft_handoff(6, 1.0, bad), ConfigError, "power"),
+            (lambda: NetworkConfig.soft_handoff(6, 1.0, 100.0, bad), BadEpsilon, "eps"),
         ]
-        for cfg, error, field in cases:
+        for build, error, field in cases:
             with pytest.raises(error, match=field):
-                validate_config(cfg)
+                build()
 
     def test_alpha_is_the_full_variants(self):
         assert NetworkConfig.full(6, -0.5, 100.0).alpha == -0.5
@@ -93,12 +93,11 @@ class TestValidateConfig:
 
     def test_k_too_small(self):
         with pytest.raises(ConfigError):
-            validate_config(NetworkConfig.soft_handoff(2, 1.0, 100.0))
+            NetworkConfig.soft_handoff(2, 1.0, 100.0)
 
     def test_gain_count_must_match_variant(self):
-        cfg = NetworkConfig(Variant.SOFT_HANDOFF, 6, (1.0, 1.0), 100.0, 0.05)
         with pytest.raises(ConfigError):
-            validate_config(cfg)
+            NetworkConfig(Variant.SOFT_HANDOFF, 6, (1.0, 1.0), 100.0, 0.05)
 
     def test_alpha_min(self):
         # the weakest gain min{1, |alpha_rx|} is read by the rate check, over the receivers whose
@@ -112,39 +111,66 @@ class TestValidateConfig:
         fresh = NetworkConfig.soft_handoff(6, [2.0, 3.0, -0.5, 1.0, 3.0, 2.0], 100.0)
         assert cfg == fresh and hash(cfg) == hash(fresh) and to_json(cfg) == to_json(fresh)
 
-    def test_a_passed_config_is_checked_once(self, monkeypatch):
-        # the verdict is recorded on the frozen config: its second check reads no gain, and a
-        # dataclasses.replace copy is a new config, checked again
+    def test_a_built_config_is_checked_once(self, monkeypatch):
+        # the rules run when a config is built: a spec and a run read no gain again, and a
+        # dataclasses.replace or with_power copy is a new config, checked as it is built
         cfg = NetworkConfig.soft_handoff(60, 0.5, 1e4)
-        validate_config(cfg)
         seen, real = [], model._is_real
         monkeypatch.setattr(model, "_is_real", lambda value: seen.append(value) or real(value))
-        validate_config(cfg)
+        spec = ExperimentSpec(config=cfg, num_files=60)
+        spec.validate()
+        run_soft(cfg, random_library(60, spec.payload_bits(), seed=0), DemandVector(tuple(range(1, 61))))
         assert seen == []
-        validate_config(dataclasses.replace(cfg, power=100.0))
+        dataclasses.replace(cfg, power=100.0)
         assert len(seen) == 60 + 2  # every gain, power and epsilon
-        with pytest.raises(NonPositivePower, match="^power must be positive, got -1.0$"):
-            validate_config(dataclasses.replace(cfg, power=-1.0))
-        # a record, not a field: equality, hash and JSON are those of a config never checked
+        for copy in (lambda: dataclasses.replace(cfg, power=-1.0), lambda: cfg.with_power(-1.0)):
+            with pytest.raises(NonPositivePower, match="^power must be positive, got -1.0$"):
+                copy()
+        # no record: equality, hash and JSON are those of the fields alone
         fresh = NetworkConfig.soft_handoff(60, 0.5, 1e4)
+        assert set(vars(cfg)) == {f.name for f in dataclasses.fields(cfg)}
         assert cfg == fresh and hash(cfg) == hash(fresh) and to_json(cfg) == to_json(fresh)
 
-    def test_list_gains_are_checked_every_call(self, monkeypatch):
+    def test_list_gains_are_copied_at_construction(self):
+        # a list can change after the config is built; the config keeps the tuple it checked
         gains = [1.0] * 6
         cfg = NetworkConfig(Variant.SOFT_HANDOFF, 6, gains, 1e4)
-        validate_config(cfg)
-        gains[2] = 0.0  # a list can change after a pass
+        gains[2] = 0.0
+        assert cfg.gains == (1.0,) * 6 and type(cfg.gains) is tuple
+        assert hash(cfg) == hash(NetworkConfig.soft_handoff(6, 1.0, 1e4))
         with pytest.raises(ZeroCrossGain, match="alpha_3"):
-            validate_config(cfg)
+            NetworkConfig(Variant.SOFT_HANDOFF, 6, gains, 1e4)
 
-    def test_a_failing_config_fails_alike_every_call(self):
-        cfg = NetworkConfig.soft_handoff(6, 1.0, 1e4, 2.0)
+    def test_a_failing_construction_fails_alike_every_time(self):
         errors = []
         for _ in range(3):
             with pytest.raises(BadEpsilon) as info:
-                validate_config(cfg)
+                NetworkConfig.soft_handoff(6, 1.0, 1e4, 2.0)
             errors.append((type(info.value), str(info.value)))
         assert errors == errors[:1] * 3
+
+    @pytest.mark.parametrize(
+        "power, error, message",
+        [
+            (0.01, BadEpsilon, "epsilon must satisfy 0 < eps < min(P, 1), got eps=0.05, P=0.01"),
+            (math.nan, ConfigError, "power must be finite, got nan"),
+            (-1.0, NonPositivePower, "power must be positive, got -1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_way_of_building_checks(self, variant, power, error, message):
+        # NetworkConfig(...), the variant's constructor, dataclasses.replace and with_power raise alike
+        build = NetworkConfig.soft_handoff if variant is Variant.SOFT_HANDOFF else NetworkConfig.full
+        cfg = build(6, 0.5, 1e4)
+        attempts = [
+            lambda: NetworkConfig(variant, 6, cfg.gains, power),
+            lambda: build(6, 0.5, power),
+            lambda: dataclasses.replace(cfg, power=power),
+            lambda: cfg.with_power(power),
+        ]
+        for attempt in attempts:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                attempt()
 
     @pytest.mark.parametrize("gain", [2, 0.5, np.int64(2), np.float32(0.5), np.float64(0.5)])
     def test_any_real_scalar_gain_is_shared(self, gain):
@@ -180,9 +206,8 @@ class TestValidateConfig:
     def test_field_types_named(self, variant, attr, value):
         # a bool is no number; K must be an int, and power and epsilon real
         gains = (0.5,) * (6 if variant is Variant.SOFT_HANDOFF else 1)
-        cfg = NetworkConfig(**{"variant": variant, "k": 6, "gains": gains, "power": 1e4, attr: value})
         with pytest.raises(ConfigError, match=f"^{'K' if attr == 'k' else attr} must be"):
-            validate_config(cfg)
+            NetworkConfig(**{"variant": variant, "k": 6, "gains": gains, "power": 1e4, attr: value})
 
     @pytest.mark.parametrize("variant", ["soft", "full", None, 0])
     def test_variant_must_be_a_variant(self, variant):
@@ -202,6 +227,43 @@ class TestValidateConfig:
         # a NetworkConfig built directly skips the constructors' gain rule; len() must not raise
         with pytest.raises(ConfigError, match="cross gains must be a sequence"):
             validate_config(NetworkConfig(variant, 6, gains, 1e4))
+
+
+_SIGNED_GAIN = st.builds(lambda sign, e: sign * 2.0**e, st.sampled_from([1.0, -1.0]), st.floats(-45, 45))
+_ODD_REAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-3])
+
+
+class TestABuiltConfigRuns:
+    """A config that constructs is one that every rate and pre-flight reader can take as it is."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_built_config_gives_a_number_or_a_named_error(self, data):
+        variant = data.draw(st.sampled_from(list(Variant)))
+        if variant is Variant.SOFT_HANDOFF:
+            k = data.draw(st.integers(5, 64))
+            gains = data.draw(st.lists(_SIGNED_GAIN, min_size=k, max_size=k))
+        else:
+            k, gains = data.draw(st.integers(2, 32)) * 2, data.draw(_SIGNED_GAIN)
+        power = data.draw(_ODD_REAL | st.floats(1e-3, 1e300) | st.floats())
+        epsilon = data.draw(_ODD_REAL | st.floats(1e-6, 0.99) | st.floats())
+        build = NetworkConfig.soft_handoff if variant is Variant.SOFT_HANDOFF else NetworkConfig.full
+        try:
+            cfg = build(k, gains, power, epsilon)
+        except ConfigError:
+            return
+        skel = skeleton(cfg)
+        try:
+            rate = check_ideal_rate(cfg, skel)
+            assert math.isfinite(rate) and rate > 0
+        except InfeasibleRate:
+            pass
+        if variant is Variant.FULL:
+            assert math.isfinite(rate_full(cfg))
+        try:
+            assert slot_length(cfg, skel, 288) >= 1
+        except SimError as exc:
+            assert type(exc) is not SimError  # a named subclass
 
 
 class TestRandomLibrary:
