@@ -7,7 +7,12 @@ stores the ``export_csv`` bytes of ``sweep_snr`` over a 4-point grid, which for
 MC reaches points whose links fail, so one plan serves powers that succeed and
 powers that fail. The CSV written by ``wynercache tradeoff --points 200 --out``
 and the schedule JSON written by ``wynercache verify-schedule --out`` are
-compared the same way. A refactor must leave every byte unchanged.
+compared the same way. The reports hold aggregate rates only, so each decision
+case stores one runner's ``SimResult`` per trial on ``MonteCarlo(n, seed=t)``,
+t = 0..3: every receiver's decoded payload (hex, null if unserved), its
+success and the link counts. Its links fail often enough that a change to any
+Monte-Carlo decision, including which wrong word a failed link decodes, shows.
+A refactor must leave every byte unchanged.
 
 The expected files were written from a trusted revision with
 ``PYTHONPATH=src python tests/test_golden.py``; rerun it only when an output
@@ -27,8 +32,9 @@ import pytest
 
 from wynercache.cli import main
 from wynercache.harness import DemandPolicy, ExperimentSpec, export_csv, run_experiment, sweep_snr
-from wynercache.model import NetworkConfig
+from wynercache.model import DemandVector, NetworkConfig, random_library
 from wynercache.schemes import rate_full
+from wynercache.schemes.pipeline import MonteCarlo, round_robin_soft, run_full, run_soft, run_soft_prop1
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,6 +83,19 @@ SWEEP_CASES: dict[str, tuple[ExperimentSpec, tuple[float, ...]]] = {
     "sweep-mc-full": (_full(backend="mc", trials=3, master_seed=32), (-10.0, 0.0, 10.0, 20.0)),
     "sweep-ideal-prop1": (_soft(prop1_extra_bits=10, trials=4, master_seed=33), (0.0, 5.0, 10.0, 20.0)),
 }
+# (runner, config, library, demands, n): trial t runs on MonteCarlo(n, seed=t); every case fails
+# at least 10% of its links
+DECISION_TRIALS = 4
+DECISION_CASES = {
+    "decisions-soft-k6-p0.3": (run_soft, NetworkConfig.soft_handoff(6, 1.0, 0.3), random_library(6, 40, 1), 144),
+    "decisions-soft-k7-gains": (run_soft, NetworkConfig.soft_handoff(7, GAINS_K7, 1.0), random_library(7, 40, 2), 48),
+    "decisions-full-k8": (run_full, NetworkConfig.full(8, 0.6, 1.0), random_library(8, 16, 3), 20),
+    "decisions-rr-k6": (round_robin_soft, NetworkConfig.soft_handoff(6, 1.0, 1.0), random_library(6, 160, 4), 60),
+    "decisions-prop1-soft": (
+        lambda cfg, lib, demands, backend: run_soft_prop1(cfg, lib, demands, 10, backend),
+        NetworkConfig.soft_handoff(6, 1.0, 1.0), random_library(6, 50, 5), 48,
+    ),
+}
 REPORT_SUFFIXES = (".json", ".csv")  # the keys of _report_outputs
 TRADEOFF_MODELS = ("soft", "full")
 SCHEDULE_CASES: dict[str, list[str]] = {
@@ -93,6 +112,7 @@ def _golden_names() -> set[str]:
         | {f"tradeoff-{model}.csv" for model in TRADEOFF_MODELS}
         | {f"{name}.json" for name in SCHEDULE_CASES}
         | {f"{name}.csv" for name in SWEEP_CASES}
+        | {f"{name}.json" for name in DECISION_CASES}
     )
 
 
@@ -112,6 +132,18 @@ def _sweep_csv(spec: ExperimentSpec, grid: tuple[float, ...], workdir: Path) -> 
     path = workdir / "sweep.csv"
     export_csv(sweep_snr(spec, grid), str(path))
     return path.read_bytes()
+
+
+def _decisions_json(name: str) -> bytes:
+    run, cfg, library, n = DECISION_CASES[name]
+    demands = DemandVector(tuple(range(1, cfg.k + 1)))
+    trials = []
+    for seed in range(DECISION_TRIALS):
+        res = run(cfg, library, demands, MonteCarlo(n, seed=seed))
+        decoded = {rx: None if b is None else f"{b.value:0{-(-b.length // 4)}x}" for rx, b in res.decoded.items()}
+        links = {"link_failures": res.link_failures, "links_total": res.links_total}
+        trials.append({"decoded": decoded, "success": res.success, **links})
+    return (json.dumps(trials, indent=2) + "\n").encode()
 
 
 def _tradeoff_csv(model: str, workdir: Path) -> bytes:
@@ -135,6 +167,19 @@ def test_report_replay(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_sweep_replay(name, tmp_path):
     assert _sweep_csv(*SWEEP_CASES[name], tmp_path) == (GOLDEN / f"{name}.csv").read_bytes(), f"{name}.csv changed"
+
+
+@pytest.mark.parametrize("name", sorted(DECISION_CASES))
+def test_decision_replay(name):
+    assert _decisions_json(name) == (GOLDEN / f"{name}.json").read_bytes(), f"{name}.json changed"
+
+
+@pytest.mark.parametrize("name", sorted(DECISION_CASES))
+def test_decision_case_fails_links(name):
+    # a case whose links all decode pins no wrong decision
+    trials = json.loads((GOLDEN / f"{name}.json").read_text())
+    failed, total = (sum(trial[key] for trial in trials) for key in ("link_failures", "links_total"))
+    assert failed >= 0.1 * total, (failed, total)
 
 
 @pytest.mark.parametrize("model", TRADEOFF_MODELS)
@@ -170,6 +215,8 @@ def _write_golden() -> None:
                 (GOLDEN / f"{name}{suffix}").write_bytes(data)
         for name, (spec, grid) in SWEEP_CASES.items():
             (GOLDEN / f"{name}.csv").write_bytes(_sweep_csv(spec, grid, workdir))
+        for name in DECISION_CASES:
+            (GOLDEN / f"{name}.json").write_bytes(_decisions_json(name))
         for model in TRADEOFF_MODELS:
             (GOLDEN / f"tradeoff-{model}.csv").write_bytes(_tradeoff_csv(model, workdir))
         for name, args in SCHEDULE_CASES.items():
