@@ -19,6 +19,8 @@ Samples = np.ndarray
 
 
 def _as_matrix(inputs: Sequence[Samples]) -> np.ndarray:
+    if isinstance(inputs, np.ndarray) and inputs.dtype == float and inputs.ndim == 2 and len(inputs):
+        return inputs  # a stack of blocks has one length
     lengths = {len(b) for b in inputs}
     if len(lengths) != 1:
         raise LengthMismatch(f"signal blocks have mixed lengths {sorted(lengths)}")
@@ -32,16 +34,18 @@ def transmit_soft(inputs: Sequence[Samples], gains: Sequence[float], noise_seed:
     if len(gains) != k:
         raise LengthMismatch(f"{len(gains)} gains for {k} transmitters")
     g = np.asarray(gains, dtype=float)
-    y = x + g[:, None] * np.roll(x, 1, axis=0)
-    return y + np.random.default_rng(noise_seed).standard_normal((k, n))
+    y = x + g[:, None] * x[np.arange(-1, k - 1)]  # row k hears row k - 1
+    y += np.random.default_rng(noise_seed).standard_normal((k, n))
+    return y
 
 
 def transmit_full(inputs: Sequence[Samples], gain: float, noise_seed: int = 0) -> np.ndarray:
     """Y_k = X_k + alpha * (X_{k-1} + X_{k+1}) + Z_k with circular wrap."""
     x = _as_matrix(inputs)
     k, n = x.shape
-    y = x + gain * (np.roll(x, 1, axis=0) + np.roll(x, -1, axis=0))
-    return y + np.random.default_rng(noise_seed).standard_normal((k, n))
+    y = x + gain * (x[np.arange(-1, k - 1)] + x[np.arange(1 - k, 1)])  # rows k - 1 and k + 1
+    y += np.random.default_rng(noise_seed).standard_normal((k, n))
+    return y
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,7 @@ def block_power(block: Samples) -> float | np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.size == 0:
         raise SimError("empty signal block")
-    return np.mean(block**2, axis=-1)
+    return np.add.reduce(block * block, axis=-1) / block.shape[-1]  # np.mean's sum and divide
 
 
 def check_power(block: Samples, power: float) -> PowerCheck:
@@ -69,5 +73,6 @@ def cancel_known(y: Samples, gain: float | np.ndarray, known: Samples) -> Sample
     known = np.asarray(known, dtype=float)
     if y.shape != known.shape:
         raise LengthMismatch(f"cancel shapes {y.shape} vs {known.shape}")
-    return y - gain * known
+    out = gain * known
+    return np.subtract(y, out, out=out)
 

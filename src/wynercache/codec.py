@@ -81,7 +81,8 @@ def draw_codebook(
     """
     sent = np.asarray(sent, dtype=np.int64)
     check_codebook_bits(bits)
-    if n_uses < 1 or bits < 1 or sent.ndim != 1 or np.any((sent < -1) | (sent >> bits > 0)):
+    low, high = np.minimum.reduce(sent, None, initial=-1), np.maximum.reduce(sent, None, initial=-1)  # -1 if empty
+    if n_uses < 1 or bits < 1 or sent.ndim != 1 or low < -1 or high >> bits > 0:
         raise SimError(f"need n_uses, bits >= 1 and sent < 2^bits, got {n_uses}, {bits}, {sent}")
     if not 0 <= power <= cap:
         raise SimError(f"codeword power {power} outside [0, {cap}]")
@@ -99,8 +100,9 @@ def draw_codebook(
     return Codebooks(sent, word, bits, radius, rng)
 
 
-def _coords(cb: Codebooks, count: int) -> np.ndarray:
-    """Frame coordinates of the words of ``count`` codebooks, shape (count, 2^bits, min(n, 2))."""
+def _coords(cb: Codebooks, count: int, axes: int = 2) -> np.ndarray:
+    """Coordinates of the words of ``count`` codebooks on the first ``axes`` (1 or 2) frame axes,
+    shape (count, 2^bits, min(n, axes)). The draw is the same for either ``axes``."""
     g = cb.rng.standard_normal((count, 1 << cb.bits, min(cb.n_uses, 2)))
     if cb.n_uses == 1:
         return np.copysign(cb.radius, g)
@@ -112,6 +114,8 @@ def _coords(cb: Codebooks, count: int) -> np.ndarray:
     scale *= 2.0
     scale += norm2
     np.divide(cb.radius, np.sqrt(scale, out=scale), out=scale)
+    if axes == 1:
+        return np.multiply(g[..., 0], scale, out=scale)[..., None]
     g *= scale[..., None]
     return g
 
@@ -141,7 +145,7 @@ def nn_decode(
     chunk = max(1, (1 << MAX_CODEBOOK_BITS) >> cb.bits)
     for at in range(0, len(rows), chunk):
         part = slice(at, at + chunk)
-        coords = _coords(cb, len(rows[part]))[..., : r.shape[1]]
+        coords = _coords(cb, len(rows[part]), r.shape[1])
         for col in range(g.shape[1]):
             if r.shape[1] == 1:  # one frame axis: a product, not a (2^L x 1) @ (1 x 1) matmul
                 dist = coords[..., 0] * r[part, 0, col, None]
@@ -150,7 +154,7 @@ def nn_decode(
             dist *= 2.0 * g[part, col, None]
             np.subtract(base[part, col, None], dist, out=dist)
             dist[np.arange(len(dist)), cb.sent[rows[part]]] = sent_dist[part, col]
-            guesses[part, col] = np.argmin(dist, axis=1)
+            guesses[part, col] = dist.argmin(axis=1)
         del coords, dist  # before the next chunk is drawn
     return guesses
 

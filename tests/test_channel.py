@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wynercache.channel import (
     block_power,
@@ -149,3 +151,80 @@ class TestCancelKnown:
             cleaned = cancel_known(y[i], gains[i], x[(i - 1) % k])
             assert np.max(np.abs(cleaned - (x[i] + z[i]))) <= 1e-9
 
+
+# --- oracles: the kernels' former formulas, np.roll, np.mean and two temporaries ---
+
+
+def _roll_soft(inputs, gains, noise_seed):
+    x = np.asarray(inputs, dtype=float)
+    y = x + np.asarray(gains, dtype=float)[:, None] * np.roll(x, 1, axis=0)
+    return y + _noise(noise_seed, *x.shape)
+
+
+def _roll_full(inputs, gain, noise_seed):
+    x = np.asarray(inputs, dtype=float)
+    y = x + gain * (np.roll(x, 1, axis=0) + np.roll(x, -1, axis=0))
+    return y + _noise(noise_seed, *x.shape)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# finite values whose squares, products and sums stay finite; signed zeros and subnormals included
+_VALUES = st.floats(-1e100, 1e100, width=64)
+
+
+@st.composite
+def _stacks(draw, rows=st.integers(3, 9), uses=st.integers(1, 24)):
+    return draw(hnp.arrays(np.float64, (draw(rows), draw(uses)), elements=_VALUES))
+
+
+@st.composite
+def _stacks_and_gains(draw):
+    x = draw(_stacks())
+    return x, draw(hnp.arrays(np.float64, len(x), elements=_VALUES))  # a cross gain per receiver
+
+
+class TestKernelsKeepTheirBits:
+    """The channel kernels give their former formulas' results bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks(rows=st.integers(1, 5)), st.booleans())
+    @example(np.array([[3.0]]), False)  # n = 1
+    def test_block_power_is_the_mean_of_squares(self, x, one_block):
+        block = x[0] if one_block else x
+        assert _same_bits(block_power(block), np.mean(block**2, axis=-1))
+        assert _same_bits(block_power(list(block)), np.mean(block**2, axis=-1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks_and_gains(), st.integers(0, 2**32), st.booleans())
+    @example((np.arange(6.0).reshape(3, 2), np.array([0.5, 2.0, -1.0])), 7, True)  # K = 3: the wrap
+    def test_transmit_soft_is_the_roll_form(self, stack, seed, as_list):
+        x, gains = stack
+        inputs = list(x) if as_list else x
+        assert _same_bits(transmit_soft(inputs, gains, seed), _roll_soft(x, gains, seed))
+        assert _same_bits(transmit_soft(inputs, list(gains), seed), _roll_soft(x, gains, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks(), _VALUES, st.integers(0, 2**32), st.booleans())
+    @example(np.arange(6.0).reshape(3, 2), 0.5, 7, True)
+    def test_transmit_full_is_the_roll_form(self, x, gain, seed, as_list):
+        assert _same_bits(transmit_full(list(x) if as_list else x, gain, seed), _roll_full(x, gain, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_stacks(rows=st.integers(1, 6)), _VALUES, st.booleans())
+    def test_cancel_known_is_one_subtraction(self, y, gain, per_row):
+        known = y[::-1] * 0.5
+        g = np.full((len(y), 1), gain) if per_row else gain
+        assert _same_bits(cancel_known(y, g, known), y - g * known)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 8), min_size=3, max_size=7).filter(lambda lengths: len(set(lengths)) > 1))
+    def test_ragged_blocks_are_rejected(self, lengths):
+        blocks = [np.zeros(n) for n in lengths]
+        with pytest.raises(LengthMismatch, match="mixed lengths"):
+            transmit_soft(blocks, [1.0] * len(blocks))
+        with pytest.raises(LengthMismatch, match="mixed lengths"):
+            transmit_full(blocks, 1.0)

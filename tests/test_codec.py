@@ -1,11 +1,13 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wynercache.codec as codec
 from wynercache.channel import block_power, check_power
@@ -358,6 +360,66 @@ class TestProjectedCodebook:
             assert _decode_one(cb, ys, gains) == [expected] * len(gains)
 
 
+# --- oracles: the codec's former steps -------------------------------------
+
+
+def _coords_two_axes(cb, count: int) -> np.ndarray:
+    """Both frame coordinates of every word, as ``_coords`` scaled them for any frame."""
+    g = cb.rng.standard_normal((count, 1 << cb.bits, min(cb.n_uses, 2)))
+    if cb.n_uses == 1:
+        return np.copysign(cb.radius, g)
+    chi2 = 2.0 * cb.rng.standard_gamma((cb.n_uses - 2) / 2, size=g.shape[:2])
+    return g * (cb.radius / np.sqrt(chi2 + (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])))[..., None]
+
+
+def _sent_out_of_range(sent, bits: int) -> bool:
+    """``draw_codebook``'s rule on ``sent`` as three array passes: an entry below -1 or of more than ``bits`` bits."""
+    sent = np.asarray(sent, dtype=np.int64)
+    return bool(np.any((sent < -1) | (sent >> bits > 0)))
+
+
+class TestLeanStepsKeepTheirBits:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 10), st.integers(1, 3), st.integers(0, 2**32))
+    @example(1, 4, 2, 0)  # n = 1: signs only
+    @example(2, 4, 2, 0)  # n = 2: a chi^2 of no degrees
+    def test_coords_of_one_axis_are_the_first_of_two(self, n_uses, bits, count, seed):
+        twins = [draw_codebook(n_uses, bits, 2.0, seed, [0], 2.0) for _ in range(3)]
+        both, first = codec._coords(twins[0], count), codec._coords(twins[1], count, 1)
+        oracle = _coords_two_axes(twins[2], count)
+        assert both.shape == oracle.shape and both.tobytes() == oracle.tobytes()
+        assert first.shape == (count, 1 << bits, 1)
+        assert first.tobytes() == np.ascontiguousarray(oracle[..., :1]).tobytes()
+        # the same normals and chi^2 draws: every generator stands where the oracle's does
+        assert twins[0].rng.random() == twins[1].rng.random() == twins[2].rng.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, MAX_CODEBOOK_BITS),
+        st.lists(st.integers(-3, 8) | st.sampled_from([-(2**63), 2**63 - 1]), max_size=5),
+        st.integers(-2, 2),
+    )
+    def test_sent_rule_is_as_before(self, bits, sent, near_top):
+        sent = sent + [(1 << bits) + near_top]  # around 2^bits, the first index too long
+        message = f"need n_uses, bits >= 1 and sent < 2^bits, got 4, {bits}, {np.asarray(sent, dtype=np.int64)}"
+        if _sent_out_of_range(sent, bits):
+            with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
+                draw_codebook(4, bits, 1.0, 0, sent, 1.0)
+        else:
+            assert draw_codebook(4, bits, 1.0, 0, sent, 1.0).sent.tolist() == sent
+
+    @pytest.mark.parametrize("bits", [1, 8, MAX_CODEBOOK_BITS])
+    def test_sent_bounds(self, bits):
+        for bad in ([-2], [1 << bits], [0, -2, 1]):
+            with pytest.raises(SimError, match="^need n_uses, bits >= 1 and sent < 2\\^bits"):
+                draw_codebook(4, bits, 1.0, 0, bad, 1.0)
+        for good in ([-1], [(1 << bits) - 1, 0, -1]):
+            assert draw_codebook(4, bits, 1.0, 0, good, 1.0).sent.tolist() == good
+        # the rule passes an empty ``sent``, and the draw then stops at its empty block
+        with pytest.raises(SimError, match="^empty signal block$"):
+            draw_codebook(4, bits, 1.0, 0, [], 1.0)
+
+
 class TestBatchedDecode:
     def test_batch_decides_as_rows_one_at_a_time(self, monkeypatch):
         # with the coordinates of the words not sent fixed (drawn in the order of the
@@ -372,7 +434,7 @@ class TestBatchedDecode:
             dataclasses.replace(cb, sent=cb.sent[i : i + 1], word=cb.word[i : i + 1]) for i in range(m)
         ]
         fixed |= {id(rows[i]): fixed[id(cb)][at : at + 1] for at, i in enumerate(order)}
-        monkeypatch.setattr(codec, "_coords", lambda c, count: fixed[id(c)][:count])
+        monkeypatch.setattr(codec, "_coords", lambda c, count, axes: fixed[id(c)][:count, :, :axes])
         ys = [[g * word + 0.9 * rng.standard_normal(n) for g in (1.0, 0.7)] for word in cb.word]
         gains = [[1.0, 0.7]] * m
         batch = nn_decode(cb, order, [ys[i] for i in order], gains)
@@ -388,7 +450,7 @@ class TestBatchedDecode:
         monkeypatch.setattr(codec, "MAX_CODEBOOK_BITS", 16)
         counts = []
         real = codec._coords
-        monkeypatch.setattr(codec, "_coords", lambda c, count: counts.append(count) or real(c, count))
+        monkeypatch.setattr(codec, "_coords", lambda c, count, axes: counts.append(count) or real(c, count, axes))
         sent = list(range(10))
         cb = draw_codebook(8, 14, 2.0, 5, sent, 2.0)
         ys = [[word, 0.5 * word] for word in cb.word]

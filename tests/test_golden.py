@@ -10,9 +10,9 @@ and the schedule JSON written by ``wynercache verify-schedule --out`` are
 compared the same way. The reports hold aggregate rates only, so each decision
 case stores one runner's ``SimResult`` per trial on ``MonteCarlo(n, seed=t)``,
 t = 0..3: every receiver's decoded payload (hex, null if unserved), its
-success and the link counts. Its links fail often enough that a change to any
-Monte-Carlo decision, including which wrong word a failed link decodes, shows.
-A refactor must leave every byte unchanged.
+success and the link counts. Each case fails at least 10% of its links, so a
+change to any Monte-Carlo decision, including which wrong word a failed link
+decodes, shows. A refactor must leave every byte unchanged.
 
 The expected files were written from a trusted revision with
 ``PYTHONPATH=src python tests/test_golden.py``; rerun it only when an output
@@ -83,8 +83,8 @@ SWEEP_CASES: dict[str, tuple[ExperimentSpec, tuple[float, ...]]] = {
     "sweep-mc-full": (_full(backend="mc", trials=3, master_seed=32), (-10.0, 0.0, 10.0, 20.0)),
     "sweep-ideal-prop1": (_soft(prop1_extra_bits=10, trials=4, master_seed=33), (0.0, 5.0, 10.0, 20.0)),
 }
-# (runner, config, library, demands, n): trial t runs on MonteCarlo(n, seed=t); every case fails
-# at least 10% of its links
+# (runner, config, library, n): receiver rx demands file rx, and trial t runs on MonteCarlo(n, seed=t);
+# every case fails at least 10% of its links
 DECISION_TRIALS = 4
 DECISION_CASES = {
     "decisions-soft-k6-p0.3": (run_soft, NetworkConfig.soft_handoff(6, 1.0, 0.3), random_library(6, 40, 1), 144),
